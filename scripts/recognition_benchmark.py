@@ -12,11 +12,9 @@ import numpy as np
 
 from radsim.channel import ChannelParams, apply_channel
 from radsim.codec import random_payload
-from radsim.modulation import CarrierSpec, ask_modulate, fsk_modulate, psk_modulate
+from radsim.modulation import MODULATORS, CarrierSpec
 from radsim.recognition import SignatureLibrary, classify, library_add, library_save
 from radsim.signals import SampledSignal
-
-MODULATORS = {"fsk": fsk_modulate, "psk": psk_modulate, "ask": ask_modulate}
 
 
 def main():

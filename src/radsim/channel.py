@@ -29,6 +29,10 @@ class ChannelParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("attenuation_db", "snr_db", "noise_power"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.attenuation_db < 0:
             raise ParameterError(f"attenuation_db must be >= 0, got {self.attenuation_db}")
         if (self.snr_db is None) == (self.noise_power is None):

@@ -10,9 +10,10 @@ diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,8 @@ import numpy as np
 from . import codec, pipeline, propagation, recognition, spectral
 from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, RadsimError
-from .modulation import (CarrierSpec, ask_demodulate, ask_modulate, compose_emitted,
-                         fsk_demodulate, fsk_modulate, generate_carrier, psk_demodulate,
-                         psk_modulate)
+from .modulation import (DEMODULATORS, MODULATORS, CarrierSpec, compose_emitted,
+                         generate_carrier)
 from .signals import read_signal, write_signal
 
 
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modulate", help="modulate a bit stream onto a carrier")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
     p.add_argument("--bit-rate", type=float, default=250.0)
-    p.add_argument("--scheme", choices=["ask", "fsk", "psk"], required=True)
+    p.add_argument("--scheme", choices=sorted(MODULATORS), required=True)
     _add_carrier_flags(p)
     p.add_argument("--compose", action="store_true", help="add the carrier to the modulated signal")
     p.add_argument("--fsk-phase-reset", action="store_true",
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demodulate", help="recover bits from a modulated signal")
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
-    p.add_argument("--scheme", choices=["ask", "fsk", "psk"], required=True)
+    p.add_argument("--scheme", choices=sorted(DEMODULATORS), required=True)
     p.add_argument("--n-bits", type=int, required=True)
     p.add_argument("--bit-rate", type=float, default=250.0)
     _add_carrier_flags(p)
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float)
     p.add_argument("--phase", type=float)
     p.add_argument("--sample-rate", type=float)
-    p.add_argument("--modulation", choices=["ask", "fsk", "psk"])
+    p.add_argument("--modulation", choices=sorted(MODULATORS))
     compose = p.add_mutually_exclusive_group()
     compose.add_argument("--compose", dest="compose", action="store_true", default=None)
     compose.add_argument("--no-compose", dest="compose", action="store_false")
@@ -216,15 +216,18 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+def _scheme_options(fn, **options) -> dict:
+    """The keyword options that ``fn`` takes; a scheme ignores the other schemes' flags."""
+    accepted = inspect.signature(fn).parameters
+    return {name: value for name, value in options.items() if name in accepted}
+
+
 def _cmd_modulate(args) -> int:
     stream = codec.read_bits(args.infile, args.bit_rate)
     spec = _carrier_from(args)
-    if args.scheme == "fsk":
-        signal = fsk_modulate(stream, spec, phase_continuous=not args.fsk_phase_reset)
-    elif args.scheme == "ask":
-        signal = ask_modulate(stream, spec)
-    else:
-        signal = psk_modulate(stream, spec)
+    modulate = MODULATORS[args.scheme]
+    signal = modulate(stream, spec, **_scheme_options(
+        modulate, phase_continuous=not args.fsk_phase_reset))
     if args.compose:
         carrier = generate_carrier(spec, len(signal) / spec.sample_rate)
         signal = compose_emitted(carrier, signal)
@@ -237,12 +240,9 @@ def _cmd_modulate(args) -> int:
 def _cmd_demodulate(args) -> int:
     signal = read_signal(args.infile)
     spec = _carrier_from(args)
-    if args.scheme == "fsk":
-        stream = fsk_demodulate(signal, spec, args.n_bits, args.bit_rate)
-    elif args.scheme == "psk":
-        stream = psk_demodulate(signal, spec, args.n_bits, args.bit_rate)
-    else:
-        stream = ask_demodulate(signal, spec, args.n_bits, args.bit_rate, args.threshold_fraction)
+    demodulate = DEMODULATORS[args.scheme]
+    stream = demodulate(signal, spec, args.n_bits, args.bit_rate, **_scheme_options(
+        demodulate, threshold_fraction=args.threshold_fraction))
     codec.write_bits(stream, args.out)
     print(f"wrote {args.out}: {len(stream)} bits")
     if args.expected:
@@ -296,7 +296,7 @@ def _cmd_peaks(args) -> int:
 
 def _cmd_features(args) -> int:
     features = recognition.extract_features(read_signal(args.infile))
-    Path(args.out).write_text(json.dumps(features.as_dict(), sort_keys=True, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(asdict(features), sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.out}: rms {features.rms_power:.6g}, "
           f"centroid {features.spectral_centroid:.6g} Hz, "
           f"entropy {features.spectral_entropy:.4f}")
@@ -340,17 +340,28 @@ def _cmd_library_list(args) -> int:
 def _cmd_classify(args) -> int:
     library = recognition.library_load(args.library)
     result = recognition.classify(read_signal(args.infile), library, args.threshold)
-    doc = {
-        "label": result.label,
-        "score": result.score,
-        "runner_up": list(result.runner_up) if result.runner_up else None,
-    }
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(asdict(result), sort_keys=True, indent=2) + "\n")
     print(f"label: {result.label} (score {result.score:.4f})")
     if result.runner_up:
         print(f"runner-up: {result.runner_up[0]} (score {result.runner_up[1]:.4f})")
     return 0
+
+
+# ``run`` flag (argparse dest) -> the ExperimentConfig / CarrierSpec field it overrides.
+_RUN_FIELDS = {"seed": "seed", "payload_bits": "payload_bits", "bit_rate": "bit_rate",
+               "modulation": "modulation", "compose": "compose_with_carrier",
+               "demodulate": "demodulate", "stft_window": "stft_window",
+               "stft_hop": "stft_hop", "library": "library_path",
+               "threshold": "classification_threshold"}
+_RUN_CARRIER_FIELDS = {"fc": "center_frequency", "amplitude": "amplitude",
+                       "phase": "initial_phase", "sample_rate": "sample_rate"}
+
+
+def _flag_values(args, fields: dict) -> dict:
+    """Field values for the flags given on the command line (left unset: None)."""
+    return {name: getattr(args, flag) for flag, name in fields.items()
+            if getattr(args, flag) is not None}
 
 
 def _cmd_run(args) -> int:
@@ -364,37 +375,8 @@ def _cmd_run(args) -> int:
     else:
         config = pipeline.DEFAULT_CONFIG
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.payload_bits is not None:
-        overrides["payload_bits"] = args.payload_bits
-    if args.bit_rate is not None:
-        overrides["bit_rate"] = args.bit_rate
-    if args.modulation is not None:
-        overrides["modulation"] = args.modulation
-    if args.compose is not None:
-        overrides["compose_with_carrier"] = args.compose
-    if args.demodulate is not None:
-        overrides["demodulate"] = args.demodulate
-    if args.stft_window is not None:
-        overrides["stft_window"] = args.stft_window
-    if args.stft_hop is not None:
-        overrides["stft_hop"] = args.stft_hop
-    if args.library is not None:
-        overrides["library_path"] = args.library
-    if args.threshold is not None:
-        overrides["classification_threshold"] = args.threshold
-
-    carrier_overrides = {}
-    if args.fc is not None:
-        carrier_overrides["center_frequency"] = args.fc
-    if args.amplitude is not None:
-        carrier_overrides["amplitude"] = args.amplitude
-    if args.phase is not None:
-        carrier_overrides["initial_phase"] = args.phase
-    if args.sample_rate is not None:
-        carrier_overrides["sample_rate"] = args.sample_rate
+    overrides = _flag_values(args, _RUN_FIELDS)
+    carrier_overrides = _flag_values(args, _RUN_CARRIER_FIELDS)
     if carrier_overrides:
         overrides["carrier"] = replace(config.carrier, **carrier_overrides)
 

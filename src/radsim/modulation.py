@@ -37,6 +37,8 @@ __all__ = [
     "ask_demodulate",
     "fsk_demodulate",
     "psk_demodulate",
+    "MODULATORS",
+    "DEMODULATORS",
 ]
 
 
@@ -194,3 +196,9 @@ def ask_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     thresholds = threshold_fraction * (reference ** 2).sum(axis=1)
     bits = (energies >= thresholds).astype(np.uint8)
     return BitStream(bits, bit_rate)
+
+
+# The scheme registry: every scheme name the package accepts, and the one place
+# that maps it to its transmitter and receiver.
+MODULATORS = {"ask": ask_modulate, "fsk": fsk_modulate, "psk": psk_modulate}
+DEMODULATORS = {"ask": ask_demodulate, "fsk": fsk_demodulate, "psk": psk_demodulate}

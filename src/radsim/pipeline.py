@@ -15,7 +15,8 @@ bias the per-bit correlators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,7 @@ from .recognition import library_load, classify
 from .signals import SampledSignal, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
-           "config_from_json", "config_to_json_dict", "DEFAULT_CONFIG"]
-
-_MODULATORS = {
-    "ask": modulation.ask_modulate,
-    "fsk": modulation.fsk_modulate,
-    "psk": modulation.psk_modulate,
-}
+           "config_from_json", "DEFAULT_CONFIG"]
 
 
 @dataclass(frozen=True)
@@ -60,11 +55,13 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         if self.payload_bits < 1:
             raise ParameterError(f"payload_bits must be >= 1, got {self.payload_bits}")
-        if self.modulation not in _MODULATORS:
-            raise ConfigurationError(
-                f"unknown modulation {self.modulation!r} (expected one of {sorted(_MODULATORS)})")
+        if self.modulation not in modulation.MODULATORS:
+            raise ConfigurationError(f"unknown modulation {self.modulation!r} "
+                                     f"(expected one of {sorted(modulation.MODULATORS)})")
         modulation.samples_per_bit(self.carrier, self.bit_rate)
 
     @property
@@ -87,63 +84,17 @@ class ExperimentReport:
     classification: dict | None = None
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "ber": self.ber,
-            "bit_errors": self.bit_errors,
-            "classification": self.classification,
-            "config": self.config,
-            "files": self.files,
-            "measured_snr_db": self.measured_snr_db,
-            "modulation": self.modulation,
-            "payload_bits": self.payload_bits,
-            "peak_frequencies_hz": self.peak_frequencies_hz,
-        }
-
-
-def config_to_json_dict(config: ExperimentConfig) -> dict:
-    carrier = config.carrier
-    doc = {
-        "seed": config.seed,
-        "payload_bits": config.payload_bits,
-        "bit_rate": config.bit_rate,
-        "carrier": {
-            "center_frequency": carrier.center_frequency,
-            "amplitude": carrier.amplitude,
-            "initial_phase": carrier.initial_phase,
-            "sample_rate": carrier.sample_rate,
-        },
-        "modulation": config.modulation,
-        "compose_with_carrier": config.compose_with_carrier,
-        "channel": None,
-        "demodulate": config.demodulate,
-        "stft_window": config.stft_window,
-        "stft_hop": config.stft_hop,
-        "stft_window_type": config.stft_window_type,
-        "peak_relative_threshold": config.peak_relative_threshold,
-        "peak_min_separation": config.peak_min_separation,
-        "library_path": config.library_path,
-        "classification_threshold": config.classification_threshold,
-        "output_dir": config.output_dir,
-    }
-    if config.channel is not None:
-        doc["channel"] = {
-            "attenuation_db": config.channel.attenuation_db,
-            "snr_db": config.channel.snr_db,
-            "noise_power": config.channel.noise_power,
-            "seed": config.channel.seed,
-        }
-    return doc
-
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    """Build a config from the JSON schema written by :func:`config_to_json_dict`."""
-    kwargs = dict(doc)
-    if "carrier" in kwargs and kwargs["carrier"] is not None:
-        kwargs["carrier"] = CarrierSpec(**kwargs["carrier"])
-    if kwargs.get("channel") is not None:
-        kwargs["channel"] = ChannelParams(**kwargs["channel"])
+    """Build a config from the JSON layout of ``dataclasses.asdict(config)``."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError("experiment config must be a JSON object")
     try:
+        kwargs = dict(doc)
+        if kwargs.get("carrier") is not None:
+            kwargs["carrier"] = CarrierSpec(**kwargs["carrier"])
+        if kwargs.get("channel") is not None:
+            kwargs["channel"] = ChannelParams(**kwargs["channel"])
         return ExperimentConfig(**kwargs)
     except TypeError as e:
         raise ConfigurationError(f"bad experiment config: {e}") from e
@@ -164,7 +115,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     spb = modulation.samples_per_bit(config.carrier, config.bit_rate)
     duration = config.payload_bits * spb / config.carrier.sample_rate
     carrier = modulation.generate_carrier(config.carrier, duration)
-    modulated = _MODULATORS[config.modulation](payload, config.carrier)
+    modulated = modulation.MODULATORS[config.modulation](payload, config.carrier)
     emitted = modulation.compose_emitted(carrier, modulated) if config.compose_with_carrier else modulated
     for name, sig in (("carrier", carrier), ("modulated", modulated), ("emitted", emitted)):
         write_signal(sig, out / f"{name}.f64")
@@ -199,12 +150,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             to_demodulate = SampledSignal(received.sample_rate,
                                           received.samples - gain * carrier.samples,
                                           received.start_time)
-        demodulator = {
-            "ask": modulation.ask_demodulate,
-            "fsk": modulation.fsk_demodulate,
-            "psk": modulation.psk_demodulate,
-        }[config.modulation]
-        decoded = demodulator(to_demodulate, config.carrier, config.payload_bits, config.bit_rate)
+        demodulate = modulation.DEMODULATORS[config.modulation]
+        decoded = demodulate(to_demodulate, config.carrier, config.payload_bits, config.bit_rate)
         codec.write_bits(decoded, out / "demodulated.txt")
         files["demodulated"] = "demodulated.txt"
         bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))
@@ -213,17 +160,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     classification = None
     if config.library_path is not None:
         library = library_load(config.library_path)
-        result = classify(received, library, config.classification_threshold)
-        classification = {
-            "label": result.label,
-            "score": result.score,
-            "runner_up": list(result.runner_up) if result.runner_up else None,
-        }
+        classification = asdict(classify(received, library, config.classification_threshold))
         (out / "classification.json").write_text(
             json.dumps(classification, sort_keys=True, indent=2) + "\n")
         files["classification"] = "classification.json"
 
-    config_echo = config_to_json_dict(replace(config, output_dir=None))
     report = ExperimentReport(
         files=files,
         payload_bits=config.payload_bits,
@@ -233,7 +174,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         bit_errors=bit_errors,
         ber=ber,
         classification=classification,
-        config=config_echo,
+        config=asdict(replace(config, output_dir=None)),
     )
-    (out / "report.json").write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    (out / "report.json").write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
     return report

@@ -23,7 +23,7 @@ form is well behaved for any M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import ParameterError, ParseError
 __all__ = [
     "PropagationParams",
     "PropagationCurve",
-    "CommGraph",
     "expected_infected_closed_form",
     "step_recurrence",
     "simulate_curve",
@@ -79,43 +78,6 @@ class PropagationCurve:
 
     def __len__(self) -> int:
         return int(self.steps.size)
-
-    def points(self) -> list[tuple[int, float]]:
-        return [(int(n), float(v)) for n, v in zip(self.steps, self.expected_infected)]
-
-
-@dataclass
-class CommGraph:
-    """Machines, directed data-flow pairs between them, and the infected subset."""
-
-    nodes: set = field(default_factory=set)
-    edges: set = field(default_factory=set)
-    infected: set = field(default_factory=set)
-
-    def __post_init__(self):
-        for src, dst in self.edges:
-            if src == dst:
-                raise ParameterError(f"self-loop ({src}, {dst}) is not a valid communication pair")
-            if src not in self.nodes or dst not in self.nodes:
-                raise ParameterError(f"edge ({src}, {dst}) references unknown nodes")
-        if not self.infected <= self.nodes:
-            raise ParameterError("infected set must be a subset of nodes")
-
-    @classmethod
-    def complete(cls, n: int, infected=(0,)) -> "CommGraph":
-        """Fully connected graph on nodes 0..n-1 (every ordered pair communicates)."""
-        nodes = set(range(n))
-        edges = {(i, j) for i in nodes for j in nodes if i != j}
-        return cls(nodes=nodes, edges=edges, infected=set(infected))
-
-    def communicate(self, source, target) -> bool:
-        """Apply one communication; returns True if the target was newly infected."""
-        if (source, target) not in self.edges:
-            return False
-        if source in self.infected and target not in self.infected:
-            self.infected.add(target)
-            return True
-        return False
 
 
 def expected_infected_closed_form(params: PropagationParams, n: float) -> float:

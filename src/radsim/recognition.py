@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,17 +82,6 @@ class FeatureVector:
         if any(r2 > r1 for r1, r2 in zip(rels, rels[1:])):
             raise ParameterError("dominant_peaks must be sorted by descending magnitude")
 
-    def as_dict(self) -> dict:
-        return {
-            "rms_power": self.rms_power,
-            "zero_crossing_rate": self.zero_crossing_rate,
-            "crest_factor": self.crest_factor,
-            "spectral_centroid": self.spectral_centroid,
-            "spectral_bandwidth": self.spectral_bandwidth,
-            "spectral_entropy": self.spectral_entropy,
-            "dominant_peaks": [[f, r] for f, r in self.dominant_peaks],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureVector":
         try:
@@ -120,7 +109,7 @@ class SignatureEntry:
         if not self.label:
             raise ParameterError("label must be nonempty")
         energy = float(np.sum(self.template_spectrum.magnitudes ** 2))
-        if abs(energy - 1.0) > 1e-9:
+        if not abs(energy - 1.0) <= 1e-9:  # also rejects a NaN energy
             raise ParameterError(f"template spectrum energy must be 1, got {energy}")
 
 
@@ -283,7 +272,7 @@ def library_save(library: SignatureLibrary, path) -> None:
         "entries": [
             {
                 "label": e.label,
-                "features": e.features.as_dict(),
+                "features": asdict(e.features),
                 "template_magnitudes": [float(v) for v in e.template_spectrum.magnitudes],
                 "metadata": e.metadata,
             }

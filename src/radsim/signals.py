@@ -1,13 +1,8 @@
-"""Uniformly sampled real-valued waveforms and their on-disk formats.
+"""Uniformly sampled real-valued waveforms and their on-disk format.
 
-Two interchangeable file formats are supported:
-
-* raw binary: little-endian float64 samples plus a JSON metadata sidecar
-  (``<path>.json``) holding sample_rate, start_time, length and a format tag;
-* a single CSV ``time,value`` file with ``# key=value`` metadata comment
-  lines, intended for small signals and external plotting.
-
-Both round-trip bit-exactly.
+A signal file holds raw little-endian float64 samples, plus a JSON metadata
+sidecar (``<path>.json``) holding sample_rate, start_time, length and a
+format tag. It round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -88,41 +83,3 @@ def read_signal(path) -> SampledSignal:
     samples = np.frombuffer(raw, dtype="<f8")
     return SampledSignal(meta["sample_rate"], samples.copy(), meta["start_time"])
 
-
-def write_signal_csv(signal: SampledSignal, path) -> None:
-    """Write a ``time,value`` CSV with metadata comment lines."""
-    times = signal.times()
-    lines = [
-        f"# sample_rate={signal.sample_rate!r}",
-        f"# start_time={signal.start_time!r}",
-        "time,value",
-    ]
-    lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(times, signal.samples))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_signal_csv(path) -> SampledSignal:
-    path = Path(path)
-    meta = {}
-    values = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            try:
-                key, _, val = line.lstrip("# ").partition("=")
-                meta[key] = float(val)
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}") from e
-        elif line == "time,value":
-            continue
-        else:
-            try:
-                _, _, val = line.partition(",")
-                values.append(float(val))
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: bad sample row {line!r}") from e
-    if "sample_rate" not in meta or "start_time" not in meta:
-        raise ParseError(f"{path}: missing sample_rate/start_time metadata")
-    return SampledSignal(meta["sample_rate"], np.array(values), meta["start_time"])

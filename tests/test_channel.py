@@ -21,12 +21,19 @@ class TestParams:
             ChannelParams(snr_db=10.0, noise_power=0.1)
 
     def test_attenuation_nonnegative(self):
-        with pytest.raises(ParameterError):
-            ChannelParams(attenuation_db=-1.0, noise_power=0.0)
+        for value in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                ChannelParams(attenuation_db=value, noise_power=0.0)
 
     def test_noise_power_nonnegative(self):
-        with pytest.raises(ParameterError):
-            ChannelParams(noise_power=-0.1)
+        for value in (-0.1, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                ChannelParams(noise_power=value)
+
+    def test_snr_db_finite(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                ChannelParams(snr_db=value)
 
     def test_linear_gain(self):
         assert ChannelParams(attenuation_db=20.0, noise_power=0.0).linear_gain == pytest.approx(0.1)

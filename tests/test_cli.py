@@ -1,5 +1,6 @@
 """End-to-end CLI checks run through subprocesses, as a user would."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from radsim.cli import build_parser
+from radsim.modulation import MODULATORS
+
 BASE = [sys.executable, "-m", "radsim"]
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
 
 SUBCOMMANDS = ["propagate", "payload", "encode", "modulate", "demodulate", "channel",
                "spectrum", "peaks", "features", "library-add", "library-list",
@@ -27,6 +32,15 @@ def test_help_exists(name):
     result = run_cli(name, "--help")
     assert result.returncode == 0
     assert name in result.stdout
+
+
+def test_scheme_choices_follow_registry():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, flag in (("modulate", "--scheme"), ("demodulate", "--scheme"),
+                          ("run", "--modulation")):
+        action = next(a for a in commands[command]._actions if flag in a.option_strings)
+        assert action.choices == sorted(MODULATORS)
 
 
 def test_unknown_flag_is_usage_error():
@@ -128,6 +142,17 @@ class TestSignalChain:
         freqs = [float(r.split(",")[0]) for r in peaks.read_text().splitlines()[1:]]
         assert freqs == [1875.0, 2000.0, 2125.0]
 
+    def test_non_finite_snr_rejected(self, tmp_path):
+        bits = tmp_path / "bits.txt"
+        signal = tmp_path / "sig.f64"
+        noisy = tmp_path / "noisy.f64"
+        run_cli("payload", "--seed", "0", "--bits", "16", "--out", str(bits))
+        run_cli("modulate", "--in", str(bits), "--scheme", "psk", "--out", str(signal))
+        result = run_cli("channel", "--in", str(signal), "--snr-db", "nan", "--out", str(noisy))
+        assert result.returncode == 1
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not noisy.exists()
+
     def test_stft_output(self, tmp_path):
         bits = tmp_path / "bits.txt"
         signal = tmp_path / "sig.f64"
@@ -210,12 +235,28 @@ class TestRun:
         assert "error:" in result.stderr
 
     def test_config_file_matches_defaults(self, tmp_path):
-        config_path = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
         a = tmp_path / "from_config"
         b = tmp_path / "from_defaults"
-        assert run_cli("run", "--config", str(config_path), "--out", str(a)).returncode == 0
+        assert run_cli("run", "--config", str(DEFAULT_CONFIG), "--out", str(a)).returncode == 0
         assert run_cli("run", "--defaults", "--out", str(b)).returncode == 0
         assert directory_bytes(a) == directory_bytes(b)
+
+    @pytest.mark.parametrize("doc", [
+        dict(json.loads(DEFAULT_CONFIG.read_text()),
+             carrier={"center_frequency": 2000.0, "flux": 1.0}),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), channel={"snr_db": 10.0, "flux": 1.0}),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), seed="abc"),
+        ["not", "an", "object"],
+    ], ids=["carrier-key", "channel-key", "seed", "not-an-object"])
+    def test_bad_config_fails_cleanly(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "exp"
+        result = run_cli("run", "--config", str(bad), "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_classification_via_flags(self, tmp_path):
         bits = tmp_path / "bits.txt"

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from radsim.channel import ChannelParams, apply_channel
 from radsim.codec import BitStream, random_payload
 from radsim.errors import ConfigurationError, ParameterError, ShapeError
-from radsim.modulation import (CarrierSpec, ask_demodulate, ask_modulate, compose_emitted,
-                               fsk_demodulate, fsk_modulate, generate_carrier, psk_demodulate,
-                               psk_modulate, samples_per_bit)
+from radsim.modulation import (DEMODULATORS, MODULATORS, CarrierSpec, ask_demodulate,
+                               ask_modulate, compose_emitted, fsk_demodulate, fsk_modulate,
+                               generate_carrier, psk_demodulate, psk_modulate,
+                               samples_per_bit)
 from radsim.signals import SampledSignal
 from radsim.spectral import fft_magnitude, find_peaks
 
@@ -206,7 +207,7 @@ class TestCompose:
 
 
 class TestSampleCounts:
-    @pytest.mark.parametrize("modulate", [ask_modulate, fsk_modulate, psk_modulate])
+    @pytest.mark.parametrize("modulate", [MODULATORS[s] for s in sorted(MODULATORS)])
     def test_exact_length(self, modulate):
         payload = random_payload(2, 23, RATE)
         assert len(modulate(payload, SPEC)) == 23 * samples_per_bit(SPEC, RATE)
@@ -217,28 +218,23 @@ class TestRoundTrips:
     @given(bit_lists)
     def test_noiseless_exact_all_schemes(self, bits):
         payload = stream(bits, RATE8)
-        pairs = [
-            (ask_modulate(payload, SPEC8), ask_demodulate),
-            (fsk_modulate(payload, SPEC8), fsk_demodulate),
-            (psk_modulate(payload, SPEC8), psk_demodulate),
-        ]
-        for signal, demodulate in pairs:
-            decoded = demodulate(signal, SPEC8, len(bits), RATE8)
+        for scheme in sorted(MODULATORS):
+            signal = MODULATORS[scheme](payload, SPEC8)
+            decoded = DEMODULATORS[scheme](signal, SPEC8, len(bits), RATE8)
             assert np.array_equal(decoded.bits, payload.bits)
 
     def test_long_noiseless_round_trips(self):
         payload = random_payload(42, 10_000, RATE8)
-        for modulate, demodulate in ((ask_modulate, ask_demodulate),
-                                     (fsk_modulate, fsk_demodulate),
-                                     (psk_modulate, psk_demodulate)):
-            decoded = demodulate(modulate(payload, SPEC8), SPEC8, 10_000, RATE8)
+        for scheme in sorted(MODULATORS):
+            signal = MODULATORS[scheme](payload, SPEC8)
+            decoded = DEMODULATORS[scheme](signal, SPEC8, 10_000, RATE8)
             assert np.array_equal(decoded.bits, payload.bits)
 
 
 class TestDemodulatorEdges:
     def test_silence_decodes_as_zeros(self):
         silence = SampledSignal(SPEC.sample_rate, np.zeros(192 * 8))
-        for demodulate in (fsk_demodulate, psk_demodulate, ask_demodulate):
+        for demodulate in DEMODULATORS.values():
             decoded = demodulate(silence, SPEC, 8, RATE)
             assert np.all(decoded.bits == 0)
 

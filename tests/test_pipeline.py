@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +8,8 @@ import pytest
 from radsim.channel import ChannelParams
 from radsim.codec import random_payload, read_bits
 from radsim.errors import ConfigurationError
-from radsim.modulation import CarrierSpec, fsk_modulate
-from radsim.pipeline import (DEFAULT_CONFIG, ExperimentConfig, config_from_json,
-                             config_to_json_dict, run_experiment)
+from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
+from radsim.pipeline import DEFAULT_CONFIG, ExperimentConfig, config_from_json, run_experiment
 from radsim.recognition import SignatureLibrary, library_add, library_save
 from radsim.signals import read_signal
 from radsim.spectral import read_peaks_csv, read_spectrogram_csv, read_spectrum_csv
@@ -82,12 +81,12 @@ class TestDeterminism:
 
 
 class TestSchemes:
-    @pytest.mark.parametrize("scheme", ["ask", "fsk", "psk"])
+    @pytest.mark.parametrize("scheme", sorted(MODULATORS))
     def test_noiseless_ber_zero_composed(self, tmp_path, scheme):
         _, report = run_default(tmp_path, name=scheme, modulation=scheme)
         assert report.ber == 0.0
 
-    @pytest.mark.parametrize("scheme", ["ask", "fsk", "psk"])
+    @pytest.mark.parametrize("scheme", sorted(MODULATORS))
     def test_noiseless_ber_zero_uncomposed(self, tmp_path, scheme):
         _, report = run_default(tmp_path, name=scheme, modulation=scheme,
                                 compose_with_carrier=False)
@@ -122,7 +121,7 @@ class TestConfig:
     def test_json_round_trip(self):
         config = replace(DEFAULT_CONFIG, seed=9, modulation="psk",
                          channel=ChannelParams(attenuation_db=6.0, snr_db=12.0, seed=2))
-        doc = config_to_json_dict(config)
+        doc = asdict(config)
         again = config_from_json(json.loads(json.dumps(doc)))
         assert again == config
 
@@ -139,7 +138,7 @@ class TestConfig:
             run_experiment(DEFAULT_CONFIG)
 
     def test_unknown_key_rejected(self):
-        doc = config_to_json_dict(DEFAULT_CONFIG)
+        doc = asdict(DEFAULT_CONFIG)
         doc["flux_capacitor"] = True
         with pytest.raises(ConfigurationError):
             config_from_json(doc)

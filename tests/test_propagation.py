@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radsim.errors import ParameterError
-from radsim.propagation import (CommGraph, PropagationParams, expected_infected_closed_form,
+from radsim.propagation import (PropagationParams, expected_infected_closed_form,
                                 inflection_time, monte_carlo_propagation, read_curve_csv,
                                 simulate_curve, step_recurrence, write_curve_csv)
 
@@ -210,28 +210,6 @@ class TestMonteCarlo:
             monte_carlo_propagation(P100, seed=0, n_max=5, trials=0)
         with pytest.raises(ParameterError):
             monte_carlo_propagation(P100, seed=0, n_max=-1, trials=1)
-
-
-class TestCommGraph:
-    def test_complete_graph(self):
-        g = CommGraph.complete(4)
-        assert len(g.edges) == 12
-        assert g.infected == {0}
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(ParameterError):
-            CommGraph(nodes={0, 1}, edges={(0, 0)}, infected=set())
-
-    def test_rejects_unknown_infected(self):
-        with pytest.raises(ParameterError):
-            CommGraph(nodes={0, 1}, edges=set(), infected={5})
-
-    def test_communicate_semantics(self):
-        g = CommGraph.complete(3)
-        assert g.communicate(0, 1) is True
-        assert g.communicate(0, 1) is False  # target already infected
-        assert g.communicate(2, 0) is False  # source not infected
-        assert g.infected == {0, 1}
 
 
 def test_curve_csv_round_trip(tmp_path):

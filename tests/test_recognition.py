@@ -223,6 +223,16 @@ class TestLibraryPersistence:
         with pytest.raises(ParseError, match="version"):
             library_load(path)
 
+    def test_nan_template_rejected(self, tmp_path):
+        library = small_library(template_bits=128)
+        path = tmp_path / "lib.json"
+        library_save(library, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["template_magnitudes"] = [math.nan] * 2049
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match="energy"):
+            library_load(path)
+
     def test_not_a_library(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "something-else"}))

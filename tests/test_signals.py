@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from radsim.errors import ParameterError, ParseError, ShapeError
-from radsim.signals import (SampledSignal, read_signal, read_signal_csv, sidecar_path,
-                            write_signal, write_signal_csv)
+from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
 
 
 def random_signal(seed=0, n=257, rate=48000.0, start=0.125):
@@ -78,25 +77,3 @@ class TestRawFormat:
         with pytest.raises(ParseError, match="format"):
             read_signal(path)
 
-
-class TestCsvFormat:
-    def test_round_trip_bit_exact(self, tmp_path):
-        sig = random_signal(seed=3, n=100)
-        path = tmp_path / "sig.csv"
-        write_signal_csv(sig, path)
-        again = read_signal_csv(path)
-        assert again.sample_rate == sig.sample_rate
-        assert again.start_time == sig.start_time
-        assert np.array_equal(again.samples, sig.samples)
-
-    def test_missing_metadata(self, tmp_path):
-        path = tmp_path / "sig.csv"
-        path.write_text("time,value\n0.0,1.0\n")
-        with pytest.raises(ParseError, match="metadata"):
-            read_signal_csv(path)
-
-    def test_bad_row(self, tmp_path):
-        path = tmp_path / "sig.csv"
-        path.write_text("# sample_rate=10.0\n# start_time=0.0\ntime,value\n0.0,zap\n")
-        with pytest.raises(ParseError, match="row"):
-            read_signal_csv(path)
