@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError
 from .signals import SampledSignal
-from .spectral import Spectrum, fft_magnitude, find_peaks
+from .spectral import Spectrum, _one_sided_magnitudes, fft_magnitude, find_peaks
 
 __all__ = [
     "FeatureVector",
@@ -127,6 +127,12 @@ class SignatureLibrary:
         if self.sample_rate <= 0:
             raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
         self.entries = tuple(self.entries)
+        grid = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
+        for e in self.entries:
+            freqs = e.template_spectrum.bin_frequencies
+            if freqs.size != grid.size or np.max(np.abs(freqs - grid)) > 1e-9:
+                raise ShapeError(f"template {e.label!r} is not on the library's bin grid "
+                                 f"(fft_size {self.fft_size}, sample_rate {self.sample_rate})")
         labels = [e.label for e in self.entries]
         if len(labels) != len(set(labels)):
             raise ConflictError("duplicate labels in signature library")
@@ -190,14 +196,16 @@ def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -
     """Magnitude spectrum averaged over disjoint fft_size blocks, unit energy."""
     if fft_size < 2 or (fft_size & (fft_size - 1)) != 0:
         raise ParameterError(f"fft_size must be a power of two, got {fft_size}")
-    if len(signal) == 0:
-        raise ShapeError("cannot analyze an empty signal")
+    if len(signal) < 2:
+        raise ShapeError(f"signal must have at least 2 samples, got {len(signal)}")
     n_blocks = max(1, len(signal) // fft_size)
+    blocks = signal.samples[:n_blocks * fft_size].reshape(n_blocks, -1)
+    mags = _one_sided_magnitudes(np.fft.rfft(blocks, n=fft_size, axis=1), fft_size)
+    # Summing row by row in block order keeps the mean bit-identical to
+    # averaging one fft_magnitude per block.
     acc = np.zeros(fft_size // 2 + 1)
-    for b in range(n_blocks):
-        block = SampledSignal(signal.sample_rate,
-                              signal.samples[b * fft_size:(b + 1) * fft_size])
-        acc += fft_magnitude(block, fft_size=fft_size).magnitudes
+    for row in mags:
+        acc += row
     mean = acc / n_blocks
     energy = math.sqrt(float(np.sum(mean ** 2)))
     if energy == 0.0:
@@ -233,10 +241,21 @@ def classify(signal: SampledSignal, library: SignatureLibrary,
         raise ConfigurationError(
             f"signal sample rate {signal.sample_rate} does not match the library "
             f"grid ({library.sample_rate}); analysis bins would not align")
-    probe = matching_spectrum(signal, library.fft_size)
-    scored = sorted(
-        ((spectral_correlation(probe, e.template_spectrum), e.label) for e in library.entries),
-        key=lambda sc: (-sc[0], sc[1]))
+    # The probe is on the library grid, which every template shares, so the
+    # grid check and the probe's centring are done once, not per template;
+    # each score is the expression spectral_correlation evaluates.
+    probe = matching_spectrum(signal, library.fft_size).magnitudes
+    da = probe - probe.mean()
+    va = float(np.dot(da, da))
+    scored = []
+    for e in library.entries:
+        template = e.template_spectrum.magnitudes
+        db = template - template.mean()
+        vb = float(np.dot(db, db))
+        if va == 0.0 or vb == 0.0:
+            raise ParameterError("zero-variance spectrum; correlation is undefined")
+        scored.append((float(np.dot(da, db) / math.sqrt(va * vb)), e.label))
+    scored.sort(key=lambda sc: (-sc[0], sc[1]))
     best_score, best_label = scored[0]
     runner_up = (scored[1][1], scored[1][0]) if len(scored) > 1 else None
     label = best_label if best_score >= threshold else UNKNOWN_LABEL

@@ -13,6 +13,7 @@ which :meth:`Spectrum.time_domain_energy` evaluates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,11 +112,12 @@ class SpectralPeak:
 
 
 def _one_sided_magnitudes(transform: np.ndarray, fft_size: int) -> np.ndarray:
+    """Scale the last axis of an rfft result; rows of a matrix are frames."""
     mags = np.abs(transform) / fft_size
     if fft_size % 2 == 0:
-        mags[1:-1] *= 2.0
+        mags[..., 1:-1] *= 2.0
     else:
-        mags[1:] *= 2.0
+        mags[..., 1:] *= 2.0
     return mags
 
 
@@ -159,9 +161,8 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
     taper = _WINDOWS[window](window_length)
     n_frames = (len(signal) - window_length) // hop + 1
     starts = np.arange(n_frames) * hop
-    frames = np.stack([signal.samples[s:s + window_length] * taper for s in starts])
-    transform = np.fft.rfft(frames, axis=1)
-    mags = np.stack([_one_sided_magnitudes(row, window_length) for row in transform])
+    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop] * taper
+    mags = _one_sided_magnitudes(np.fft.rfft(frames, axis=1), window_length)
     freqs = np.fft.rfftfreq(window_length, d=1.0 / signal.sample_rate)
     times = signal.start_time + (starts + window_length / 2.0) / signal.sample_rate
     return Spectrogram(times, freqs, mags, window_length=window_length, hop=hop)
@@ -171,34 +172,40 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
                min_separation: float = 0.0) -> list[SpectralPeak]:
     """Local maxima above a relative threshold, thinned to a minimum spacing.
 
-    Candidates are kept greedily in descending magnitude (ties broken toward
-    lower frequency) and returned sorted by frequency.
+    A candidate is a bin at or above ``relative_threshold * max`` that is no
+    smaller than either neighbour. Candidates are kept greedily in descending
+    magnitude (ties broken toward lower frequency) when they lie at least
+    ``min_separation`` from every peak already kept, and are returned sorted
+    by frequency. Only the nearest kept peak on each side can be too close,
+    so each candidate costs one bisection of the kept frequencies:
+    O(K log K) for K candidates.
     """
     if not 0 < relative_threshold <= 1:
         raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold}")
     if min_separation < 0:
         raise ParameterError(f"min_separation must be >= 0, got {min_separation}")
     m = spectrum.magnitudes
+    freqs = spectrum.bin_frequencies
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0
     if peak_floor <= 0.0:
         return []
-    candidates = []
-    for k in range(m.size):
-        if m[k] < peak_floor:
-            continue
-        if k > 0 and m[k] < m[k - 1]:
-            continue
-        if k < m.size - 1 and m[k] < m[k + 1]:
-            continue
-        candidates.append(k)
-    candidates.sort(key=lambda k: (-m[k], spectrum.bin_frequencies[k]))
-    kept: list[int] = []
-    for k in candidates:
-        fk = spectrum.bin_frequencies[k]
-        if all(abs(fk - spectrum.bin_frequencies[j]) >= min_separation for j in kept):
-            kept.append(k)
-    kept.sort(key=lambda k: spectrum.bin_frequencies[k])
-    return [SpectralPeak(float(spectrum.bin_frequencies[k]), float(m[k]), int(k)) for k in kept]
+    is_candidate = m >= peak_floor
+    is_candidate[1:] &= m[1:] >= m[:-1]
+    is_candidate[:-1] &= m[:-1] >= m[1:]
+    kept = np.flatnonzero(is_candidate)
+    if min_separation != 0:
+        order = kept[np.lexsort((freqs[kept], -m[kept]))]
+        kept_freqs: list[float] = []
+        kept_bins: list[int] = []
+        for k, fk in zip(order.tolist(), freqs[order].tolist()):
+            i = bisect_left(kept_freqs, fk)
+            if ((i == 0 or fk - kept_freqs[i - 1] >= min_separation)
+                    and (i == len(kept_freqs) or kept_freqs[i] - fk >= min_separation)):
+                kept_freqs.insert(i, fk)
+                kept_bins.insert(i, k)
+        kept = np.array(kept_bins, dtype=np.intp)
+    return [SpectralPeak(f, v, k)
+            for f, v, k in zip(freqs[kept].tolist(), m[kept].tolist(), kept.tolist())]
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:

@@ -12,7 +12,7 @@ from radsim.recognition import (UNKNOWN_LABEL, SignatureLibrary, classify,
                                 extract_features, library_add, library_load, library_save,
                                 matching_spectrum, spectral_correlation)
 from radsim.signals import SampledSignal
-from radsim.spectral import Spectrum
+from radsim.spectral import Spectrum, fft_magnitude
 
 SPEC = CarrierSpec(2000.0, 1.0, 0.0, 48000.0)
 RATE = 250.0
@@ -67,6 +67,25 @@ class TestExtractFeatures:
     def test_bitwise_deterministic(self):
         signal = white_noise(21, n=8192)
         assert extract_features(signal) == extract_features(signal)
+
+
+class TestMatchingSpectrum:
+    @pytest.mark.parametrize("n", [100, 4096, 3 * 4096, 3 * 4096 + 1234],
+                             ids=["short", "one-block", "exact-multiple", "remainder"])
+    def test_equals_per_block_fft_loop(self, n):
+        signal = white_noise(31, n=n)
+        n_blocks = max(1, n // 4096)
+        acc = np.zeros(4096 // 2 + 1)
+        for b in range(n_blocks):
+            block = SampledSignal(signal.sample_rate, signal.samples[b * 4096:(b + 1) * 4096])
+            acc += fft_magnitude(block, fft_size=4096).magnitudes
+        mean = acc / n_blocks
+        expected = mean / math.sqrt(float(np.sum(mean ** 2)))
+        assert matching_spectrum(signal, 4096).magnitudes.tobytes() == expected.tobytes()
+
+    def test_too_short(self):
+        with pytest.raises(ShapeError):
+            matching_spectrum(SampledSignal(100.0, np.ones(1)), 64)
 
 
 class TestSpectralCorrelation:
@@ -139,6 +158,21 @@ class TestClassify:
         library = library_add(library, "zeta", signal)
         library = library_add(library, "alpha", signal)
         assert classify(signal, library, 0.5).label == "alpha"
+
+    def test_scores_equal_spectral_correlation(self):
+        library = small_library(template_bits=128)
+        signal = white_noise(41, n=20000)
+        probe = matching_spectrum(signal, library.fft_size)
+        expected = {e.label: spectral_correlation(probe, e.template_spectrum)
+                    for e in library.entries}
+        result = classify(signal, library, 0.5)
+        assert result.score == max(expected.values())
+        assert result.runner_up[1] == expected[result.runner_up[0]]
+
+    def test_template_off_library_grid_rejected(self):
+        entry = small_library(template_bits=128).entries[0]
+        with pytest.raises(ShapeError):
+            SignatureLibrary(fft_size=2048, sample_rate=48000.0, entries=(entry,))
 
     def test_empty_library_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,26 @@ from radsim.spectral import (Spectrum, fft_magnitude, find_peaks, read_peaks_csv
                              write_spectrogram_csv, write_spectrum_csv)
 
 
+def reference_find_peaks(spectrum, relative_threshold, min_separation):
+    """The original per-bin scan and greedy O(K * kept) thinning loop."""
+    m = spectrum.magnitudes
+    freqs = spectrum.bin_frequencies
+    peak_floor = relative_threshold * float(m.max())
+    if peak_floor <= 0.0:
+        return []
+    candidates = [k for k in range(m.size)
+                  if m[k] >= peak_floor
+                  and (k == 0 or m[k] >= m[k - 1])
+                  and (k == m.size - 1 or m[k] >= m[k + 1])]
+    candidates.sort(key=lambda k: (-m[k], freqs[k]))
+    kept = []
+    for k in candidates:
+        if all(abs(freqs[k] - freqs[j]) >= min_separation for j in kept):
+            kept.append(k)
+    kept.sort()
+    return [(float(freqs[k]), float(m[k]), int(k)) for k in kept]
+
+
 def cosine(freq, rate, n, amplitude=1.0):
     t = np.arange(n) / rate
     return SampledSignal(rate, amplitude * np.cos(2 * np.pi * freq * t))
@@ -146,6 +166,20 @@ class TestFindPeaks:
         spectrum = Spectrum(freqs, mags, bin_width=1.0, fft_size=18)
         peaks = find_peaks(spectrum, relative_threshold=0.5, min_separation=3.0)
         assert [p.frequency for p in peaks] == [1.0, 7.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2 ** 31),
+           st.sampled_from([1e-6, 0.05, 0.1, 0.5, 1.0]),
+           st.sampled_from([0.0, 0.5, 1.0, 3.7, 25.0, 1e9]))
+    def test_matches_reference_loop(self, n, seed, threshold, separation):
+        rng = np.random.default_rng(seed)
+        freqs = np.cumsum(rng.random(n) + 0.05)
+        mags = rng.random(n) ** 3
+        assert np.all(np.diff(mags) != 0)  # plateau-free: both rules agree
+        spectrum = Spectrum(freqs, mags, bin_width=1.0, fft_size=2 * n)
+        peaks = find_peaks(spectrum, threshold, separation)
+        assert ([(p.frequency, p.magnitude, p.bin_index) for p in peaks]
+                == reference_find_peaks(spectrum, threshold, separation))
 
     def test_tie_breaks_toward_lower_frequency(self):
         freqs = np.arange(8, dtype=float)
