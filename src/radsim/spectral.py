@@ -172,8 +172,12 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
                min_separation: float = 0.0) -> list[SpectralPeak]:
     """Local maxima above a relative threshold, thinned to a minimum spacing.
 
-    A candidate is a bin at or above ``relative_threshold * max`` that is no
-    smaller than either neighbour. Candidates are kept greedily in descending
+    A candidate is a local maximum at or above ``relative_threshold * max``:
+    a maximal run of equal magnitudes (one bin, or a plateau) whose outside
+    neighbours are both strictly lower, a missing neighbour at either edge
+    counting as lower; it is reported at the run's lowest bin, so a plateau
+    is one peak and a shoulder (a run rising on into a higher bin) is none.
+    Candidates are kept greedily in descending
     magnitude (ties broken toward lower frequency) when they lie at least
     ``min_separation`` from every peak already kept, and are returned sorted
     by frequency. Only the nearest kept peak on each side can be too close,
@@ -189,10 +193,11 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0
     if peak_floor <= 0.0:
         return []
-    is_candidate = m >= peak_floor
-    is_candidate[1:] &= m[1:] >= m[:-1]
-    is_candidate[:-1] &= m[:-1] >= m[1:]
-    kept = np.flatnonzero(is_candidate)
+    starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
+    ends = np.append(starts[1:], m.size) - 1
+    rises = (starts == 0) | (m[starts - 1] < m[starts])
+    falls = (ends == m.size - 1) | (m[np.minimum(ends + 1, m.size - 1)] < m[ends])
+    kept = starts[rises & falls & (m[starts] >= peak_floor)]
     if min_separation != 0:
         order = kept[np.lexsort((freqs[kept], -m[kept]))]
         kept_freqs: list[float] = []

@@ -181,6 +181,18 @@ class TestFindPeaks:
         assert ([(p.frequency, p.magnitude, p.bin_index) for p in peaks]
                 == reference_find_peaks(spectrum, threshold, separation))
 
+    @pytest.mark.parametrize("mags, bins", [
+        ([0.0, 1.0, 1.0, 1.0, 0.0], [1]),
+        ([0.0, 1.0, 1.0, 2.0, 0.0], [3]),
+        ([2.0, 2.0, 1.0, 3.0, 3.0], [0, 3]),
+        ([1.0, 1.0, 1.0], [0]),
+    ], ids=["plateau", "shoulder", "edge-plateaus", "flat"])
+    def test_plateau_is_one_peak_at_its_lowest_bin(self, mags, bins):
+        spectrum = Spectrum(np.arange(len(mags), dtype=float), np.array(mags),
+                            bin_width=1.0, fft_size=2 * len(mags))
+        peaks = find_peaks(spectrum, relative_threshold=0.1, min_separation=0.0)
+        assert [p.bin_index for p in peaks] == bins
+
     def test_tie_breaks_toward_lower_frequency(self):
         freqs = np.arange(8, dtype=float)
         mags = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
