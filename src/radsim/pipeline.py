@@ -104,6 +104,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full chain and write all artifacts into ``config.output_dir``."""
     if config.output_dir is None:
         raise ConfigurationError("output_dir must be set")
+    # Read the library before the first write, so a bad one leaves no run dir.
+    library = library_load(config.library_path) if config.library_path is not None else None
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
@@ -158,8 +160,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         ber = bit_errors / config.payload_bits
 
     classification = None
-    if config.library_path is not None:
-        library = library_load(config.library_path)
+    if library is not None:
         classification = asdict(classify(received, library, config.classification_threshold))
         (out / "classification.json").write_text(
             json.dumps(classification, sort_keys=True, indent=2) + "\n")

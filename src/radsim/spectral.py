@@ -52,12 +52,14 @@ class Spectrum:
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
         if self.bin_frequencies.shape != self.magnitudes.shape or self.bin_frequencies.ndim != 1:
             raise ShapeError("bin_frequencies and magnitudes must be matching 1-d arrays")
-        if self.bin_width <= 0:
-            raise ParameterError(f"bin_width must be positive, got {self.bin_width}")
+        if not 0 < self.bin_width < np.inf:
+            raise ParameterError(f"bin_width must be positive and finite, got {self.bin_width}")
         if self.fft_size < 2:
             raise ParameterError(f"fft_size must be >= 2, got {self.fft_size}")
         if self.bin_frequencies.size > 1 and np.any(np.diff(self.bin_frequencies) <= 0):
             raise ParameterError("bin frequencies must be strictly ascending")
+        if not (np.all(np.isfinite(self.bin_frequencies)) and np.all(np.isfinite(self.magnitudes))):
+            raise ParameterError("bin frequencies and magnitudes must be finite")
         if np.any(self.magnitudes < 0):
             raise ParameterError("magnitudes must be nonnegative")
 
@@ -234,7 +236,10 @@ def read_spectrum_csv(path) -> Spectrum:
             continue
         if line.startswith("#"):
             key, _, val = line.lstrip("# ").partition("=")
-            meta[key] = float(val)
+            try:
+                meta[key] = float(val)
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}") from e
             continue
         try:
             f_text, _, m_text = line.partition(",")
@@ -244,6 +249,8 @@ def read_spectrum_csv(path) -> Spectrum:
             raise ParseError(f"{path}:{lineno}: bad spectrum row {line!r}") from e
     if "fft_size" not in meta or "sample_rate" not in meta:
         raise ParseError(f"{path}: missing fft_size/sample_rate metadata")
+    if not (meta["fft_size"].is_integer() and meta["fft_size"] >= 2):
+        raise ParseError(f"{path}: fft_size must be an integer >= 2, got {meta['fft_size']!r}")
     fft_size = int(meta["fft_size"])
     return Spectrum(np.array(freqs), np.array(mags),
                     bin_width=meta["sample_rate"] / fft_size, fft_size=fft_size)

@@ -153,6 +153,23 @@ class TestSignalChain:
         assert len(result.stderr.strip().splitlines()) == 1
         assert not noisy.exists()
 
+    @pytest.mark.parametrize("lineno, line", [(0, "# fft_size=abc"), (3, "0.0,nan")],
+                             ids=["non-numeric-metadata", "nan-magnitude"])
+    def test_bad_spectrum_csv_fails_cleanly(self, tmp_path, lineno, line):
+        bits = tmp_path / "bits.txt"
+        signal = tmp_path / "sig.f64"
+        spectrum = tmp_path / "spec.csv"
+        run_cli("payload", "--seed", "0", "--bits", "16", "--out", str(bits))
+        run_cli("modulate", "--in", str(bits), "--scheme", "psk", "--out", str(signal))
+        run_cli("spectrum", "--in", str(signal), "--out", str(spectrum))
+        lines = spectrum.read_text().splitlines()
+        lines[lineno] = line
+        spectrum.write_text("\n".join(lines) + "\n")
+        result = run_cli("peaks", "--spectrum", str(spectrum), "--out", str(tmp_path / "p.csv"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_stft_output(self, tmp_path):
         bits = tmp_path / "bits.txt"
         signal = tmp_path / "sig.f64"
@@ -253,6 +270,15 @@ class TestRun:
         bad.write_text(json.dumps(doc))
         out = tmp_path / "exp"
         result = run_cli("run", "--config", str(bad), "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_missing_library_leaves_no_run_dir(self, tmp_path):
+        out = tmp_path / "half"
+        result = run_cli("run", "--defaults", "--library", str(tmp_path / "nope.json"),
+                         "--out", str(out))
         assert result.returncode == 1
         assert result.stderr.startswith("error:")
         assert len(result.stderr.strip().splitlines()) == 1

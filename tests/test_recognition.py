@@ -264,7 +264,7 @@ class TestLibraryPersistence:
         doc = json.loads(path.read_text())
         doc["entries"][0]["template_magnitudes"] = [math.nan] * 2049
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParameterError, match="energy"):
+        with pytest.raises(ParameterError, match="finite"):
             library_load(path)
 
     def test_not_a_library(self, tmp_path):
