@@ -179,12 +179,12 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     neighbours are both strictly lower, a missing neighbour at either edge
     counting as lower; it is reported at the run's lowest bin, so a plateau
     is one peak and a shoulder (a run rising on into a higher bin) is none.
-    Candidates are kept greedily in descending
-    magnitude (ties broken toward lower frequency) when they lie at least
-    ``min_separation`` from every peak already kept, and are returned sorted
-    by frequency. Only the nearest kept peak on each side can be too close,
-    so each candidate costs one bisection of the kept frequencies:
-    O(K log K) for K candidates.
+
+    Candidates are kept greedily in descending magnitude (ties broken toward
+    lower frequency) when they lie at least ``min_separation`` from every
+    peak already kept, and are returned sorted by frequency. Only the nearest
+    kept peak on each side can be too close, so each candidate costs one
+    bisection of the kept frequencies: O(K log K) for K candidates.
     """
     if not 0 < relative_threshold <= 1:
         raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold}")
@@ -195,11 +195,14 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0
     if peak_floor <= 0.0:
         return []
-    starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
-    ends = np.append(starts[1:], m.size) - 1
-    rises = (starts == 0) | (m[starts - 1] < m[starts])
-    falls = (ends == m.size - 1) | (m[np.minimum(ends + 1, m.size - 1)] < m[ends])
-    kept = starts[rises & falls & (m[starts] >= peak_floor)]
+    # Runs of equal magnitudes start where a bin differs from its left
+    # neighbour and end where it differs from its right one; -inf edges
+    # count as lower neighbours.
+    edged = np.concatenate(([-np.inf], m, [-np.inf]))
+    starts = np.flatnonzero(m != edged[:-2])
+    ends = np.flatnonzero(m != edged[2:])
+    kept = starts[(edged[starts] < m[starts]) & (edged[ends + 2] < m[ends])
+                  & (m[starts] >= peak_floor)]
     if min_separation != 0:
         order = kept[np.lexsort((freqs[kept], -m[kept]))]
         kept_freqs: list[float] = []
