@@ -188,7 +188,7 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     """
     if not 0 < relative_threshold <= 1:
         raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold}")
-    if min_separation < 0:
+    if not min_separation >= 0:  # also rejects NaN
         raise ParameterError(f"min_separation must be >= 0, got {min_separation}")
     m = spectrum.magnitudes
     freqs = spectrum.bin_frequencies
@@ -283,7 +283,10 @@ def read_spectrogram_csv(path) -> Spectrogram:
             continue
         if line.startswith("#"):
             key, _, val = line.lstrip("# ").partition("=")
-            meta[key] = int(val)
+            try:
+                meta[key] = int(val)
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}") from e
             continue
         if line.startswith("time_s,"):
             freqs = np.array([float(c[2:]) for c in line.split(",")[1:]])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radsim.errors import ParameterError, ShapeError
+from radsim.errors import ParameterError, ParseError, ShapeError
 from radsim.signals import SampledSignal
 from radsim.spectral import (Spectrum, fft_magnitude, find_peaks, read_peaks_csv,
                              read_spectrogram_csv, read_spectrum_csv, stft, write_peaks_csv,
@@ -11,7 +11,11 @@ from radsim.spectral import (Spectrum, fft_magnitude, find_peaks, read_peaks_csv
 
 
 def reference_find_peaks(spectrum, relative_threshold, min_separation):
-    """The original per-bin scan and greedy O(K * kept) thinning loop."""
+    """Per-bin scan and greedy O(K * kept) thinning, as plain loops.
+
+    find_peaks must return exactly these peaks on spectra without equal
+    neighbouring bins (where its plateau rule and this ">=" rule agree).
+    """
     m = spectrum.magnitudes
     freqs = spectrum.bin_frequencies
     peak_floor = relative_threshold * float(m.max())
@@ -149,6 +153,12 @@ class TestFindPeaks:
         with pytest.raises(ParameterError):
             find_peaks(spectrum, relative_threshold=0.0)
 
+    @pytest.mark.parametrize("separation", [-1.0, float("nan")])
+    def test_min_separation_validated(self, separation):
+        spectrum = fft_magnitude(cosine(10.0, 100.0, 100))
+        with pytest.raises(ParameterError):
+            find_peaks(spectrum, min_separation=separation)
+
     def test_three_peak_composition(self):
         from radsim.codec import random_payload
         from radsim.modulation import CarrierSpec, compose_emitted, fsk_modulate, generate_carrier
@@ -221,6 +231,14 @@ class TestCsvFormats:
         assert np.array_equal(again.frame_times, gram.frame_times)
         assert np.array_equal(again.bin_frequencies, gram.bin_frequencies)
         assert np.array_equal(again.magnitudes, gram.magnitudes)
+
+    def test_spectrogram_bad_metadata(self, tmp_path):
+        gram = stft(cosine(100.0, 1000.0, 2000), window_length=128, hop=64)
+        path = tmp_path / "gram.csv"
+        write_spectrogram_csv(gram, path)
+        path.write_text(path.read_text().replace("# hop=64", "# hop=abc"))
+        with pytest.raises(ParseError):
+            read_spectrogram_csv(path)
 
     def test_peaks_round_trip(self, tmp_path):
         spectrum = fft_magnitude(cosine(100.0, 1000.0, 1000, amplitude=2.0))
