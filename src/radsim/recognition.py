@@ -241,9 +241,10 @@ def classify(signal: SampledSignal, library: SignatureLibrary,
         raise ConfigurationError(
             f"signal sample rate {signal.sample_rate} does not match the library "
             f"grid ({library.sample_rate}); analysis bins would not align")
-    # The probe is on the library grid, which every template shares, so the
-    # grid check and the probe's centring are done once, not per template;
-    # each score is the expression spectral_correlation evaluates.
+    # The probe is computed on the library grid, and SignatureLibrary checks
+    # that every template is on it, so no per-template grid check is needed
+    # and the probe is centred once; each score is the expression
+    # spectral_correlation evaluates, so scores keep their bytes.
     probe = matching_spectrum(signal, library.fft_size).magnitudes
     da = probe - probe.mean()
     va = float(np.dot(da, da))
