@@ -25,7 +25,7 @@ from . import codec, modulation, spectral
 from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, ParameterError
 from .modulation import CarrierSpec
-from .recognition import library_load, classify
+from .recognition import _check_classification, classify, library_load
 from .signals import SampledSignal, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -104,8 +104,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full chain and write all artifacts into ``config.output_dir``."""
     if config.output_dir is None:
         raise ConfigurationError("output_dir must be set")
-    # Read the library before the first write, so a bad one leaves no run dir.
-    library = library_load(config.library_path) if config.library_path is not None else None
+    # Read and check the library before the first write, so a bad one leaves
+    # no run dir.
+    library = None
+    if config.library_path is not None:
+        library = library_load(config.library_path)
+        _check_classification(library, config.carrier.sample_rate,
+                              config.classification_threshold)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}

@@ -184,7 +184,7 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     lower frequency) when they lie at least ``min_separation`` from every
     peak already kept, and are returned sorted by frequency. Only the nearest
     kept peak on each side can be too close, so each candidate costs one
-    bisection of the kept frequencies: O(K log K) for K candidates.
+    bisection of the kept frequencies, plus a list insert if it is kept.
     """
     if not 0 < relative_threshold <= 1:
         raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold}")
@@ -203,19 +203,17 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     ends = np.flatnonzero(m != edged[2:])
     kept = starts[(edged[starts] < m[starts]) & (edged[ends + 2] < m[ends])
                   & (m[starts] >= peak_floor)]
-    if min_separation != 0:
-        order = kept[np.lexsort((freqs[kept], -m[kept]))]
-        kept_freqs: list[float] = []
-        kept_bins: list[int] = []
-        for k, fk in zip(order.tolist(), freqs[order].tolist()):
-            i = bisect_left(kept_freqs, fk)
-            if ((i == 0 or fk - kept_freqs[i - 1] >= min_separation)
-                    and (i == len(kept_freqs) or kept_freqs[i] - fk >= min_separation)):
-                kept_freqs.insert(i, fk)
-                kept_bins.insert(i, k)
-        kept = np.array(kept_bins, dtype=np.intp)
+    order = kept[np.lexsort((freqs[kept], -m[kept]))]
+    kept_freqs: list[float] = []
+    kept_bins: list[int] = []
+    for k, fk in zip(order.tolist(), freqs[order].tolist()):
+        i = bisect_left(kept_freqs, fk)
+        if ((i == 0 or fk - kept_freqs[i - 1] >= min_separation)
+                and (i == len(kept_freqs) or kept_freqs[i] - fk >= min_separation)):
+            kept_freqs.insert(i, fk)
+            kept_bins.insert(i, k)
     return [SpectralPeak(f, v, k)
-            for f, v, k in zip(freqs[kept].tolist(), m[kept].tolist(), kept.tolist())]
+            for f, v, k in zip(kept_freqs, m[kept_bins].tolist(), kept_bins)]
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:

@@ -284,6 +284,22 @@ class TestRun:
         assert len(result.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--sample-rate", "96000"], ["--threshold", "1.5"]],
+                             ids=["sample-rate", "threshold"])
+    def test_library_mismatch_leaves_no_run_dir(self, tmp_path, flags):
+        bits = tmp_path / "bits.txt"
+        template = tmp_path / "template.f64"
+        library = tmp_path / "lib.json"
+        run_cli("payload", "--seed", "99", "--bits", "64", "--out", str(bits))
+        run_cli("modulate", "--in", str(bits), "--scheme", "fsk", "--out", str(template))
+        run_cli("library-add", "--library", str(library), "--label", "fsk", "--in", str(template))
+        out = tmp_path / "half"
+        result = run_cli("run", "--defaults", "--library", str(library), *flags, "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_classification_via_flags(self, tmp_path):
         bits = tmp_path / "bits.txt"
         template = tmp_path / "template.f64"
