@@ -201,9 +201,9 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     edged = np.concatenate(([-np.inf], m, [-np.inf]))
     starts = np.flatnonzero(m != edged[:-2])
     ends = np.flatnonzero(m != edged[2:])
-    kept = starts[(edged[starts] < m[starts]) & (edged[ends + 2] < m[ends])
-                  & (m[starts] >= peak_floor)]
-    order = kept[np.lexsort((freqs[kept], -m[kept]))]
+    candidates = starts[(edged[starts] < m[starts]) & (edged[ends + 2] < m[ends])
+                        & (m[starts] >= peak_floor)]
+    order = candidates[np.lexsort((freqs[candidates], -m[candidates]))]
     kept_freqs: list[float] = []
     kept_bins: list[int] = []
     for k, fk in zip(order.tolist(), freqs[order].tolist()):
