@@ -39,6 +39,8 @@ class ChannelParams:
             raise ConfigurationError("exactly one of snr_db / noise_power must be set")
         if self.noise_power is not None and self.noise_power < 0:
             raise ParameterError(f"noise_power must be >= 0, got {self.noise_power}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def linear_gain(self) -> float:

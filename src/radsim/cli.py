@@ -426,8 +426,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (RadsimError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (RadsimError, OSError, MemoryError) as e:
+        # A Python MemoryError carries no message; numpy's names the size asked for.
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -101,6 +101,8 @@ def random_payload(seed: int, n_bits: int, bit_rate: float) -> BitStream:
     """Uniform random bits from PCG64; identical seed gives identical stream."""
     if n_bits < 1:
         raise ParameterError(f"n_bits must be >= 1, got {n_bits}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
     return BitStream(bits, bit_rate)

@@ -57,12 +57,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.seed, numbers.Integral):
             raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.payload_bits < 1:
             raise ParameterError(f"payload_bits must be >= 1, got {self.payload_bits}")
         if self.modulation not in modulation.MODULATORS:
             raise ConfigurationError(f"unknown modulation {self.modulation!r} "
                                      f"(expected one of {sorted(modulation.MODULATORS)})")
-        modulation.samples_per_bit(self.carrier, self.bit_rate)
+        n_samples = self.payload_bits * modulation.samples_per_bit(self.carrier, self.bit_rate)
+        # Checked here, so bad STFT settings fail before the run dir is made
+        # rather than after the signals are written.
+        spectral._check_stft(n_samples, self.stft_window, self.stft_hop, self.stft_window_type)
 
     @property
     def peak_separation(self) -> float:

@@ -123,38 +123,75 @@ def inflection_time(params: PropagationParams) -> float:
     return (big_n / params.comms_per_interval) * math.log(big_n / params.initial_infected - 1.0)
 
 
+# Most random values one block of steps draws at once (a block holds at least one step).
+_BLOCK_DRAWS = 1 << 12
+
+
+def _step_pairs(rng: np.random.Generator, n: int, m: int, block_steps: int):
+    """Endless (sources, targets) lists, one per step, drawn ``block_steps`` at a time.
+
+    One ``integers`` call over a ``(block_steps, 2m)`` array of bounds
+    ``[n]*m + [n-1]*m`` yields the same values, and leaves the generator in the
+    same state, as ``block_steps`` rounds of ``integers(0, n, m)`` then
+    ``integers(0, n - 1, m)``; a target at or above its source is shifted up by
+    one, so it never equals the source.
+    """
+    bounds = np.repeat([n, n - 1], m)
+    while True:
+        pairs = rng.integers(0, bounds, size=(block_steps, 2 * m))
+        sources, targets = pairs[:, :m], pairs[:, m:]
+        targets += targets >= sources
+        yield from zip(sources.tolist(), targets.tolist())
+
+
 def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
                             trials: int) -> PropagationCurve:
     """Agent simulation: mean infected count per step across seeded trials.
 
     Each step draws ``comms_per_interval`` uniformly random ordered pairs
     (source != target, with replacement) and applies them sequentially, so an
-    infection can propagate onward within the same interval. Deterministic
-    for a fixed seed.
+    infection can propagate onward within the same interval. A trial draws
+    nothing once every machine is infected. Deterministic for a fixed seed.
+
+    The pairs are drawn a block of steps at a time, one ``integers`` call per
+    block, from a single stream shared by all trials: a trial that saturates
+    inside a block leaves the block's remaining steps to the next trial, which
+    is where a draw of one step at a time would have put them, so every curve
+    is the one that per-step draws give. A block holds at most
+    ``_BLOCK_DRAWS`` values but always at least one step, so the draws take
+    O(M) memory whatever ``n_max``. The infected flags are one Python list
+    of N entries, allocated once; a trial clears only the machines it infected.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = params.n_computers
     m = params.comms_per_interval
+    x0 = params.initial_infected
+    steps = _step_pairs(rng, n, m, max(1, _BLOCK_DRAWS // (2 * m)))
     totals = np.zeros(n_max + 1, dtype=np.float64)
+    infected = [False] * n
     for _ in range(trials):
-        infected = np.zeros(n, dtype=bool)
-        infected[: params.initial_infected] = True
-        count = params.initial_infected
-        totals[0] += count
-        for step in range(1, n_max + 1):
-            if count < n and n >= 2:
-                sources = rng.integers(0, n, size=m)
-                targets = rng.integers(0, n - 1, size=m)
-                targets = targets + (targets >= sources)
-                for s, t in zip(sources, targets):
-                    if infected[s] and not infected[t]:
-                        infected[t] = True
-                        count += 1
-            totals[step] += count
+        hits = list(range(x0))  # the machines infected in this trial
+        for i in hits:
+            infected[i] = True
+        counts = [x0]
+        # Saturated (always so when N < 2, since x0 >= 1): no more draws.
+        while len(hits) < n and len(counts) <= n_max:
+            sources, targets = next(steps)
+            for s, t in zip(sources, targets):
+                if infected[s] and not infected[t]:
+                    infected[t] = True
+                    hits.append(t)
+            counts.append(len(hits))
+        for i in hits:
+            infected[i] = False
+        totals[:len(counts)] += counts
+        totals[len(counts):] += len(hits)
     return PropagationCurve(np.arange(n_max + 1), totals / trials)
 
 

@@ -13,6 +13,7 @@ which :meth:`Spectrum.time_domain_energy` evaluates.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,18 +149,26 @@ _WINDOWS = {
 }
 
 
-def stft(signal: SampledSignal, window_length: int, hop: int,
-         window: str = "hann") -> Spectrogram:
-    """Short-time Fourier transform; frame times mark window centers."""
+def _check_stft(n_samples: int, window_length: int, hop: int, window: str) -> None:
+    """Reject what would make ``stft`` of ``n_samples`` samples fail, before any work is done."""
+    for name, value in (("window_length", window_length), ("hop", hop)):
+        if not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if window_length < 2:
         raise ParameterError(f"window_length must be >= 2, got {window_length}")
-    if window_length > len(signal):
+    if window_length > n_samples:
         raise ShapeError(
-            f"window_length {window_length} exceeds signal length {len(signal)}")
+            f"window_length {window_length} exceeds signal length {n_samples}")
     if hop < 1:
         raise ParameterError(f"hop must be >= 1, got {hop}")
     if window not in _WINDOWS:
         raise ParameterError(f"unknown window {window!r} (expected one of {sorted(_WINDOWS)})")
+
+
+def stft(signal: SampledSignal, window_length: int, hop: int,
+         window: str = "hann") -> Spectrogram:
+    """Short-time Fourier transform; frame times mark window centers."""
+    _check_stft(len(signal), window_length, hop, window)
     taper = _WINDOWS[window](window_length)
     n_frames = (len(signal) - window_length) // hop + 1
     starts = np.arange(n_frames) * hop

@@ -35,6 +35,10 @@ class TestParams:
             with pytest.raises(ParameterError):
                 ChannelParams(snr_db=value)
 
+    def test_seed_nonnegative(self):
+        with pytest.raises(ParameterError, match="seed"):
+            ChannelParams(snr_db=10.0, seed=-1)
+
     def test_linear_gain(self):
         assert ChannelParams(attenuation_db=20.0, noise_power=0.0).linear_gain == pytest.approx(0.1)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from radsim.cli import build_parser
+from radsim.cli import build_parser, main
 from radsim.modulation import MODULATORS
 
 BASE = [sys.executable, "-m", "radsim"]
@@ -41,6 +41,34 @@ def test_scheme_choices_follow_registry():
                           ("run", "--modulation")):
         action = next(a for a in commands[command]._actions if flag in a.option_strings)
         assert action.choices == sorted(MODULATORS)
+
+
+def one_line_error(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["payload", "--bits", "8", "--seed", "-1"],
+    ["run", "--defaults", "--seed", "-1"],
+    ["run", "--defaults", "--snr-db", "10", "--channel-seed", "-1"],
+    ["propagate", "--n", "10", "--m", "2", "--method", "montecarlo", "--seed", "-1"],
+], ids=["payload", "run", "run-channel", "propagate"])
+def test_negative_seed_rejected(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 1
+    assert one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_unallocatable_steps_is_one_line_error(tmp_path, capsys):
+    # 2**57 + 1 int64 time steps need 1 EiB, more than any address space
+    # holds, so the allocation is refused at once instead of filling memory.
+    out = tmp_path / "curve.csv"
+    assert main(["propagate", "--n", "10", "--m", "1", "--steps", str(2 ** 57),
+                 "--out", str(out)]) == 1
+    assert one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_unknown_flag_is_usage_error():
@@ -264,12 +292,27 @@ class TestRun:
         dict(json.loads(DEFAULT_CONFIG.read_text()), channel={"snr_db": 10.0, "flux": 1.0}),
         dict(json.loads(DEFAULT_CONFIG.read_text()), seed="abc"),
         ["not", "an", "object"],
-    ], ids=["carrier-key", "channel-key", "seed", "not-an-object"])
+        dict(json.loads(DEFAULT_CONFIG.read_text()), stft_window=100.5),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), stft_hop=1.5),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), stft_window_type="blackman"),
+    ], ids=["carrier-key", "channel-key", "seed", "not-an-object", "stft-window-float",
+            "stft-hop-float", "stft-window-type"])
     def test_bad_config_fails_cleanly(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "exp"
         result = run_cli("run", "--config", str(bad), "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--stft-window", "100000"], ["--stft-window", "1"],
+                                       ["--stft-hop", "0"]],
+                             ids=["window-too-long", "window-too-short", "hop-zero"])
+    def test_bad_stft_leaves_no_run_dir(self, tmp_path, flags):
+        out = tmp_path / "half"
+        result = run_cli("run", "--defaults", *flags, "--out", str(out))
         assert result.returncode == 1
         assert result.stderr.startswith("error:")
         assert len(result.stderr.strip().splitlines()) == 1

@@ -76,6 +76,10 @@ class TestRandomPayload:
         with pytest.raises(ParameterError):
             random_payload(0, 0, 1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            random_payload(-1, 8, 1.0)
+
 
 class TestManchester:
     def test_zero_is_high_low(self):

@@ -3,12 +3,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radsim import propagation
 from radsim.errors import ParameterError
 from radsim.propagation import (PropagationParams, expected_infected_closed_form,
                                 inflection_time, monte_carlo_propagation, read_curve_csv,
                                 simulate_curve, step_recurrence, write_curve_csv)
 
 P100 = PropagationParams(n_computers=100, comms_per_interval=15, initial_infected=1)
+
+
+def reference_monte_carlo(params, seed, n_max, trials):
+    """Two ``integers`` calls per step and a pair loop over numpy arrays.
+
+    monte_carlo_propagation must return exactly this mean curve: it draws the
+    same random stream in blocks of steps.
+    """
+    rng = np.random.default_rng(seed)
+    n = params.n_computers
+    m = params.comms_per_interval
+    totals = np.zeros(n_max + 1, dtype=np.float64)
+    for _ in range(trials):
+        infected = np.zeros(n, dtype=bool)
+        infected[: params.initial_infected] = True
+        count = params.initial_infected
+        totals[0] += count
+        for step in range(1, n_max + 1):
+            if count < n and n >= 2:
+                sources = rng.integers(0, n, size=m)
+                targets = rng.integers(0, n - 1, size=m)
+                targets = targets + (targets >= sources)
+                for s, t in zip(sources, targets):
+                    if infected[s] and not infected[t]:
+                        infected[t] = True
+                        count += 1
+            totals[step] += count
+    return totals / trials
 
 
 def rk4_logistic(params, n_max, h=0.01):
@@ -210,6 +239,51 @@ class TestMonteCarlo:
             monte_carlo_propagation(P100, seed=0, n_max=5, trials=0)
         with pytest.raises(ParameterError):
             monte_carlo_propagation(P100, seed=0, n_max=-1, trials=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            monte_carlo_propagation(P100, seed=-1, n_max=5, trials=1)
+
+
+class TestMonteCarloMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 60), m=st.integers(1, 200), data=st.data(),
+           n_max=st.integers(0, 80), trials=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 128))
+    def test_any_input(self, n, m, data, n_max, trials, seed):
+        params = PropagationParams(n, m, data.draw(st.integers(1, n), label="x0"))
+        got = monte_carlo_propagation(params, seed, n_max, trials).expected_infected
+        assert np.array_equal(got, reference_monte_carlo(params, seed, n_max, trials))
+
+    @pytest.mark.parametrize("params, n_max, trials", [
+        (PropagationParams(2, 3, 1), 10, 4),
+        (PropagationParams(2, 50, 1), 1, 10),
+        (PropagationParams(1, 1, 1), 5, 3),
+        (PropagationParams(5, 3, 5), 8, 2),
+        (PropagationParams(40, 7, 1), 0, 3),
+    ], ids=["n2", "n2-many-comms", "n1", "x0-is-n", "n_max-0"])
+    def test_edge_cases(self, params, n_max, trials):
+        got = monte_carlo_propagation(params, 5, n_max, trials).expected_infected
+        assert np.array_equal(got, reference_monte_carlo(params, 5, n_max, trials))
+
+    def test_several_blocks_saturating_inside_one(self):
+        params = PropagationParams(1000, 300, 1)
+        block = propagation._BLOCK_DRAWS // (2 * params.comms_per_interval)
+        # The first trial alone: it runs past one block and saturates inside
+        # a later one, so the next trial starts mid-block.
+        first = reference_monte_carlo(params, 22, 60, 1)
+        saturated_at = int(np.argmax(first == params.n_computers))
+        assert block < saturated_at < 60 and saturated_at % block != 0
+        got = monte_carlo_propagation(params, 22, 60, 3).expected_infected
+        assert np.array_equal(got, reference_monte_carlo(params, 22, 60, 3))
+
+    @pytest.mark.parametrize("block_draws", [1, 7, 64, 1000])
+    def test_small_blocks(self, monkeypatch, block_draws):
+        monkeypatch.setattr(propagation, "_BLOCK_DRAWS", block_draws)
+        for params, n_max, trials in ((P100, 60, 4), (PropagationParams(20, 3, 2), 40, 5),
+                                      (PropagationParams(2, 1, 1), 6, 3)):
+            got = monte_carlo_propagation(params, 8, n_max, trials).expected_infected
+            assert np.array_equal(got, reference_monte_carlo(params, 8, n_max, trials))
 
 
 def test_curve_csv_round_trip(tmp_path):
