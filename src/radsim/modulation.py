@@ -18,7 +18,9 @@ verified and bit error rates measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +54,10 @@ class CarrierSpec:
     sample_rate: float = 48000.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
         if self.amplitude <= 0:
             raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
         if self.sample_rate <= 0:

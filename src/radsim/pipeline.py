@@ -1,10 +1,11 @@
 """End-to-end experiment: payload -> modulate -> compose -> channel -> analyze.
 
 One :func:`run_experiment` call writes every intermediate artifact (payload
-bits, carrier/modulated/emitted/received signals, FFT/STFT exports, peak
-list, optional classification) into an output directory together with a
-``report.json`` summary. Runs are fully deterministic per seed: identical
-configs produce byte-identical directories.
+bits, carrier/modulated/emitted/received signals, FFT spectrum CSV, binary
+STFT spectrogram, peak list, optional classification) into an output
+directory together with a ``report.json`` summary. Runs are fully
+deterministic per seed: identical configs produce byte-identical
+directories.
 
 The receiver is idealized: when the emitted signal is the carrier plus the
 modulated signal, demodulation first subtracts the (gain-scaled) carrier,
@@ -15,6 +16,7 @@ bias the per-bit correlators.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -55,12 +57,15 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("seed", "payload_bits"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.payload_bits < 1:
             raise ParameterError(f"payload_bits must be >= 1, got {self.payload_bits}")
+        if not (isinstance(self.bit_rate, numbers.Real) and math.isfinite(self.bit_rate)):
+            raise ParameterError(f"bit_rate must be a finite number, got {self.bit_rate!r}")
         if self.modulation not in modulation.MODULATORS:
             raise ConfigurationError(f"unknown modulation {self.modulation!r} "
                                      f"(expected one of {sorted(modulation.MODULATORS)})")
@@ -68,6 +73,7 @@ class ExperimentConfig:
         # Checked here, so bad STFT settings fail before the run dir is made
         # rather than after the signals are written.
         spectral._check_stft(n_samples, self.stft_window, self.stft_hop, self.stft_window_type)
+        spectral._check_peaks(self.peak_relative_threshold, self.peak_separation)
 
     @property
     def peak_separation(self) -> float:
@@ -116,11 +122,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         library = library_load(config.library_path)
         _check_classification(library, config.carrier.sample_rate,
                               config.classification_threshold)
+    # Drawn first too: a payload too large to allocate fails here.
+    payload = codec.random_payload(config.seed, config.payload_bits, config.bit_rate)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
 
-    payload = codec.random_payload(config.seed, config.payload_bits, config.bit_rate)
     codec.write_bits(payload, out / "payload.txt")
     files["payload"] = "payload.txt"
 
@@ -147,8 +154,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     files["spectrum"] = "spectrum.csv"
     spectrogram = spectral.stft(received, config.stft_window, config.stft_hop,
                                 config.stft_window_type)
-    spectral.write_spectrogram_csv(spectrogram, out / "stft.csv")
-    files["stft"] = "stft.csv"
+    spectral.write_spectrogram(spectrogram, out / "stft.f64")
+    files["stft"] = "stft.f64"
     peaks = spectral.find_peaks(spectrum, config.peak_relative_threshold, config.peak_separation)
     spectral.write_peaks_csv(peaks, out / "peaks.csv")
     files["peaks"] = "peaks.csv"

@@ -2,12 +2,15 @@
 
 A signal file holds raw little-endian float64 samples, plus a JSON metadata
 sidecar (``<path>.json``) holding sample_rate, start_time, length and a
-format tag. It round-trips bit-exactly.
+format tag. It round-trips bit-exactly. Spectrograms are stored the same
+way (see ``spectral.write_spectrogram``), with a shape in place of a length.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +19,14 @@ import numpy as np
 from .errors import ParameterError, ParseError, ShapeError
 
 SIGNAL_FORMAT_TAG = "f64le"
+
+
+def _check_timebase(sample_rate: float, start_time: float) -> None:
+    """Reject a sample rate that is not a positive finite number, or a non-finite start time."""
+    if not (isinstance(sample_rate, numbers.Real) and 0 < sample_rate < math.inf):
+        raise ParameterError(f"sample_rate must be positive and finite, got {sample_rate!r}")
+    if not (isinstance(start_time, numbers.Real) and math.isfinite(start_time)):
+        raise ParameterError(f"start_time must be finite, got {start_time!r}")
 
 
 @dataclass(eq=False)
@@ -27,8 +38,7 @@ class SampledSignal:
     start_time: float = 0.0
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
+        _check_timebase(self.sample_rate, self.start_time)
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ShapeError(f"samples must be one-dimensional, got shape {self.samples.shape}")
@@ -51,35 +61,51 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
+def _write_f64(values: np.ndarray, path, meta: dict) -> None:
+    """Write ``values`` as raw little-endian float64, and ``meta`` plus the format tag as its sidecar."""
+    path = Path(path)
+    np.ascontiguousarray(values, dtype="<f8").tofile(path)
+    sidecar_path(path).write_text(
+        json.dumps(dict(meta, format=SIGNAL_FORMAT_TAG), sort_keys=True, indent=2) + "\n")
+
+
+def _read_f64(path, size_key: str, keys: tuple[str, ...]) -> tuple[np.ndarray, dict]:
+    """Read a file written by :func:`_write_f64`: its values and its sidecar.
+
+    ``meta[size_key]`` gives the values' length (an integer) or shape (a list
+    of integers); ``keys`` names the other keys the sidecar must hold.
+    """
+    path = Path(path)
+    side = sidecar_path(path)
+    try:
+        meta = json.loads(side.read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{side}: invalid JSON at line {e.lineno} column {e.colno}") from e
+    if not isinstance(meta, dict):
+        raise ParseError(f"{side}: metadata must be a JSON object")
+    for key in ("format", size_key, *keys):
+        if key not in meta:
+            raise ParseError(f"{side}: missing metadata key {key!r}")
+    if meta["format"] != SIGNAL_FORMAT_TAG:
+        raise ParseError(f"{side}: unknown format tag {meta['format']!r}")
+    size = meta[size_key]
+    dims = size if isinstance(size, list) else [size]
+    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in dims):
+        raise ParseError(f"{side}: {size_key} must be nonnegative integers, got {size!r}")
+    raw = path.read_bytes()
+    expected = 8 * math.prod(dims)
+    if len(raw) != expected:
+        raise ParseError(f"{path}: expected {expected} bytes for {size_key} {size}, found {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(dims).copy(), meta
+
+
 def write_signal(signal: SampledSignal, path) -> None:
     """Write raw little-endian float64 samples plus a JSON sidecar."""
-    path = Path(path)
-    meta = {
-        "format": SIGNAL_FORMAT_TAG,
-        "length": len(signal),
-        "sample_rate": signal.sample_rate,
-        "start_time": signal.start_time,
-    }
-    path.write_bytes(signal.samples.astype("<f8").tobytes())
-    sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _write_f64(signal.samples, path, {"length": len(signal), "sample_rate": signal.sample_rate,
+                                      "start_time": signal.start_time})
 
 
 def read_signal(path) -> SampledSignal:
     """Read a raw-binary signal written by :func:`write_signal`."""
-    path = Path(path)
-    try:
-        meta = json.loads(sidecar_path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{sidecar_path(path)}: invalid JSON at line {e.lineno} column {e.colno}") from e
-    for key in ("format", "length", "sample_rate", "start_time"):
-        if key not in meta:
-            raise ParseError(f"{sidecar_path(path)}: missing metadata key {key!r}")
-    if meta["format"] != SIGNAL_FORMAT_TAG:
-        raise ParseError(f"{sidecar_path(path)}: unknown format tag {meta['format']!r}")
-    raw = path.read_bytes()
-    expected = int(meta["length"]) * 8
-    if len(raw) != expected:
-        raise ParseError(f"{path}: expected {expected} bytes for {meta['length']} samples, found {len(raw)}")
-    samples = np.frombuffer(raw, dtype="<f8")
-    return SampledSignal(meta["sample_rate"], samples.copy(), meta["start_time"])
-
+    samples, meta = _read_f64(path, "length", ("sample_rate", "start_time"))
+    return SampledSignal(meta["sample_rate"], samples, meta["start_time"])

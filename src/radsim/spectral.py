@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError, ParseError, ShapeError
-from .signals import SampledSignal
+from .signals import SampledSignal, _check_timebase, _read_f64, _write_f64
 
 __all__ = [
     "Spectrum",
@@ -32,8 +32,9 @@ __all__ = [
     "find_peaks",
     "write_spectrum_csv",
     "read_spectrum_csv",
+    "write_spectrogram",
+    "read_spectrogram",
     "write_spectrogram_csv",
-    "read_spectrogram_csv",
     "write_peaks_csv",
     "read_peaks_csv",
 ]
@@ -85,26 +86,32 @@ class Spectrum:
 
 @dataclass(eq=False)
 class Spectrogram:
-    """Short-time magnitude spectra: one row per frame, one column per bin."""
+    """Short-time magnitude spectra: one row per frame, one column per bin.
 
-    frame_times: np.ndarray
-    bin_frequencies: np.ndarray
+    Frame times (window centres) and bin frequencies are derived from the
+    analysis grid, so a spectrogram rebuilt from its grid and magnitudes
+    equals the one :func:`stft` returned, bit for bit.
+    """
+
     magnitudes: np.ndarray
+    sample_rate: float
     window_length: int
     hop: int
+    window: str = "hann"
+    start_time: float = 0.0
+    frame_times: np.ndarray = field(init=False, repr=False)
+    bin_frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.frame_times = np.asarray(self.frame_times, dtype=np.float64)
-        self.bin_frequencies = np.asarray(self.bin_frequencies, dtype=np.float64)
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        if self.hop < 1:
-            raise ParameterError(f"hop must be >= 1, got {self.hop}")
-        if self.magnitudes.ndim != 2:
-            raise ShapeError("magnitudes must be a frames x bins matrix")
-        if self.magnitudes.shape[0] != self.frame_times.size:
-            raise ShapeError("magnitudes row count must equal frame count")
-        if self.magnitudes.shape[1] != self.bin_frequencies.size:
-            raise ShapeError("magnitudes column count must equal bin count")
+        _check_window(self.window_length, self.hop, self.window)
+        _check_timebase(self.sample_rate, self.start_time)
+        if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.window_length // 2 + 1:
+            raise ShapeError(f"magnitudes must be a frames x {self.window_length // 2 + 1} "
+                             f"matrix, got shape {self.magnitudes.shape}")
+        starts = np.arange(self.magnitudes.shape[0]) * self.hop
+        self.frame_times = self.start_time + (starts + self.window_length / 2.0) / self.sample_rate
+        self.bin_frequencies = np.fft.rfftfreq(self.window_length, d=1.0 / self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -149,20 +156,25 @@ _WINDOWS = {
 }
 
 
-def _check_stft(n_samples: int, window_length: int, hop: int, window: str) -> None:
-    """Reject what would make ``stft`` of ``n_samples`` samples fail, before any work is done."""
+def _check_window(window_length: int, hop: int, window: str) -> None:
+    """Reject an STFT analysis grid that no signal could use."""
     for name, value in (("window_length", window_length), ("hop", hop)):
         if not isinstance(value, numbers.Integral):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
     if window_length < 2:
         raise ParameterError(f"window_length must be >= 2, got {window_length}")
-    if window_length > n_samples:
-        raise ShapeError(
-            f"window_length {window_length} exceeds signal length {n_samples}")
     if hop < 1:
         raise ParameterError(f"hop must be >= 1, got {hop}")
     if window not in _WINDOWS:
         raise ParameterError(f"unknown window {window!r} (expected one of {sorted(_WINDOWS)})")
+
+
+def _check_stft(n_samples: int, window_length: int, hop: int, window: str) -> None:
+    """Reject what would make ``stft`` of ``n_samples`` samples fail, before any work is done."""
+    _check_window(window_length, hop, window)
+    if window_length > n_samples:
+        raise ShapeError(
+            f"window_length {window_length} exceeds signal length {n_samples}")
 
 
 def stft(signal: SampledSignal, window_length: int, hop: int,
@@ -170,13 +182,17 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
     """Short-time Fourier transform; frame times mark window centers."""
     _check_stft(len(signal), window_length, hop, window)
     taper = _WINDOWS[window](window_length)
-    n_frames = (len(signal) - window_length) // hop + 1
-    starts = np.arange(n_frames) * hop
     frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop] * taper
     mags = _one_sided_magnitudes(np.fft.rfft(frames, axis=1), window_length)
-    freqs = np.fft.rfftfreq(window_length, d=1.0 / signal.sample_rate)
-    times = signal.start_time + (starts + window_length / 2.0) / signal.sample_rate
-    return Spectrogram(times, freqs, mags, window_length=window_length, hop=hop)
+    return Spectrogram(mags, signal.sample_rate, window_length, hop, window, signal.start_time)
+
+
+def _check_peaks(relative_threshold: float, min_separation: float) -> None:
+    """Reject peak-picking options that :func:`find_peaks` cannot use."""
+    if not (isinstance(relative_threshold, numbers.Real) and 0 < relative_threshold <= 1):
+        raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold!r}")
+    if not (isinstance(min_separation, numbers.Real) and min_separation >= 0):  # also rejects NaN
+        raise ParameterError(f"min_separation must be >= 0, got {min_separation!r}")
 
 
 def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
@@ -195,10 +211,7 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     kept peak on each side can be too close, so each candidate costs one
     bisection of the kept frequencies, plus a list insert if it is kept.
     """
-    if not 0 < relative_threshold <= 1:
-        raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold}")
-    if not min_separation >= 0:  # also rejects NaN
-        raise ParameterError(f"min_separation must be >= 0, got {min_separation}")
+    _check_peaks(relative_threshold, min_separation)
     m = spectrum.magnitudes
     freqs = spectrum.bin_frequencies
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0
@@ -266,6 +279,28 @@ def read_spectrum_csv(path) -> Spectrum:
                     bin_width=meta["sample_rate"] / fft_size, fft_size=fft_size)
 
 
+# Sidecar keys of a spectrogram file besides format and shape: its analysis grid.
+_GRID_FIELDS = tuple(f.name for f in fields(Spectrogram) if f.init and f.name != "magnitudes")
+
+
+def write_spectrogram(spectrogram: Spectrogram, path) -> None:
+    """Raw little-endian float64 magnitudes (frames x bins) plus a JSON sidecar of the grid.
+
+    This is the signal file format of :mod:`radsim.signals` with ``shape`` in
+    place of ``length``; :func:`read_spectrogram` rebuilds the spectrogram
+    bit for bit.
+    """
+    meta = {name: getattr(spectrogram, name) for name in _GRID_FIELDS}
+    _write_f64(spectrogram.magnitudes, path,
+               dict(meta, shape=list(spectrogram.magnitudes.shape)))
+
+
+def read_spectrogram(path) -> Spectrogram:
+    """Read a spectrogram written by :func:`write_spectrogram`."""
+    magnitudes, meta = _read_f64(path, "shape", _GRID_FIELDS)
+    return Spectrogram(magnitudes, **{name: meta[name] for name in _GRID_FIELDS})
+
+
 def write_spectrogram_csv(spectrogram: Spectrogram, path) -> None:
     """CSV matrix: frequency header row, one time-stamped row per frame."""
     header = "time_s," + ",".join(f"f_{float(f)!r}" for f in spectrogram.bin_frequencies)
@@ -277,37 +312,6 @@ def write_spectrogram_csv(spectrogram: Spectrogram, path) -> None:
     for t, row in zip(spectrogram.frame_times, spectrogram.magnitudes):
         lines.append(f"{float(t)!r}," + ",".join(f"{float(v)!r}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_spectrogram_csv(path) -> Spectrogram:
-    path = Path(path)
-    meta: dict[str, int] = {}
-    freqs: np.ndarray | None = None
-    times, rows = [], []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, val = line.lstrip("# ").partition("=")
-            try:
-                meta[key] = int(val)
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}") from e
-            continue
-        if line.startswith("time_s,"):
-            freqs = np.array([float(c[2:]) for c in line.split(",")[1:]])
-            continue
-        try:
-            cells = line.split(",")
-            times.append(float(cells[0]))
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: bad spectrogram row") from e
-    if freqs is None or "window_length" not in meta or "hop" not in meta:
-        raise ParseError(f"{path}: missing header or metadata")
-    return Spectrogram(np.array(times), freqs, np.array(rows),
-                       window_length=meta["window_length"], hop=meta["hop"])
 
 
 def write_peaks_csv(peaks: list[SpectralPeak], path) -> None:

@@ -10,6 +10,7 @@ import pytest
 
 from radsim.cli import build_parser, main
 from radsim.modulation import MODULATORS
+from radsim.spectral import read_spectrogram, write_spectrogram_csv
 
 BASE = [sys.executable, "-m", "radsim"]
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
@@ -317,6 +318,41 @@ class TestRun:
         assert result.stderr.startswith("error:")
         assert len(result.stderr.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, changes, name", [
+        (["--fc", "nan"], {}, "center_frequency"),
+        (["--amplitude", "inf"], {}, "amplitude"),
+        ([], {"payload_bits": 8.5}, "payload_bits"),
+        ([], {"bit_rate": "x"}, "bit_rate"),
+        ([], {"peak_relative_threshold": 2}, "relative_threshold"),
+    ], ids=["fc-nan", "amplitude-inf", "payload-bits-float", "bit-rate-string",
+            "peak-threshold-above-one"])
+    def test_bad_field_leaves_no_run_dir(self, tmp_path, capsys, flags, changes, name):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)))
+        out = tmp_path / "half"
+        assert main(["run", "--config", str(config), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert name in err
+        assert not out.exists()
+
+    def test_unallocatable_payload_leaves_no_run_dir(self, tmp_path, capsys):
+        # 2**60 payload bits need 1 EiB, more than any address space holds.
+        out = tmp_path / "half"
+        assert main(["run", "--defaults", "--payload-bits", str(2 ** 60), "--out", str(out)]) == 1
+        assert one_line_error(capsys)
+        assert not out.exists()
+
+    def test_stft_csv_export_matches_run_spectrogram(self, tmp_path):
+        run = tmp_path / "exp"
+        assert main(["run", "--defaults", "--payload-bits", "1024", "--out", str(run)]) == 0
+        expected = tmp_path / "expected.csv"
+        write_spectrogram_csv(read_spectrogram(run / "stft.f64"), expected)
+        exported = tmp_path / "stft.csv"
+        assert main(["spectrum", "--in", str(run / "received.f64"), "--stft",
+                     "--window-length", "256", "--hop", "128", "--out", str(exported)]) == 0
+        assert exported.read_bytes() == expected.read_bytes()
 
     def test_missing_library_leaves_no_run_dir(self, tmp_path):
         out = tmp_path / "half"

@@ -17,6 +17,12 @@ class TestValidation:
         with pytest.raises(ParameterError):
             SampledSignal(0.0, np.zeros(4))
 
+    @pytest.mark.parametrize("rate, start", [("x", 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, "0")],
+                             ids=["rate-string", "rate-inf", "start-nan", "start-string"])
+    def test_rate_and_start_checked(self, rate, start):
+        with pytest.raises(ParameterError):
+            SampledSignal(rate, np.zeros(4), start)
+
     def test_finite_samples(self):
         with pytest.raises(ParameterError):
             SampledSignal(1.0, np.array([0.0, np.inf]))
@@ -40,6 +46,24 @@ class TestRawFormat:
         assert again.sample_rate == sig.sample_rate
         assert again.start_time == sig.start_time
         assert np.array_equal(again.samples, sig.samples)
+
+    def test_sidecar_text(self, tmp_path):
+        path = tmp_path / "sig.f64"
+        write_signal(SampledSignal(48000.0, np.zeros(3), 0.125), path)
+        assert sidecar_path(path).read_text() == (
+            '{\n  "format": "f64le",\n  "length": 3,\n  "sample_rate": 48000.0,\n'
+            '  "start_time": 0.125\n}\n')
+
+    @pytest.mark.parametrize("length", [16.0, "16", -1, True],
+                             ids=["float", "string", "negative", "bool"])
+    def test_bad_length_is_parse_error(self, tmp_path, length):
+        path = tmp_path / "sig.f64"
+        write_signal(random_signal(n=16), path)
+        meta = json.loads(sidecar_path(path).read_text())
+        meta["length"] = length
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match="length must be"):
+            read_signal(path)
 
     def test_truncated_payload(self, tmp_path):
         sig = random_signal(n=16)
@@ -74,6 +98,6 @@ class TestRawFormat:
         meta = json.loads(sidecar_path(path).read_text())
         meta["format"] = "f32be"
         sidecar_path(path).write_text(json.dumps(meta))
-        with pytest.raises(ParseError, match="format"):
+        with pytest.raises(ParseError, match="unknown format tag"):
             read_signal(path)
 

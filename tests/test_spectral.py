@@ -1,13 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radsim.errors import ParameterError, ParseError, ShapeError
-from radsim.signals import SampledSignal
+from radsim.signals import SampledSignal, sidecar_path
 from radsim.spectral import (Spectrum, fft_magnitude, find_peaks, read_peaks_csv,
-                             read_spectrogram_csv, read_spectrum_csv, stft, write_peaks_csv,
-                             write_spectrogram_csv, write_spectrum_csv)
+                             read_spectrogram, read_spectrum_csv, stft, write_peaks_csv,
+                             write_spectrogram, write_spectrum_csv)
 
 
 def reference_find_peaks(spectrum, relative_threshold, min_separation):
@@ -221,28 +223,44 @@ class TestCsvFormats:
         assert np.array_equal(again.bin_frequencies, spectrum.bin_frequencies)
         assert np.array_equal(again.magnitudes, spectrum.magnitudes)
 
-    def test_spectrogram_round_trip(self, tmp_path):
-        gram = stft(cosine(100.0, 1000.0, 2000), window_length=128, hop=64)
-        path = tmp_path / "gram.csv"
-        write_spectrogram_csv(gram, path)
-        again = read_spectrogram_csv(path)
-        assert again.window_length == gram.window_length
-        assert again.hop == gram.hop
-        assert np.array_equal(again.frame_times, gram.frame_times)
-        assert np.array_equal(again.bin_frequencies, gram.bin_frequencies)
-        assert np.array_equal(again.magnitudes, gram.magnitudes)
-
-    def test_spectrogram_bad_metadata(self, tmp_path):
-        gram = stft(cosine(100.0, 1000.0, 2000), window_length=128, hop=64)
-        path = tmp_path / "gram.csv"
-        write_spectrogram_csv(gram, path)
-        path.write_text(path.read_text().replace("# hop=64", "# hop=abc"))
-        with pytest.raises(ParseError):
-            read_spectrogram_csv(path)
-
     def test_peaks_round_trip(self, tmp_path):
         spectrum = fft_magnitude(cosine(100.0, 1000.0, 1000, amplitude=2.0))
         peaks = find_peaks(spectrum, 0.1, 10.0)
         path = tmp_path / "peaks.csv"
         write_peaks_csv(peaks, path)
         assert read_peaks_csv(path) == peaks
+
+
+class TestSpectrogramFile:
+    @pytest.mark.parametrize("window_length, hop, window, rate, start", [
+        (127, 50, "hann", 1000.0, 0.0),
+        (128, 64, "rectangular", 1000.0, 0.0),
+        (256, 100, "hann", 44100.0 / 3.0, 0.1 + 0.2),
+    ], ids=["odd-window", "rectangular", "start-time"])
+    def test_round_trip_equals_stft(self, tmp_path, window_length, hop, window, rate, start):
+        rng = np.random.default_rng(window_length)
+        signal = SampledSignal(rate, rng.standard_normal(2000), start)
+        gram = stft(signal, window_length, hop, window)
+        path = tmp_path / "gram.f64"
+        write_spectrogram(gram, path)
+        again = read_spectrogram(path)
+        for name in ("sample_rate", "window_length", "hop", "window", "start_time"):
+            assert getattr(again, name) == getattr(gram, name)
+        for name in ("frame_times", "bin_frequencies", "magnitudes"):
+            assert np.array_equal(getattr(again, name), getattr(gram, name))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda path, meta: path.write_bytes(path.read_bytes()[:-8]),
+        lambda path, meta: meta.__setitem__("shape", [meta["shape"][0] + 1, meta["shape"][1]]),
+        lambda path, meta: meta.pop("hop"),
+        lambda path, meta: meta.pop("shape"),
+        lambda path, meta: meta.__setitem__("format", "f32be"),
+    ], ids=["truncated", "shape-too-big", "missing-hop", "missing-shape", "unknown-format"])
+    def test_bad_file_is_parse_error(self, tmp_path, corrupt):
+        path = tmp_path / "gram.f64"
+        write_spectrogram(stft(cosine(100.0, 1000.0, 2000), window_length=128, hop=64), path)
+        meta = json.loads(sidecar_path(path).read_text())
+        corrupt(path, meta)
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(ParseError):
+            read_spectrogram(path)
