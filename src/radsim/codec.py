@@ -10,6 +10,7 @@ seed reproduces the exact same stream everywhere.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ParseError, ShapeError
-from .signals import SampledSignal
+from .signals import SampledSignal, _check_rate
 
 HIGH = 1
 LOW = 0
@@ -33,8 +34,8 @@ class BitStream:
     bit_rate: float
 
     def __post_init__(self):
-        if self.bit_rate <= 0:
-            raise ParameterError(f"bit_rate must be positive, got {self.bit_rate}")
+        if not (math.isfinite(self.bit_rate) and self.bit_rate > 0):
+            raise ParameterError(f"bit_rate must be positive and finite, got {self.bit_rate}")
         self.bits = np.asarray(self.bits, dtype=np.uint8)
         if self.bits.ndim != 1:
             raise ShapeError(f"bits must be one-dimensional, got shape {self.bits.shape}")
@@ -133,6 +134,7 @@ def manchester_decode(signal: LineCodeSignal) -> BitStream:
 def rectangular_waveform(stream: BitStream, sample_rate: float,
                          high_level: float = 1.0, low_level: float = 0.0) -> SampledSignal:
     """Render bits as a piecewise-constant waveform (the time-domain view of a binary signal)."""
+    _check_rate(sample_rate)
     if sample_rate < 2 * stream.bit_rate:
         raise ConfigurationError(
             f"sample_rate {sample_rate} is below 2 x bit_rate ({2 * stream.bit_rate})")
@@ -158,12 +160,3 @@ def read_bits(path, bit_rate: float) -> BitStream:
 def write_levels(signal: LineCodeSignal, path) -> None:
     """Serialize half-bit levels as '1'/'0' characters (1=high, 0=low)."""
     Path(path).write_text("".join(str(int(v)) for v in signal.levels) + "\n")
-
-
-def read_levels(path, half_bit_duration: float) -> LineCodeSignal:
-    text = Path(path).read_text().rstrip("\n")
-    for pos, ch in enumerate(text):
-        if ch not in "01":
-            raise ParseError(f"{path}: invalid level character {ch!r} at position {pos}")
-    levels = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0") if text else np.zeros(0, np.uint8)
-    return LineCodeSignal(levels.astype(np.int8), half_bit_duration)

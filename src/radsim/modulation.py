@@ -79,8 +79,8 @@ def _check_nyquist(spec: CarrierSpec, max_frequency: float) -> None:
 
 def samples_per_bit(spec: CarrierSpec, bit_rate: float) -> int:
     """Integer samples per bit; rejects non-integer ratios so bit edges stay exact."""
-    if bit_rate <= 0:
-        raise ParameterError(f"bit_rate must be positive, got {bit_rate}")
+    if not (math.isfinite(bit_rate) and bit_rate > 0):
+        raise ParameterError(f"bit_rate must be positive and finite, got {bit_rate}")
     ratio = spec.sample_rate / bit_rate
     spb = round(ratio)
     if spb < 1 or abs(ratio - spb) > 1e-9:

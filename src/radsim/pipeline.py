@@ -27,7 +27,7 @@ from . import codec, modulation, spectral
 from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, ParameterError
 from .modulation import CarrierSpec
-from .recognition import _check_classification, classify, library_load
+from .recognition import _check_classification, _check_threshold, classify, library_load
 from .signals import SampledSignal, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -66,7 +66,10 @@ class ExperimentConfig:
             raise ParameterError(f"payload_bits must be >= 1, got {self.payload_bits}")
         if not (isinstance(self.bit_rate, numbers.Real) and math.isfinite(self.bit_rate)):
             raise ParameterError(f"bit_rate must be a finite number, got {self.bit_rate!r}")
-        if self.modulation not in modulation.MODULATORS:
+        for name in ("compose_with_carrier", "demodulate"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigurationError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not (isinstance(self.modulation, str) and self.modulation in modulation.MODULATORS):
             raise ConfigurationError(f"unknown modulation {self.modulation!r} "
                                      f"(expected one of {sorted(modulation.MODULATORS)})")
         n_samples = self.payload_bits * modulation.samples_per_bit(self.carrier, self.bit_rate)
@@ -74,6 +77,7 @@ class ExperimentConfig:
         # rather than after the signals are written.
         spectral._check_stft(n_samples, self.stft_window, self.stft_hop, self.stft_window_type)
         spectral._check_peaks(self.peak_relative_threshold, self.peak_separation)
+        _check_threshold(self.classification_threshold)
 
     @property
     def peak_separation(self) -> float:

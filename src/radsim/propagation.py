@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
+from .errors import ParameterError
 
 __all__ = [
     "PropagationParams",
@@ -39,7 +39,6 @@ __all__ = [
     "inflection_time",
     "monte_carlo_propagation",
     "write_curve_csv",
-    "read_curve_csv",
 ]
 
 
@@ -200,18 +199,3 @@ def write_curve_csv(curve: PropagationCurve, path) -> None:
     lines = ["n,expected_infected"]
     lines.extend(f"{int(n)},{float(v)!r}" for n, v in zip(curve.steps, curve.expected_infected))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_curve_csv(path) -> PropagationCurve:
-    steps, values = [], []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line == "n,expected_infected":
-            continue
-        try:
-            n_text, _, v_text = line.partition(",")
-            steps.append(int(n_text))
-            values.append(float(v_text))
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: bad curve row {line!r}") from e
-    return PropagationCurve(np.array(steps), np.array(values))

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError
-from .signals import SampledSignal
-from .spectral import Spectrum, _one_sided_magnitudes, fft_magnitude, find_peaks
+from .signals import SampledSignal, _check_rate
+from .spectral import (Spectrum, _check_fft_size, _one_sided_magnitudes, fft_magnitude,
+                       find_peaks)
 
 __all__ = [
     "FeatureVector",
@@ -96,6 +98,8 @@ class FeatureVector:
             )
         except KeyError as e:
             raise ParseError(f"feature vector missing key {e.args[0]!r}") from e
+        except (TypeError, ValueError) as e:  # not an object, or a value of the wrong type or shape
+            raise ParseError(f"bad feature vector: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,10 @@ class SignatureEntry:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.label:
-            raise ParameterError("label must be nonempty")
+        if not (isinstance(self.label, str) and self.label):
+            raise ParameterError(f"label must be a nonempty string, got {self.label!r}")
+        if not isinstance(self.metadata, dict):
+            raise ParameterError(f"metadata must be a dict, got {self.metadata!r}")
         energy = float(np.sum(self.template_spectrum.magnitudes ** 2))
         if not abs(energy - 1.0) <= 1e-9:  # also rejects a NaN energy
             raise ParameterError(f"template spectrum energy must be 1, got {energy}")
@@ -122,15 +128,12 @@ class SignatureLibrary:
     entries: tuple[SignatureEntry, ...] = ()
 
     def __post_init__(self):
-        if self.fft_size < 2 or (self.fft_size & (self.fft_size - 1)) != 0:
-            raise ParameterError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.sample_rate <= 0:
-            raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
+        _check_fft_size(self.fft_size)
+        _check_rate(self.sample_rate)
         self.entries = tuple(self.entries)
-        grid = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
         for e in self.entries:
-            freqs = e.template_spectrum.bin_frequencies
-            if freqs.size != grid.size or np.max(np.abs(freqs - grid)) > 1e-9:
+            t = e.template_spectrum
+            if (t.fft_size, t.sample_rate) != (self.fft_size, self.sample_rate):
                 raise ShapeError(f"template {e.label!r} is not on the library's bin grid "
                                  f"(fft_size {self.fft_size}, sample_rate {self.sample_rate})")
         labels = [e.label for e in self.entries]
@@ -194,8 +197,7 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
 
 def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -> Spectrum:
     """Magnitude spectrum averaged over disjoint fft_size blocks, unit energy."""
-    if fft_size < 2 or (fft_size & (fft_size - 1)) != 0:
-        raise ParameterError(f"fft_size must be a power of two, got {fft_size}")
+    _check_fft_size(fft_size)
     if len(signal) < 2:
         raise ShapeError(f"signal must have at least 2 samples, got {len(signal)}")
     n_blocks = max(1, len(signal) // fft_size)
@@ -210,18 +212,15 @@ def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -
     energy = math.sqrt(float(np.sum(mean ** 2)))
     if energy == 0.0:
         raise ParameterError("signal spectrum has zero energy; cannot normalize")
-    freqs = np.fft.rfftfreq(fft_size, d=1.0 / signal.sample_rate)
-    return Spectrum(freqs, mean / energy, bin_width=signal.sample_rate / fft_size,
-                    fft_size=fft_size)
+    return Spectrum(mean / energy, signal.sample_rate, fft_size)
 
 
 def spectral_correlation(a: Spectrum, b: Spectrum) -> float:
     """Pearson correlation of two magnitude spectra on identical bin grids."""
     if a.magnitudes.size != b.magnitudes.size:
         raise ShapeError(f"bin counts differ: {a.magnitudes.size} vs {b.magnitudes.size}")
-    # Spectrum rejects non-finite frequencies, so this is np.allclose with
-    # rtol=0 and atol=1e-9, at a quarter of its cost.
-    if np.max(np.abs(a.bin_frequencies - b.bin_frequencies), initial=0.0) > 1e-9:
+    # Both grids start at 0 Hz, so they differ most at the last bin.
+    if (a.magnitudes.size - 1) * abs(a.bin_width - b.bin_width) > 1e-9:
         raise ShapeError("bin grids differ; spectra are not comparable")
     da = a.magnitudes - a.magnitudes.mean()
     db = b.magnitudes - b.magnitudes.mean()
@@ -232,13 +231,18 @@ def spectral_correlation(a: Spectrum, b: Spectrum) -> float:
     return float(np.dot(da, db) / math.sqrt(va * vb))
 
 
+def _check_threshold(threshold: float) -> None:
+    """Reject a detection threshold outside (0, 1)."""
+    if not (isinstance(threshold, numbers.Real) and 0 < threshold < 1):
+        raise ParameterError(f"threshold must lie in (0, 1), got {threshold!r}")
+
+
 def _check_classification(library: SignatureLibrary, sample_rate: float,
                           threshold: float) -> None:
     """Reject what would make ``classify`` fail, before any work is done."""
     if len(library) == 0:
         raise ConfigurationError("signature library is empty")
-    if not 0 < threshold < 1:
-        raise ParameterError(f"threshold must lie in (0, 1), got {threshold}")
+    _check_threshold(threshold)
     if sample_rate != library.sample_rate:
         raise ConfigurationError(
             f"signal sample rate {sample_rate} does not match the library "
@@ -306,33 +310,31 @@ def library_load(path) -> SignatureLibrary:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
     if not isinstance(doc, dict) or doc.get("format") != LIBRARY_FORMAT:
         raise ParseError(f"{path}: not a signature library file")
-    version = doc.get("version", {})
-    if version.get("major") != LIBRARY_MAJOR_VERSION:
+    version = doc.get("version")
+    major = version.get("major") if isinstance(version, dict) else None
+    if major != LIBRARY_MAJOR_VERSION:
         raise ParseError(
-            f"{path}: unsupported library major version {version.get('major')!r} "
+            f"{path}: unsupported library major version {major!r} "
             f"(supported: {LIBRARY_MAJOR_VERSION})")
     try:
-        fft_size = int(doc["fft_size"])
-        sample_rate = float(doc["sample_rate"])
-        raw_entries = doc["entries"]
+        fft_size, sample_rate, raw_entries = doc["fft_size"], doc["sample_rate"], doc["entries"]
     except KeyError as e:
         raise ParseError(f"{path}: missing key {e.args[0]!r}") from e
-    freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
+    _check_fft_size(fft_size)
+    _check_rate(sample_rate)
+    sample_rate = float(sample_rate)
+    if not (isinstance(raw_entries, list) and all(isinstance(raw, dict) for raw in raw_entries)):
+        raise ParseError(f"{path}: entries must be a list of JSON objects")
     entries = []
     for raw in raw_entries:
         try:
+            label, features = raw["label"], raw["features"]
             mags = np.array(raw["template_magnitudes"], dtype=np.float64)
-            if mags.size != freqs.size:
-                raise ParseError(
-                    f"{path}: template for {raw.get('label')!r} has {mags.size} bins, "
-                    f"expected {freqs.size}")
-            entries.append(SignatureEntry(
-                label=raw["label"],
-                features=FeatureVector.from_dict(raw["features"]),
-                template_spectrum=Spectrum(freqs, mags, bin_width=sample_rate / fft_size,
-                                           fft_size=fft_size),
-                metadata=dict(raw.get("metadata", {})),
-            ))
         except KeyError as e:
             raise ParseError(f"{path}: entry missing key {e.args[0]!r}") from e
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"{path}: template for {label!r} is not a list of numbers") from e
+        entries.append(SignatureEntry(label, FeatureVector.from_dict(features),
+                                      Spectrum(mags, sample_rate, fft_size),
+                                      raw.get("metadata", {})))
     return SignatureLibrary(fft_size, sample_rate, tuple(entries))

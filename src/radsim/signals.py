@@ -21,10 +21,15 @@ from .errors import ParameterError, ParseError, ShapeError
 SIGNAL_FORMAT_TAG = "f64le"
 
 
-def _check_timebase(sample_rate: float, start_time: float) -> None:
-    """Reject a sample rate that is not a positive finite number, or a non-finite start time."""
+def _check_rate(sample_rate: float) -> None:
+    """Reject a sample rate that is not a positive finite number."""
     if not (isinstance(sample_rate, numbers.Real) and 0 < sample_rate < math.inf):
         raise ParameterError(f"sample_rate must be positive and finite, got {sample_rate!r}")
+
+
+def _check_timebase(sample_rate: float, start_time: float) -> None:
+    """Reject a bad sample rate (see :func:`_check_rate`) or a non-finite start time."""
+    _check_rate(sample_rate)
     if not (isinstance(start_time, numbers.Real) and math.isfinite(start_time)):
         raise ParameterError(f"start_time must be finite, got {start_time!r}")
 

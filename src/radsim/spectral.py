@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ParseError, ShapeError
-from .signals import SampledSignal, _check_timebase, _read_f64, _write_f64
+from .signals import SampledSignal, _check_rate, _check_timebase, _read_f64, _write_f64
 
 __all__ = [
     "Spectrum",
@@ -36,38 +36,40 @@ __all__ = [
     "read_spectrogram",
     "write_spectrogram_csv",
     "write_peaks_csv",
-    "read_peaks_csv",
 ]
 
 
 @dataclass(eq=False)
 class Spectrum:
-    """One-sided magnitude spectrum on a uniform bin grid."""
+    """One-sided magnitude spectrum on the bin grid of ``(sample_rate, fft_size)``.
 
-    bin_frequencies: np.ndarray
+    Bin frequencies are derived from the grid, so a spectrum rebuilt from its
+    grid and magnitudes equals the one :func:`fft_magnitude` returned, bit for
+    bit.
+    """
+
     magnitudes: np.ndarray
-    bin_width: float
+    sample_rate: float
     fft_size: int
+    bin_frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.bin_frequencies = np.asarray(self.bin_frequencies, dtype=np.float64)
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        if self.bin_frequencies.shape != self.magnitudes.shape or self.bin_frequencies.ndim != 1:
-            raise ShapeError("bin_frequencies and magnitudes must be matching 1-d arrays")
-        if not 0 < self.bin_width < np.inf:
-            raise ParameterError(f"bin_width must be positive and finite, got {self.bin_width}")
-        if self.fft_size < 2:
-            raise ParameterError(f"fft_size must be >= 2, got {self.fft_size}")
-        if self.bin_frequencies.size > 1 and np.any(np.diff(self.bin_frequencies) <= 0):
-            raise ParameterError("bin frequencies must be strictly ascending")
-        if not (np.all(np.isfinite(self.bin_frequencies)) and np.all(np.isfinite(self.magnitudes))):
-            raise ParameterError("bin frequencies and magnitudes must be finite")
+        _check_rate(self.sample_rate)
+        if not (isinstance(self.fft_size, numbers.Integral) and self.fft_size >= 2):
+            raise ParameterError(f"fft_size must be an integer >= 2, got {self.fft_size!r}")
+        if self.magnitudes.shape != (self.fft_size // 2 + 1,):
+            raise ShapeError(f"magnitudes must have shape ({self.fft_size // 2 + 1},) for "
+                             f"fft_size {self.fft_size}, got {self.magnitudes.shape}")
+        if not np.all(np.isfinite(self.magnitudes)):
+            raise ParameterError("magnitudes must be finite")
         if np.any(self.magnitudes < 0):
             raise ParameterError("magnitudes must be nonnegative")
+        self.bin_frequencies = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
 
     @property
-    def sample_rate(self) -> float:
-        return self.bin_width * self.fft_size
+    def bin_width(self) -> float:
+        return self.sample_rate / self.fft_size
 
     def _has_nyquist_bin(self) -> bool:
         return self.fft_size % 2 == 0
@@ -131,6 +133,13 @@ def _one_sided_magnitudes(transform: np.ndarray, fft_size: int) -> np.ndarray:
     return mags
 
 
+def _check_fft_size(fft_size: int) -> None:
+    """Reject an analysis FFT size that is not a power of two >= 2."""
+    if not (isinstance(fft_size, numbers.Integral) and fft_size >= 2
+            and fft_size & (fft_size - 1) == 0):
+        raise ParameterError(f"fft_size must be a power of two, got {fft_size!r}")
+
+
 def fft_magnitude(signal: SampledSignal, fft_size: int | None = None) -> Spectrum:
     """One-sided magnitude spectrum (full signal length, or a power-of-two size).
 
@@ -142,12 +151,9 @@ def fft_magnitude(signal: SampledSignal, fft_size: int | None = None) -> Spectru
     if fft_size is None:
         fft_size = len(signal)
     else:
-        if fft_size < 2 or (fft_size & (fft_size - 1)) != 0:
-            raise ParameterError(f"fft_size must be a power of two, got {fft_size}")
-    transform = np.fft.rfft(signal.samples, n=fft_size)
-    mags = _one_sided_magnitudes(transform, fft_size)
-    freqs = np.fft.rfftfreq(fft_size, d=1.0 / signal.sample_rate)
-    return Spectrum(freqs, mags, bin_width=signal.sample_rate / fft_size, fft_size=fft_size)
+        _check_fft_size(fft_size)
+    mags = _one_sided_magnitudes(np.fft.rfft(signal.samples, n=fft_size), fft_size)
+    return Spectrum(mags, signal.sample_rate, fft_size)
 
 
 _WINDOWS = {
@@ -272,11 +278,13 @@ def read_spectrum_csv(path) -> Spectrum:
             raise ParseError(f"{path}:{lineno}: bad spectrum row {line!r}") from e
     if "fft_size" not in meta or "sample_rate" not in meta:
         raise ParseError(f"{path}: missing fft_size/sample_rate metadata")
-    if not (meta["fft_size"].is_integer() and meta["fft_size"] >= 2):
-        raise ParseError(f"{path}: fft_size must be an integer >= 2, got {meta['fft_size']!r}")
-    fft_size = int(meta["fft_size"])
-    return Spectrum(np.array(freqs), np.array(mags),
-                    bin_width=meta["sample_rate"] / fft_size, fft_size=fft_size)
+    if not meta["fft_size"].is_integer():
+        raise ParseError(f"{path}: fft_size must be an integer, got {meta['fft_size']!r}")
+    spectrum = Spectrum(np.array(mags), meta["sample_rate"], int(meta["fft_size"]))
+    if not np.all(np.abs(np.array(freqs) - spectrum.bin_frequencies) <= 1e-9):  # NaN fails too
+        raise ParseError(f"{path}: frequency column is off the bin grid of its "
+                         f"fft_size and sample_rate")
+    return spectrum
 
 
 # Sidecar keys of a spectrogram file besides format and shape: its analysis grid.
@@ -318,17 +326,3 @@ def write_peaks_csv(peaks: list[SpectralPeak], path) -> None:
     lines = ["frequency_hz,magnitude,bin_index"]
     lines.extend(f"{p.frequency!r},{p.magnitude!r},{p.bin_index}" for p in peaks)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_peaks_csv(path) -> list[SpectralPeak]:
-    peaks = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line == "frequency_hz,magnitude,bin_index":
-            continue
-        try:
-            f_text, m_text, k_text = line.split(",")
-            peaks.append(SpectralPeak(float(f_text), float(m_text), int(k_text)))
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: bad peak row {line!r}") from e
-    return peaks

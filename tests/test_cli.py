@@ -2,17 +2,25 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import radsim
 from radsim.cli import build_parser, main
 from radsim.modulation import MODULATORS
+from radsim.recognition import SignatureLibrary, library_add, library_save
+from radsim.signals import SampledSignal, write_signal
 from radsim.spectral import read_spectrogram, write_spectrogram_csv
 
 BASE = [sys.executable, "-m", "radsim"]
+# Subprocesses import the radsim copy this process imported, installed or not.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(radsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
 
 SUBCOMMANDS = ["propagate", "payload", "encode", "modulate", "demodulate", "channel",
@@ -21,7 +29,7 @@ SUBCOMMANDS = ["propagate", "payload", "encode", "modulate", "demodulate", "chan
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True, cwd=cwd)
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, cwd=cwd, env=ENV)
 
 
 def directory_bytes(path):
@@ -68,6 +76,24 @@ def test_unallocatable_steps_is_one_line_error(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert main(["propagate", "--n", "10", "--m", "1", "--steps", str(2 ** 57),
                  "--out", str(out)]) == 1
+    assert one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["payload", "--bits", "8", "--bit-rate", "{rate}", "--out", "{out}"],
+    ["encode", "--in", "{bits}", "--bit-rate", "{rate}", "--rect-out", "{out}"],
+    ["encode", "--in", "{bits}", "--sample-rate", "{rate}", "--rect-out", "{out}"],
+    ["modulate", "--in", "{bits}", "--scheme", "fsk", "--bit-rate", "{rate}", "--out", "{out}"],
+    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--n-bits", "8",
+     "--bit-rate", "{rate}", "--out", "{out}"],
+], ids=["payload", "encode", "encode-sample-rate", "modulate", "demodulate"])
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_rate_rejected(tmp_path, capsys, args, rate):
+    bits, signal, out = tmp_path / "bits.txt", tmp_path / "sig.f64", tmp_path / "out"
+    bits.write_text("01101001\n")
+    write_signal(SampledSignal(48000.0, np.zeros(8 * 192)), signal)
+    assert main([a.format(bits=bits, signal=signal, out=out, rate=rate) for a in args]) == 1
     assert one_line_error(capsys)
     assert not out.exists()
 
@@ -182,22 +208,26 @@ class TestSignalChain:
         assert len(result.stderr.strip().splitlines()) == 1
         assert not noisy.exists()
 
-    @pytest.mark.parametrize("lineno, line", [(0, "# fft_size=abc"), (3, "0.0,nan")],
-                             ids=["non-numeric-metadata", "nan-magnitude"])
-    def test_bad_spectrum_csv_fails_cleanly(self, tmp_path, lineno, line):
+    @pytest.mark.parametrize("edit", [
+        lambda lines: ["# fft_size=abc"] + lines[1:],
+        lambda lines: lines[:3] + ["0.0,nan"] + lines[4:],
+        lambda lines: lines[:len(lines) // 2],
+        lambda lines: lines[:10] + ["1000000.0," + lines[10].split(",")[1]] + lines[11:],
+    ], ids=["non-numeric-metadata", "nan-magnitude", "half-the-rows", "edited-frequency"])
+    def test_bad_spectrum_csv_fails_cleanly(self, tmp_path, edit):
         bits = tmp_path / "bits.txt"
         signal = tmp_path / "sig.f64"
         spectrum = tmp_path / "spec.csv"
         run_cli("payload", "--seed", "0", "--bits", "16", "--out", str(bits))
         run_cli("modulate", "--in", str(bits), "--scheme", "psk", "--out", str(signal))
         run_cli("spectrum", "--in", str(signal), "--out", str(spectrum))
-        lines = spectrum.read_text().splitlines()
-        lines[lineno] = line
-        spectrum.write_text("\n".join(lines) + "\n")
-        result = run_cli("peaks", "--spectrum", str(spectrum), "--out", str(tmp_path / "p.csv"))
+        spectrum.write_text("\n".join(edit(spectrum.read_text().splitlines())) + "\n")
+        peaks = tmp_path / "p.csv"
+        result = run_cli("peaks", "--spectrum", str(spectrum), "--out", str(peaks))
         assert result.returncode == 1
         assert result.stderr.startswith("error:")
         assert len(result.stderr.strip().splitlines()) == 1
+        assert not peaks.exists()
 
     def test_stft_output(self, tmp_path):
         bits = tmp_path / "bits.txt"
@@ -248,6 +278,35 @@ class TestLibraryCommands:
         assert "label: fsk" in result.stdout
         assert json.loads(verdict.read_text())["label"] == "fsk"
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.update(fft_size="abc"),
+        lambda doc: doc.update(fft_size=None),
+        lambda doc: doc.update(fft_size=4096.7),
+        lambda doc: doc.update(sample_rate="x"),
+        lambda doc: doc.update(entries=5),
+        lambda doc: doc.update(entries=[5]),
+        lambda doc: doc["entries"][0].update(template_magnitudes="abc"),
+        lambda doc: doc["entries"][0].update(template_magnitudes=[0.5] * 2048),
+        lambda doc: doc["entries"][0].update(features=5),
+        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[1.0, 1.0, 1.0]]),
+        lambda doc: doc["entries"][0].update(label=5),
+        lambda doc: doc["entries"][0].update(metadata=5),
+        lambda doc: doc.update(version=3),
+    ], ids=["fft-size-string", "fft-size-null", "fft-size-float", "sample-rate-string",
+            "entries-number", "entry-number", "magnitudes-string", "magnitudes-short",
+            "features-number", "peak-triple", "label-number", "metadata-number",
+            "version-number"])
+    def test_bad_library_is_one_line_error(self, tmp_path, capsys, corrupt):
+        t = np.arange(4096) / 48000.0
+        tone = SampledSignal(48000.0, np.cos(2 * np.pi * 1000.0 * t))
+        path = tmp_path / "lib.json"
+        library_save(library_add(SignatureLibrary(4096, 48000.0), "tone", tone), path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["library-list", "--library", str(path)]) == 1
+        assert one_line_error(capsys)
+
     def test_duplicate_label_fails(self, tmp_path):
         library = tmp_path / "lib.json"
         signal = self.make_template(tmp_path, "fsk", 10)
@@ -296,8 +355,14 @@ class TestRun:
         dict(json.loads(DEFAULT_CONFIG.read_text()), stft_window=100.5),
         dict(json.loads(DEFAULT_CONFIG.read_text()), stft_hop=1.5),
         dict(json.loads(DEFAULT_CONFIG.read_text()), stft_window_type="blackman"),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), compose_with_carrier="no"),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), demodulate="no"),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), classification_threshold="x"),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), classification_threshold=1.5),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), modulation=["fsk"]),
     ], ids=["carrier-key", "channel-key", "seed", "not-an-object", "stft-window-float",
-            "stft-hop-float", "stft-window-type"])
+            "stft-hop-float", "stft-window-type", "compose-string", "demodulate-string",
+            "threshold-string", "threshold-above-one", "modulation-list"])
     def test_bad_config_fails_cleanly(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

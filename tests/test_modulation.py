@@ -118,8 +118,7 @@ class TestFsk:
         band = (spectrum.bin_frequencies >= 1875.0 - RATE) & (spectrum.bin_frequencies <= 2125.0 + RATE)
         masked[~band] = 0.0
         from radsim.spectral import Spectrum
-        in_band = Spectrum(spectrum.bin_frequencies, masked, spectrum.bin_width,
-                           spectrum.fft_size).time_domain_energy()
+        in_band = Spectrum(masked, spectrum.sample_rate, spectrum.fft_size).time_domain_energy()
         assert in_band / spectrum.time_domain_energy() >= 0.9
 
 

@@ -12,7 +12,7 @@ from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
 from radsim.pipeline import DEFAULT_CONFIG, ExperimentConfig, config_from_json, run_experiment
 from radsim.recognition import SignatureLibrary, library_add, library_save
 from radsim.signals import read_signal
-from radsim.spectral import read_peaks_csv, read_spectrogram, read_spectrum_csv, stft
+from radsim.spectral import find_peaks, read_spectrogram, read_spectrum_csv, stft
 
 
 def run_default(tmp_path, name="exp", **overrides):
@@ -45,12 +45,16 @@ class TestDefaultRun:
             assert len(signal) == 64 * 192
         spectrum = read_spectrum_csv(out / report.files["spectrum"])
         assert spectrum.fft_size == 64 * 192
+        assert spectrum.sample_rate == 48000.0
         gram = read_spectrogram(out / report.files["stft"])
         expected = stft(read_signal(out / report.files["received"]), config.stft_window,
                         config.stft_hop, config.stft_window_type)
         for name in ("frame_times", "bin_frequencies", "magnitudes"):
             assert np.array_equal(getattr(gram, name), getattr(expected, name))
-        peaks = read_peaks_csv(out / report.files["peaks"])
+        rows = np.loadtxt(out / report.files["peaks"], delimiter=",", skiprows=1, ndmin=2)
+        peaks = find_peaks(spectrum, config.peak_relative_threshold, config.peak_separation)
+        assert [(f, v, int(k)) for f, v, k in rows.tolist()] == [
+            (p.frequency, p.magnitude, p.bin_index) for p in peaks]
         assert [p.frequency for p in peaks] == report.peak_frequencies_hz
         report_doc = json.loads((out / "report.json").read_text())
         assert report_doc["peak_frequencies_hz"] == report.peak_frequencies_hz

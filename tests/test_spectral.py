@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from radsim.errors import ParameterError, ParseError, ShapeError
 from radsim.signals import SampledSignal, sidecar_path
-from radsim.spectral import (Spectrum, fft_magnitude, find_peaks, read_peaks_csv,
-                             read_spectrogram, read_spectrum_csv, stft, write_peaks_csv,
-                             write_spectrogram, write_spectrum_csv)
+from radsim.spectral import (Spectrum, fft_magnitude, find_peaks, read_spectrogram,
+                             read_spectrum_csv, stft, write_peaks_csv, write_spectrogram,
+                             write_spectrum_csv)
 
 
 def reference_find_peaks(spectrum, relative_threshold, min_separation):
@@ -94,6 +94,28 @@ class TestFftMagnitude:
         assert np.allclose(b, 7.5 * a, rtol=1e-12, atol=1e-12)
 
 
+class TestSpectrum:
+    def test_bins_derive_from_the_grid(self):
+        spectrum = Spectrum(np.zeros(5), sample_rate=44100.0, fft_size=9)
+        assert np.array_equal(spectrum.bin_frequencies, np.fft.rfftfreq(9, d=1.0 / 44100.0))
+        assert spectrum.bin_width == 44100.0 / 9
+
+    @pytest.mark.parametrize("mags, rate, fft_size, error", [
+        (np.zeros(4), 100.0, 8, ShapeError),
+        (np.zeros((2, 5)), 100.0, 8, ShapeError),
+        (np.zeros(5), 100.0, 8.0, ParameterError),
+        (np.zeros(1), 100.0, 1, ParameterError),
+        (np.zeros(5), float("nan"), 8, ParameterError),
+        (np.zeros(5), 0.0, 8, ParameterError),
+        (np.array([0.0, 1.0, np.inf, 0.0, 0.0]), 100.0, 8, ParameterError),
+        (np.array([0.0, -1.0, 0.0, 0.0, 0.0]), 100.0, 8, ParameterError),
+    ], ids=["short", "matrix", "float-fft-size", "fft-size-1", "nan-rate", "zero-rate",
+            "inf-magnitude", "negative-magnitude"])
+    def test_bad_spectrum_rejected(self, mags, rate, fft_size, error):
+        with pytest.raises(error):
+            Spectrum(mags, rate, fft_size)
+
+
 class TestStft:
     def test_stationary_tone_constant_argmax(self):
         gram = stft(cosine(1000.0, 8000.0, 4096), window_length=256, hop=128)
@@ -173,22 +195,22 @@ class TestFindPeaks:
         assert [p.frequency for p in peaks] == [1875.0, 2000.0, 2125.0]
 
     def test_min_separation_thins_to_strongest(self):
-        freqs = np.arange(10, dtype=float)
         mags = np.array([0.0, 1.0, 0.0, 0.9, 0.0, 0.0, 0.0, 0.8, 0.0, 0.0])
-        spectrum = Spectrum(freqs, mags, bin_width=1.0, fft_size=18)
+        spectrum = Spectrum(mags, sample_rate=18.0, fft_size=18)  # 1 Hz bins
         peaks = find_peaks(spectrum, relative_threshold=0.5, min_separation=3.0)
         assert [p.frequency for p in peaks] == [1.0, 7.0]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 300), st.integers(0, 2 ** 31),
+    @given(st.integers(2, 600), st.floats(1.0, 10000.0), st.integers(0, 2 ** 31),
            st.sampled_from([1e-6, 0.05, 0.1, 0.5, 1.0]),
            st.sampled_from([0.0, 0.5, 1.0, 3.7, 25.0, 1e9]))
-    def test_matches_reference_loop(self, n, seed, threshold, separation):
+    def test_matches_reference_loop(self, fft_size, rate, seed, threshold, separation):
+        # The rate sets the bin width, so separations span from many bins to
+        # a fraction of one.
         rng = np.random.default_rng(seed)
-        freqs = np.cumsum(rng.random(n) + 0.05)
-        mags = rng.random(n) ** 3
+        mags = rng.random(fft_size // 2 + 1) ** 3
         assert np.all(np.diff(mags) != 0)  # plateau-free: both rules agree
-        spectrum = Spectrum(freqs, mags, bin_width=1.0, fft_size=2 * n)
+        spectrum = Spectrum(mags, rate, fft_size)
         peaks = find_peaks(spectrum, threshold, separation)
         assert ([(p.frequency, p.magnitude, p.bin_index) for p in peaks]
                 == reference_find_peaks(spectrum, threshold, separation))
@@ -200,15 +222,13 @@ class TestFindPeaks:
         ([1.0, 1.0, 1.0], [0]),
     ], ids=["plateau", "shoulder", "edge-plateaus", "flat"])
     def test_plateau_is_one_peak_at_its_lowest_bin(self, mags, bins):
-        spectrum = Spectrum(np.arange(len(mags), dtype=float), np.array(mags),
-                            bin_width=1.0, fft_size=2 * len(mags))
+        spectrum = Spectrum(mags, sample_rate=8.0, fft_size=2 * (len(mags) - 1))
         peaks = find_peaks(spectrum, relative_threshold=0.1, min_separation=0.0)
         assert [p.bin_index for p in peaks] == bins
 
     def test_tie_breaks_toward_lower_frequency(self):
-        freqs = np.arange(8, dtype=float)
         mags = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        spectrum = Spectrum(freqs, mags, bin_width=1.0, fft_size=14)
+        spectrum = Spectrum(mags, sample_rate=14.0, fft_size=14)  # 1 Hz bins
         peaks = find_peaks(spectrum, relative_threshold=0.5, min_separation=5.0)
         assert [p.frequency for p in peaks] == [2.0]
 
@@ -223,12 +243,44 @@ class TestCsvFormats:
         assert np.array_equal(again.bin_frequencies, spectrum.bin_frequencies)
         assert np.array_equal(again.magnitudes, spectrum.magnitudes)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3000), st.floats(1.0, 1e6), st.integers(0, 2 ** 31))
+    def test_spectrum_round_trip_keeps_the_signal_rate(self, tmp_path_factory, n, rate, seed):
+        # e.g. 145 samples at 44.1 kHz: bin_width * fft_size != sample_rate.
+        signal = SampledSignal(rate, np.random.default_rng(seed).standard_normal(n))
+        spectrum = fft_magnitude(signal)
+        path = tmp_path_factory.mktemp("csv") / "spectrum.csv"
+        write_spectrum_csv(spectrum, path)
+        again = read_spectrum_csv(path)
+        assert again.sample_rate == rate
+        assert again.fft_size == n
+        assert np.array_equal(again.bin_frequencies, spectrum.bin_frequencies)
+        assert np.array_equal(again.magnitudes, spectrum.magnitudes)
+
+    @pytest.mark.parametrize("delta, ok", [(1e-10, True), (1e-6, False), (float("nan"), False)])
+    def test_spectrum_frequencies_must_lie_on_the_grid(self, tmp_path, delta, ok):
+        path = tmp_path / "spectrum.csv"
+        spectrum = fft_magnitude(cosine(100.0, 1000.0, 777))
+        write_spectrum_csv(spectrum, path)
+        lines = path.read_text().splitlines()
+        f, m = lines[10].split(",")
+        lines[10] = f"{float(f) + delta!r},{m}"
+        path.write_text("\n".join(lines) + "\n")
+        if ok:
+            assert np.array_equal(read_spectrum_csv(path).bin_frequencies,
+                                  spectrum.bin_frequencies)
+        else:
+            with pytest.raises(ParseError, match="frequency"):
+                read_spectrum_csv(path)
+
     def test_peaks_round_trip(self, tmp_path):
         spectrum = fft_magnitude(cosine(100.0, 1000.0, 1000, amplitude=2.0))
         peaks = find_peaks(spectrum, 0.1, 10.0)
         path = tmp_path / "peaks.csv"
         write_peaks_csv(peaks, path)
-        assert read_peaks_csv(path) == peaks
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert [(f, v, int(k)) for f, v, k in rows.tolist()] == [
+            (p.frequency, p.magnitude, p.bin_index) for p in peaks]
 
 
 class TestSpectrogramFile:
