@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ParseError, ShapeError
-from .signals import SampledSignal, _check_rate
+from .signals import SampledSignal, _check_length, _check_rate
 
 HIGH = 1
 LOW = 0
@@ -138,6 +138,7 @@ def rectangular_waveform(stream: BitStream, sample_rate: float,
     if sample_rate < 2 * stream.bit_rate:
         raise ConfigurationError(
             f"sample_rate {sample_rate} is below 2 x bit_rate ({2 * stream.bit_rate})")
+    _check_length(len(stream) * (sample_rate / stream.bit_rate))
     samples_per_bit = int(round(sample_rate / stream.bit_rate))
     levels = np.where(stream.bits == 1, float(high_level), float(low_level))
     return SampledSignal(sample_rate, np.repeat(levels, samples_per_bit))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .codec import BitStream
 from .errors import ConfigurationError, ParameterError, ShapeError
-from .signals import SampledSignal
+from .signals import SampledSignal, _check_length
 
 __all__ = [
     "CarrierSpec",
@@ -82,7 +82,7 @@ def samples_per_bit(spec: CarrierSpec, bit_rate: float) -> int:
     if not (math.isfinite(bit_rate) and bit_rate > 0):
         raise ParameterError(f"bit_rate must be positive and finite, got {bit_rate}")
     ratio = spec.sample_rate / bit_rate
-    spb = round(ratio)
+    spb = round(ratio) if math.isfinite(ratio) else 0
     if spb < 1 or abs(ratio - spb) > 1e-9:
         raise ConfigurationError(
             f"sample_rate/bit_rate = {ratio} is not a positive integer; "
@@ -94,6 +94,7 @@ def generate_carrier(spec: CarrierSpec, duration: float) -> SampledSignal:
     """Pure carrier tone of the given duration (sample count = round(duration*fs))."""
     if duration <= 0:
         raise ParameterError(f"duration must be positive, got {duration}")
+    _check_length(duration * spec.sample_rate)
     n = int(round(duration * spec.sample_rate))
     t = np.arange(n) / spec.sample_rate
     samples = spec.amplitude * np.cos(2 * np.pi * spec.center_frequency * t + spec.initial_phase)
@@ -115,6 +116,7 @@ def fsk_modulate(stream: BitStream, spec: CarrierSpec, phase_continuous: bool = 
     """Binary FSK: tone fc - R/2 for 0, fc + R/2 for 1 (R = bit rate)."""
     f0, f1 = _fsk_tones(spec, stream.bit_rate)
     spb = samples_per_bit(spec, stream.bit_rate)
+    _check_length(len(stream) * spb)
     freqs = np.where(stream.bits == 1, f1, f0)
     k = np.arange(spb)
     if phase_continuous:
@@ -166,41 +168,83 @@ def _bit_windows(signal: SampledSignal, spb: int, n_bits: int) -> np.ndarray:
     return signal.samples[:needed].reshape(n_bits, spb)
 
 
+def _one_bit_angles(frequencies, spb: int, sample_rate: float) -> np.ndarray:
+    """``(spb, len(frequencies))`` phases 2*pi*f*j/fs over the samples j of one bit."""
+    return 2 * np.pi * np.outer(np.arange(spb) / sample_rate, frequencies)
+
+
+def _tone_correlations(windows: np.ndarray, frequencies,
+                       sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each bit window's correlations with one bit of cos, and of sin, at each frequency.
+
+    One product of the window matrix with a small real matrix: the windows
+    are neither copied nor made complex.
+    """
+    angles = _one_bit_angles(frequencies, windows.shape[1], sample_rate)
+    zc, zs = np.hsplit(windows @ np.hstack([np.cos(angles), np.sin(angles)]), 2)
+    return zc, zs
+
+
+def _bit_phases(spec: CarrierSpec, spb: int, n_bits: int) -> np.ndarray:
+    """Carrier phase at the first sample of each bit: 2*pi*fc*b*spb/fs + theta0."""
+    return (2 * np.pi * spec.center_frequency * (np.arange(n_bits) * spb / spec.sample_rate)
+            + spec.initial_phase)
+
+
 def fsk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
                    bit_rate: float) -> BitStream:
-    """Per-bit tone correlation at f0/f1; larger magnitude wins, ties decode as 0."""
+    """Per-bit tone correlation at f0/f1; larger magnitude wins, ties decode as 0.
+
+    A tone's phase at the start of a bit is a unit-modulus factor of its
+    correlation with that bit, so it, and the signal's start time, drop out
+    of the magnitudes: every bit is scored against one bit of each tone.
+    """
     f0, f1 = _fsk_tones(spec, bit_rate)
     spb = samples_per_bit(spec, bit_rate)
-    windows = _bit_windows(signal, spb, n_bits)
-    t = (signal.start_time + np.arange(n_bits * spb) / spec.sample_rate).reshape(n_bits, spb)
-    mag0 = np.abs((windows * np.exp(-2j * np.pi * f0 * t)).sum(axis=1))
-    mag1 = np.abs((windows * np.exp(-2j * np.pi * f1 * t)).sum(axis=1))
+    zc, zs = _tone_correlations(_bit_windows(signal, spb, n_bits), (f0, f1), spec.sample_rate)
+    mag0, mag1 = np.hypot(zc, zs).T
     bits = (mag1 > mag0).astype(np.uint8)
     return BitStream(bits, bit_rate)
 
 
 def psk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
                    bit_rate: float) -> BitStream:
-    """Coherent correlation with the carrier; positive correlation decodes as 1."""
+    """Coherent correlation with the carrier; positive correlation decodes as 1.
+
+    Over bit b the carrier is A*cos(theta_b + a_j), theta_b from
+    :func:`_bit_phases` and a_j = 2*pi*fc*j/fs, so its correlation with the
+    window is A*(cos(theta_b)*zc - sin(theta_b)*zs), zc and zs being the
+    window's correlations with one bit of cos(a_j) and sin(a_j).
+    """
     spb = samples_per_bit(spec, bit_rate)
-    windows = _bit_windows(signal, spb, n_bits)
-    reference = generate_carrier(spec, n_bits * spb / spec.sample_rate).samples.reshape(n_bits, spb)
-    correlation = (windows * reference).sum(axis=1)
+    zc, zs = _tone_correlations(_bit_windows(signal, spb, n_bits), (spec.center_frequency,),
+                                spec.sample_rate)
+    theta = _bit_phases(spec, spb, n_bits)
+    correlation = np.cos(theta) * zc[:, 0] - np.sin(theta) * zs[:, 0]
     bits = (correlation > 0).astype(np.uint8)
     return BitStream(bits, bit_rate)
 
 
 def ask_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
                    bit_rate: float, threshold_fraction: float = 0.5) -> BitStream:
-    """Per-bit energy detector against a fraction of the full-carrier bit energy."""
+    """Per-bit energy detector against a fraction of the full-carrier bit energy.
+
+    With theta_b and a_j as in :func:`psk_demodulate`, the carrier's energy
+    over bit b is A**2 * sum_j cos(theta_b + a_j)**2, which is
+    A**2 * (spb/2 + (cos(2*theta_b)*C2 - sin(2*theta_b)*S2) / 2) for C2 and
+    S2 the sums of cos(2*a_j) and sin(2*a_j) over one bit.
+    """
     if not 0 < threshold_fraction < 1:
         raise ParameterError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction}")
     spb = samples_per_bit(spec, bit_rate)
     windows = _bit_windows(signal, spb, n_bits)
-    reference = generate_carrier(spec, n_bits * spb / spec.sample_rate).samples.reshape(n_bits, spb)
-    energies = (windows ** 2).sum(axis=1)
-    thresholds = threshold_fraction * (reference ** 2).sum(axis=1)
-    bits = (energies >= thresholds).astype(np.uint8)
+    energies = np.einsum("ij,ij->i", windows, windows)
+    angles = _one_bit_angles((2 * spec.center_frequency,), spb, spec.sample_rate)
+    c2, s2 = np.cos(angles).sum(), np.sin(angles).sum()
+    theta2 = 2 * _bit_phases(spec, spb, n_bits)
+    swing = (np.cos(theta2) * c2 - np.sin(theta2) * s2) / 2
+    carrier_energies = spec.amplitude ** 2 * (spb / 2 + swing)
+    bits = (energies >= threshold_fraction * carrier_energies).astype(np.uint8)
     return BitStream(bits, bit_rate)
 
 

@@ -126,8 +126,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         library = library_load(config.library_path)
         _check_classification(library, config.carrier.sample_rate,
                               config.classification_threshold)
-    # Drawn first too: a payload too large to allocate fails here.
+    # Drawn and made first too: a payload or carrier too large to allocate
+    # fails here.
     payload = codec.random_payload(config.seed, config.payload_bits, config.bit_rate)
+    spb = modulation.samples_per_bit(config.carrier, config.bit_rate)
+    duration = config.payload_bits * spb / config.carrier.sample_rate
+    carrier = modulation.generate_carrier(config.carrier, duration)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
@@ -135,9 +139,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     codec.write_bits(payload, out / "payload.txt")
     files["payload"] = "payload.txt"
 
-    spb = modulation.samples_per_bit(config.carrier, config.bit_rate)
-    duration = config.payload_bits * spb / config.carrier.sample_rate
-    carrier = modulation.generate_carrier(config.carrier, duration)
     modulated = modulation.MODULATORS[config.modulation](payload, config.carrier)
     emitted = modulation.compose_emitted(carrier, modulated) if config.compose_with_carrier else modulated
     for name, sig in (("carrier", carrier), ("modulated", modulated), ("emitted", emitted)):
@@ -170,9 +171,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         to_demodulate = received
         if config.compose_with_carrier:
             gain = config.channel.linear_gain if config.channel is not None else 1.0
-            to_demodulate = SampledSignal(received.sample_rate,
-                                          received.samples - gain * carrier.samples,
-                                          received.start_time)
+            # received - gain * carrier, bit for bit, with one signal-sized array.
+            residual = carrier.samples * -gain
+            residual += received.samples
+            to_demodulate = SampledSignal(received.sample_rate, residual, received.start_time)
         demodulate = modulation.DEMODULATORS[config.modulation]
         decoded = demodulate(to_demodulate, config.carrier, config.payload_bits, config.bit_rate)
         codec.write_bits(decoded, out / "demodulated.txt")

@@ -34,6 +34,18 @@ def _check_timebase(sample_rate: float, start_time: float) -> None:
         raise ParameterError(f"start_time must be finite, got {start_time!r}")
 
 
+# The most float64 samples an array can hold: numpy answers a larger request
+# with a ValueError rather than a MemoryError.
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def _check_length(n_samples: float) -> None:
+    """Reject a signal length no array can hold, before numpy is asked for it."""
+    if not n_samples <= _MAX_SAMPLES:  # also rejects NaN
+        raise ParameterError(f"a signal of {n_samples:.6g} samples exceeds the largest "
+                             f"array size ({_MAX_SAMPLES} samples)")
+
+
 @dataclass(eq=False)
 class SampledSignal:
     """A real-valued waveform sampled uniformly at ``sample_rate`` Hz."""

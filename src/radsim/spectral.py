@@ -14,6 +14,7 @@ which :meth:`Spectrum.time_domain_energy` evaluates.
 from __future__ import annotations
 
 import numbers
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -123,9 +124,11 @@ class SpectralPeak:
     bin_index: int
 
 
-def _one_sided_magnitudes(transform: np.ndarray, fft_size: int) -> np.ndarray:
+def _one_sided_magnitudes(transform: np.ndarray, fft_size: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Scale the last axis of an rfft result; rows of a matrix are frames."""
-    mags = np.abs(transform) / fft_size
+    mags = np.abs(transform, out=out)
+    mags /= fft_size
     if fft_size % 2 == 0:
         mags[..., 1:-1] *= 2.0
     else:
@@ -183,13 +186,23 @@ def _check_stft(n_samples: int, window_length: int, hop: int, window: str) -> No
             f"window_length {window_length} exceeds signal length {n_samples}")
 
 
+# Frames tapered and transformed per block in :func:`stft`.
+_STFT_BLOCK_FRAMES = 512
+
+
 def stft(signal: SampledSignal, window_length: int, hop: int,
          window: str = "hann") -> Spectrogram:
     """Short-time Fourier transform; frame times mark window centers."""
     _check_stft(len(signal), window_length, hop, window)
     taper = _WINDOWS[window](window_length)
-    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop] * taper
-    mags = _one_sided_magnitudes(np.fft.rfft(frames, axis=1), window_length)
+    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop]
+    mags = np.empty((len(frames), window_length // 2 + 1))
+    # A block of frames at a time, so the tapered copies and their transforms
+    # never take more than one block's workspace; each row's rfft is the same.
+    for start in range(0, len(frames), _STFT_BLOCK_FRAMES):
+        block = slice(start, start + _STFT_BLOCK_FRAMES)
+        _one_sided_magnitudes(np.fft.rfft(frames[block] * taper, axis=1), window_length,
+                              out=mags[block])
     return Spectrogram(mags, signal.sample_rate, window_length, hop, window, signal.start_time)
 
 
@@ -244,15 +257,37 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
             for f, v, k in zip(kept_freqs, m[kept_bins].tolist(), kept_bins)]
 
 
+# Values formatted per write by :func:`_write_csv`: 4096 rows of a spectrum.
+_CSV_CHUNK_VALUES = 8192
+
+
+def _write_csv(path, header: list[str], columns: tuple[np.ndarray, ...]) -> None:
+    """Header lines, then one row per line of ``columns`` stacked side by side.
+
+    Every value is written as its ``repr``. Rows are formatted and written a
+    chunk of whole rows at a time, so memory beyond the data stays bounded
+    by ``_CSV_CHUNK_VALUES`` values whatever the row count.
+    """
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    rows = max(1, _CSV_CHUNK_VALUES // width)
+    # What follows each value of a chunk, row by row; a last, shorter chunk
+    # uses the start of it.
+    separators = ([","] * (width - 1) + ["\n"]) * rows
+    with open(path, "w") as fh:
+        fh.write("\n".join(header) + "\n")
+        for start in range(0, len(columns[0]), rows):
+            values = np.column_stack([c[start:start + rows] for c in columns]).ravel().tolist()
+            # One join sizes the chunk's text once. Formatting into a growing
+            # buffer instead (``%`` on a long template) fragments the heap, and
+            # a process that writes run after run grows with it.
+            fh.write("".join(map(operator.add, map(repr, values), separators)))
+
+
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    lines = [
-        f"# fft_size={spectrum.fft_size}",
-        f"# sample_rate={float(spectrum.sample_rate)!r}",
-        "frequency_hz,magnitude",
-    ]
-    lines.extend(f"{float(f)!r},{float(v)!r}"
-                 for f, v in zip(spectrum.bin_frequencies, spectrum.magnitudes))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, [f"# fft_size={spectrum.fft_size}",
+                      f"# sample_rate={float(spectrum.sample_rate)!r}",
+                      "frequency_hz,magnitude"],
+               (spectrum.bin_frequencies, spectrum.magnitudes))
 
 
 def read_spectrum_csv(path) -> Spectrum:
@@ -312,14 +347,9 @@ def read_spectrogram(path) -> Spectrogram:
 def write_spectrogram_csv(spectrogram: Spectrogram, path) -> None:
     """CSV matrix: frequency header row, one time-stamped row per frame."""
     header = "time_s," + ",".join(f"f_{float(f)!r}" for f in spectrogram.bin_frequencies)
-    lines = [
-        f"# window_length={spectrogram.window_length}",
-        f"# hop={spectrogram.hop}",
-        header,
-    ]
-    for t, row in zip(spectrogram.frame_times, spectrogram.magnitudes):
-        lines.append(f"{float(t)!r}," + ",".join(f"{float(v)!r}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, [f"# window_length={spectrogram.window_length}",
+                      f"# hop={spectrogram.hop}", header],
+               (spectrogram.frame_times, spectrogram.magnitudes))
 
 
 def write_peaks_csv(peaks: list[SpectralPeak], path) -> None:

@@ -1,0 +1,20 @@
+import tracemalloc
+
+import pytest
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes a call allocates, numpy buffers included, its result counted.
+
+    numpy reports its array buffers to :mod:`tracemalloc`, so the peak covers
+    every temporary array the call made and frees again.
+    """
+    def measure(call):
+        tracemalloc.start()
+        try:
+            result = call()  # noqa: F841 -- held, so the peak is taken with it alive
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -98,6 +98,26 @@ def test_non_finite_rate_rejected(tmp_path, capsys, args, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["modulate", "--in", "{bits}", "--scheme", "ask", "--sample-rate", "1e300", "--out", "{out}"],
+    ["modulate", "--in", "{bits}", "--scheme", "fsk", "--sample-rate", "1e300", "--out", "{out}"],
+    ["modulate", "--in", "{bits}", "--scheme", "psk", "--sample-rate", "1e300", "--out", "{out}"],
+    ["modulate", "--in", "{bits}", "--scheme", "psk", "--sample-rate", "1e308",
+     "--bit-rate", "1e-10", "--out", "{out}"],
+    ["encode", "--in", "{bits}", "--sample-rate", "1e300", "--rect-out", "{out}"],
+    ["encode", "--in", "{bits}", "--sample-rate", "1e308", "--bit-rate", "1e-10",
+     "--rect-out", "{out}"],
+], ids=["modulate-ask", "modulate-fsk", "modulate-psk", "modulate-rate-ratio-inf",
+        "encode", "encode-rate-ratio-inf"])
+def test_unallocatable_signal_is_one_line_error(tmp_path, capsys, args):
+    # Finite rates whose signals have more samples than any array can hold.
+    bits, out = tmp_path / "bits.txt", tmp_path / "out"
+    bits.write_text("01101001\n")
+    assert main([a.format(bits=bits, out=out) for a in args]) == 1
+    assert one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error():
     result = run_cli("propagate", "--n", "10", "--m", "1", "--frobnicate", "--out", "x.csv")
     assert result.returncode == 2
@@ -406,6 +426,15 @@ class TestRun:
         # 2**60 payload bits need 1 EiB, more than any address space holds.
         out = tmp_path / "half"
         assert main(["run", "--defaults", "--payload-bits", str(2 ** 60), "--out", str(out)]) == 1
+        assert one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modulation", sorted(MODULATORS))
+    def test_unallocatable_carrier_leaves_no_run_dir(self, tmp_path, capsys, modulation):
+        # At 1e300 Hz the carrier has 2.6e299 samples, beyond any array size.
+        out = tmp_path / "half"
+        assert main(["run", "--defaults", "--modulation", modulation,
+                     "--sample-rate", "1e300", "--out", str(out)]) == 1
         assert one_line_error(capsys)
         assert not out.exists()
 

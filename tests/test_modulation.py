@@ -22,6 +22,52 @@ RATE8 = 1000.0
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=64)
 
+# Demodulators must agree with the references below wherever the reference's
+# decision is clear of a tie by this fraction of its scale (float64 sums of
+# at most a few thousand terms round far below it).
+TIE_TOLERANCE = 1e-9
+
+
+def reference_fsk_demodulate(signal, spec, n_bits, bit_rate):
+    """Full-length complex tones at f0 and f1: returns the bits and where they are no tie.
+
+    The scale is sum(|w|), which bounds both tone magnitudes of a window w.
+    """
+    f0 = spec.center_frequency - bit_rate / 2.0
+    f1 = spec.center_frequency + bit_rate / 2.0
+    spb = samples_per_bit(spec, bit_rate)
+    windows = signal.samples[:n_bits * spb].reshape(n_bits, spb)
+    t = (signal.start_time + np.arange(n_bits * spb) / spec.sample_rate).reshape(n_bits, spb)
+    mag0 = np.abs((windows * np.exp(-2j * np.pi * f0 * t)).sum(axis=1))
+    mag1 = np.abs((windows * np.exp(-2j * np.pi * f1 * t)).sum(axis=1))
+    scale = np.abs(windows).sum(axis=1)
+    return mag1 > mag0, np.abs(mag1 - mag0) > TIE_TOLERANCE * scale
+
+
+def reference_psk_demodulate(signal, spec, n_bits, bit_rate):
+    """Correlation with a full-length carrier; the scale A * sum(|w|) bounds it."""
+    spb = samples_per_bit(spec, bit_rate)
+    windows = signal.samples[:n_bits * spb].reshape(n_bits, spb)
+    reference = generate_carrier(spec, n_bits * spb / spec.sample_rate).samples.reshape(n_bits, spb)
+    correlation = (windows * reference).sum(axis=1)
+    scale = spec.amplitude * np.abs(windows).sum(axis=1)
+    return correlation > 0, np.abs(correlation) > TIE_TOLERANCE * scale
+
+
+def reference_ask_demodulate(signal, spec, n_bits, bit_rate, threshold_fraction=0.5):
+    """Energies against a full-length carrier's; the scale bounds both sides' terms."""
+    spb = samples_per_bit(spec, bit_rate)
+    windows = signal.samples[:n_bits * spb].reshape(n_bits, spb)
+    reference = generate_carrier(spec, n_bits * spb / spec.sample_rate).samples.reshape(n_bits, spb)
+    energies = (windows ** 2).sum(axis=1)
+    thresholds = threshold_fraction * (reference ** 2).sum(axis=1)
+    scale = energies + threshold_fraction * spec.amplitude ** 2 * spb
+    return energies >= thresholds, np.abs(energies - thresholds) > TIE_TOLERANCE * scale
+
+
+REFERENCE_DEMODULATORS = {"ask": reference_ask_demodulate, "fsk": reference_fsk_demodulate,
+                          "psk": reference_psk_demodulate}
+
 
 def stream(bits, rate=RATE):
     return BitStream(np.asarray(bits, dtype=np.uint8), rate)
@@ -230,12 +276,59 @@ class TestRoundTrips:
             assert np.array_equal(decoded.bits, payload.bits)
 
 
+class TestDemodulatorsMatchReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(sorted(DEMODULATORS)),
+           snr_db=st.one_of(st.none(), st.floats(-10.0, 30.0)),
+           amplitude=st.floats(1e-3, 1e3),
+           initial_phase=st.floats(-np.pi, np.pi),
+           start_time=st.floats(-1e3, 1e3),
+           phase_continuous=st.booleans(),
+           n_bits=st.integers(1, 200),
+           carrier_bins=st.integers(1, 15),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_bits_where_the_reference_is_clear_of_a_tie(
+            self, scheme, snr_db, amplitude, initial_phase, start_time, phase_continuous,
+            n_bits, carrier_bins, seed):
+        # 32 samples per bit; the carrier sits on a multiple of half the bit
+        # rate, from the lowest FSK allows to just below Nyquist.
+        spec = CarrierSpec(carrier_bins * RATE8 / 2, amplitude, initial_phase, 32 * RATE8)
+        payload = random_payload(seed, n_bits, RATE8)
+        options = {"phase_continuous": phase_continuous} if scheme == "fsk" else {}
+        signal = MODULATORS[scheme](payload, spec, **options)
+        if snr_db is not None:  # noise against the carrier's power: ASK may be all zeros
+            noise_power = amplitude ** 2 / 2 * 10 ** (-snr_db / 10)
+            signal = apply_channel(signal, ChannelParams(noise_power=noise_power, seed=seed))
+        signal = SampledSignal(signal.sample_rate, signal.samples, start_time)
+        expected, clear = REFERENCE_DEMODULATORS[scheme](signal, spec, n_bits, RATE8)
+        decoded = DEMODULATORS[scheme](signal, spec, n_bits, RATE8)
+        assert np.array_equal(decoded.bits[clear], expected[clear])
+
+    @pytest.mark.parametrize("scheme", sorted(DEMODULATORS))
+    def test_same_bits_on_a_long_noisy_run(self, scheme):
+        payload = random_payload(7, 4096, RATE)
+        received = apply_channel(MODULATORS[scheme](payload, SPEC),
+                                 ChannelParams(snr_db=0.0, seed=8))
+        expected, clear = REFERENCE_DEMODULATORS[scheme](received, SPEC, 4096, RATE)
+        decoded = DEMODULATORS[scheme](received, SPEC, 4096, RATE)
+        assert clear.all()
+        assert np.array_equal(decoded.bits, expected)
+
+
 class TestDemodulatorEdges:
     def test_silence_decodes_as_zeros(self):
         silence = SampledSignal(SPEC.sample_rate, np.zeros(192 * 8))
         for demodulate in DEMODULATORS.values():
             decoded = demodulate(silence, SPEC, 8, RATE)
             assert np.all(decoded.bits == 0)
+
+    @pytest.mark.parametrize("scheme", sorted(DEMODULATORS))
+    def test_memory_does_not_grow_with_the_signal(self, scheme, traced_peak):
+        # 4096 bits x 192 samples: one full-length float64 array is 6.3 MB.
+        received = apply_channel(MODULATORS[scheme](random_payload(9, 4096, RATE), SPEC),
+                                 ChannelParams(noise_power=0.1, seed=10))
+        demodulate = DEMODULATORS[scheme]
+        assert traced_peak(lambda: demodulate(received, SPEC, 4096, RATE)) < 1e6
 
     def test_short_signal_rejected(self):
         short = SampledSignal(SPEC.sample_rate, np.zeros(100))

@@ -1,15 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radsim import spectral
 from radsim.errors import ParameterError, ParseError, ShapeError
 from radsim.signals import SampledSignal, sidecar_path
-from radsim.spectral import (Spectrum, fft_magnitude, find_peaks, read_spectrogram,
-                             read_spectrum_csv, stft, write_peaks_csv, write_spectrogram,
-                             write_spectrum_csv)
+from radsim.spectral import (Spectrogram, Spectrum, fft_magnitude, find_peaks,
+                             read_spectrogram, read_spectrum_csv, stft, write_peaks_csv,
+                             write_spectrogram, write_spectrogram_csv, write_spectrum_csv)
 
 
 def reference_find_peaks(spectrum, relative_threshold, min_separation):
@@ -34,6 +36,37 @@ def reference_find_peaks(spectrum, relative_threshold, min_separation):
             kept.append(k)
     kept.sort()
     return [(float(freqs[k]), float(m[k]), int(k)) for k in kept]
+
+
+def reference_write_spectrum_csv(spectrum, path):
+    """The whole file as one string, as write_spectrum_csv wrote it before it streamed."""
+    lines = [
+        f"# fft_size={spectrum.fft_size}",
+        f"# sample_rate={float(spectrum.sample_rate)!r}",
+        "frequency_hz,magnitude",
+    ]
+    lines.extend(f"{float(f)!r},{float(v)!r}"
+                 for f, v in zip(spectrum.bin_frequencies, spectrum.magnitudes))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_write_spectrogram_csv(spectrogram, path):
+    """The whole file as one string, as write_spectrogram_csv wrote it before it streamed."""
+    header = "time_s," + ",".join(f"f_{float(f)!r}" for f in spectrogram.bin_frequencies)
+    lines = [
+        f"# window_length={spectrogram.window_length}",
+        f"# hop={spectrogram.hop}",
+        header,
+    ]
+    for t, row in zip(spectrogram.frame_times, spectrogram.magnitudes):
+        lines.append(f"{float(t)!r}," + ",".join(f"{float(v)!r}" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# Rows per write of the spectrum CSV (2 columns) and of a 256-sample
+# window's spectrogram CSV (time and 129 bins).
+SPECTRUM_CHUNK = spectral._CSV_CHUNK_VALUES // 2
+SPECTROGRAM_CHUNK = spectral._CSV_CHUNK_VALUES // 130
 
 
 def cosine(freq, rate, n, amplitude=1.0):
@@ -151,6 +184,28 @@ class TestStft:
         sig = SampledSignal(100.0, np.zeros(1000))
         gram = stft(sig, window_length=100, hop=30)
         assert gram.magnitudes.shape[0] == (1000 - 100) // 30 + 1
+
+    @pytest.mark.parametrize("window_length, hop", [(256, 128), (100, 7)])
+    def test_blocks_match_one_transform(self, window_length, hop):
+        signal = SampledSignal(8000.0, np.random.default_rng(hop).standard_normal(200_000))
+        taper = np.hanning(window_length)
+        frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop]
+        transform = np.abs(np.fft.rfft(frames * taper, axis=1)) / window_length
+        transform[:, 1:(window_length + 1) // 2] *= 2.0
+        assert len(frames) > 2 * spectral._STFT_BLOCK_FRAMES
+        assert np.array_equal(stft(signal, window_length, hop).magnitudes, transform)
+
+    def test_memory_is_one_block_beyond_the_output(self, traced_peak):
+        window_length, hop = 256, 128
+        signal = SampledSignal(48000.0, np.random.default_rng(4).standard_normal(1024 * 192))
+        frames = (len(signal) - window_length) // hop + 1
+        assert frames > 2 * spectral._STFT_BLOCK_FRAMES
+        bins = window_length // 2 + 1
+        output = frames * bins * 8
+        # Per block: the tapered frames (float64) and their rfft (complex128).
+        workspace = spectral._STFT_BLOCK_FRAMES * (window_length * 8 + bins * 16)
+        peak = traced_peak(lambda: stft(signal, window_length, hop))
+        assert peak <= output + workspace + 64 * 1024  # 64 KiB: taper and frame times
 
     def test_window_longer_than_signal(self):
         with pytest.raises(ShapeError):
@@ -272,6 +327,32 @@ class TestCsvFormats:
         else:
             with pytest.raises(ParseError, match="frequency"):
                 read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("rows", [2, SPECTRUM_CHUNK - 1, SPECTRUM_CHUNK, SPECTRUM_CHUNK + 1,
+                                      2 * SPECTRUM_CHUNK + 1])
+    def test_streamed_spectrum_matches_one_string(self, tmp_path, rows):
+        mags = np.random.default_rng(rows).random(rows) * 10.0 ** np.linspace(-150, 150, rows)
+        spectrum = Spectrum(mags, 44100.0 / 3.0, 2 * (rows - 1))
+        write_spectrum_csv(spectrum, tmp_path / "streamed.csv")
+        reference_write_spectrum_csv(spectrum, tmp_path / "expected.csv")
+        assert ((tmp_path / "streamed.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+
+    @pytest.mark.parametrize("frames", [1, SPECTROGRAM_CHUNK - 1, SPECTROGRAM_CHUNK,
+                                        SPECTROGRAM_CHUNK + 1, 2 * SPECTROGRAM_CHUNK + 1])
+    def test_streamed_spectrogram_matches_one_string(self, tmp_path, frames):
+        mags = np.random.default_rng(frames).random((frames, 129))
+        spectrogram = Spectrogram(mags, 48000.0, 256, 100, start_time=0.1 + 0.2)
+        write_spectrogram_csv(spectrogram, tmp_path / "streamed.csv")
+        reference_write_spectrogram_csv(spectrogram, tmp_path / "expected.csv")
+        assert ((tmp_path / "streamed.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+
+    def test_spectrum_writer_memory_is_bounded(self, tmp_path, traced_peak):
+        signal = SampledSignal(48000.0, np.random.default_rng(3).standard_normal(2 ** 18))
+        spectrum = fft_magnitude(signal)
+        # The 131073 rows take 5 MB as one string; a chunk of rows, under 1 MB.
+        assert traced_peak(lambda: write_spectrum_csv(spectrum, tmp_path / "s.csv")) < 2e6
 
     def test_peaks_round_trip(self, tmp_path):
         spectrum = fft_magnitude(cosine(100.0, 1000.0, 1000, amplitude=2.0))
