@@ -9,6 +9,7 @@ receiver". Noise is drawn from PCG64, deterministic per seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from .errors import ConfigurationError, ParameterError, ShapeError
 from .signals import SampledSignal
 
 __all__ = ["ChannelParams", "apply_channel", "measure_snr"]
+
+_MAX_SNR_DB = 3000.0
 
 
 @dataclass(frozen=True)
@@ -31,14 +34,21 @@ class ChannelParams:
     def __post_init__(self):
         for name in ("attenuation_db", "snr_db", "noise_power"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
+            if name == "attenuation_db" or value is not None:
+                if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                    raise ParameterError(f"{name} must be a finite number, got {value!r}")
+        # Keeps the linear ratio 10**(snr_db/10) a normal float64.
+        if self.snr_db is not None and not -_MAX_SNR_DB <= self.snr_db <= _MAX_SNR_DB:
+            raise ParameterError(f"snr_db must lie in [-{_MAX_SNR_DB:g}, {_MAX_SNR_DB:g}] dB, "
+                                 f"got {self.snr_db!r}")
         if self.attenuation_db < 0:
             raise ParameterError(f"attenuation_db must be >= 0, got {self.attenuation_db}")
         if (self.snr_db is None) == (self.noise_power is None):
             raise ConfigurationError("exactly one of snr_db / noise_power must be set")
         if self.noise_power is not None and self.noise_power < 0:
             raise ParameterError(f"noise_power must be >= 0, got {self.noise_power}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 

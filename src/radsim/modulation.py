@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+# The largest carrier amplitude: below it the powers and energies of any
+# signal an array can hold (sums of squared samples) stay finite.
+_MAX_AMPLITUDE = 1e100
+
+
 @dataclass(frozen=True)
 class CarrierSpec:
     """Cosine carrier: center frequency fc, amplitude A, initial phase, sample rate."""
@@ -60,6 +65,9 @@ class CarrierSpec:
                 raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
         if self.amplitude <= 0:
             raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
+        if self.amplitude > _MAX_AMPLITUDE:
+            raise ParameterError(f"amplitude must be at most {_MAX_AMPLITUDE:g}, "
+                                 f"got {self.amplitude}")
         if self.sample_rate <= 0:
             raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.center_frequency < 0:
@@ -96,8 +104,14 @@ def generate_carrier(spec: CarrierSpec, duration: float) -> SampledSignal:
         raise ParameterError(f"duration must be positive, got {duration}")
     _check_length(duration * spec.sample_rate)
     n = int(round(duration * spec.sample_rate))
-    t = np.arange(n) / spec.sample_rate
-    samples = spec.amplitude * np.cos(2 * np.pi * spec.center_frequency * t + spec.initial_phase)
+    # A*cos(2*pi*fc*t + theta0) evaluated in one array, in the order (and so
+    # with the rounding) of that expression.
+    samples = np.arange(n, dtype=np.float64)
+    samples /= spec.sample_rate
+    samples *= 2 * np.pi * spec.center_frequency
+    samples += spec.initial_phase
+    np.cos(samples, out=samples)
+    samples *= spec.amplitude
     return SampledSignal(spec.sample_rate, samples)
 
 
@@ -132,20 +146,22 @@ def fsk_modulate(stream: BitStream, spec: CarrierSpec, phase_continuous: bool = 
     return SampledSignal(spec.sample_rate, samples)
 
 
+def _keyed_carrier(stream: BitStream, spec: CarrierSpec, levels: np.ndarray) -> SampledSignal:
+    """The carrier over the stream, each bit's samples multiplied by that bit's level."""
+    spb = samples_per_bit(spec, stream.bit_rate)
+    keyed = generate_carrier(spec, len(stream) * spb / spec.sample_rate)
+    keyed.samples *= np.repeat(levels, spb)
+    return keyed
+
+
 def ask_modulate(stream: BitStream, spec: CarrierSpec) -> SampledSignal:
     """On-off keying: carrier for 1, silence for 0."""
-    spb = samples_per_bit(spec, stream.bit_rate)
-    carrier = generate_carrier(spec, len(stream) * spb / spec.sample_rate)
-    gate = np.repeat(stream.bits.astype(np.float64), spb)
-    return SampledSignal(spec.sample_rate, carrier.samples * gate)
+    return _keyed_carrier(stream, spec, stream.bits.astype(np.float64))
 
 
 def psk_modulate(stream: BitStream, spec: CarrierSpec) -> SampledSignal:
     """Binary PSK: carrier phase 0 for 1, phase pi (negated carrier) for 0."""
-    spb = samples_per_bit(spec, stream.bit_rate)
-    carrier = generate_carrier(spec, len(stream) * spb / spec.sample_rate)
-    chips = np.repeat(np.where(stream.bits == 1, 1.0, -1.0), spb)
-    return SampledSignal(spec.sample_rate, carrier.samples * chips)
+    return _keyed_carrier(stream, spec, np.where(stream.bits == 1, 1.0, -1.0))
 
 
 def compose_emitted(carrier: SampledSignal, modulated: SampledSignal) -> SampledSignal:

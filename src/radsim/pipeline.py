@@ -3,9 +3,9 @@
 One :func:`run_experiment` call writes every intermediate artifact (payload
 bits, carrier/modulated/emitted/received signals, FFT spectrum CSV, binary
 STFT spectrogram, peak list, optional classification) into an output
-directory together with a ``report.json`` summary. Runs are fully
-deterministic per seed: identical configs produce byte-identical
-directories.
+directory together with a ``report.json`` summary. The directory appears
+whole or not at all. Runs are fully deterministic per seed: identical
+configs produce byte-identical directories.
 
 The receiver is idealized: when the emitted signal is the carrier plus the
 modulated signal, demodulation first subtracts the (gain-scaled) carrier,
@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import shutil
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -25,9 +27,9 @@ import numpy as np
 
 from . import codec, modulation, spectral
 from .channel import ChannelParams, apply_channel, measure_snr
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ConflictError, ParameterError
 from .modulation import CarrierSpec
-from .recognition import _check_classification, _check_threshold, classify, library_load
+from .recognition import _check_threshold, classify, library_load
 from .signals import SampledSignal, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -58,8 +60,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("seed", "payload_bits"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.payload_bits < 1:
@@ -72,11 +75,14 @@ class ExperimentConfig:
         if not (isinstance(self.modulation, str) and self.modulation in modulation.MODULATORS):
             raise ConfigurationError(f"unknown modulation {self.modulation!r} "
                                      f"(expected one of {sorted(modulation.MODULATORS)})")
-        n_samples = self.payload_bits * modulation.samples_per_bit(self.carrier, self.bit_rate)
-        # Checked here, so bad STFT settings fail before the run dir is made
-        # rather than after the signals are written.
-        spectral._check_stft(n_samples, self.stft_window, self.stft_hop, self.stft_window_type)
-        spectral._check_peaks(self.peak_relative_threshold, self.peak_separation)
+        if not isinstance(self.carrier, CarrierSpec):
+            raise ConfigurationError(f"carrier must be a carrier spec, got {self.carrier!r}")
+        if not (self.channel is None or isinstance(self.channel, ChannelParams)):
+            raise ConfigurationError(f"channel must be channel parameters or null, "
+                                     f"got {self.channel!r}")
+        if not (self.library_path is None or isinstance(self.library_path, str)):
+            raise ConfigurationError(f"library_path must be a path string or null, "
+                                     f"got {self.library_path!r}")
         _check_threshold(self.classification_threshold)
 
     @property
@@ -116,24 +122,42 @@ def config_from_json(doc: dict) -> ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the full chain and write all artifacts into ``config.output_dir``."""
+    """Run the full chain and write all artifacts into ``config.output_dir``.
+
+    The run dir is committed at one point. ``output_dir`` must not exist or
+    must be an empty directory, else :class:`ConflictError` is raised before
+    any work. Every artifact is written into a hidden sibling
+    ``.<name>.<token>.partial``, which is renamed onto ``output_dir`` only
+    after ``report.json`` is written. On any exception the sibling is
+    removed and the exception re-raised, so a failed run leaves no
+    ``output_dir``; only a killed process can leave the ``.partial`` sibling.
+    Missing parent directories are made and stay.
+    """
     if config.output_dir is None:
         raise ConfigurationError("output_dir must be set")
-    # Read and check the library before the first write, so a bad one leaves
-    # no run dir.
-    library = None
-    if config.library_path is not None:
-        library = library_load(config.library_path)
-        _check_classification(library, config.carrier.sample_rate,
-                              config.classification_threshold)
-    # Drawn and made first too: a payload or carrier too large to allocate
-    # fails here.
+    out = Path(config.output_dir)
+    if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
+        raise ConflictError(f"{out} exists and is not an empty directory")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # Made by mkdir, not tempfile.mkdtemp, so the committed dir has the mode
+    # a plain mkdir gives rather than 0700.
+    partial = out.parent / f".{out.name}.{os.urandom(8).hex()}.partial"
+    partial.mkdir()
+    try:
+        report = _write_run(config, partial)
+        os.replace(partial, out)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    return report
+
+
+def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
+    """Run the chain, writing every artifact and ``report.json`` into ``out``."""
     payload = codec.random_payload(config.seed, config.payload_bits, config.bit_rate)
     spb = modulation.samples_per_bit(config.carrier, config.bit_rate)
     duration = config.payload_bits * spb / config.carrier.sample_rate
     carrier = modulation.generate_carrier(config.carrier, duration)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
 
     codec.write_bits(payload, out / "payload.txt")
@@ -183,7 +207,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         ber = bit_errors / config.payload_bits
 
     classification = None
-    if library is not None:
+    if config.library_path is not None:
+        library = library_load(config.library_path)
         classification = asdict(classify(received, library, config.classification_threshold))
         (out / "classification.json").write_text(
             json.dumps(classification, sort_keys=True, indent=2) + "\n")

@@ -237,22 +237,16 @@ def _check_threshold(threshold: float) -> None:
         raise ParameterError(f"threshold must lie in (0, 1), got {threshold!r}")
 
 
-def _check_classification(library: SignatureLibrary, sample_rate: float,
-                          threshold: float) -> None:
-    """Reject what would make ``classify`` fail, before any work is done."""
-    if len(library) == 0:
-        raise ConfigurationError("signature library is empty")
-    _check_threshold(threshold)
-    if sample_rate != library.sample_rate:
-        raise ConfigurationError(
-            f"signal sample rate {sample_rate} does not match the library "
-            f"grid ({library.sample_rate}); analysis bins would not align")
-
-
 def classify(signal: SampledSignal, library: SignatureLibrary,
              threshold: float = DEFAULT_THRESHOLD) -> ClassificationResult:
     """Nearest-template decision by spectral correlation with a detection threshold."""
-    _check_classification(library, signal.sample_rate, threshold)
+    if len(library) == 0:
+        raise ConfigurationError("signature library is empty")
+    _check_threshold(threshold)
+    if signal.sample_rate != library.sample_rate:
+        raise ConfigurationError(
+            f"signal sample rate {signal.sample_rate} does not match the library "
+            f"grid ({library.sample_rate}); analysis bins would not align")
     probe = matching_spectrum(signal, library.fft_size)
     scored = sorted(
         ((spectral_correlation(probe, e.template_spectrum), e.label) for e in library.entries),

@@ -174,16 +174,8 @@ def _check_window(window_length: int, hop: int, window: str) -> None:
         raise ParameterError(f"window_length must be >= 2, got {window_length}")
     if hop < 1:
         raise ParameterError(f"hop must be >= 1, got {hop}")
-    if window not in _WINDOWS:
+    if not (isinstance(window, str) and window in _WINDOWS):
         raise ParameterError(f"unknown window {window!r} (expected one of {sorted(_WINDOWS)})")
-
-
-def _check_stft(n_samples: int, window_length: int, hop: int, window: str) -> None:
-    """Reject what would make ``stft`` of ``n_samples`` samples fail, before any work is done."""
-    _check_window(window_length, hop, window)
-    if window_length > n_samples:
-        raise ShapeError(
-            f"window_length {window_length} exceeds signal length {n_samples}")
 
 
 # Frames tapered and transformed per block in :func:`stft`.
@@ -193,7 +185,10 @@ _STFT_BLOCK_FRAMES = 512
 def stft(signal: SampledSignal, window_length: int, hop: int,
          window: str = "hann") -> Spectrogram:
     """Short-time Fourier transform; frame times mark window centers."""
-    _check_stft(len(signal), window_length, hop, window)
+    _check_window(window_length, hop, window)
+    if window_length > len(signal):
+        raise ShapeError(
+            f"window_length {window_length} exceeds signal length {len(signal)}")
     taper = _WINDOWS[window](window_length)
     frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop]
     mags = np.empty((len(frames), window_length // 2 + 1))
@@ -204,14 +199,6 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
         _one_sided_magnitudes(np.fft.rfft(frames[block] * taper, axis=1), window_length,
                               out=mags[block])
     return Spectrogram(mags, signal.sample_rate, window_length, hop, window, signal.start_time)
-
-
-def _check_peaks(relative_threshold: float, min_separation: float) -> None:
-    """Reject peak-picking options that :func:`find_peaks` cannot use."""
-    if not (isinstance(relative_threshold, numbers.Real) and 0 < relative_threshold <= 1):
-        raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold!r}")
-    if not (isinstance(min_separation, numbers.Real) and min_separation >= 0):  # also rejects NaN
-        raise ParameterError(f"min_separation must be >= 0, got {min_separation!r}")
 
 
 def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
@@ -230,7 +217,10 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     kept peak on each side can be too close, so each candidate costs one
     bisection of the kept frequencies, plus a list insert if it is kept.
     """
-    _check_peaks(relative_threshold, min_separation)
+    if not (isinstance(relative_threshold, numbers.Real) and 0 < relative_threshold <= 1):
+        raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold!r}")
+    if not (isinstance(min_separation, numbers.Real) and min_separation >= 0):  # also rejects NaN
+        raise ParameterError(f"min_separation must be >= 0, got {min_separation!r}")
     m = spectrum.magnitudes
     freqs = spectrum.bin_frequencies
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0

@@ -31,7 +31,7 @@ class TestParams:
                 ChannelParams(noise_power=value)
 
     def test_snr_db_finite(self):
-        for value in (math.nan, math.inf, -math.inf):
+        for value in (math.nan, math.inf, -math.inf, 1e300, -1e300, 2 ** 60):
             with pytest.raises(ParameterError):
                 ChannelParams(snr_db=value)
 

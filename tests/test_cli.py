@@ -1,18 +1,26 @@
 """End-to-end CLI checks run through subprocesses, as a user would."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radsim
 from radsim.cli import build_parser, main
-from radsim.modulation import MODULATORS
+from radsim.codec import random_payload
+from radsim.modulation import MODULATORS, CarrierSpec
 from radsim.recognition import SignatureLibrary, library_add, library_save
 from radsim.signals import SampledSignal, write_signal
 from radsim.spectral import read_spectrogram, write_spectrogram_csv
@@ -380,9 +388,19 @@ class TestRun:
         dict(json.loads(DEFAULT_CONFIG.read_text()), classification_threshold="x"),
         dict(json.loads(DEFAULT_CONFIG.read_text()), classification_threshold=1.5),
         dict(json.loads(DEFAULT_CONFIG.read_text()), modulation=["fsk"]),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), carrier=None),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), library_path=5),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), channel={"snr_db": 10.0, "seed": 1.5}),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), channel={"snr_db": 1e300}),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), payload_bits=True),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), stft_window_type=[]),
+        dict(json.loads(DEFAULT_CONFIG.read_text()), modulation="ask",
+             carrier=dict(json.loads(DEFAULT_CONFIG.read_text())["carrier"], amplitude=1e300)),
     ], ids=["carrier-key", "channel-key", "seed", "not-an-object", "stft-window-float",
             "stft-hop-float", "stft-window-type", "compose-string", "demodulate-string",
-            "threshold-string", "threshold-above-one", "modulation-list"])
+            "threshold-string", "threshold-above-one", "modulation-list", "carrier-null",
+            "library-path-number", "channel-seed-float", "channel-snr-huge",
+            "payload-bits-bool", "stft-window-type-list", "ask-amplitude-huge"])
     def test_bad_config_fails_cleanly(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -438,6 +456,30 @@ class TestRun:
         assert one_line_error(capsys)
         assert not out.exists()
 
+    def test_used_out_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        library = tmp_path / "lib.json"
+        signal = MODULATORS["fsk"](random_payload(99, 64, 250.0), CarrierSpec(2000.0))
+        library_save(library_add(SignatureLibrary(), "fsk", signal), library)
+        assert main(["run", "--defaults", "--library", str(library), "--out", str(out)]) == 0
+        first = directory_bytes(out)
+        capsys.readouterr()
+        # Without the refusal this run would leave the first one's
+        # classification.json and demodulated.txt behind, unlisted.
+        assert main(["run", "--defaults", "--no-demodulate", "--out", str(out)]) == 1
+        assert one_line_error(capsys)
+        assert directory_bytes(out) == first
+        (tmp_path / "file").write_text("x")
+        assert main(["run", "--defaults", "--out", str(tmp_path / "file")]) == 1
+        assert one_line_error(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp", "file", "lib.json"]
+
+    def test_empty_out_is_used(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        assert main(["run", "--defaults", "--out", str(tmp_path / "empty")]) == 0
+        assert main(["run", "--defaults", "--out", str(tmp_path / "fresh")]) == 0
+        assert directory_bytes(tmp_path / "empty") == directory_bytes(tmp_path / "fresh")
+
     def test_stft_csv_export_matches_run_spectrogram(self, tmp_path):
         run = tmp_path / "exp"
         assert main(["run", "--defaults", "--payload-bits", "1024", "--out", str(run)]) == 0
@@ -486,3 +528,54 @@ class TestRun:
                          "--out", str(out))
         assert result.returncode == 0
         assert "classified as: fsk-template" in result.stdout
+
+
+# The hostile-config fuzz: every run config field, top-level or nested, may
+# take any of these values.
+HOSTILE = [None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf, 1e300, 2 ** 60]
+# What a nested field is mutated inside when its object is missing or was
+# itself replaced; the default config has no channel.
+NESTED = {"carrier": json.loads(DEFAULT_CONFIG.read_text())["carrier"],
+          "channel": {"attenuation_db": 0.0, "snr_db": 10.0, "noise_power": None, "seed": 0}}
+RUN_FIELDS = ([(name,) for name in json.loads(DEFAULT_CONFIG.read_text())]
+              + [(parent, name) for parent, fields in NESTED.items() for name in fields])
+
+
+def runs_large(path, value):
+    """Pool values that are valid but run millions of samples rather than fail.
+
+    A bit rate of 1.5 or true (1) gives 32 000 or 48 000 samples per bit.
+    """
+    return path == ("bit_rate",) and value in (1.5, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(sorted(MODULATORS)),
+       mutations=st.lists(st.tuples(st.sampled_from(RUN_FIELDS), st.sampled_from(HOSTILE)),
+                          min_size=1, max_size=3, unique_by=lambda m: m[0])
+       .filter(lambda ms: not any(runs_large(path, value) for path, value in ms)))
+def test_hostile_run_config_fails_cleanly(scheme, mutations):
+    doc = dict(json.loads(DEFAULT_CONFIG.read_text()), modulation=scheme)
+    for path, value in mutations:
+        if len(path) == 2 and not isinstance(doc[path[0]], dict):
+            doc[path[0]] = dict(NESTED[path[0]])
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = json.loads(json.dumps(value))  # a fresh [] or {} each time
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        out = Path(tmp) / "exp"
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(config), "--out", str(out)])
+        # A warning is one more stderr line on the command line.
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]

@@ -87,6 +87,12 @@ class TestCarrierSpec:
         with pytest.raises(ParameterError):
             CarrierSpec(center_frequency=10.0, amplitude=0.0, sample_rate=100.0)
 
+    def test_amplitude_bounded(self):
+        # Larger amplitudes make signal powers overflow to inf.
+        CarrierSpec(center_frequency=10.0, amplitude=1e100, sample_rate=100.0)
+        with pytest.raises(ParameterError, match="amplitude"):
+            CarrierSpec(center_frequency=10.0, amplitude=1e300, sample_rate=100.0)
+
 
 class TestGenerateCarrier:
     def test_length(self):
@@ -108,6 +114,22 @@ class TestGenerateCarrier:
     def test_duration_positive(self):
         with pytest.raises(ParameterError):
             generate_carrier(SPEC, 0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(fc=st.floats(0.0, 23_000.0), amplitude=st.floats(1e-3, 1e3),
+           phase=st.floats(-100.0, 100.0), n=st.integers(1, 5000))
+    def test_bit_identical_to_the_expression(self, fc, amplitude, phase, n):
+        spec = CarrierSpec(fc, amplitude, phase, 48000.0)
+        t = np.arange(n) / 48000.0
+        expected = amplitude * np.cos(2 * np.pi * fc * t + phase)
+        assert generate_carrier(spec, n / 48000.0).samples.tobytes() == expected.tobytes()
+
+    def test_memory_is_the_output(self, traced_peak):
+        # 4096 bits x 192 samples: the 6.3 MB output plus the one byte per
+        # sample of SampledSignal's finiteness check, nothing signal-sized.
+        n = 4096 * 192
+        peak = traced_peak(lambda: generate_carrier(SPEC, n / SPEC.sample_rate))
+        assert peak <= n * 8 + n + 64 * 1024
 
 
 class TestSamplesPerBit:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radsim import spectral
 from radsim.channel import ChannelParams
 from radsim.codec import random_payload, read_bits
 from radsim.errors import ConfigurationError
@@ -122,6 +123,23 @@ class TestClassification:
                                 classification_threshold=0.5)
         assert report.classification["label"] == "fsk-default"
         assert (Path(tmp_path / "exp") / "classification.json").exists()
+
+
+class TestCommit:
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_late_failure_leaves_nothing(self, tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("late")
+
+        monkeypatch.setattr(spectral, "write_peaks_csv", fail)
+        with pytest.raises(error, match="late"):
+            run_default(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_is_that_of_mkdir(self, tmp_path):
+        run_default(tmp_path)
+        (tmp_path / "plain").mkdir()
+        assert (tmp_path / "exp").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 class TestConfig:
