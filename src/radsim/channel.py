@@ -9,12 +9,11 @@ receiver". Noise is drawn from PCG64, deterministic per seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, ShapeError
+from .errors import ConfigurationError, ParameterError, ShapeError, check_int, check_real
 from .signals import SampledSignal
 
 __all__ = ["ChannelParams", "apply_channel", "measure_snr"]
@@ -32,25 +31,15 @@ class ChannelParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("attenuation_db", "snr_db", "noise_power"):
-            value = getattr(self, name)
-            if name == "attenuation_db" or value is not None:
-                if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                    raise ParameterError(f"{name} must be a finite number, got {value!r}")
-        # Keeps the linear ratio 10**(snr_db/10) a normal float64.
-        if self.snr_db is not None and not -_MAX_SNR_DB <= self.snr_db <= _MAX_SNR_DB:
-            raise ParameterError(f"snr_db must lie in [-{_MAX_SNR_DB:g}, {_MAX_SNR_DB:g}] dB, "
-                                 f"got {self.snr_db!r}")
-        if self.attenuation_db < 0:
-            raise ParameterError(f"attenuation_db must be >= 0, got {self.attenuation_db}")
+        check_real("attenuation_db", self.attenuation_db, 0)
+        if self.snr_db is not None:
+            # Keeps the linear ratio 10**(snr_db/10) a normal float64.
+            check_real("snr_db", self.snr_db, -_MAX_SNR_DB, _MAX_SNR_DB)
+        if self.noise_power is not None:
+            check_real("noise_power", self.noise_power, 0)
         if (self.snr_db is None) == (self.noise_power is None):
             raise ConfigurationError("exactly one of snr_db / noise_power must be set")
-        if self.noise_power is not None and self.noise_power < 0:
-            raise ParameterError(f"noise_power must be >= 0, got {self.noise_power}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_int("seed", self.seed, 0)
 
     @property
     def linear_gain(self) -> float:

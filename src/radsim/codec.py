@@ -10,15 +10,15 @@ seed reproduces the exact same stream everywhere.
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, ParseError, ShapeError
-from .signals import SampledSignal, _check_length, _check_rate
+from .errors import (ConfigurationError, ParameterError, ParseError, ShapeError, check_int,
+                     check_real)
+from .signals import SampledSignal, _check_length
 
 HIGH = 1
 LOW = 0
@@ -34,8 +34,7 @@ class BitStream:
     bit_rate: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.bit_rate) and self.bit_rate > 0):
-            raise ParameterError(f"bit_rate must be positive and finite, got {self.bit_rate}")
+        check_real("bit_rate", self.bit_rate, 0, bounds="()")
         self.bits = np.asarray(self.bits, dtype=np.uint8)
         if self.bits.ndim != 1:
             raise ShapeError(f"bits must be one-dimensional, got shape {self.bits.shape}")
@@ -100,10 +99,8 @@ def bits_to_hex(stream: BitStream) -> str:
 
 def random_payload(seed: int, n_bits: int, bit_rate: float) -> BitStream:
     """Uniform random bits from PCG64; identical seed gives identical stream."""
-    if n_bits < 1:
-        raise ParameterError(f"n_bits must be >= 1, got {n_bits}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_int("n_bits", n_bits, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
     return BitStream(bits, bit_rate)
@@ -134,7 +131,7 @@ def manchester_decode(signal: LineCodeSignal) -> BitStream:
 def rectangular_waveform(stream: BitStream, sample_rate: float,
                          high_level: float = 1.0, low_level: float = 0.0) -> SampledSignal:
     """Render bits as a piecewise-constant waveform (the time-domain view of a binary signal)."""
-    _check_rate(sample_rate)
+    check_real("sample_rate", sample_rate, 0, bounds="()")
     if sample_rate < 2 * stream.bit_rate:
         raise ConfigurationError(
             f"sample_rate {sample_rate} is below 2 x bit_rate ({2 * stream.bit_rate})")

@@ -19,13 +19,12 @@ verified and bit error rates measured.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import BitStream
-from .errors import ConfigurationError, ParameterError, ShapeError
+from .errors import ConfigurationError, ParameterError, ShapeError, check_int, check_real
 from .signals import SampledSignal, _check_length
 
 __all__ = [
@@ -59,19 +58,10 @@ class CarrierSpec:
     sample_rate: float = 48000.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
-        if self.amplitude <= 0:
-            raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
-        if self.amplitude > _MAX_AMPLITUDE:
-            raise ParameterError(f"amplitude must be at most {_MAX_AMPLITUDE:g}, "
-                                 f"got {self.amplitude}")
-        if self.sample_rate <= 0:
-            raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.center_frequency < 0:
-            raise ParameterError(f"center_frequency must be >= 0, got {self.center_frequency}")
+        check_real("center_frequency", self.center_frequency, 0)
+        check_real("amplitude", self.amplitude, 0, _MAX_AMPLITUDE, "(]")
+        check_real("initial_phase", self.initial_phase)
+        check_real("sample_rate", self.sample_rate, 0, bounds="()")
         if self.center_frequency > 0 and self.sample_rate <= 2 * self.center_frequency:
             raise ConfigurationError(
                 f"sample_rate {self.sample_rate} violates Nyquist for carrier at "
@@ -87,8 +77,7 @@ def _check_nyquist(spec: CarrierSpec, max_frequency: float) -> None:
 
 def samples_per_bit(spec: CarrierSpec, bit_rate: float) -> int:
     """Integer samples per bit; rejects non-integer ratios so bit edges stay exact."""
-    if not (math.isfinite(bit_rate) and bit_rate > 0):
-        raise ParameterError(f"bit_rate must be positive and finite, got {bit_rate}")
+    check_real("bit_rate", bit_rate, 0, bounds="()")
     ratio = spec.sample_rate / bit_rate
     spb = round(ratio) if math.isfinite(ratio) else 0
     if spb < 1 or abs(ratio - spb) > 1e-9:
@@ -176,8 +165,7 @@ def compose_emitted(carrier: SampledSignal, modulated: SampledSignal) -> Sampled
 
 
 def _bit_windows(signal: SampledSignal, spb: int, n_bits: int) -> np.ndarray:
-    if n_bits < 1:
-        raise ParameterError(f"n_bits must be >= 1, got {n_bits}")
+    check_int("n_bits", n_bits, 1)
     needed = n_bits * spb
     if len(signal) < needed:
         raise ShapeError(f"signal has {len(signal)} samples, need {needed} for {n_bits} bits")
@@ -250,8 +238,7 @@ def ask_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     A**2 * (spb/2 + (cos(2*theta_b)*C2 - sin(2*theta_b)*S2) / 2) for C2 and
     S2 the sums of cos(2*a_j) and sin(2*a_j) over one bit.
     """
-    if not 0 < threshold_fraction < 1:
-        raise ParameterError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction}")
+    check_real("threshold_fraction", threshold_fraction, 0, 1, "()")
     spb = samples_per_bit(spec, bit_rate)
     windows = _bit_windows(signal, spb, n_bits)
     energies = np.einsum("ij,ij->i", windows, windows)

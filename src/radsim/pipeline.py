@@ -15,9 +15,8 @@ bias the per-bit correlators.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
-import numbers
 import os
 import shutil
 from dataclasses import asdict, dataclass, field, replace
@@ -27,9 +26,9 @@ import numpy as np
 
 from . import codec, modulation, spectral
 from .channel import ChannelParams, apply_channel, measure_snr
-from .errors import ConfigurationError, ConflictError, ParameterError
+from .errors import ConfigurationError, ConflictError, check_int, check_real
 from .modulation import CarrierSpec
-from .recognition import _check_threshold, classify, library_load
+from .recognition import classify, library_load
 from .signals import SampledSignal, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -59,16 +58,9 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("seed", "payload_bits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.payload_bits < 1:
-            raise ParameterError(f"payload_bits must be >= 1, got {self.payload_bits}")
-        if not (isinstance(self.bit_rate, numbers.Real) and math.isfinite(self.bit_rate)):
-            raise ParameterError(f"bit_rate must be a finite number, got {self.bit_rate!r}")
+        check_int("seed", self.seed, 0)
+        check_int("payload_bits", self.payload_bits, 1)
+        check_real("bit_rate", self.bit_rate, 0, bounds="()")
         for name in ("compose_with_carrier", "demodulate"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigurationError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -83,7 +75,7 @@ class ExperimentConfig:
         if not (self.library_path is None or isinstance(self.library_path, str)):
             raise ConfigurationError(f"library_path must be a path string or null, "
                                      f"got {self.library_path!r}")
-        _check_threshold(self.classification_threshold)
+        check_real("classification_threshold", self.classification_threshold, 0, 1, "()")
 
     @property
     def peak_separation(self) -> float:
@@ -131,23 +123,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     after ``report.json`` is written. On any exception the sibling is
     removed and the exception re-raised, so a failed run leaves no
     ``output_dir``; only a killed process can leave the ``.partial`` sibling.
-    Missing parent directories are made and stay.
+    Missing parent directories are made; a failed run removes them again,
+    deepest first, as far as they are empty.
     """
     if config.output_dir is None:
         raise ConfigurationError("output_dir must be set")
     out = Path(config.output_dir)
     if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
         raise ConflictError(f"{out} exists and is not an empty directory")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # Made by mkdir, not tempfile.mkdtemp, so the committed dir has the mode
-    # a plain mkdir gives rather than 0700.
+    missing = [parent for parent in out.parents if not parent.exists()]  # deepest first
     partial = out.parent / f".{out.name}.{os.urandom(8).hex()}.partial"
-    partial.mkdir()
     try:
+        # Made by mkdir, not tempfile.mkdtemp, so the committed dir has the mode
+        # a plain mkdir gives rather than 0700.
+        partial.mkdir(parents=True)
         report = _write_run(config, partial)
         os.replace(partial, out)
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
+        for parent in missing:
+            with contextlib.suppress(OSError):  # not empty: another process uses it
+                parent.rmdir()
         raise
     return report
 

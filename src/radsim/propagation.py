@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 __all__ = [
     "PropagationParams",
@@ -51,11 +51,10 @@ class PropagationParams:
     initial_infected: int = 1
 
     def __post_init__(self):
-        if self.n_computers < 1:
-            raise ParameterError(f"n_computers must be >= 1, got {self.n_computers}")
-        if self.comms_per_interval < 1:
-            raise ParameterError(f"comms_per_interval must be >= 1, got {self.comms_per_interval}")
-        if not 1 <= self.initial_infected <= self.n_computers:
+        check_int("n_computers", self.n_computers, 1)
+        check_int("comms_per_interval", self.comms_per_interval, 1)
+        check_int("initial_infected", self.initial_infected, 1)
+        if self.initial_infected > self.n_computers:
             raise ParameterError(
                 f"initial_infected must lie in [1, {self.n_computers}], got {self.initial_infected}")
 
@@ -99,8 +98,7 @@ def step_recurrence(params: PropagationParams, current: float) -> float:
 
 def simulate_curve(params: PropagationParams, n_max: int, method: str = "closed_form") -> PropagationCurve:
     """Expected-infection trajectory for n = 0..n_max."""
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    check_int("n_max", n_max, 0)
     steps = np.arange(n_max + 1)
     if method == "closed_form":
         values = np.array([expected_infected_closed_form(params, int(n)) for n in steps])
@@ -161,12 +159,9 @@ def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
     O(M) memory whatever ``n_max``. The infected flags are one Python list
     of N entries, allocated once; a trial clears only the machines it infected.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_int("trials", trials, 1)
+    check_int("n_max", n_max, 0)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n = params.n_computers
     m = params.comms_per_interval

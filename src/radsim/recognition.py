@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError
-from .signals import SampledSignal, _check_rate
+from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError,
+                     check_real)
+from .signals import SampledSignal
 from .spectral import (Spectrum, _check_fft_size, _one_sided_magnitudes, fft_magnitude,
                        find_peaks)
 
@@ -72,12 +72,12 @@ class FeatureVector:
     dominant_peaks: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.rms_power < 0:
-            raise ParameterError(f"rms_power must be >= 0, got {self.rms_power}")
-        if not 0 <= self.zero_crossing_rate <= 1:
-            raise ParameterError(f"zero_crossing_rate must lie in [0, 1], got {self.zero_crossing_rate}")
-        if not 0 <= self.spectral_entropy <= 1:
-            raise ParameterError(f"spectral_entropy must lie in [0, 1], got {self.spectral_entropy}")
+        check_real("rms_power", self.rms_power, 0)
+        check_real("zero_crossing_rate", self.zero_crossing_rate, 0, 1)
+        check_real("crest_factor", self.crest_factor, 0)
+        check_real("spectral_centroid", self.spectral_centroid, 0)
+        check_real("spectral_bandwidth", self.spectral_bandwidth, 0)
+        check_real("spectral_entropy", self.spectral_entropy, 0, 1)
         if len(self.dominant_peaks) > _MAX_DOMINANT_PEAKS:
             raise ParameterError(f"at most {_MAX_DOMINANT_PEAKS} dominant peaks allowed")
         rels = [rel for _, rel in self.dominant_peaks]
@@ -129,7 +129,7 @@ class SignatureLibrary:
 
     def __post_init__(self):
         _check_fft_size(self.fft_size)
-        _check_rate(self.sample_rate)
+        check_real("sample_rate", self.sample_rate, 0, bounds="()")
         self.entries = tuple(self.entries)
         for e in self.entries:
             t = e.template_spectrum
@@ -231,18 +231,12 @@ def spectral_correlation(a: Spectrum, b: Spectrum) -> float:
     return float(np.dot(da, db) / math.sqrt(va * vb))
 
 
-def _check_threshold(threshold: float) -> None:
-    """Reject a detection threshold outside (0, 1)."""
-    if not (isinstance(threshold, numbers.Real) and 0 < threshold < 1):
-        raise ParameterError(f"threshold must lie in (0, 1), got {threshold!r}")
-
-
 def classify(signal: SampledSignal, library: SignatureLibrary,
              threshold: float = DEFAULT_THRESHOLD) -> ClassificationResult:
     """Nearest-template decision by spectral correlation with a detection threshold."""
     if len(library) == 0:
         raise ConfigurationError("signature library is empty")
-    _check_threshold(threshold)
+    check_real("threshold", threshold, 0, 1, "()")
     if signal.sample_rate != library.sample_rate:
         raise ConfigurationError(
             f"signal sample rate {signal.sample_rate} does not match the library "
@@ -315,7 +309,7 @@ def library_load(path) -> SignatureLibrary:
     except KeyError as e:
         raise ParseError(f"{path}: missing key {e.args[0]!r}") from e
     _check_fft_size(fft_size)
-    _check_rate(sample_rate)
+    check_real("sample_rate", sample_rate, 0, bounds="()")
     sample_rate = float(sample_rate)
     if not (isinstance(raw_entries, list) and all(isinstance(raw, dict) for raw in raw_entries)):
         raise ParseError(f"{path}: entries must be a list of JSON objects")

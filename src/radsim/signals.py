@@ -10,28 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, ShapeError
+from .errors import ParameterError, ParseError, ShapeError, check_real
 
 SIGNAL_FORMAT_TAG = "f64le"
-
-
-def _check_rate(sample_rate: float) -> None:
-    """Reject a sample rate that is not a positive finite number."""
-    if not (isinstance(sample_rate, numbers.Real) and 0 < sample_rate < math.inf):
-        raise ParameterError(f"sample_rate must be positive and finite, got {sample_rate!r}")
-
-
-def _check_timebase(sample_rate: float, start_time: float) -> None:
-    """Reject a bad sample rate (see :func:`_check_rate`) or a non-finite start time."""
-    _check_rate(sample_rate)
-    if not (isinstance(start_time, numbers.Real) and math.isfinite(start_time)):
-        raise ParameterError(f"start_time must be finite, got {start_time!r}")
 
 
 # The most float64 samples an array can hold: numpy answers a larger request
@@ -55,7 +41,8 @@ class SampledSignal:
     start_time: float = 0.0
 
     def __post_init__(self):
-        _check_timebase(self.sample_rate, self.start_time)
+        check_real("sample_rate", self.sample_rate, 0, bounds="()")
+        check_real("start_time", self.start_time)
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ShapeError(f"samples must be one-dimensional, got shape {self.samples.shape}")

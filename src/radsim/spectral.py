@@ -13,7 +13,6 @@ which :meth:`Spectrum.time_domain_energy` evaluates.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
@@ -21,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, ShapeError
-from .signals import SampledSignal, _check_rate, _check_timebase, _read_f64, _write_f64
+from .errors import ParameterError, ParseError, ShapeError, check_int, check_real
+from .signals import SampledSignal, _read_f64, _write_f64
 
 __all__ = [
     "Spectrum",
@@ -56,9 +55,8 @@ class Spectrum:
 
     def __post_init__(self):
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        _check_rate(self.sample_rate)
-        if not (isinstance(self.fft_size, numbers.Integral) and self.fft_size >= 2):
-            raise ParameterError(f"fft_size must be an integer >= 2, got {self.fft_size!r}")
+        check_real("sample_rate", self.sample_rate, 0, bounds="()")
+        check_int("fft_size", self.fft_size, 2)
         if self.magnitudes.shape != (self.fft_size // 2 + 1,):
             raise ShapeError(f"magnitudes must have shape ({self.fft_size // 2 + 1},) for "
                              f"fft_size {self.fft_size}, got {self.magnitudes.shape}")
@@ -108,7 +106,8 @@ class Spectrogram:
     def __post_init__(self):
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
         _check_window(self.window_length, self.hop, self.window)
-        _check_timebase(self.sample_rate, self.start_time)
+        check_real("sample_rate", self.sample_rate, 0, bounds="()")
+        check_real("start_time", self.start_time)
         if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.window_length // 2 + 1:
             raise ShapeError(f"magnitudes must be a frames x {self.window_length // 2 + 1} "
                              f"matrix, got shape {self.magnitudes.shape}")
@@ -138,8 +137,8 @@ def _one_sided_magnitudes(transform: np.ndarray, fft_size: int,
 
 def _check_fft_size(fft_size: int) -> None:
     """Reject an analysis FFT size that is not a power of two >= 2."""
-    if not (isinstance(fft_size, numbers.Integral) and fft_size >= 2
-            and fft_size & (fft_size - 1) == 0):
+    check_int("fft_size", fft_size, 2)
+    if fft_size & (fft_size - 1):
         raise ParameterError(f"fft_size must be a power of two, got {fft_size!r}")
 
 
@@ -167,13 +166,8 @@ _WINDOWS = {
 
 def _check_window(window_length: int, hop: int, window: str) -> None:
     """Reject an STFT analysis grid that no signal could use."""
-    for name, value in (("window_length", window_length), ("hop", hop)):
-        if not isinstance(value, numbers.Integral):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if window_length < 2:
-        raise ParameterError(f"window_length must be >= 2, got {window_length}")
-    if hop < 1:
-        raise ParameterError(f"hop must be >= 1, got {hop}")
+    check_int("window_length", window_length, 2)
+    check_int("hop", hop, 1)
     if not (isinstance(window, str) and window in _WINDOWS):
         raise ParameterError(f"unknown window {window!r} (expected one of {sorted(_WINDOWS)})")
 
@@ -217,10 +211,8 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     kept peak on each side can be too close, so each candidate costs one
     bisection of the kept frequencies, plus a list insert if it is kept.
     """
-    if not (isinstance(relative_threshold, numbers.Real) and 0 < relative_threshold <= 1):
-        raise ParameterError(f"relative_threshold must lie in (0, 1], got {relative_threshold!r}")
-    if not (isinstance(min_separation, numbers.Real) and min_separation >= 0):  # also rejects NaN
-        raise ParameterError(f"min_separation must be >= 0, got {min_separation!r}")
+    check_real("relative_threshold", relative_threshold, 0, 1, "(]")
+    check_real("min_separation", min_separation, 0)
     m = spectrum.magnitudes
     freqs = spectrum.bin_frequencies
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0

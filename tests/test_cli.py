@@ -10,18 +10,19 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radsim
 from radsim.cli import build_parser, main
 from radsim.codec import random_payload
 from radsim.modulation import MODULATORS, CarrierSpec
-from radsim.recognition import SignatureLibrary, library_add, library_save
+from radsim.recognition import FeatureVector, SignatureLibrary, library_add, library_save
 from radsim.signals import SampledSignal, write_signal
 from radsim.spectral import read_spectrogram, write_spectrogram_csv
 
@@ -320,10 +321,12 @@ class TestLibraryCommands:
         lambda doc: doc["entries"][0].update(label=5),
         lambda doc: doc["entries"][0].update(metadata=5),
         lambda doc: doc.update(version=3),
+        lambda doc: doc.update(sample_rate=True),
+        lambda doc: doc["entries"][0]["features"].update(rms_power=True),
     ], ids=["fft-size-string", "fft-size-null", "fft-size-float", "sample-rate-string",
             "entries-number", "entry-number", "magnitudes-string", "magnitudes-short",
             "features-number", "peak-triple", "label-number", "metadata-number",
-            "version-number"])
+            "version-number", "sample-rate-bool", "rms-power-bool"])
     def test_bad_library_is_one_line_error(self, tmp_path, capsys, corrupt):
         t = np.arange(4096) / 48000.0
         tone = SampledSignal(48000.0, np.cos(2 * np.pi * 1000.0 * t))
@@ -428,8 +431,16 @@ class TestRun:
         ([], {"payload_bits": 8.5}, "payload_bits"),
         ([], {"bit_rate": "x"}, "bit_rate"),
         ([], {"peak_relative_threshold": 2}, "relative_threshold"),
+        ([], {"stft_hop": True}, "hop"),
+        ([], {"peak_relative_threshold": True}, "relative_threshold"),
+        ([], {"peak_min_separation": True}, "min_separation"),
+        ([], {"carrier": dict(json.loads(DEFAULT_CONFIG.read_text())["carrier"], amplitude=True)},
+         "amplitude"),
+        ([], {"channel": {"snr_db": True}}, "snr_db"),
+        ([], {"channel": {"snr_db": 10.0, "seed": True}}, "seed"),
     ], ids=["fc-nan", "amplitude-inf", "payload-bits-float", "bit-rate-string",
-            "peak-threshold-above-one"])
+            "peak-threshold-above-one", "stft-hop-bool", "peak-threshold-bool",
+            "peak-separation-bool", "amplitude-bool", "snr-db-bool", "channel-seed-bool"])
     def test_bad_field_leaves_no_run_dir(self, tmp_path, capsys, flags, changes, name):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)))
@@ -439,6 +450,16 @@ class TestRun:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert name in err
         assert not out.exists()
+
+    def test_failed_run_removes_parents_it_made(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        out = tmp_path / "a" / "b" / "c" / "d"
+        assert main(["run", "--defaults", "--stft-hop", "0", "--out", str(out)]) == 1
+        assert one_line_error(capsys)
+        assert [p.name for p in tmp_path.rglob("*")] == ["a"]
+        # A run that succeeds keeps the parents it made.
+        assert main(["run", "--defaults", "--out", str(out)]) == 0
+        assert (out / "report.json").is_file()
 
     def test_unallocatable_payload_leaves_no_run_dir(self, tmp_path, capsys):
         # 2**60 payload bits need 1 EiB, more than any address space holds.
@@ -541,12 +562,37 @@ RUN_FIELDS = ([(name,) for name in json.loads(DEFAULT_CONFIG.read_text())]
               + [(parent, name) for parent, fields in NESTED.items() for name in fields])
 
 
+# Run config fields for which JSON true is a value: the two switches, and
+# output_dir, which --out overrides. In any other field it is an error.
+TRUE_ALLOWED = {("compose_with_carrier",), ("demodulate",), ("output_dir",)}
+
+
 def runs_large(path, value):
     """Pool values that are valid but run millions of samples rather than fail.
 
-    A bit rate of 1.5 or true (1) gives 32 000 or 48 000 samples per bit.
+    A bit rate of 1.5 gives 32 000 samples per bit.
     """
-    return path == ("bit_rate",) and value in (1.5, True)
+    return path == ("bit_rate",) and value == 1.5
+
+
+def field_value(doc, path):
+    """The value at ``path`` (keys and list indices) in a JSON document; None off its end."""
+    for key in path:
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return doc
+
+
+def cli_result(argv):
+    """Exit code, stderr lines and warnings of ``main(argv)``."""
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue().splitlines(), [str(w.message) for w in caught]
 
 
 @settings(max_examples=200, deadline=None)
@@ -566,16 +612,59 @@ def test_hostile_run_config_fails_cleanly(scheme, mutations):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))
-        out = Path(tmp) / "exp"
-        err = io.StringIO()
-        with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
-              contextlib.redirect_stdout(io.StringIO())):
-            warnings.simplefilter("always")
-            code = main(["run", "--config", str(config), "--out", str(out)])
+        code, lines, caught = cli_result(["run", "--config", str(config),
+                                          "--out", str(Path(tmp) / "exp")])
         # A warning is one more stderr line on the command line.
-        assert [str(w.message) for w in caught] == []
+        assert caught == []
         assert code in (0, 1)
+        if any(field_value(doc, path) is True for path in RUN_FIELDS if path not in TRUE_ALLOWED):
+            assert code == 1
         if code == 1:
-            lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]
+
+
+# The library fuzz: a saved library's top-level fields, its first entry's
+# fields and that entry's features may take any HOSTILE value.
+LIBRARY_FIELDS = ([(name,) for name in ("format", "version", "fft_size", "sample_rate", "entries")]
+                  + [("entries", 0, name)
+                     for name in ("label", "features", "template_magnitudes", "metadata")]
+                  + [("entries", 0, "features", f.name) for f in fields(FeatureVector)])
+
+
+@pytest.fixture(scope="module")
+def saved_library(tmp_path_factory):
+    """A saved two-template library's JSON document, and a probe signal file."""
+    tmp = tmp_path_factory.mktemp("library")
+    library = SignatureLibrary()
+    for scheme, seed in (("fsk", 10), ("psk", 20)):
+        template = MODULATORS[scheme](random_payload(seed, 64, 250.0), CarrierSpec(2000.0))
+        library = library_add(library, scheme, template, {"seed": str(seed)})
+    library_save(library, tmp / "lib.json")
+    probe = tmp / "probe.f64"
+    write_signal(MODULATORS["fsk"](random_payload(30, 64, 250.0), CarrierSpec(2000.0)), probe)
+    return json.loads((tmp / "lib.json").read_text()), probe
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(LIBRARY_FIELDS), st.sampled_from(HOSTILE)),
+                          min_size=1, max_size=3, unique_by=lambda m: m[0]))
+@example(mutations=[(("sample_rate",), True)])
+def test_hostile_library_fails_cleanly(saved_library, mutations):
+    base, probe = saved_library
+    doc = json.loads(json.dumps(base))
+    # Deepest first, so a field's container is still there when it is set.
+    for path, value in sorted(mutations, key=lambda m: -len(m[0])):
+        field_value(doc, path[:-1])[path[-1]] = json.loads(json.dumps(value))
+    with tempfile.TemporaryDirectory() as tmp:
+        library = Path(tmp) / "lib.json"
+        library.write_text(json.dumps(doc))
+        for argv in (["library-list", "--library", str(library)],
+                     ["classify", "--in", str(probe), "--library", str(library)]):
+            code, lines, caught = cli_result(argv)
+            assert caught == []
+            assert code in (0, 1)
+            if any(field_value(doc, path) is True for path in LIBRARY_FIELDS):
+                assert code == 1
+            if code == 1:
+                assert len(lines) == 1 and lines[0].startswith("error:")

@@ -1,0 +1,64 @@
+"""The numeric-input checkers, and the rule that they alone hold the policy."""
+
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import radsim
+from radsim.errors import ParameterError, check_int, check_real
+
+
+@pytest.mark.parametrize("value", [0, 1, -2.5, 1e300, 2 ** 60, np.float64(0.5), np.int64(3)])
+def test_check_real_accepts_finite_numbers(value):
+    check_real("x", value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), None, "1", [1], math.nan,
+                                   math.inf, -math.inf, 10 ** 400])
+def test_check_real_rejects_non_numbers(value):
+    with pytest.raises(ParameterError, match=r"^x must be a finite number, got "):
+        check_real("x", value)
+
+
+@pytest.mark.parametrize("value, lo, hi, bounds, message", [
+    (0, 0, math.inf, "()", "rate must be a finite number > 0, got 0"),
+    (-1, 0, math.inf, "[]", "rate must be a finite number >= 0, got -1"),
+    (1, -math.inf, 1, "()", "rate must be a finite number < 1, got 1"),
+    (2, -math.inf, 1, "[]", "rate must be a finite number <= 1, got 2"),
+    (1, 0, 1, "()", "rate must be a finite number in (0, 1), got 1"),
+    (0, 0, 1, "(]", "rate must be a finite number in (0, 1], got 0"),
+    (1.5, 0, 1, "[]", "rate must be a finite number in [0, 1], got 1.5"),
+])
+def test_check_real_bounds(value, lo, hi, bounds, message):
+    with pytest.raises(ParameterError) as info:
+        check_real("rate", value, lo, hi, bounds)
+    assert str(info.value) == message
+    # The ends themselves pass where the bounds are closed.
+    for end, bracket in ((lo, bounds[0]), (hi, bounds[1])):
+        if math.isfinite(end) and bracket in "[]":
+            check_real("rate", end, lo, hi, bounds)
+
+
+@pytest.mark.parametrize("value", [0, 5, 2 ** 60, 10 ** 400, np.int64(7)])
+def test_check_int_accepts_integers(value):
+    check_int("n", value, 0)
+
+
+@pytest.mark.parametrize("value", [True, False, -1, 1.0, 2.5, math.nan, "3", None])
+def test_check_int_rejects(value):
+    with pytest.raises(ParameterError, match=r"^n must be an integer >= 0, got "):
+        check_int("n", value, 0)
+
+
+def test_number_policy_lives_in_errors_only():
+    # Another module that tests numbers.Real or numbers.Integral itself would
+    # bring back its own rule for bools, NaN and infinity.
+    pattern = re.compile(r"\bnumbers\.(Real|Integral)\b|\bfrom numbers import\b")
+    package = Path(radsim.__file__).parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "errors.py" and pattern.search(path.read_text())]
+    assert offenders == []
+    assert pattern.search((package / "errors.py").read_text())
