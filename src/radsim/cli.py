@@ -23,7 +23,7 @@ from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, RadsimError
 from .modulation import (DEMODULATORS, MODULATORS, CarrierSpec, compose_emitted,
                          generate_carrier)
-from .signals import read_signal, write_signal
+from .signals import _read_text, read_signal, write_signal
 
 
 def _add_carrier_flags(parser, default_fc=2000.0, default_rate=48000.0):
@@ -169,6 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, help="classification threshold")
     p.add_argument("--out", required=True, help="output directory")
 
+    p = sub.add_parser("evaluate", help="score a one-template-per-scheme library on noisy probes")
+    p.add_argument("--snr-db", type=float, default=15.0, help="probe SNR at the channel output")
+    p.add_argument("--probes", type=int, default=50,
+                   help="probes per scheme, and white-noise probes (at most 1000)")
+    p.add_argument("--threshold", type=float, default=0.5, help="detection threshold for the probes")
+    p.add_argument("--out", required=True, help="result JSON output path")
+
     return parser
 
 
@@ -192,7 +199,7 @@ def _cmd_payload(args) -> int:
     if args.hex is not None:
         stream = codec.hex_to_bits(args.hex, args.bit_rate)
     elif args.hex_file is not None:
-        stream = codec.hex_to_bits(Path(args.hex_file).read_text().strip(), args.bit_rate)
+        stream = codec.hex_to_bits(_read_text(args.hex_file).strip(), args.bit_rate)
     else:
         n_bits = args.bits if args.bits is not None else 64
         stream = codec.random_payload(args.seed, n_bits, args.bit_rate)
@@ -367,7 +374,7 @@ def _flag_values(args, fields: dict) -> dict:
 def _cmd_run(args) -> int:
     if args.config:
         try:
-            doc = json.loads(Path(args.config).read_text())
+            doc = json.loads(_read_text(args.config))
         except json.JSONDecodeError as e:
             raise ConfigurationError(
                 f"{args.config}: invalid JSON at line {e.lineno} column {e.colno}") from e
@@ -404,6 +411,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _cmd_evaluate(args) -> int:
+    result = pipeline.recognition_benchmark(args.snr_db, args.probes, args.threshold)
+    Path(args.out).write_text(json.dumps(asdict(result), sort_keys=True, indent=2) + "\n")
+    total = result.probes * len(result.decisions)
+    print(f"wrote {args.out}")
+    print(f"accuracy at {result.snr_db:g} dB SNR, threshold {result.threshold:g}: "
+          f"{result.correct}/{total} ({result.correct / total:.1%})")
+    for truth, counts in sorted(result.decisions.items()):
+        for predicted, count in sorted(counts.items()):
+            print(f"  {truth} -> {predicted}: {count}")
+    print(f"white-noise probes rejected at threshold {recognition.DEFAULT_THRESHOLD:g}: "
+          f"{result.noise_rejected}/{result.probes}")
+    return 0
+
+
 _COMMANDS = {
     "propagate": _cmd_propagate,
     "payload": _cmd_payload,
@@ -418,6 +440,7 @@ _COMMANDS = {
     "library-list": _cmd_library_list,
     "classify": _cmd_classify,
     "run": _cmd_run,
+    "evaluate": _cmd_evaluate,
 }
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ParameterError, ParseError, ShapeError, check_int,
                      check_real)
-from .signals import SampledSignal, _check_length
+from .signals import _MAX_SAMPLES, SampledSignal, _check_length, _read_text
 
 HIGH = 1
 LOW = 0
@@ -99,7 +99,7 @@ def bits_to_hex(stream: BitStream) -> str:
 
 def random_payload(seed: int, n_bits: int, bit_rate: float) -> BitStream:
     """Uniform random bits from PCG64; identical seed gives identical stream."""
-    check_int("n_bits", n_bits, 1)
+    check_int("n_bits", n_bits, 1, _MAX_SAMPLES)
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
@@ -147,7 +147,7 @@ def write_bits(stream: BitStream, path) -> None:
 
 
 def read_bits(path, bit_rate: float) -> BitStream:
-    text = Path(path).read_text().rstrip("\n")
+    text = _read_text(path).rstrip("\n")
     for pos, ch in enumerate(text):
         if ch not in "01":
             raise ParseError(f"{path}: invalid bit character {ch!r} at position {pos}")

@@ -64,7 +64,12 @@ def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
         raise ParameterError(f"{name} must be a finite number{where}, got {value!r}")
 
 
-def check_int(name: str, value, lo: int) -> None:
-    """Raise :class:`ParameterError` unless ``value`` is an integer (not a bool) >= ``lo``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= lo):
-        raise ParameterError(f"{name} must be an integer >= {lo}, got {value!r}")
+def check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an integer (not a bool) from lo to hi.
+
+    ``hi`` None leaves the integer unbounded above.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo
+            or (hi is not None and value > hi)):
+        where = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ParameterError(f"{name} must be an integer {where}, got {value!r}")

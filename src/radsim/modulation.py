@@ -121,18 +121,26 @@ def fsk_modulate(stream: BitStream, spec: CarrierSpec, phase_continuous: bool = 
     spb = samples_per_bit(spec, stream.bit_rate)
     _check_length(len(stream) * spb)
     freqs = np.where(stream.bits == 1, f1, f0)
-    k = np.arange(spb)
+    # The (bits, spb) phase matrix is built and turned into samples in place,
+    # each step in the order (and so with the rounding) of the phase formula.
     if phase_continuous:
         # Phase accumulates across bit boundaries: no discontinuity, no splatter.
+        # Bit b's phase is start_b + 2*pi*f_b*k/fs over its samples k.
         increments = 2 * np.pi * freqs * spb / spec.sample_rate
         starts = spec.initial_phase + np.concatenate(([0.0], np.cumsum(increments[:-1])))
-        phases = starts[:, None] + 2 * np.pi * freqs[:, None] * k[None, :] / spec.sample_rate
+        phases = np.empty((len(stream), spb))
+        np.multiply(2 * np.pi * freqs[:, None], np.arange(spb), out=phases)
+        phases /= spec.sample_rate
+        phases += starts[:, None]
     else:
-        # Literal per-bit cosine of the global time axis.
-        t = (np.arange(len(stream) * spb) / spec.sample_rate).reshape(len(stream), spb)
-        phases = 2 * np.pi * freqs[:, None] * t + spec.initial_phase
-    samples = spec.amplitude * np.cos(phases).ravel()
-    return SampledSignal(spec.sample_rate, samples)
+        # Literal per-bit cosine of the global time axis: 2*pi*f_b*t + theta0.
+        phases = np.arange(len(stream) * spb, dtype=np.float64).reshape(len(stream), spb)
+        phases /= spec.sample_rate
+        phases *= 2 * np.pi * freqs[:, None]
+        phases += spec.initial_phase
+    np.cos(phases, out=phases)
+    phases *= spec.amplitude
+    return SampledSignal(spec.sample_rate, phases.ravel())
 
 
 def _keyed_carrier(stream: BitStream, spec: CarrierSpec, levels: np.ndarray) -> SampledSignal:

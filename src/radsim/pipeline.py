@@ -7,6 +7,9 @@ directory together with a ``report.json`` summary. The directory appears
 whole or not at all. Runs are fully deterministic per seed: identical
 configs produce byte-identical directories.
 
+:func:`recognition_benchmark` scores a signature library of one template per
+modulation scheme on seeded noisy probes and on white noise.
+
 The receiver is idealized: when the emitted signal is the carrier plus the
 modulated signal, demodulation first subtracts the (gain-scaled) carrier,
 which the simulation knows exactly. Without this the added carrier would
@@ -19,6 +22,7 @@ import contextlib
 import json
 import os
 import shutil
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -28,11 +32,13 @@ from . import codec, modulation, spectral
 from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, ConflictError, check_int, check_real
 from .modulation import CarrierSpec
-from .recognition import classify, library_load
-from .signals import SampledSignal, write_signal
+from .recognition import (DEFAULT_FFT_SIZE, UNKNOWN_LABEL, SignatureLibrary, classify,
+                          library_add, library_load)
+from .signals import _MAX_SAMPLES, SampledSignal, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
-           "config_from_json", "DEFAULT_CONFIG"]
+           "config_from_json", "DEFAULT_CONFIG", "RecognitionBenchmark",
+           "recognition_benchmark"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_int("seed", self.seed, 0)
-        check_int("payload_bits", self.payload_bits, 1)
+        check_int("payload_bits", self.payload_bits, 1, _MAX_SAMPLES)
         check_real("bit_rate", self.bit_rate, 0, bounds="()")
         for name in ("compose_with_carrier", "demodulate"):
             if not isinstance(getattr(self, name), bool):
@@ -223,3 +229,67 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     )
     (out / "report.json").write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
     return report
+
+
+# The recognition benchmark's schemes, in the order that numbers their probe
+# seeds, each with its template's payload seed.
+_BENCHMARK_TEMPLATES = (("fsk", 1000), ("psk", 2000), ("ask", 3000))
+# Probes per scheme above this would reuse the next scheme's seeds.
+_MAX_BENCHMARK_PROBES = 1000
+
+
+@dataclass(frozen=True)
+class RecognitionBenchmark:
+    """How the benchmark library labelled its noisy probes and its white noise.
+
+    ``decisions[scheme][label]`` counts the probes of ``scheme`` that were
+    labelled ``label`` (a scheme or ``"unknown"``). ``noise_rejected`` counts
+    the white-noise probes labelled ``"unknown"``.
+    """
+
+    snr_db: float
+    probes: int
+    threshold: float
+    decisions: dict
+    noise_rejected: int
+
+    @property
+    def correct(self) -> int:
+        return sum(counts.get(scheme, 0) for scheme, counts in self.decisions.items())
+
+
+def recognition_benchmark(snr_db: float, probes: int, threshold: float) -> RecognitionBenchmark:
+    """Score a library of one template per scheme on noisy probes and on white noise.
+
+    Every signal uses ``DEFAULT_CONFIG``'s carrier and bit rate, with no
+    carrier added. The fsk, psk and ask templates carry 1024-bit payloads of
+    seeds 1000, 2000 and 3000. Probe k of the i-th scheme in that order
+    carries a 256-bit payload of seed 10_000 + 1000*i + k through a channel
+    at ``snr_db`` with seed 20_000 + 1000*i + k, and is classified at
+    ``threshold``. White-noise probe k, for k below ``probes``, is a probe's
+    length of standard normal samples of seed 90_000 + k, classified at
+    ``DEFAULT_THRESHOLD``.
+    """
+    check_int("probes", probes, 1, _MAX_BENCHMARK_PROBES)
+    spec, rate = DEFAULT_CONFIG.carrier, DEFAULT_CONFIG.bit_rate
+    library = SignatureLibrary(DEFAULT_FFT_SIZE, spec.sample_rate)
+    for scheme, seed in _BENCHMARK_TEMPLATES:
+        template = modulation.MODULATORS[scheme](codec.random_payload(seed, 1024, rate), spec)
+        library = library_add(library, scheme, template)
+
+    decisions = {}
+    for i, (scheme, _) in enumerate(_BENCHMARK_TEMPLATES):
+        labels = Counter()
+        for k in range(probes):
+            payload = codec.random_payload(10_000 + 1000 * i + k, 256, rate)
+            received = apply_channel(modulation.MODULATORS[scheme](payload, spec),
+                                     ChannelParams(snr_db=snr_db, seed=20_000 + 1000 * i + k))
+            labels[classify(received, library, threshold).label] += 1
+        decisions[scheme] = dict(labels)
+
+    probe_samples = 256 * modulation.samples_per_bit(spec, rate)
+    rejected = 0
+    for k in range(probes):
+        noise = np.random.default_rng(90_000 + k).standard_normal(probe_samples)
+        rejected += classify(SampledSignal(spec.sample_rate, noise), library).label == UNKNOWN_LABEL
+    return RecognitionBenchmark(snr_db, probes, threshold, decisions, rejected)

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, check_int
+from .signals import _MAX_SAMPLES
 
 __all__ = [
     "PropagationParams",
@@ -51,8 +52,9 @@ class PropagationParams:
     initial_infected: int = 1
 
     def __post_init__(self):
-        check_int("n_computers", self.n_computers, 1)
-        check_int("comms_per_interval", self.comms_per_interval, 1)
+        # The Monte Carlo oracle holds N flags and draws 2M values per step.
+        check_int("n_computers", self.n_computers, 1, _MAX_SAMPLES)
+        check_int("comms_per_interval", self.comms_per_interval, 1, _MAX_SAMPLES // 2)
         check_int("initial_infected", self.initial_infected, 1)
         if self.initial_infected > self.n_computers:
             raise ParameterError(
@@ -98,7 +100,7 @@ def step_recurrence(params: PropagationParams, current: float) -> float:
 
 def simulate_curve(params: PropagationParams, n_max: int, method: str = "closed_form") -> PropagationCurve:
     """Expected-infection trajectory for n = 0..n_max."""
-    check_int("n_max", n_max, 0)
+    check_int("n_max", n_max, 0, _MAX_SAMPLES - 1)
     steps = np.arange(n_max + 1)
     if method == "closed_form":
         values = np.array([expected_infected_closed_form(params, int(n)) for n in steps])
@@ -160,7 +162,7 @@ def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
     of N entries, allocated once; a trial clears only the machines it infected.
     """
     check_int("trials", trials, 1)
-    check_int("n_max", n_max, 0)
+    check_int("n_max", n_max, 0, _MAX_SAMPLES - 1)
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n = params.n_computers

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError,
-                     check_real)
-from .signals import SampledSignal
+                     check_int, check_real)
+from .signals import SampledSignal, _read_text
 from .spectral import (Spectrum, _check_fft_size, _one_sided_magnitudes, fft_magnitude,
                        find_peaks)
 
@@ -293,13 +293,14 @@ def library_save(library: SignatureLibrary, path) -> None:
 def library_load(path) -> SignatureLibrary:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
     if not isinstance(doc, dict) or doc.get("format") != LIBRARY_FORMAT:
         raise ParseError(f"{path}: not a signature library file")
     version = doc.get("version")
     major = version.get("major") if isinstance(version, dict) else None
+    check_int(f"{path}: library major version", major, 0)  # JSON true is not 1
     if major != LIBRARY_MAJOR_VERSION:
         raise ParseError(
             f"{path}: unsupported library major version {major!r} "
@@ -320,7 +321,7 @@ def library_load(path) -> SignatureLibrary:
             mags = np.array(raw["template_magnitudes"], dtype=np.float64)
         except KeyError as e:
             raise ParseError(f"{path}: entry missing key {e.args[0]!r}") from e
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}: template for {label!r} is not a list of numbers") from e
         entries.append(SignatureEntry(label, FeatureVector.from_dict(features),
                                       Spectrum(mags, sample_rate, fft_size),

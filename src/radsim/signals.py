@@ -21,15 +21,17 @@ SIGNAL_FORMAT_TAG = "f64le"
 
 
 # The most float64 samples an array can hold: numpy answers a larger request
-# with a ValueError rather than a MemoryError.
+# with a ValueError rather than a MemoryError. Integer inputs that size arrays
+# are bounded by it too.
 _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 def _check_length(n_samples: float) -> None:
     """Reject a signal length no array can hold, before numpy is asked for it."""
     if not n_samples <= _MAX_SAMPLES:  # also rejects NaN
-        raise ParameterError(f"a signal of {n_samples:.6g} samples exceeds the largest "
-                             f"array size ({_MAX_SAMPLES} samples)")
+        # Not formatted as a float: an integer count can exceed the float range.
+        raise ParameterError(f"the signal would have more samples than the largest array "
+                             f"holds ({_MAX_SAMPLES})")
 
 
 @dataclass(eq=False)
@@ -46,7 +48,10 @@ class SampledSignal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ShapeError(f"samples must be one-dimensional, got shape {self.samples.shape}")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        # The extremes are NaN or infinite exactly when some sample is, and
+        # finding them takes no signal-sized array of flags.
+        if self.samples.size and not (np.isfinite(self.samples.min())
+                                      and np.isfinite(self.samples.max())):
             raise ParameterError("samples contain non-finite values")
 
     def __len__(self) -> int:
@@ -59,6 +64,15 @@ class SampledSignal:
     def times(self) -> np.ndarray:
         """Sample instants in seconds."""
         return self.start_time + np.arange(self.samples.size) / self.sample_rate
+
+
+def _read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 raise :class:`ParseError` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x} "
+                         f"at offset {e.start})") from e
 
 
 def sidecar_path(path) -> Path:
@@ -82,7 +96,7 @@ def _read_f64(path, size_key: str, keys: tuple[str, ...]) -> tuple[np.ndarray, d
     path = Path(path)
     side = sidecar_path(path)
     try:
-        meta = json.loads(side.read_text())
+        meta = json.loads(_read_text(side))
     except json.JSONDecodeError as e:
         raise ParseError(f"{side}: invalid JSON at line {e.lineno} column {e.colno}") from e
     if not isinstance(meta, dict):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ParseError, ShapeError, check_int, check_real
-from .signals import SampledSignal, _read_f64, _write_f64
+from .signals import _MAX_SAMPLES, SampledSignal, _read_f64, _read_text, _write_f64
 
 __all__ = [
     "Spectrum",
@@ -136,8 +136,8 @@ def _one_sided_magnitudes(transform: np.ndarray, fft_size: int,
 
 
 def _check_fft_size(fft_size: int) -> None:
-    """Reject an analysis FFT size that is not a power of two >= 2."""
-    check_int("fft_size", fft_size, 2)
+    """Reject an analysis FFT size that is not a power of two >= 2, or that no array holds."""
+    check_int("fft_size", fft_size, 2, _MAX_SAMPLES)
     if fft_size & (fft_size - 1):
         raise ParameterError(f"fft_size must be a power of two, got {fft_size!r}")
 
@@ -166,8 +166,8 @@ _WINDOWS = {
 
 def _check_window(window_length: int, hop: int, window: str) -> None:
     """Reject an STFT analysis grid that no signal could use."""
-    check_int("window_length", window_length, 2)
-    check_int("hop", hop, 1)
+    check_int("window_length", window_length, 2, _MAX_SAMPLES)
+    check_int("hop", hop, 1, _MAX_SAMPLES)
     if not (isinstance(window, str) and window in _WINDOWS):
         raise ParameterError(f"unknown window {window!r} (expected one of {sorted(_WINDOWS)})")
 
@@ -276,7 +276,7 @@ def read_spectrum_csv(path) -> Spectrum:
     path = Path(path)
     meta: dict[str, float] = {}
     freqs, mags = [], []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line == "frequency_hz,magnitude":
             continue

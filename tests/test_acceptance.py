@@ -12,9 +12,9 @@ import numpy as np
 
 from radsim.channel import ChannelParams, apply_channel, measure_snr
 from radsim.codec import BitStream, manchester_decode, manchester_encode, random_payload
-from radsim.modulation import (CarrierSpec, ask_demodulate, ask_modulate, fsk_demodulate,
-                               fsk_modulate, psk_demodulate, psk_modulate)
-from radsim.pipeline import DEFAULT_CONFIG, run_experiment
+from radsim.modulation import (DEMODULATORS, MODULATORS, CarrierSpec, fsk_demodulate,
+                               fsk_modulate)
+from radsim.pipeline import DEFAULT_CONFIG, recognition_benchmark, run_experiment
 from radsim.propagation import (PropagationParams, expected_infected_closed_form,
                                 inflection_time, monte_carlo_propagation)
 from radsim.recognition import (SignatureLibrary, classify, library_add, library_load,
@@ -28,9 +28,6 @@ RATE = 250.0
 # Coarse grid (8 samples/bit) so additive noise produces measurable errors.
 SPEC8 = CarrierSpec(center_frequency=2000.0, amplitude=1.0, initial_phase=0.0, sample_rate=8000.0)
 RATE8 = 1000.0
-
-MODULATORS = {"ask": ask_modulate, "fsk": fsk_modulate, "psk": psk_modulate}
-DEMODULATORS = {"ask": ask_demodulate, "fsk": fsk_demodulate, "psk": psk_demodulate}
 
 
 def verdict(number, description, ok):
@@ -174,27 +171,9 @@ def test_criterion_7_channel_calibration():
 
 def test_criterion_8_recognition_benchmark():
     start = time.perf_counter()
-    library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
-    for label, seed in (("fsk", 1000), ("psk", 2000), ("ask", 3000)):
-        template = MODULATORS[label](random_payload(seed, 1024, RATE), SPEC)
-        library = library_add(library, label, template, {"payload_seed": str(seed)})
-
-    correct = 0
-    for i, label in enumerate(("fsk", "psk", "ask")):
-        for k in range(50):
-            payload = random_payload(10_000 + i * 1000 + k, 256, RATE)
-            received = apply_channel(MODULATORS[label](payload, SPEC),
-                                     ChannelParams(snr_db=15.0, seed=20_000 + i * 1000 + k))
-            if classify(received, library, threshold=0.5).label == label:
-                correct += 1
-    accuracy = correct / 150
-
-    rejected = 0
-    for k in range(50):
-        noise = SampledSignal(48000.0, np.random.default_rng(90_000 + k).standard_normal(49_152))
-        if classify(noise, library, threshold=0.8).label == "unknown":
-            rejected += 1
-    rejection = rejected / 50
+    result = recognition_benchmark(snr_db=15.0, probes=50, threshold=0.5)
+    accuracy = result.correct / 150
+    rejection = result.noise_rejected / 50
 
     elapsed = time.perf_counter() - start
     ok = accuracy >= 0.95 and rejection >= 0.95 and elapsed < 60.0

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,7 +36,7 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_e
 
 SUBCOMMANDS = ["propagate", "payload", "encode", "modulate", "demodulate", "channel",
                "spectrum", "peaks", "features", "library-add", "library-list",
-               "classify", "run"]
+               "classify", "run", "evaluate"]
 
 
 def run_cli(*args, cwd=None):
@@ -116,14 +118,62 @@ def test_non_finite_rate_rejected(tmp_path, capsys, args, rate):
     ["encode", "--in", "{bits}", "--sample-rate", "1e300", "--rect-out", "{out}"],
     ["encode", "--in", "{bits}", "--sample-rate", "1e308", "--bit-rate", "1e-10",
      "--rect-out", "{out}"],
+    # 8e308 samples: an integer count beyond the float range.
+    ["modulate", "--in", "{bits}", "--scheme", "fsk", "--sample-rate", "1e308",
+     "--bit-rate", "1", "--out", "{out}"],
 ], ids=["modulate-ask", "modulate-fsk", "modulate-psk", "modulate-rate-ratio-inf",
-        "encode", "encode-rate-ratio-inf"])
+        "encode", "encode-rate-ratio-inf", "modulate-count-beyond-float"])
 def test_unallocatable_signal_is_one_line_error(tmp_path, capsys, args):
     # Finite rates whose signals have more samples than any array can hold.
     bits, out = tmp_path / "bits.txt", tmp_path / "out"
     bits.write_text("01101001\n")
     assert main([a.format(bits=bits, out=out) for a in args]) == 1
     assert one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["payload", "--bits", str(10 ** 21), "--out", "{out}"],
+    ["propagate", "--n", "10", "--m", "2", "--steps", str(2 ** 62), "--out", "{out}"],
+    ["propagate", "--n", "10", "--m", str(2 ** 62), "--method", "montecarlo", "--out", "{out}"],
+    ["propagate", "--n", str(10 ** 23), "--m", "2", "--method", "montecarlo", "--out", "{out}"],
+    ["propagate", "--n", "100", "--m", str(10 ** 400), "--out", "{out}"],
+    ["spectrum", "--in", "{signal}", "--fft-size", str(2 ** 62), "--out", "{out}"],
+    ["library-add", "--library", "{out}", "--label", "x", "--in", "{signal}",
+     "--fft-size", str(2 ** 100)],
+], ids=["payload-bits", "propagate-steps", "propagate-montecarlo-m", "propagate-montecarlo-n",
+        "propagate-closed-m", "spectrum-fft-size", "library-fft-size"])
+def test_oversized_integer_is_one_line_error(tmp_path, capsys, args):
+    # Integers that size arrays are bounded by the largest array length.
+    signal, out = tmp_path / "sig.f64", tmp_path / "out"
+    write_signal(SampledSignal(48000.0, np.zeros(8 * 192)), signal)
+    assert main([a.format(signal=signal, out=out) for a in args]) == 1
+    assert one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["peaks", "--spectrum", "{bad}", "--out", "{out}"],
+    ["library-list", "--library", "{bad}"],
+    ["classify", "--in", "{signal}", "--library", "{bad}", "--out", "{out}"],
+    ["run", "--config", "{bad}", "--out", "{out}"],
+    ["modulate", "--in", "{bad}", "--scheme", "fsk", "--out", "{out}"],
+    ["payload", "--hex-file", "{bad}", "--out", "{out}"],
+    ["features", "--in", "{bad_sidecar}", "--out", "{out}"],
+], ids=["spectrum-csv", "library", "classify-library", "run-config", "bits", "hex-file",
+        "signal-sidecar"])
+def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, args):
+    bad, signal, bad_sidecar = tmp_path / "bad", tmp_path / "sig.f64", tmp_path / "bad.f64"
+    bad.write_bytes(b"\xff\xfe\x00")
+    for path in (signal, bad_sidecar):
+        write_signal(SampledSignal(48000.0, np.zeros(8 * 192)), path)
+    (tmp_path / "bad.f64.json").write_bytes(b"\xff\xfe\x00")
+    out = tmp_path / "out"
+    assert main([a.format(bad=bad, signal=signal, bad_sidecar=bad_sidecar, out=out)
+                 for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "not UTF-8 text" in err
     assert not out.exists()
 
 
@@ -323,10 +373,13 @@ class TestLibraryCommands:
         lambda doc: doc.update(version=3),
         lambda doc: doc.update(sample_rate=True),
         lambda doc: doc["entries"][0]["features"].update(rms_power=True),
+        lambda doc: doc.update(version={"major": True, "minor": 0}),
+        lambda doc: doc["entries"][0].update(template_magnitudes=[10 ** 400] * 2049),
     ], ids=["fft-size-string", "fft-size-null", "fft-size-float", "sample-rate-string",
             "entries-number", "entry-number", "magnitudes-string", "magnitudes-short",
             "features-number", "peak-triple", "label-number", "metadata-number",
-            "version-number", "sample-rate-bool", "rms-power-bool"])
+            "version-number", "sample-rate-bool", "rms-power-bool", "version-major-bool",
+            "magnitudes-beyond-float"])
     def test_bad_library_is_one_line_error(self, tmp_path, capsys, corrupt):
         t = np.arange(4096) / 48000.0
         tone = SampledSignal(48000.0, np.cos(2 * np.pi * 1000.0 * t))
@@ -438,9 +491,12 @@ class TestRun:
          "amplitude"),
         ([], {"channel": {"snr_db": True}}, "snr_db"),
         ([], {"channel": {"snr_db": 10.0, "seed": True}}, "seed"),
+        ([], {"payload_bits": 10 ** 400}, "payload_bits"),
+        ([], {"stft_hop": 10 ** 400}, "hop"),
     ], ids=["fc-nan", "amplitude-inf", "payload-bits-float", "bit-rate-string",
             "peak-threshold-above-one", "stft-hop-bool", "peak-threshold-bool",
-            "peak-separation-bool", "amplitude-bool", "snr-db-bool", "channel-seed-bool"])
+            "peak-separation-bool", "amplitude-bool", "snr-db-bool", "channel-seed-bool",
+            "payload-bits-beyond-int64", "stft-hop-beyond-int64"])
     def test_bad_field_leaves_no_run_dir(self, tmp_path, capsys, flags, changes, name):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)))
@@ -551,9 +607,50 @@ class TestRun:
         assert "classified as: fsk-template" in result.stdout
 
 
+class TestEvaluate:
+    def test_reruns_write_identical_json(self, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["evaluate", "--snr-db", "15", "--out", str(first)]) == 0
+        assert "150/150 (100.0%)" in capsys.readouterr().out
+        assert main(["evaluate", "--snr-db", "15", "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text()) == {
+            "decisions": {"ask": {"ask": 50}, "fsk": {"fsk": 50}, "psk": {"psk": 50}},
+            "noise_rejected": 50, "probes": 50, "snr_db": 15.0, "threshold": 0.5}
+
+    @pytest.mark.parametrize("flags", [["--probes", "0"], ["--probes", "1001"],
+                                       ["--threshold", "1.5"], ["--snr-db", "nan"]],
+                             ids=["no-probes", "too-many-probes", "threshold", "snr-nan"])
+    def test_bad_flag_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "result.json"
+        assert main(["evaluate", *flags, "--out", str(out)]) == 1
+        assert one_line_error(capsys)
+        assert not out.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The ``radsim`` lines of the README's shell blocks, in order, without ``radsim``."""
+    blocks = README.read_text().split("```")[1::2]
+    return [shlex.split(line)[1:] for block in blocks if block.startswith("sh\n")
+            for line in block.splitlines() if line.startswith("radsim ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    shutil.copytree(DEFAULT_CONFIG.parent, tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert sorted({argv[0] for argv in commands}) == sorted(SUBCOMMANDS)
+    for argv in commands:
+        assert main(argv) == 0, f"radsim {shlex.join(argv)}: {capsys.readouterr().err}"
+
+
 # The hostile-config fuzz: every run config field, top-level or nested, may
 # take any of these values.
-HOSTILE = [None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf, 1e300, 2 ** 60]
+HOSTILE = [None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf, 1e300, 2 ** 60,
+           10 ** 400]
 # What a nested field is mutated inside when its object is missing or was
 # itself replaced; the default config has no channel.
 NESTED = {"carrier": json.loads(DEFAULT_CONFIG.read_text())["carrier"],

@@ -53,6 +53,15 @@ def test_check_int_rejects(value):
         check_int("n", value, 0)
 
 
+def test_check_int_upper_bound():
+    for value in (0, 5, np.int64(5)):
+        check_int("n", value, 0, 5)
+    for value in (6, -1, 10 ** 400, True):
+        with pytest.raises(ParameterError) as info:
+            check_int("n", value, 0, 5)
+        assert str(info.value) == f"n must be an integer in [0, 5], got {value!r}"
+
+
 def test_number_policy_lives_in_errors_only():
     # Another module that tests numbers.Real or numbers.Integral itself would
     # bring back its own rule for bools, NaN and infinity.

@@ -125,11 +125,10 @@ class TestGenerateCarrier:
         assert generate_carrier(spec, n / 48000.0).samples.tobytes() == expected.tobytes()
 
     def test_memory_is_the_output(self, traced_peak):
-        # 4096 bits x 192 samples: the 6.3 MB output plus the one byte per
-        # sample of SampledSignal's finiteness check, nothing signal-sized.
+        # 4096 bits x 192 samples: the 6.3 MB output, nothing else signal-sized.
         n = 4096 * 192
         peak = traced_peak(lambda: generate_carrier(SPEC, n / SPEC.sample_rate))
-        assert peak <= n * 8 + n + 64 * 1024
+        assert peak <= 1.1 * n * 8
 
 
 class TestSamplesPerBit:
@@ -188,6 +187,43 @@ class TestFsk:
         from radsim.spectral import Spectrum
         in_band = Spectrum(masked, spectrum.sample_rate, spectrum.fft_size).time_domain_energy()
         assert in_band / spectrum.time_domain_energy() >= 0.9
+
+
+def reference_fsk_modulate(stream, spec, phase_continuous):
+    """FSK samples from the phase formulas, one whole-matrix expression per step."""
+    f0 = spec.center_frequency - stream.bit_rate / 2.0
+    f1 = spec.center_frequency + stream.bit_rate / 2.0
+    spb = samples_per_bit(spec, stream.bit_rate)
+    freqs = np.where(stream.bits == 1, f1, f0)
+    if phase_continuous:
+        increments = 2 * np.pi * freqs * spb / spec.sample_rate
+        starts = spec.initial_phase + np.concatenate(([0.0], np.cumsum(increments[:-1])))
+        phases = starts[:, None] + 2 * np.pi * freqs[:, None] * np.arange(spb) / spec.sample_rate
+    else:
+        t = (np.arange(len(stream) * spb) / spec.sample_rate).reshape(len(stream), spb)
+        phases = 2 * np.pi * freqs[:, None] * t + spec.initial_phase
+    return spec.amplitude * np.cos(phases).ravel()
+
+
+class TestFskInPlace:
+    @settings(max_examples=50, deadline=None)
+    @given(bits=bit_lists, rate=st.sampled_from([125.0, 250.0, 1000.0]),
+           fc=st.floats(500.0, 20_000.0), amplitude=st.floats(1e-3, 1e3),
+           phase=st.floats(-100.0, 100.0), phase_continuous=st.booleans())
+    def test_bit_identical_to_the_formulas(self, bits, rate, fc, amplitude, phase,
+                                           phase_continuous):
+        spec = CarrierSpec(fc, amplitude, phase, 48000.0)
+        stream = BitStream(np.array(bits, dtype=np.uint8), rate)
+        expected = reference_fsk_modulate(stream, spec, phase_continuous)
+        got = fsk_modulate(stream, spec, phase_continuous).samples
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("phase_continuous", [True, False])
+    def test_memory_is_the_output(self, traced_peak, phase_continuous):
+        # 4096 bits x 192 samples: the 6.3 MB output; the formulas took 3-4 times it.
+        stream = random_payload(3, 4096, RATE)
+        peak = traced_peak(lambda: fsk_modulate(stream, SPEC, phase_continuous))
+        assert peak <= 1.1 * 4096 * 192 * 8
 
 
 class TestAsk:

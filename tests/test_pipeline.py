@@ -10,7 +10,8 @@ from radsim.channel import ChannelParams
 from radsim.codec import random_payload, read_bits
 from radsim.errors import ConfigurationError
 from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
-from radsim.pipeline import DEFAULT_CONFIG, ExperimentConfig, config_from_json, run_experiment
+from radsim.pipeline import (DEFAULT_CONFIG, ExperimentConfig, config_from_json,
+                             recognition_benchmark, run_experiment)
 from radsim.recognition import SignatureLibrary, library_add, library_save
 from radsim.signals import read_signal
 from radsim.spectral import find_peaks, read_spectrogram, read_spectrum_csv, stft
@@ -167,3 +168,20 @@ class TestConfig:
         doc["flux_capacitor"] = True
         with pytest.raises(ConfigurationError):
             config_from_json(doc)
+
+
+class TestRecognitionBenchmark:
+    def test_every_probe_right_at_minus_14_db(self):
+        # A copy of this loop that walked the schemes in sorted order drew other
+        # probe seeds and read one psk probe as ask here.
+        result = recognition_benchmark(-14.0, 50, 0.5)
+        assert result.decisions == {"fsk": {"fsk": 50}, "psk": {"psk": 50}, "ask": {"ask": 50}}
+        assert result.correct == 150
+        assert result.noise_rejected == 50
+
+    def test_misses_are_counted_under_their_label(self):
+        # At -17 dB most best scores fall below the threshold; every psk one does.
+        result = recognition_benchmark(-17.0, 10, 0.5)
+        assert result.decisions["psk"] == {"unknown": 10}
+        assert [sum(counts.values()) for counts in result.decisions.values()] == [10, 10, 10]
+        assert 0 < result.correct == 30 - sum(c["unknown"] for c in result.decisions.values())
