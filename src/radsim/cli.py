@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, RadsimError
 from .modulation import (DEMODULATORS, MODULATORS, CarrierSpec, compose_emitted,
                          generate_carrier)
-from .signals import _read_text, read_signal, write_signal
+from .signals import _read_json, _read_text, _write_json, read_signal, write_signal
 
 
 def _add_carrier_flags(parser, default_fc=2000.0, default_rate=48000.0):
@@ -143,31 +142,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional classification JSON output path")
 
     p = sub.add_parser("run", help="run the full pipeline experiment")
-    p.add_argument("--config", help="experiment config JSON path")
-    p.add_argument("--defaults", action="store_true", help="use the built-in default config")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="experiment config JSON path")
+    source.add_argument("--defaults", action="store_true", help="use the built-in default config")
+    # Every other flag's dest is the dotted path of the config field it sets.
     p.add_argument("--seed", type=int)
     p.add_argument("--payload-bits", type=int)
     p.add_argument("--bit-rate", type=float)
-    p.add_argument("--fc", type=float)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--phase", type=float)
-    p.add_argument("--sample-rate", type=float)
+    p.add_argument("--fc", dest="carrier.center_frequency", type=float)
+    p.add_argument("--amplitude", dest="carrier.amplitude", type=float)
+    p.add_argument("--phase", dest="carrier.initial_phase", type=float)
+    p.add_argument("--sample-rate", dest="carrier.sample_rate", type=float)
     p.add_argument("--modulation", choices=sorted(MODULATORS))
     compose = p.add_mutually_exclusive_group()
-    compose.add_argument("--compose", dest="compose", action="store_true", default=None)
-    compose.add_argument("--no-compose", dest="compose", action="store_false")
-    p.add_argument("--attenuation-db", type=float)
-    p.add_argument("--snr-db", type=float)
-    p.add_argument("--noise-power", type=float)
-    p.add_argument("--channel-seed", type=int, default=0)
+    compose.add_argument("--compose", dest="compose_with_carrier", action="store_true",
+                         default=None)
+    compose.add_argument("--no-compose", dest="compose_with_carrier", action="store_false")
+    p.add_argument("--attenuation-db", dest="channel.attenuation_db", type=float)
+    p.add_argument("--snr-db", dest="channel.snr_db", type=float)
+    p.add_argument("--noise-power", dest="channel.noise_power", type=float)
+    p.add_argument("--channel-seed", dest="channel.seed", type=int)
     demod = p.add_mutually_exclusive_group()
     demod.add_argument("--demodulate", dest="demodulate", action="store_true", default=None)
     demod.add_argument("--no-demodulate", dest="demodulate", action="store_false")
     p.add_argument("--stft-window", type=int)
     p.add_argument("--stft-hop", type=int)
-    p.add_argument("--library", help="signature library for classification")
-    p.add_argument("--threshold", type=float, help="classification threshold")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--library", dest="library_path", help="signature library for classification")
+    p.add_argument("--threshold", dest="classification_threshold", type=float,
+                   help="classification threshold")
+    p.add_argument("--out", dest="output_dir", required=True, help="output directory")
 
     p = sub.add_parser("evaluate", help="score a one-template-per-scheme library on noisy probes")
     p.add_argument("--snr-db", type=float, default=15.0, help="probe SNR at the channel output")
@@ -303,7 +306,7 @@ def _cmd_peaks(args) -> int:
 
 def _cmd_features(args) -> int:
     features = recognition.extract_features(read_signal(args.infile))
-    Path(args.out).write_text(json.dumps(asdict(features), sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, asdict(features))
     print(f"wrote {args.out}: rms {features.rms_power:.6g}, "
           f"centroid {features.spectral_centroid:.6g} Hz, "
           f"entropy {features.spectral_entropy:.4f}")
@@ -348,58 +351,44 @@ def _cmd_classify(args) -> int:
     library = recognition.library_load(args.library)
     result = recognition.classify(read_signal(args.infile), library, args.threshold)
     if args.out:
-        Path(args.out).write_text(json.dumps(asdict(result), sort_keys=True, indent=2) + "\n")
+        _write_json(args.out, asdict(result))
     print(f"label: {result.label} (score {result.score:.4f})")
     if result.runner_up:
         print(f"runner-up: {result.runner_up[0]} (score {result.runner_up[1]:.4f})")
     return 0
 
 
-# ``run`` flag (argparse dest) -> the ExperimentConfig / CarrierSpec field it overrides.
-_RUN_FIELDS = {"seed": "seed", "payload_bits": "payload_bits", "bit_rate": "bit_rate",
-               "modulation": "modulation", "compose": "compose_with_carrier",
-               "demodulate": "demodulate", "stft_window": "stft_window",
-               "stft_hop": "stft_hop", "library": "library_path",
-               "threshold": "classification_threshold"}
-_RUN_CARRIER_FIELDS = {"fc": "center_frequency", "amplitude": "amplitude",
-                       "phase": "initial_phase", "sample_rate": "sample_rate"}
+def _run_config(args) -> pipeline.ExperimentConfig:
+    """The ``--config`` document, or the default config, with each given flag's field set.
 
-
-def _flag_values(args, fields: dict) -> dict:
-    """Field values for the flags given on the command line (left unset: None)."""
-    return {name: getattr(args, flag) for flag, name in fields.items()
-            if getattr(args, flag) is not None}
+    Channel flags edit the config's channel, or make a noiseless one if it has
+    none; ``--snr-db`` and ``--noise-power`` each clear the other.
+    """
+    doc = asdict(pipeline.DEFAULT_CONFIG)  # its keys name the fields; a config may leave some out
+    edits = {tuple(dest.split(".")): value for dest, value in vars(args).items()
+             if value is not None and dest.split(".")[0] in doc}
+    if args.config:
+        doc.update(_read_json(args.config))
+    channel = {path[1] for path in edits if path[0] == "channel"}
+    if channel & {"snr_db", "noise_power"}:  # a channel takes one: setting it clears the other
+        edits = {("channel", "snr_db"): None, ("channel", "noise_power"): None} | edits
+    elif "seed" in channel and doc["channel"] is None:
+        raise ConfigurationError("--channel-seed needs --snr-db or --noise-power, "
+                                 "or a channel in the config")
+    if channel and doc["channel"] is None:
+        doc["channel"] = {"noise_power": 0.0}  # noiseless unless a noise flag is given
+    for (*parent, key), value in edits.items():
+        target = doc[parent[0]] if parent else doc
+        if not isinstance(target, dict):
+            raise ConfigurationError(f"{parent[0]} must be a JSON object to set {key}, "
+                                     f"got {target!r}")
+        target[key] = value
+    return pipeline.config_from_json(doc)
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        try:
-            doc = json.loads(_read_text(args.config))
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(
-                f"{args.config}: invalid JSON at line {e.lineno} column {e.colno}") from e
-        config = pipeline.config_from_json(doc)
-    else:
-        config = pipeline.DEFAULT_CONFIG
-
-    overrides = _flag_values(args, _RUN_FIELDS)
-    carrier_overrides = _flag_values(args, _RUN_CARRIER_FIELDS)
-    if carrier_overrides:
-        overrides["carrier"] = replace(config.carrier, **carrier_overrides)
-
-    if args.snr_db is not None or args.noise_power is not None or args.attenuation_db is not None:
-        noise_power = args.noise_power
-        if args.snr_db is None and noise_power is None:
-            noise_power = 0.0  # attenuation-only channel
-        overrides["channel"] = ChannelParams(
-            attenuation_db=args.attenuation_db if args.attenuation_db is not None else 0.0,
-            snr_db=args.snr_db,
-            noise_power=noise_power,
-            seed=args.channel_seed)
-
-    config = replace(config, output_dir=args.out, **overrides)
-    report = pipeline.run_experiment(config)
-    print(f"report: {Path(args.out) / 'report.json'}")
+    report = pipeline.run_experiment(_run_config(args))
+    print(f"report: {Path(args.output_dir) / 'report.json'}")
     print(f"peaks: {', '.join(f'{f:.6g} Hz' for f in report.peak_frequencies_hz) or 'none'}")
     if report.measured_snr_db is not None:
         print(f"measured SNR: {report.measured_snr_db:.3f} dB")
@@ -413,7 +402,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     result = pipeline.recognition_benchmark(args.snr_db, args.probes, args.threshold)
-    Path(args.out).write_text(json.dumps(asdict(result), sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, asdict(result))
     total = result.probes * len(result.decisions)
     print(f"wrote {args.out}")
     print(f"accuracy at {result.snr_db:g} dB SNR, threshold {result.threshold:g}: "

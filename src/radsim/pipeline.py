@@ -19,7 +19,7 @@ bias the per-bit correlators.
 from __future__ import annotations
 
 import contextlib
-import json
+import math
 import os
 import shutil
 from collections import Counter
@@ -34,7 +34,7 @@ from .errors import ConfigurationError, ConflictError, check_int, check_real
 from .modulation import CarrierSpec
 from .recognition import (DEFAULT_FFT_SIZE, UNKNOWN_LABEL, SignatureLibrary, classify,
                           library_add, library_load)
-from .signals import _MAX_SAMPLES, SampledSignal, write_signal
+from .signals import _MAX_SAMPLES, SampledSignal, _write_json, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "config_from_json", "DEFAULT_CONFIG", "RecognitionBenchmark",
@@ -97,7 +97,7 @@ class ExperimentReport:
     payload_bits: int
     modulation: str
     peak_frequencies_hz: list
-    measured_snr_db: float | None = None
+    measured_snr_db: float | None = None  # also None when infinite: no noise was added
     bit_errors: int | None = None
     ber: float | None = None
     classification: dict | None = None
@@ -106,10 +106,8 @@ class ExperimentReport:
 
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Build a config from the JSON layout of ``dataclasses.asdict(config)``."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("experiment config must be a JSON object")
     try:
-        kwargs = dict(doc)
+        kwargs = {**doc}  # a TypeError if doc is not a mapping
         if kwargs.get("carrier") is not None:
             kwargs["carrier"] = CarrierSpec(**kwargs["carrier"])
         if kwargs.get("channel") is not None:
@@ -171,12 +169,11 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
         write_signal(sig, out / f"{name}.f64")
         files[name] = f"{name}.f64"
 
-    measured_snr = None
+    measured_snr, received = None, emitted
     if config.channel is not None:
         received = apply_channel(emitted, config.channel)
-        measured_snr = measure_snr(emitted, received)
-    else:
-        received = emitted
+        snr = measure_snr(emitted, received)
+        measured_snr = snr if math.isfinite(snr) else None  # JSON has no Infinity
     write_signal(received, out / "received.f64")
     files["received"] = "received.f64"
 
@@ -212,8 +209,7 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     if config.library_path is not None:
         library = library_load(config.library_path)
         classification = asdict(classify(received, library, config.classification_threshold))
-        (out / "classification.json").write_text(
-            json.dumps(classification, sort_keys=True, indent=2) + "\n")
+        _write_json(out / "classification.json", classification)
         files["classification"] = "classification.json"
 
     report = ExperimentReport(
@@ -227,7 +223,7 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
         classification=classification,
         config=asdict(replace(config, output_dir=None)),
     )
-    (out / "report.json").write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
+    _write_json(out / "report.json", asdict(report))
     return report
 
 

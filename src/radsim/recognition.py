@@ -15,16 +15,14 @@ survive the round trip bit-exactly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError,
                      check_int, check_real)
-from .signals import SampledSignal, _read_text
+from .signals import SampledSignal, _read_json, _write_json
 from .spectral import (Spectrum, _check_fft_size, _one_sided_magnitudes, fft_magnitude,
                        find_peaks)
 
@@ -78,24 +76,19 @@ class FeatureVector:
         check_real("spectral_centroid", self.spectral_centroid, 0)
         check_real("spectral_bandwidth", self.spectral_bandwidth, 0)
         check_real("spectral_entropy", self.spectral_entropy, 0, 1)
-        if len(self.dominant_peaks) > _MAX_DOMINANT_PEAKS:
+        peaks = tuple((frequency, rel) for frequency, rel in self.dominant_peaks)
+        if len(peaks) > _MAX_DOMINANT_PEAKS:
             raise ParameterError(f"at most {_MAX_DOMINANT_PEAKS} dominant peaks allowed")
-        rels = [rel for _, rel in self.dominant_peaks]
-        if any(r2 > r1 for r1, r2 in zip(rels, rels[1:])):
-            raise ParameterError("dominant_peaks must be sorted by descending magnitude")
+        for i, (frequency, rel) in enumerate(peaks):
+            check_real("dominant peak frequency", frequency, 0)
+            # At most the one before: peaks run from the strongest down.
+            check_real("dominant peak magnitude", rel, 0, peaks[i - 1][1] if i else 1, "(]")
+        object.__setattr__(self, "dominant_peaks", peaks)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureVector":
         try:
-            return cls(
-                rms_power=data["rms_power"],
-                zero_crossing_rate=data["zero_crossing_rate"],
-                crest_factor=data["crest_factor"],
-                spectral_centroid=data["spectral_centroid"],
-                spectral_bandwidth=data["spectral_bandwidth"],
-                spectral_entropy=data["spectral_entropy"],
-                dominant_peaks=tuple((f, r) for f, r in data["dominant_peaks"]),
-            )
+            return cls(**{f.name: data[f.name] for f in fields(cls)})
         except KeyError as e:
             raise ParseError(f"feature vector missing key {e.args[0]!r}") from e
         except (TypeError, ValueError) as e:  # not an object, or a value of the wrong type or shape
@@ -287,16 +280,12 @@ def library_save(library: SignatureLibrary, path) -> None:
             for e in library.entries
         ],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def library_load(path) -> SignatureLibrary:
-    path = Path(path)
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
-    if not isinstance(doc, dict) or doc.get("format") != LIBRARY_FORMAT:
+    doc = _read_json(path)
+    if doc.get("format") != LIBRARY_FORMAT:
         raise ParseError(f"{path}: not a signature library file")
     version = doc.get("version")
     major = version.get("major") if isinstance(version, dict) else None

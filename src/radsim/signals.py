@@ -4,6 +4,8 @@ A signal file holds raw little-endian float64 samples, plus a JSON metadata
 sidecar (``<path>.json``) holding sample_rate, start_time, length and a
 format tag. It round-trips bit-exactly. Spectrograms are stored the same
 way (see ``spectral.write_spectrogram``), with a shape in place of a length.
+
+All JSON goes through :func:`_read_json` and :func:`_write_json`: strict, no ``NaN``.
 """
 
 from __future__ import annotations
@@ -75,6 +77,33 @@ def _read_text(path) -> str:
                          f"at offset {e.start})") from e
 
 
+def _finite_float(literal: str) -> float:
+    """A JSON number as a float64; ``NaN``, ``Infinity`` and ``1e400`` raise ValueError."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
+def _read_json(path) -> dict:
+    """The JSON object in a file, read strictly; anything else raises one :class:`ParseError`."""
+    text = _read_text(path)
+    try:
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
+    except (ValueError, RecursionError) as e:  # or an integer too long to convert, or deep nesting
+        raise ParseError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a JSON object")
+    return doc
+
+
+def _write_json(path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys; a non-finite float raises ValueError."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
 def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
@@ -83,8 +112,7 @@ def _write_f64(values: np.ndarray, path, meta: dict) -> None:
     """Write ``values`` as raw little-endian float64, and ``meta`` plus the format tag as its sidecar."""
     path = Path(path)
     np.ascontiguousarray(values, dtype="<f8").tofile(path)
-    sidecar_path(path).write_text(
-        json.dumps(dict(meta, format=SIGNAL_FORMAT_TAG), sort_keys=True, indent=2) + "\n")
+    _write_json(sidecar_path(path), dict(meta, format=SIGNAL_FORMAT_TAG))
 
 
 def _read_f64(path, size_key: str, keys: tuple[str, ...]) -> tuple[np.ndarray, dict]:
@@ -95,12 +123,7 @@ def _read_f64(path, size_key: str, keys: tuple[str, ...]) -> tuple[np.ndarray, d
     """
     path = Path(path)
     side = sidecar_path(path)
-    try:
-        meta = json.loads(_read_text(side))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{side}: invalid JSON at line {e.lineno} column {e.colno}") from e
-    if not isinstance(meta, dict):
-        raise ParseError(f"{side}: metadata must be a JSON object")
+    meta = _read_json(side)
     for key in ("format", size_key, *keys):
         if key not in meta:
             raise ParseError(f"{side}: missing metadata key {key!r}")

@@ -25,7 +25,7 @@ from radsim.cli import build_parser, main
 from radsim.codec import random_payload
 from radsim.modulation import MODULATORS, CarrierSpec
 from radsim.recognition import FeatureVector, SignatureLibrary, library_add, library_save
-from radsim.signals import SampledSignal, write_signal
+from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
 from radsim.spectral import read_spectrogram, write_spectrogram_csv
 
 BASE = [sys.executable, "-m", "radsim"]
@@ -174,6 +174,35 @@ def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace("48000.0", "NaN", 1),
+    lambda text: text.replace("48000.0", "1e400", 1),
+    lambda text: f"[{text}]",
+    lambda text: text.replace("48000.0", "1" * 5000, 1),
+    lambda text: "[" * 100_000 + "]" * 100_000,
+], ids=["truncated", "nan", "float-overflow", "not-an-object", "integer-too-long", "deep"])
+@pytest.mark.parametrize("command", ["run", "library-list", "features"])
+def test_bad_json_is_one_line_error_naming_the_file(tmp_path, capsys, command, corrupt):
+    signal = tmp_path / "sig.f64"
+    write_signal(MODULATORS["fsk"](random_payload(1, 64, 250.0), CarrierSpec(2000.0)), signal)
+    library = tmp_path / "lib.json"
+    library_save(library_add(SignatureLibrary(), "fsk", read_signal(signal)), library)
+    config = tmp_path / "config.json"
+    shutil.copy(DEFAULT_CONFIG, config)
+    out = tmp_path / "out"
+    path, argv = {
+        "run": (config, ["run", "--config", str(config), "--out", str(out)]),
+        "library-list": (library, ["library-list", "--library", str(library)]),
+        "features": (sidecar_path(signal), ["features", "--in", str(signal), "--out", str(out)]),
+    }[command]
+    path.write_text(corrupt(path.read_text()))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -375,11 +404,17 @@ class TestLibraryCommands:
         lambda doc: doc["entries"][0]["features"].update(rms_power=True),
         lambda doc: doc.update(version={"major": True, "minor": 0}),
         lambda doc: doc["entries"][0].update(template_magnitudes=[10 ** 400] * 2049),
+        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[math.nan, 1.0]]),
+        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[math.inf, 0.5]]),
+        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[10 ** 400, 0.5]]),
+        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[1000.0, 0.0]]),
+        lambda doc: doc["entries"][0].update(metadata={"k": math.nan}),
     ], ids=["fft-size-string", "fft-size-null", "fft-size-float", "sample-rate-string",
             "entries-number", "entry-number", "magnitudes-string", "magnitudes-short",
             "features-number", "peak-triple", "label-number", "metadata-number",
             "version-number", "sample-rate-bool", "rms-power-bool", "version-major-bool",
-            "magnitudes-beyond-float"])
+            "magnitudes-beyond-float", "peak-nan", "peak-float-overflow", "peak-beyond-float",
+            "peak-relative-zero", "metadata-nan"])
     def test_bad_library_is_one_line_error(self, tmp_path, capsys, corrupt):
         t = np.arange(4096) / 48000.0
         tone = SampledSignal(48000.0, np.cos(2 * np.pi * 1000.0 * t))
@@ -387,7 +422,9 @@ class TestLibraryCommands:
         library_save(library_add(SignatureLibrary(4096, 48000.0), "tone", tone), path)
         doc = json.loads(path.read_text())
         corrupt(doc)
-        path.write_text(json.dumps(doc))
+        # json.dumps spells an infinite float Infinity; 1e400 is the literal
+        # that overflows to it.
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
         assert main(["library-list", "--library", str(path)]) == 1
         assert one_line_error(capsys)
 
@@ -429,6 +466,50 @@ class TestRun:
         assert run_cli("run", "--config", str(DEFAULT_CONFIG), "--out", str(a)).returncode == 0
         assert run_cli("run", "--defaults", "--out", str(b)).returncode == 0
         assert directory_bytes(a) == directory_bytes(b)
+
+    def test_config_and_defaults_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", str(DEFAULT_CONFIG), "--defaults",
+                  "--out", str(tmp_path / "exp")])
+        assert info.value.code == 2
+        assert not (tmp_path / "exp").exists()
+
+    CHANNEL = {"attenuation_db": 3.0, "snr_db": 10.0, "noise_power": None, "seed": 5}
+
+    @pytest.mark.parametrize("flags, changes", [
+        (["--attenuation-db", "6"], {"attenuation_db": 6.0}),
+        (["--snr-db", "20"], {"snr_db": 20.0}),
+        (["--noise-power", "0.5"], {"snr_db": None, "noise_power": 0.5}),
+        (["--channel-seed", "9"], {"seed": 9}),
+    ], ids=["attenuation", "snr", "noise-power", "seed"])
+    def test_channel_flags_edit_the_config_channel(self, tmp_path, flags, changes):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(json.loads(DEFAULT_CONFIG.read_text()),
+                                          channel={"attenuation_db": 3.0, "snr_db": 10.0,
+                                                   "seed": 5})))
+        out = tmp_path / "exp"
+        assert main(["run", "--config", str(config), *flags, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["channel"] == dict(self.CHANNEL, **changes)
+
+    def test_attenuation_alone_is_a_noiseless_channel(self, tmp_path):
+        out = tmp_path / "exp"
+        assert main(["run", "--defaults", "--attenuation-db", "6", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        # The infinite SNR of a noiseless channel is recorded as null.
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["measured_snr_db"] is None
+        assert report["config"]["channel"] == {"attenuation_db": 6.0, "snr_db": None,
+                                               "noise_power": 0.0, "seed": 0}
+
+    def test_channel_seed_without_a_channel_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert main(["run", "--defaults", "--channel-seed", "9", "--out", str(out)]) == 1
+        assert one_line_error(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
         dict(json.loads(DEFAULT_CONFIG.read_text()),
@@ -659,6 +740,24 @@ RUN_FIELDS = ([(name,) for name in json.loads(DEFAULT_CONFIG.read_text())]
               + [(parent, name) for parent, fields in NESTED.items() for name in fields])
 
 
+# Run flags the fuzz gives on top of a mutated config, each with the field it
+# sets; a noise flag also clears the other noise field.
+RUN_FLAGS = {"--fc": ("carrier", "center_frequency"), "--snr-db": ("channel", "snr_db"),
+             "--noise-power": ("channel", "noise_power"),
+             "--attenuation-db": ("channel", "attenuation_db"),
+             "--channel-seed": ("channel", "seed")}
+NOISE_FIELDS = {("channel", "snr_db"), ("channel", "noise_power")}
+run_flag = st.sampled_from(sorted(RUN_FLAGS)).flatmap(lambda flag: st.tuples(
+    st.just(flag),
+    st.sampled_from(["-1", "10"] if flag == "--channel-seed" else ["nan", "-1", "10"])))
+
+
+def fields_set(flags):
+    """The config fields that ``flags`` (flag, value pairs) set or clear."""
+    paths = {RUN_FLAGS[flag] for flag, _ in flags}
+    return paths | NOISE_FIELDS if paths & NOISE_FIELDS else paths
+
+
 # Run config fields for which JSON true is a value: the two switches, and
 # output_dir, which --out overrides. In any other field it is an error.
 TRUE_ALLOWED = {("compose_with_carrier",), ("demodulate",), ("output_dir",)}
@@ -696,8 +795,9 @@ def cli_result(argv):
 @given(scheme=st.sampled_from(sorted(MODULATORS)),
        mutations=st.lists(st.tuples(st.sampled_from(RUN_FIELDS), st.sampled_from(HOSTILE)),
                           min_size=1, max_size=3, unique_by=lambda m: m[0])
-       .filter(lambda ms: not any(runs_large(path, value) for path, value in ms)))
-def test_hostile_run_config_fails_cleanly(scheme, mutations):
+       .filter(lambda ms: not any(runs_large(path, value) for path, value in ms)),
+       flags=st.lists(run_flag, max_size=2, unique_by=lambda f: f[0]))
+def test_hostile_run_config_fails_cleanly(scheme, mutations, flags):
     doc = dict(json.loads(DEFAULT_CONFIG.read_text()), modulation=scheme)
     for path, value in mutations:
         if len(path) == 2 and not isinstance(doc[path[0]], dict):
@@ -709,12 +809,13 @@ def test_hostile_run_config_fails_cleanly(scheme, mutations):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))
-        code, lines, caught = cli_result(["run", "--config", str(config),
+        code, lines, caught = cli_result(["run", "--config", str(config), *sum(flags, ()),
                                           "--out", str(Path(tmp) / "exp")])
         # A warning is one more stderr line on the command line.
         assert caught == []
         assert code in (0, 1)
-        if any(field_value(doc, path) is True for path in RUN_FIELDS if path not in TRUE_ALLOWED):
+        if any(field_value(doc, path) is True for path in RUN_FIELDS
+               if path not in TRUE_ALLOWED | fields_set(flags)):
             assert code == 1
         if code == 1:
             assert len(lines) == 1 and lines[0].startswith("error:")

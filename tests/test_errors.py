@@ -71,3 +71,14 @@ def test_number_policy_lives_in_errors_only():
                  if path.name != "errors.py" and pattern.search(path.read_text())]
     assert offenders == []
     assert pattern.search((package / "errors.py").read_text())
+
+
+def test_json_lives_in_signals_only():
+    # Another module that parses or writes JSON itself would bring back its
+    # own rules for NaN, Infinity and the error that names the file.
+    pattern = re.compile(r"\bjson\.(dumps|loads)\b|\bJSONDecodeError\b")
+    package = Path(radsim.__file__).parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "signals.py" and pattern.search(path.read_text())]
+    assert offenders == []
+    assert pattern.search((package / "signals.py").read_text())

@@ -265,7 +265,8 @@ class TestLibraryPersistence:
         doc = json.loads(path.read_text())
         doc["entries"][0]["template_magnitudes"] = [math.nan] * 2049
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParameterError, match="finite"):
+        # The strict JSON reader rejects the NaN before any template is built.
+        with pytest.raises(ParseError, match="NaN is not a finite number"):
             library_load(path)
 
     def test_not_a_library(self, tmp_path):
