@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -180,7 +181,7 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
 
     peaks = find_peaks(spectrum, relative_threshold=_PEAK_THRESHOLD,
                        min_separation=_PEAK_SEPARATION_BINS * spectrum.bin_width)
-    peaks.sort(key=lambda pk: (-pk.magnitude, pk.frequency))
+    peaks.sort(key=attrgetter("magnitude"), reverse=True)  # stable: ties stay by frequency
     top = peaks[:_MAX_DOMINANT_PEAKS]
     max_mag = top[0].magnitude if top else 0.0
     dominant = tuple((pk.frequency, pk.magnitude / max_mag) for pk in top)
@@ -215,10 +216,8 @@ def spectral_correlation(a: Spectrum, b: Spectrum) -> float:
     # Both grids start at 0 Hz, so they differ most at the last bin.
     if (a.magnitudes.size - 1) * abs(a.bin_width - b.bin_width) > 1e-9:
         raise ShapeError("bin grids differ; spectra are not comparable")
-    da = a.magnitudes - a.magnitudes.mean()
-    db = b.magnitudes - b.magnitudes.mean()
-    va = float(np.dot(da, da))
-    vb = float(np.dot(db, db))
+    da, va = a._centred
+    db, vb = b._centred
     if va == 0.0 or vb == 0.0:
         raise ParameterError("zero-variance spectrum; correlation is undefined")
     return float(np.dot(da, db) / math.sqrt(va * vb))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,8 @@ class Spectrum:
 
     Bin frequencies are derived from the grid, so a spectrum rebuilt from its
     grid and magnitudes equals the one :func:`fft_magnitude` returned, bit for
-    bit.
+    bit. The magnitudes are a read-only view: what is derived from them is
+    computed once and stays true.
     """
 
     magnitudes: np.ndarray
@@ -54,17 +56,26 @@ class Spectrum:
     bin_frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
+        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64).view()
+        self.magnitudes.flags.writeable = False
         check_real("sample_rate", self.sample_rate, 0, bounds="()")
         check_int("fft_size", self.fft_size, 2)
         if self.magnitudes.shape != (self.fft_size // 2 + 1,):
             raise ShapeError(f"magnitudes must have shape ({self.fft_size // 2 + 1},) for "
                              f"fft_size {self.fft_size}, got {self.magnitudes.shape}")
-        if not np.all(np.isfinite(self.magnitudes)):
+        # The extremes are NaN or infinite exactly when some magnitude is.
+        lowest, highest = self.magnitudes.min(), self.magnitudes.max()
+        if not (np.isfinite(lowest) and np.isfinite(highest)):
             raise ParameterError("magnitudes must be finite")
-        if np.any(self.magnitudes < 0):
+        if lowest < 0:
             raise ParameterError("magnitudes must be nonnegative")
         self.bin_frequencies = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
+
+    @cached_property
+    def _centred(self) -> tuple[np.ndarray, float]:
+        """The magnitudes less their mean, and the sum of squares of those."""
+        d = self.magnitudes - self.magnitudes.mean()
+        return d, float(np.dot(d, d))
 
     @property
     def bin_width(self) -> float:
@@ -218,14 +229,17 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0
     if peak_floor <= 0.0:
         return []
-    # Runs of equal magnitudes start where a bin differs from its left
-    # neighbour and end where it differs from its right one; -inf edges
-    # count as lower neighbours.
-    edged = np.concatenate(([-np.inf], m, [-np.inf]))
-    starts = np.flatnonzero(m != edged[:-2])
-    ends = np.flatnonzero(m != edged[2:])
-    candidates = starts[(edged[starts] < m[starts]) & (edged[ends + 2] < m[ends])
-                        & (m[starts] >= peak_floor)]
+    # A run of equal magnitudes that can peak starts at a bin at or above the
+    # floor and above its left neighbour. It ends at the first bin from there
+    # that differs from its right neighbour, and peaks if that one is lower.
+    # A missing neighbour at either edge counts as lower.
+    rises = np.empty(m.size, dtype=bool)
+    rises[0] = True
+    np.greater(m[1:], m[:-1], out=rises[1:])
+    starts = np.flatnonzero(rises & (m >= peak_floor))
+    run_ends = np.append(np.flatnonzero(m[:-1] != m[1:]), m.size - 1)
+    ends = run_ends[np.searchsorted(run_ends, starts)]
+    candidates = starts[(ends == m.size - 1) | (m.take(ends + 1, mode="clip") < m[starts])]
     order = candidates[np.lexsort((freqs[candidates], -m[candidates]))]
     kept_freqs: list[float] = []
     kept_bins: list[int] = []
@@ -272,9 +286,20 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
                (spectrum.bin_frequencies, spectrum.magnitudes))
 
 
+# The metadata lines of a spectrum CSV: each key once, and the type of its value.
+_SPECTRUM_META = {"fft_size": int, "sample_rate": float}
+
+
+def _csv_number(text: str, kind: type = float):
+    """``text`` as an int or float; digit-group underscores (``1_0``) raise ValueError."""
+    if "_" in text:
+        raise ValueError(f"underscore in {text!r}")
+    return kind(text)
+
+
 def read_spectrum_csv(path) -> Spectrum:
     path = Path(path)
-    meta: dict[str, float] = {}
+    meta: dict[str, int | float] = {}
     freqs, mags = [], []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -282,22 +307,22 @@ def read_spectrum_csv(path) -> Spectrum:
             continue
         if line.startswith("#"):
             key, _, val = line.lstrip("# ").partition("=")
+            if key in meta:
+                raise ParseError(f"{path}:{lineno}: repeated metadata key {key!r}")
             try:
-                meta[key] = float(val)
-            except ValueError as e:
+                meta[key] = _csv_number(val, _SPECTRUM_META[key])
+            except (KeyError, ValueError) as e:  # an unknown key, or not a number of its type
                 raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}") from e
             continue
         try:
             f_text, _, m_text = line.partition(",")
-            freqs.append(float(f_text))
-            mags.append(float(m_text))
+            freqs.append(_csv_number(f_text))
+            mags.append(_csv_number(m_text))
         except ValueError as e:
             raise ParseError(f"{path}:{lineno}: bad spectrum row {line!r}") from e
-    if "fft_size" not in meta or "sample_rate" not in meta:
+    if meta.keys() != _SPECTRUM_META.keys():
         raise ParseError(f"{path}: missing fft_size/sample_rate metadata")
-    if not meta["fft_size"].is_integer():
-        raise ParseError(f"{path}: fft_size must be an integer, got {meta['fft_size']!r}")
-    spectrum = Spectrum(np.array(mags), meta["sample_rate"], int(meta["fft_size"]))
+    spectrum = Spectrum(np.array(mags), meta["sample_rate"], meta["fft_size"])
     if not np.all(np.abs(np.array(freqs) - spectrum.bin_frequencies) <= 1e-9):  # NaN fails too
         raise ParseError(f"{path}: frequency column is off the bin grid of its "
                          f"fft_size and sample_rate")

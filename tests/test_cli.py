@@ -26,7 +26,8 @@ from radsim.codec import random_payload
 from radsim.modulation import MODULATORS, CarrierSpec
 from radsim.recognition import FeatureVector, SignatureLibrary, library_add, library_save
 from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
-from radsim.spectral import read_spectrogram, write_spectrogram_csv
+from radsim.spectral import (fft_magnitude, read_spectrogram, write_spectrogram_csv,
+                             write_spectrum_csv)
 
 BASE = [sys.executable, "-m", "radsim"]
 # Subprocesses import the radsim copy this process imported, installed or not.
@@ -866,3 +867,79 @@ def test_hostile_library_fails_cleanly(saved_library, mutations):
                 assert code == 1
             if code == 1:
                 assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def spectrum_csv_lines(tmp_path_factory):
+    """The lines of a valid spectrum CSV: 64 samples at 64 Hz, so 33 rows 1 Hz apart."""
+    path = tmp_path_factory.mktemp("spectrum") / "spectrum.csv"
+    samples = np.random.default_rng(4).standard_normal(64)
+    write_spectrum_csv(fft_magnitude(SampledSignal(64.0, samples)), path)
+    return path.read_text().splitlines()
+
+
+def peaks_from_csv(lines):
+    """Exit code, stderr lines and warnings of ``radsim peaks`` on a spectrum CSV of ``lines``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spectrum, out = Path(tmp) / "spectrum.csv", Path(tmp) / "peaks.csv"
+        spectrum.write_text("\n".join(lines) + "\n")
+        code, err, caught = cli_result(["peaks", "--spectrum", str(spectrum), "--out", str(out)])
+        assert out.exists() == (code == 0)
+    return code, err, caught
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda lines: lines[:7] + ["4.0,1_0"] + lines[8:], "1_0"),
+    (lambda lines: lines[:2] + lines[1:], "sample_rate"),
+    (lambda lines: ["# fft_size=9007199254740993"] + lines[1:], "9007199254740993"),
+], ids=["underscore-in-number", "repeated-key", "fft-size-beyond-float"])
+def test_strict_spectrum_csv_numbers(spectrum_csv_lines, edit, named):
+    assert spectrum_csv_lines[7].startswith("4.0,")
+    code, err, _ = peaks_from_csv(edit(spectrum_csv_lines))
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+# The spectrum CSV fuzz: a metadata value or a field of a row (the first,
+# a middle and the last) may take any of these values, or its whole line may
+# go missing or appear twice.
+MISSING, REPEATED = "<missing line>", "<repeated line>"
+CSV_HOSTILE = ["nan", "inf", "1e400", "-1", "1_0", "", str(2 ** 60), MISSING, REPEATED]
+CSV_FIELDS = [(0, 1), (1, 1)] + [(line, field) for line in (3, 19, 35) for field in (0, 1)]
+
+
+def mutate_csv(lines, mutations):
+    """``lines`` with each ((line, field), value) mutation applied in turn."""
+    groups = [[line] for line in lines]
+    for (index, field), value in mutations:
+        if value == MISSING:
+            groups[index] = []
+        elif value == REPEATED:
+            groups[index] = groups[index] * 2
+        else:
+            sep = "=" if lines[index].startswith("#") else ","
+            groups[index] = [sep.join(value if i == field else part
+                                      for i, part in enumerate(line.split(sep)))
+                             for line in groups[index]]
+    return [line for group in groups for line in group]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(CSV_FIELDS), st.sampled_from(CSV_HOSTILE)),
+                          min_size=1, max_size=3, unique_by=lambda m: m[0]))
+@example(mutations=[((19, 1), "1_0")])
+@example(mutations=[((1, 1), REPEATED)])
+@example(mutations=[((0, 1), MISSING)])
+@example(mutations=[((0, 1), str(2 ** 60))])
+def test_hostile_spectrum_csv_fails_cleanly(spectrum_csv_lines, mutations):
+    lines = mutate_csv(spectrum_csv_lines, mutations)
+    code, err, caught = peaks_from_csv(lines)
+    assert caught == []
+    assert code in (0, 1)
+    keys = [line.partition("=")[0] for line in lines if line.startswith("#")]
+    values = [line.partition("=")[2] if line.startswith("#") else line for line in lines
+              if line != "frequency_hz,magnitude"]
+    if any("_" in value for value in values) or len(keys) != len(set(keys)):
+        assert code == 1
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("error:")

@@ -38,6 +38,13 @@ def small_library(template_bits=1024):
     return library
 
 
+def pearson(a, b):
+    """Pearson correlation of two magnitude arrays, centred and scaled from scratch."""
+    da = a - a.mean()
+    db = b - b.mean()
+    return float(np.dot(da, db) / math.sqrt(float(np.dot(da, da)) * float(np.dot(db, db))))
+
+
 class TestExtractFeatures:
     def test_pure_cosine_statistics(self):
         amplitude = 2.0
@@ -132,6 +139,14 @@ class TestSpectralCorrelation:
         with pytest.raises(ParameterError):
             spectral_correlation(flat, flat)
 
+    def test_zero_variance_rejected_beside_a_centred_spectrum(self):
+        flat = Spectrum(np.ones(16), 30.0, 30)
+        varied = Spectrum(np.linspace(0.0, 1.0, 16), 30.0, 30)
+        assert spectral_correlation(varied, varied) == pytest.approx(1.0, abs=1e-12)
+        for a, b in ((flat, varied), (varied, flat)):
+            with pytest.raises(ParameterError, match="zero-variance"):
+                spectral_correlation(a, b)
+
 
 class TestClassify:
     def test_self_match(self):
@@ -162,6 +177,20 @@ class TestClassify:
         assert result.runner_up is not None
         assert result.runner_up[0] != result.label
         assert result.runner_up[1] <= result.score
+
+    def test_scores_equal_pearson_from_scratch_cold_and_warm(self, tmp_path):
+        library_save(small_library(template_bits=256), tmp_path / "lib.json")
+        library = library_load(tmp_path / "lib.json")  # no template centred yet
+        probe = psk_modulate(random_payload(9, 128, RATE), SPEC)
+        probe_mags = matching_spectrum(probe, library.fft_size).magnitudes
+        (best, label), (second, runner_up) = sorted(
+            ((pearson(probe_mags, e.template_spectrum.magnitudes), e.label)
+             for e in library.entries), key=lambda sc: (-sc[0], sc[1]))[:2]
+        for _ in range(2):  # every template centred on the first call, reused on the second
+            result = classify(probe, library, threshold=0.01)
+            assert (result.label, result.score, result.runner_up) == (label, best,
+                                                                      (runner_up, second))
+            assert all("_centred" in vars(e.template_spectrum) for e in library.entries)
 
     def test_tie_breaks_lexicographically(self):
         signal = tone()

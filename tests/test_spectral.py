@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,39 @@ def reference_find_peaks(spectrum, relative_threshold, min_separation):
             kept.append(k)
     kept.sort()
     return [(float(freqs[k]), float(m[k]), int(k)) for k in kept]
+
+
+def reference_run_peaks(spectrum, relative_threshold, min_separation):
+    """find_peaks by its definition, bin by bin, plateaus included.
+
+    A maximal run of equal magnitudes whose outside neighbours are both
+    lower (a missing one at an edge counts as lower) and that lies at or
+    above the floor is one candidate, at its lowest bin. Candidates are kept
+    from the strongest down, ties toward lower frequency, when no kept peak
+    lies closer than min_separation.
+    """
+    m = spectrum.magnitudes.tolist()
+    freqs = spectrum.bin_frequencies.tolist()
+    peak_floor = relative_threshold * max(m)
+    if peak_floor <= 0.0:
+        return []
+    candidates = []
+    start = 0
+    while start < len(m):
+        end = start
+        while end + 1 < len(m) and m[end + 1] == m[start]:
+            end += 1
+        left = m[start - 1] if start > 0 else -math.inf
+        right = m[end + 1] if end + 1 < len(m) else -math.inf
+        if left < m[start] > right and m[start] >= peak_floor:
+            candidates.append(start)
+        start = end + 1
+    candidates.sort(key=lambda k: (-m[k], freqs[k]))
+    kept = []
+    for k in candidates:
+        if all(abs(freqs[k] - freqs[j]) >= min_separation for j in kept):
+            kept.append(k)
+    return [(freqs[k], m[k], k) for k in sorted(kept)]
 
 
 def reference_write_spectrum_csv(spectrum, path):
@@ -147,6 +181,27 @@ class TestSpectrum:
     def test_bad_spectrum_rejected(self, mags, rate, fft_size, error):
         with pytest.raises(error):
             Spectrum(mags, rate, fft_size)
+
+    @pytest.mark.parametrize("mags, message", [
+        ([0.0, 1.0, np.nan, 0.0, 0.0], "finite"),
+        ([0.0, 1.0, np.inf, 0.0, 0.0], "finite"),
+        ([0.0, -np.inf, 1.0, 0.0, 0.0], "finite"),
+        ([0.0, -1.0, np.nan, 0.0, 0.0], "finite"),
+        ([0.0, 1.0, -1e-300, 0.0, 0.0], "nonnegative"),
+    ], ids=["nan", "inf", "minus-inf", "negative-and-nan", "negative"])
+    def test_bad_magnitude_message(self, mags, message):
+        with pytest.raises(ParameterError, match=f"^magnitudes must be {message}$"):
+            Spectrum(np.array(mags), 100.0, 8)
+
+    def test_magnitudes_are_read_only(self):
+        mags = np.linspace(0.0, 1.0, 5)
+        spectrum = Spectrum(mags, 100.0, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum.magnitudes[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum.magnitudes *= 2.0
+        assert mags.flags.writeable  # the caller's array is left as it was
+        assert np.array_equal(spectrum.magnitudes, np.linspace(0.0, 1.0, 5))
 
 
 class TestStft:
@@ -280,6 +335,19 @@ class TestFindPeaks:
         spectrum = Spectrum(mags, sample_rate=8.0, fft_size=2 * (len(mags) - 1))
         peaks = find_peaks(spectrum, relative_threshold=0.1, min_separation=0.0)
         assert [p.bin_index for p in peaks] == bins
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=40), st.booleans(),
+           st.floats(0.0, 1.0, exclude_min=True),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.5, 1e9]))
+    def test_matches_run_reference_with_plateaus(self, values, odd, threshold, separation):
+        # Few distinct integer levels make plateaus, shoulders and equal
+        # peaks common; the rate equals fft_size, so bins are 1 Hz apart.
+        fft_size = 2 * len(values) - 1 if odd else 2 * (len(values) - 1)
+        spectrum = Spectrum(np.array(values, dtype=float), float(fft_size), fft_size)
+        peaks = find_peaks(spectrum, threshold, separation)
+        assert ([(p.frequency, p.magnitude, p.bin_index) for p in peaks]
+                == reference_run_peaks(spectrum, threshold, separation))
 
     def test_tie_breaks_toward_lower_frequency(self):
         mags = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
