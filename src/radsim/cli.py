@@ -25,11 +25,19 @@ from .modulation import (DEMODULATORS, MODULATORS, CarrierSpec, compose_emitted,
 from .signals import _read_json, _read_text, _write_json, read_signal, write_signal
 
 
-def _add_carrier_flags(parser, default_fc=2000.0, default_rate=48000.0):
-    parser.add_argument("--fc", type=float, default=default_fc, help="carrier center frequency, Hz")
-    parser.add_argument("--amplitude", type=float, default=1.0, help="carrier amplitude")
-    parser.add_argument("--phase", type=float, default=0.0, help="carrier initial phase, radians")
-    parser.add_argument("--sample-rate", type=float, default=default_rate, help="sample rate, Hz")
+_BIT_RATE = pipeline.DEFAULT_CONFIG.bit_rate
+_CARRIER = pipeline.DEFAULT_CONFIG.carrier
+
+
+def _add_carrier_flags(parser):
+    parser.add_argument("--fc", type=float, default=_CARRIER.center_frequency,
+                        help="carrier center frequency, Hz")
+    parser.add_argument("--amplitude", type=float, default=_CARRIER.amplitude,
+                        help="carrier amplitude")
+    parser.add_argument("--phase", type=float, default=_CARRIER.initial_phase,
+                        help="carrier initial phase, radians")
+    parser.add_argument("--sample-rate", type=float, default=_CARRIER.sample_rate,
+                        help="sample rate, Hz")
 
 
 def _carrier_from(args) -> CarrierSpec:
@@ -61,21 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--hex", help="hex string to expand into bits")
     src.add_argument("--hex-file", help="file containing a hex string")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bit-rate", type=float, default=250.0)
+    p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--out", required=True, help="bit text file output path")
 
     p = sub.add_parser("encode", help="Manchester-encode bits and/or render a rectangular waveform")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
-    p.add_argument("--bit-rate", type=float, default=250.0)
+    p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--manchester-out", help="half-bit level text file output")
     p.add_argument("--rect-out", help="rectangular waveform signal output")
-    p.add_argument("--sample-rate", type=float, default=48000.0, help="for --rect-out")
+    p.add_argument("--sample-rate", type=float, default=_CARRIER.sample_rate, help="for --rect-out")
     p.add_argument("--high", type=float, default=1.0, help="rectangular high level")
     p.add_argument("--low", type=float, default=0.0, help="rectangular low level")
 
     p = sub.add_parser("modulate", help="modulate a bit stream onto a carrier")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
-    p.add_argument("--bit-rate", type=float, default=250.0)
+    p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--scheme", choices=sorted(MODULATORS), required=True)
     _add_carrier_flags(p)
     p.add_argument("--compose", action="store_true", help="add the carrier to the modulated signal")
@@ -87,9 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--scheme", choices=sorted(DEMODULATORS), required=True)
     p.add_argument("--n-bits", type=int, required=True)
-    p.add_argument("--bit-rate", type=float, default=250.0)
+    p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     _add_carrier_flags(p)
-    p.add_argument("--threshold-fraction", type=float, default=0.5, help="ASK energy threshold")
     p.add_argument("--expected", help="bit text file to compare against (prints BER)")
     p.add_argument("--out", required=True, help="decoded bit text file output")
 
@@ -250,9 +257,7 @@ def _cmd_modulate(args) -> int:
 def _cmd_demodulate(args) -> int:
     signal = read_signal(args.infile)
     spec = _carrier_from(args)
-    demodulate = DEMODULATORS[args.scheme]
-    stream = demodulate(signal, spec, args.n_bits, args.bit_rate, **_scheme_options(
-        demodulate, threshold_fraction=args.threshold_fraction))
+    stream = DEMODULATORS[args.scheme](signal, spec, args.n_bits, args.bit_rate)
     codec.write_bits(stream, args.out)
     print(f"wrote {args.out}: {len(stream)} bits")
     if args.expected:

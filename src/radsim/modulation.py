@@ -1,4 +1,4 @@
-"""Carrier generation and binary ASK/FSK/PSK modulation with coherent receivers.
+"""Carrier generation and binary ASK/FSK/PSK modulation with their receivers.
 
 Conventions:
 
@@ -11,9 +11,9 @@ Conventions:
 * ``sample_rate / bit_rate`` must be an integer so bit boundaries land
   exactly on samples.
 
-The demodulators are idealized coherent receivers (carrier frequency, phase
-and bit timing known); they exist so transmit/receive round trips can be
-verified and bit error rates measured.
+The receivers know the bit timing and exist so round trips can be verified
+and bit error rates measured. ASK and PSK share one coherent correlator that
+decides at the keyed levels' midpoint; FSK is noncoherent (tone magnitudes).
 """
 
 from __future__ import annotations
@@ -143,22 +143,26 @@ def fsk_modulate(stream: BitStream, spec: CarrierSpec, phase_continuous: bool = 
     return SampledSignal(spec.sample_rate, phases.ravel())
 
 
-def _keyed_carrier(stream: BitStream, spec: CarrierSpec, levels: np.ndarray) -> SampledSignal:
+# The carrier's level for bit 0 and for bit 1, read by the keyed transmitter and receiver.
+_KEYED_LEVELS = {"ask": (0.0, 1.0), "psk": (-1.0, 1.0)}
+
+
+def _keyed_carrier(stream: BitStream, spec: CarrierSpec, scheme: str) -> SampledSignal:
     """The carrier over the stream, each bit's samples multiplied by that bit's level."""
     spb = samples_per_bit(spec, stream.bit_rate)
     keyed = generate_carrier(spec, len(stream) * spb / spec.sample_rate)
-    keyed.samples *= np.repeat(levels, spb)
+    keyed.samples *= np.repeat(np.array(_KEYED_LEVELS[scheme])[stream.bits], spb)
     return keyed
 
 
 def ask_modulate(stream: BitStream, spec: CarrierSpec) -> SampledSignal:
     """On-off keying: carrier for 1, silence for 0."""
-    return _keyed_carrier(stream, spec, stream.bits.astype(np.float64))
+    return _keyed_carrier(stream, spec, "ask")
 
 
 def psk_modulate(stream: BitStream, spec: CarrierSpec) -> SampledSignal:
     """Binary PSK: carrier phase 0 for 1, phase pi (negated carrier) for 0."""
-    return _keyed_carrier(stream, spec, np.where(stream.bits == 1, 1.0, -1.0))
+    return _keyed_carrier(stream, spec, "psk")
 
 
 def compose_emitted(carrier: SampledSignal, modulated: SampledSignal) -> SampledSignal:
@@ -219,44 +223,40 @@ def fsk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     return BitStream(bits, bit_rate)
 
 
-def psk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                   bit_rate: float) -> BitStream:
-    """Coherent correlation with the carrier; positive correlation decodes as 1.
+def _keyed_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
+                      bit_rate: float, scheme: str) -> BitStream:
+    """Coherent correlation with the carrier; above the levels' midpoint decodes as 1.
 
-    Over bit b the carrier is A*cos(theta_b + a_j), theta_b from
-    :func:`_bit_phases` and a_j = 2*pi*fc*j/fs, so its correlation with the
-    window is A*(cos(theta_b)*zc - sin(theta_b)*zs), zc and zs being the
-    window's correlations with one bit of cos(a_j) and sin(a_j).
+    With theta_b from :func:`_bit_phases` and a_j = 2*pi*fc*j/fs, the window's
+    correlation with cos(theta_b + a_j) is cos(theta_b)*zc - sin(theta_b)*zs,
+    zc and zs being its correlations with one bit of cos(a_j) and sin(a_j).
+    Without noise, level l gives l*A*E_b for E_b = sum_j cos(theta_b + a_j)**2,
+    which is spb/2 + (cos(2*theta_b)*C2 - sin(2*theta_b)*S2)/2 for C2 and S2
+    the sums of cos(2*a_j) and sin(2*a_j) over one bit.
     """
+    midpoint = sum(_KEYED_LEVELS[scheme]) / 2
     spb = samples_per_bit(spec, bit_rate)
     zc, zs = _tone_correlations(_bit_windows(signal, spb, n_bits), (spec.center_frequency,),
                                 spec.sample_rate)
     theta = _bit_phases(spec, spb, n_bits)
     correlation = np.cos(theta) * zc[:, 0] - np.sin(theta) * zs[:, 0]
-    bits = (correlation > 0).astype(np.uint8)
+    angles = _one_bit_angles((2 * spec.center_frequency,), spb, spec.sample_rate)
+    c2, s2 = np.cos(angles).sum(), np.sin(angles).sum()
+    bit_energies = spb / 2 + (np.cos(2 * theta) * c2 - np.sin(2 * theta) * s2) / 2
+    bits = (correlation > midpoint * spec.amplitude * bit_energies).astype(np.uint8)
     return BitStream(bits, bit_rate)
+
+
+def psk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
+                   bit_rate: float) -> BitStream:
+    """Coherent correlation with the carrier; positive correlation decodes as 1."""
+    return _keyed_demodulate(signal, spec, n_bits, bit_rate, "psk")
 
 
 def ask_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                   bit_rate: float, threshold_fraction: float = 0.5) -> BitStream:
-    """Per-bit energy detector against a fraction of the full-carrier bit energy.
-
-    With theta_b and a_j as in :func:`psk_demodulate`, the carrier's energy
-    over bit b is A**2 * sum_j cos(theta_b + a_j)**2, which is
-    A**2 * (spb/2 + (cos(2*theta_b)*C2 - sin(2*theta_b)*S2) / 2) for C2 and
-    S2 the sums of cos(2*a_j) and sin(2*a_j) over one bit.
-    """
-    check_real("threshold_fraction", threshold_fraction, 0, 1, "()")
-    spb = samples_per_bit(spec, bit_rate)
-    windows = _bit_windows(signal, spb, n_bits)
-    energies = np.einsum("ij,ij->i", windows, windows)
-    angles = _one_bit_angles((2 * spec.center_frequency,), spb, spec.sample_rate)
-    c2, s2 = np.cos(angles).sum(), np.sin(angles).sum()
-    theta2 = 2 * _bit_phases(spec, spb, n_bits)
-    swing = (np.cos(theta2) * c2 - np.sin(theta2) * s2) / 2
-    carrier_energies = spec.amplitude ** 2 * (spb / 2 + swing)
-    bits = (energies >= threshold_fraction * carrier_energies).astype(np.uint8)
-    return BitStream(bits, bit_rate)
+                   bit_rate: float) -> BitStream:
+    """Coherent correlation with the carrier; above half a full-carrier bit's decodes as 1."""
+    return _keyed_demodulate(signal, spec, n_bits, bit_rate, "ask")
 
 
 # The scheme registry: every scheme name the package accepts, and the one place

@@ -32,8 +32,8 @@ from . import codec, modulation, spectral
 from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, ConflictError, check_int, check_real
 from .modulation import CarrierSpec
-from .recognition import (DEFAULT_FFT_SIZE, UNKNOWN_LABEL, SignatureLibrary, classify,
-                          library_add, library_load)
+from .recognition import (DEFAULT_FFT_SIZE, DEFAULT_THRESHOLD, UNKNOWN_LABEL, SignatureLibrary,
+                          classify, library_add, library_load)
 from .signals import _MAX_SAMPLES, SampledSignal, _write_json, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -60,7 +60,7 @@ class ExperimentConfig:
     peak_relative_threshold: float = 0.1
     peak_min_separation: float | None = None  # defaults to bit_rate / 2
     library_path: str | None = None
-    classification_threshold: float = 0.8
+    classification_threshold: float = DEFAULT_THRESHOLD
     output_dir: str | None = None
 
     def __post_init__(self):

@@ -197,12 +197,7 @@ def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -
     n_blocks = max(1, len(signal) // fft_size)
     blocks = signal.samples[:n_blocks * fft_size].reshape(n_blocks, -1)
     mags = _one_sided_magnitudes(np.fft.rfft(blocks, n=fft_size, axis=1), fft_size)
-    # Summing row by row in block order keeps the mean bit-identical to
-    # averaging one fft_magnitude per block.
-    acc = np.zeros(fft_size // 2 + 1)
-    for row in mags:
-        acc += row
-    mean = acc / n_blocks
+    mean = mags.sum(axis=0) / n_blocks
     energy = math.sqrt(float(np.sum(mean ** 2)))
     if energy == 0.0:
         raise ParameterError("signal spectrum has zero energy; cannot normalize")

@@ -455,6 +455,13 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["ber"] < 1e-2
 
+    @pytest.mark.parametrize("scheme", sorted(MODULATORS))
+    def test_every_scheme_decodes_at_5db(self, tmp_path, scheme):
+        out = tmp_path / "exp"
+        assert main(["run", "--defaults", "--modulation", scheme, "--payload-bits", "1024",
+                     "--snr-db", "5", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["bit_errors"] == 0
+
     def test_nyquist_violation(self, tmp_path):
         result = run_cli("run", "--fc", "30000", "--sample-rate", "48000",
                          "--out", str(tmp_path / "exp"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,9 @@ from hypothesis import strategies as st
 from radsim.channel import ChannelParams, apply_channel
 from radsim.codec import BitStream, random_payload
 from radsim.errors import ConfigurationError, ParameterError, ShapeError
-from radsim.modulation import (DEMODULATORS, MODULATORS, CarrierSpec, ask_demodulate,
-                               ask_modulate, compose_emitted, fsk_demodulate, fsk_modulate,
-                               generate_carrier, psk_demodulate, psk_modulate,
-                               samples_per_bit)
+from radsim.modulation import (DEMODULATORS, MODULATORS, CarrierSpec, ask_modulate,
+                               compose_emitted, fsk_demodulate, fsk_modulate, generate_carrier,
+                               psk_demodulate, psk_modulate, samples_per_bit)
 from radsim.signals import SampledSignal
 from radsim.spectral import fft_magnitude, find_peaks
 
@@ -54,15 +55,18 @@ def reference_psk_demodulate(signal, spec, n_bits, bit_rate):
     return correlation > 0, np.abs(correlation) > TIE_TOLERANCE * scale
 
 
-def reference_ask_demodulate(signal, spec, n_bits, bit_rate, threshold_fraction=0.5):
-    """Energies against a full-length carrier's; the scale bounds both sides' terms."""
+def reference_ask_demodulate(signal, spec, n_bits, bit_rate):
+    """Correlation with a full-length carrier against half the carrier's energy.
+
+    The scale A * sum(|w|) + A**2 * spb bounds both sides' terms.
+    """
     spb = samples_per_bit(spec, bit_rate)
     windows = signal.samples[:n_bits * spb].reshape(n_bits, spb)
     reference = generate_carrier(spec, n_bits * spb / spec.sample_rate).samples.reshape(n_bits, spb)
-    energies = (windows ** 2).sum(axis=1)
-    thresholds = threshold_fraction * (reference ** 2).sum(axis=1)
-    scale = energies + threshold_fraction * spec.amplitude ** 2 * spb
-    return energies >= thresholds, np.abs(energies - thresholds) > TIE_TOLERANCE * scale
+    correlation = (windows * reference).sum(axis=1)
+    thresholds = (reference ** 2).sum(axis=1) / 2
+    scale = spec.amplitude * np.abs(windows).sum(axis=1) + spec.amplitude ** 2 * spb
+    return correlation > thresholds, np.abs(correlation - thresholds) > TIE_TOLERANCE * scale
 
 
 REFERENCE_DEMODULATORS = {"ask": reference_ask_demodulate, "fsk": reference_fsk_demodulate,
@@ -393,11 +397,6 @@ class TestDemodulatorEdges:
         with pytest.raises(ShapeError):
             fsk_demodulate(short, SPEC, 8, RATE)
 
-    def test_ask_threshold_validated(self):
-        silence = SampledSignal(SPEC.sample_rate, np.zeros(192))
-        with pytest.raises(ParameterError):
-            ask_demodulate(silence, SPEC, 1, RATE, threshold_fraction=1.5)
-
 
 class TestBerUnderNoise:
     def test_fsk_ber_at_10db_is_small(self):
@@ -416,3 +415,35 @@ class TestBerUnderNoise:
             decoded = psk_demodulate(received, SPEC8, 10_000, RATE8)
             bers.append(float(np.mean(decoded.bits != payload.bits)))
         assert bers[0] < bers[1]
+
+
+# Closed-form bit error rate of each receiver at Eb/N0 (linear), Eb being the
+# average bit energy: coherent BPSK, noncoherent orthogonal FSK (the tones are
+# a bit rate apart) and coherent on-off keying.
+THEORY_BER = {
+    "psk": lambda ebn0: 0.5 * math.erfc(math.sqrt(ebn0)),
+    "fsk": lambda ebn0: 0.5 * math.exp(-ebn0 / 2),
+    "ask": lambda ebn0: 0.5 * math.erfc(math.sqrt(ebn0 / 2)),
+}
+THEORY_EBN0_DB = (0.0, 2.0, 4.0, 6.0, 8.0)
+THEORY_BITS = 20_000
+
+
+class TestBerAgainstTheory:
+    @pytest.mark.parametrize("point", range(len(THEORY_EBN0_DB)))
+    @pytest.mark.parametrize("scheme", sorted(THEORY_BER))
+    def test_errors_within_four_sigma_of_theory(self, scheme, point):
+        # The channel sizes noise against the signal's mean power P per
+        # sample: Eb = P * spb and N0 = 2 * noise variance, so the channel SNR
+        # is Eb/N0 / (spb/2). Every point draws its own noise.
+        ebn0_db = THEORY_EBN0_DB[point]
+        spb = samples_per_bit(SPEC8, RATE8)
+        payload = random_payload(404, THEORY_BITS, RATE8)
+        channel = ChannelParams(snr_db=ebn0_db - 10 * math.log10(spb / 2),
+                                seed=1000 + 100 * sorted(THEORY_BER).index(scheme) + point)
+        received = apply_channel(MODULATORS[scheme](payload, SPEC8), channel)
+        decoded = DEMODULATORS[scheme](received, SPEC8, THEORY_BITS, RATE8)
+        errors = int(np.count_nonzero(decoded.bits != payload.bits))
+        p = THEORY_BER[scheme](10 ** (ebn0_db / 10))
+        sigma = math.sqrt(THEORY_BITS * p * (1 - p))
+        assert abs(errors - THEORY_BITS * p) <= 4 * sigma, (errors, THEORY_BITS * p)
