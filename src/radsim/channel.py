@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ShapeError, check_int, check_real
-from .signals import SampledSignal
+from .signals import SampledSignal, _check_aligned
 
 __all__ = ["ChannelParams", "apply_channel", "measure_snr"]
 
@@ -61,7 +61,7 @@ def apply_channel(signal: SampledSignal, params: ChannelParams) -> SampledSignal
     if variance > 0.0:
         rng = np.random.default_rng(params.seed)
         scaled = scaled + math.sqrt(variance) * rng.standard_normal(len(signal))
-    return SampledSignal(signal.sample_rate, scaled, signal.start_time)
+    return SampledSignal(signal.sample_rate, scaled)
 
 
 def measure_snr(clean: SampledSignal, noisy: SampledSignal) -> float:
@@ -69,10 +69,7 @@ def measure_snr(clean: SampledSignal, noisy: SampledSignal) -> float:
 
     Returns ``math.inf`` when the residual is exactly zero (no noise).
     """
-    if clean.sample_rate != noisy.sample_rate:
-        raise ShapeError(f"sample rates differ: {clean.sample_rate} vs {noisy.sample_rate}")
-    if len(clean) != len(noisy):
-        raise ShapeError(f"lengths differ: {len(clean)} vs {len(noisy)}")
+    _check_aligned(clean, noisy)
     clean_energy = float(np.dot(clean.samples, clean.samples))
     if clean_energy == 0.0:
         raise ParameterError("clean signal has zero power; SNR is undefined")

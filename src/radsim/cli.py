@@ -25,8 +25,9 @@ from .modulation import (DEMODULATORS, MODULATORS, CarrierSpec, compose_emitted,
 from .signals import _read_json, _read_text, _write_json, read_signal, write_signal
 
 
-_BIT_RATE = pipeline.DEFAULT_CONFIG.bit_rate
-_CARRIER = pipeline.DEFAULT_CONFIG.carrier
+_DEFAULTS = pipeline.DEFAULT_CONFIG
+_BIT_RATE = _DEFAULTS.bit_rate
+_CARRIER = _DEFAULTS.carrier
 
 
 def _add_carrier_flags(parser):
@@ -113,16 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--fft-size", type=int, help="power-of-two FFT size (default: full length)")
     p.add_argument("--stft", action="store_true", help="write an STFT spectrogram instead")
-    p.add_argument("--window-length", type=int, default=256)
-    p.add_argument("--hop", type=int, default=128)
-    p.add_argument("--window", choices=["rectangular", "hann"], default="hann")
+    p.add_argument("--window-length", type=int, default=_DEFAULTS.stft_window)
+    p.add_argument("--hop", type=int, default=_DEFAULTS.stft_hop)
+    p.add_argument("--window", choices=list(spectral._WINDOWS), default=_DEFAULTS.stft_window_type)
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub.add_parser("peaks", help="detect spectral peaks")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile", help="signal input path (FFT computed here)")
     src.add_argument("--spectrum", help="spectrum CSV input path")
-    p.add_argument("--relative-threshold", type=float, default=0.1)
+    p.add_argument("--relative-threshold", type=float, default=_DEFAULTS.peak_relative_threshold)
     p.add_argument("--min-separation", type=float, default=0.0, help="Hz")
     p.add_argument("--out", required=True, help="peaks CSV output path")
 

@@ -10,6 +10,7 @@ seed reproduces the exact same stream everywhere.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,10 +44,6 @@ class BitStream:
 
     def __len__(self) -> int:
         return int(self.bits.size)
-
-    @property
-    def bit_duration(self) -> float:
-        return 1.0 / self.bit_rate
 
 
 @dataclass(eq=False)
@@ -84,19 +81,6 @@ def hex_to_bits(hex_text: str, bit_rate: float) -> BitStream:
     return BitStream(bits, bit_rate)
 
 
-def bits_to_hex(stream: BitStream) -> str:
-    """Inverse of :func:`hex_to_bits`; uppercase output."""
-    n = len(stream)
-    if n % 4 != 0:
-        raise ShapeError(f"bit count must be divisible by 4, got {n}")
-    digits = []
-    for i in range(0, n, 4):
-        nibble = (int(stream.bits[i]) << 3) | (int(stream.bits[i + 1]) << 2) \
-            | (int(stream.bits[i + 2]) << 1) | int(stream.bits[i + 3])
-        digits.append(format(nibble, "X"))
-    return "".join(digits)
-
-
 def random_payload(seed: int, n_bits: int, bit_rate: float) -> BitStream:
     """Uniform random bits from PCG64; identical seed gives identical stream."""
     check_int("n_bits", n_bits, 1, _MAX_SAMPLES)
@@ -128,6 +112,18 @@ def manchester_decode(signal: LineCodeSignal) -> BitStream:
     return BitStream(second.astype(np.uint8), bit_rate=1.0 / (2.0 * signal.half_bit_duration))
 
 
+def _samples_per_bit(sample_rate: float, bit_rate: float) -> int:
+    """Integer samples per bit; rejects non-integer ratios so bit edges stay exact."""
+    check_real("bit_rate", bit_rate, 0, bounds="()")
+    ratio = sample_rate / bit_rate
+    spb = round(ratio) if math.isfinite(ratio) else 0
+    if spb < 1 or abs(ratio - spb) > 1e-9:
+        raise ConfigurationError(
+            f"sample_rate/bit_rate = {ratio} is not a positive integer; "
+            "choose rates with an exact integer samples-per-bit")
+    return int(spb)
+
+
 def rectangular_waveform(stream: BitStream, sample_rate: float,
                          high_level: float = 1.0, low_level: float = 0.0) -> SampledSignal:
     """Render bits as a piecewise-constant waveform (the time-domain view of a binary signal)."""
@@ -135,10 +131,10 @@ def rectangular_waveform(stream: BitStream, sample_rate: float,
     if sample_rate < 2 * stream.bit_rate:
         raise ConfigurationError(
             f"sample_rate {sample_rate} is below 2 x bit_rate ({2 * stream.bit_rate})")
-    _check_length(len(stream) * (sample_rate / stream.bit_rate))
-    samples_per_bit = int(round(sample_rate / stream.bit_rate))
+    spb = _samples_per_bit(sample_rate, stream.bit_rate)
+    _check_length(len(stream) * spb)
     levels = np.where(stream.bits == 1, float(high_level), float(low_level))
-    return SampledSignal(sample_rate, np.repeat(levels, samples_per_bit))
+    return SampledSignal(sample_rate, np.repeat(levels, spb))
 
 
 def write_bits(stream: BitStream, path) -> None:

@@ -18,14 +18,13 @@ decides at the keyed levels' midpoint; FSK is noncoherent (tone magnitudes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import BitStream
+from .codec import BitStream, _samples_per_bit
 from .errors import ConfigurationError, ParameterError, ShapeError, check_int, check_real
-from .signals import SampledSignal, _check_length
+from .signals import SampledSignal, _check_aligned, _check_length
 
 __all__ = [
     "CarrierSpec",
@@ -77,14 +76,7 @@ def _check_nyquist(spec: CarrierSpec, max_frequency: float) -> None:
 
 def samples_per_bit(spec: CarrierSpec, bit_rate: float) -> int:
     """Integer samples per bit; rejects non-integer ratios so bit edges stay exact."""
-    check_real("bit_rate", bit_rate, 0, bounds="()")
-    ratio = spec.sample_rate / bit_rate
-    spb = round(ratio) if math.isfinite(ratio) else 0
-    if spb < 1 or abs(ratio - spb) > 1e-9:
-        raise ConfigurationError(
-            f"sample_rate/bit_rate = {ratio} is not a positive integer; "
-            "choose rates with an exact integer samples-per-bit")
-    return int(spb)
+    return _samples_per_bit(spec.sample_rate, bit_rate)
 
 
 def generate_carrier(spec: CarrierSpec, duration: float) -> SampledSignal:
@@ -167,13 +159,8 @@ def psk_modulate(stream: BitStream, spec: CarrierSpec) -> SampledSignal:
 
 def compose_emitted(carrier: SampledSignal, modulated: SampledSignal) -> SampledSignal:
     """Sample-wise sum of carrier and modulated signal (the emitted signal)."""
-    if carrier.sample_rate != modulated.sample_rate:
-        raise ShapeError(
-            f"sample rates differ: {carrier.sample_rate} vs {modulated.sample_rate}")
-    if len(carrier) != len(modulated):
-        raise ShapeError(f"lengths differ: {len(carrier)} vs {len(modulated)}")
-    return SampledSignal(carrier.sample_rate, carrier.samples + modulated.samples,
-                         carrier.start_time)
+    _check_aligned(carrier, modulated)
+    return SampledSignal(carrier.sample_rate, carrier.samples + modulated.samples)
 
 
 def _bit_windows(signal: SampledSignal, spb: int, n_bits: int) -> np.ndarray:
@@ -212,8 +199,8 @@ def fsk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     """Per-bit tone correlation at f0/f1; larger magnitude wins, ties decode as 0.
 
     A tone's phase at the start of a bit is a unit-modulus factor of its
-    correlation with that bit, so it, and the signal's start time, drop out
-    of the magnitudes: every bit is scored against one bit of each tone.
+    correlation with that bit, so it drops out of the magnitudes: every bit
+    is scored against one bit of each tone.
     """
     f0, f1 = _fsk_tones(spec, bit_rate)
     spb = samples_per_bit(spec, bit_rate)

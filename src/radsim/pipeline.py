@@ -192,14 +192,18 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     ber = None
     if config.demodulate:
         to_demodulate = received
+        gain = config.channel.linear_gain if config.channel is not None else 1.0
         if config.compose_with_carrier:
-            gain = config.channel.linear_gain if config.channel is not None else 1.0
             # received - gain * carrier, bit for bit, with one signal-sized array.
             residual = carrier.samples * -gain
             residual += received.samples
-            to_demodulate = SampledSignal(received.sample_rate, residual, received.start_time)
+            to_demodulate = SampledSignal(received.sample_rate, residual)
+        # The receiver takes the carrier as it arrives (ASK decides against its
+        # amplitude); one attenuated below the least float arrives as the least.
+        amplitude = max(config.carrier.amplitude * gain, math.ulp(0.0))
+        received_carrier = replace(config.carrier, amplitude=amplitude)
         demodulate = modulation.DEMODULATORS[config.modulation]
-        decoded = demodulate(to_demodulate, config.carrier, config.payload_bits, config.bit_rate)
+        decoded = demodulate(to_demodulate, received_carrier, config.payload_bits, config.bit_rate)
         codec.write_bits(decoded, out / "demodulated.txt")
         files["demodulated"] = "demodulated.txt"
         bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))

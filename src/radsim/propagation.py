@@ -63,21 +63,19 @@ class PropagationParams:
 
 @dataclass(eq=False)
 class PropagationCurve:
-    """Expected infected count per time step."""
+    """Expected infected count per time step, from step 0."""
 
-    steps: np.ndarray
     expected_infected: np.ndarray
 
     def __post_init__(self):
-        self.steps = np.asarray(self.steps, dtype=np.int64)
         self.expected_infected = np.asarray(self.expected_infected, dtype=np.float64)
-        if self.steps.shape != self.expected_infected.shape or self.steps.ndim != 1:
-            raise ParameterError("steps and expected_infected must be matching 1-d sequences")
-        if self.steps.size and np.any(np.diff(self.steps) <= 0):
-            raise ParameterError("time steps must be strictly increasing")
 
     def __len__(self) -> int:
-        return int(self.steps.size)
+        return int(self.expected_infected.size)
+
+    @property
+    def steps(self) -> np.ndarray:
+        return np.arange(len(self))
 
 
 def expected_infected_closed_form(params: PropagationParams, n: float) -> float:
@@ -101,7 +99,7 @@ def step_recurrence(params: PropagationParams, current: float) -> float:
 def simulate_curve(params: PropagationParams, n_max: int, method: str = "closed_form") -> PropagationCurve:
     """Expected-infection trajectory for n = 0..n_max."""
     check_int("n_max", n_max, 0, _MAX_SAMPLES - 1)
-    steps = np.arange(n_max + 1)
+    steps = np.arange(n_max + 1)  # allocated first: a count no memory holds fails here, at once
     if method == "closed_form":
         values = np.array([expected_infected_closed_form(params, int(n)) for n in steps])
     elif method == "recurrence":
@@ -111,7 +109,7 @@ def simulate_curve(params: PropagationParams, n_max: int, method: str = "closed_
             values[i + 1] = step_recurrence(params, values[i])
     else:
         raise ParameterError(f"unknown method {method!r} (expected 'closed_form' or 'recurrence')")
-    return PropagationCurve(steps, values)
+    return PropagationCurve(values)
 
 
 def inflection_time(params: PropagationParams) -> float:
@@ -188,7 +186,7 @@ def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
             infected[i] = False
         totals[:len(counts)] += counts
         totals[len(counts):] += len(hits)
-    return PropagationCurve(np.arange(n_max + 1), totals / trials)
+    return PropagationCurve(totals / trials)
 
 
 def write_curve_csv(curve: PropagationCurve, path) -> None:

@@ -1,8 +1,9 @@
 """Uniformly sampled real-valued waveforms and their on-disk format.
 
 A signal file holds raw little-endian float64 samples, plus a JSON metadata
-sidecar (``<path>.json``) holding sample_rate, start_time, length and a
-format tag. It round-trips bit-exactly. Spectrograms are stored the same
+sidecar (``<path>.json``) holding sample_rate, length and a format tag.
+It round-trips bit-exactly. A signal starts at t = 0: its first sample is
+where a carrier's initial phase falls. Spectrograms are stored the same
 way (see ``spectral.write_spectrogram``), with a shape in place of a length.
 
 All JSON goes through :func:`_read_json` and :func:`_write_json`: strict, no ``NaN``.
@@ -38,15 +39,13 @@ def _check_length(n_samples: float) -> None:
 
 @dataclass(eq=False)
 class SampledSignal:
-    """A real-valued waveform sampled uniformly at ``sample_rate`` Hz."""
+    """A real-valued waveform sampled uniformly at ``sample_rate`` Hz, from t = 0."""
 
     sample_rate: float
     samples: np.ndarray
-    start_time: float = 0.0
 
     def __post_init__(self):
         check_real("sample_rate", self.sample_rate, 0, bounds="()")
-        check_real("start_time", self.start_time)
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ShapeError(f"samples must be one-dimensional, got shape {self.samples.shape}")
@@ -63,9 +62,13 @@ class SampledSignal:
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
-    def times(self) -> np.ndarray:
-        """Sample instants in seconds."""
-        return self.start_time + np.arange(self.samples.size) / self.sample_rate
+
+def _check_aligned(a: SampledSignal, b: SampledSignal) -> None:
+    """Reject two signals whose samples do not fall at the same instants."""
+    if a.sample_rate != b.sample_rate:
+        raise ShapeError(f"sample rates differ: {a.sample_rate} vs {b.sample_rate}")
+    if len(a) != len(b):
+        raise ShapeError(f"lengths differ: {len(a)} vs {len(b)}")
 
 
 def _read_text(path) -> str:
@@ -142,11 +145,10 @@ def _read_f64(path, size_key: str, keys: tuple[str, ...]) -> tuple[np.ndarray, d
 
 def write_signal(signal: SampledSignal, path) -> None:
     """Write raw little-endian float64 samples plus a JSON sidecar."""
-    _write_f64(signal.samples, path, {"length": len(signal), "sample_rate": signal.sample_rate,
-                                      "start_time": signal.start_time})
+    _write_f64(signal.samples, path, {"length": len(signal), "sample_rate": signal.sample_rate})
 
 
 def read_signal(path) -> SampledSignal:
     """Read a raw-binary signal written by :func:`write_signal`."""
-    samples, meta = _read_f64(path, "length", ("sample_rate", "start_time"))
-    return SampledSignal(meta["sample_rate"], samples, meta["start_time"])
+    samples, meta = _read_f64(path, "length", ("sample_rate",))
+    return SampledSignal(meta["sample_rate"], samples)

@@ -110,7 +110,6 @@ class Spectrogram:
     window_length: int
     hop: int
     window: str = "hann"
-    start_time: float = 0.0
     frame_times: np.ndarray = field(init=False, repr=False)
     bin_frequencies: np.ndarray = field(init=False, repr=False)
 
@@ -118,12 +117,11 @@ class Spectrogram:
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
         _check_window(self.window_length, self.hop, self.window)
         check_real("sample_rate", self.sample_rate, 0, bounds="()")
-        check_real("start_time", self.start_time)
         if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.window_length // 2 + 1:
             raise ShapeError(f"magnitudes must be a frames x {self.window_length // 2 + 1} "
                              f"matrix, got shape {self.magnitudes.shape}")
         starts = np.arange(self.magnitudes.shape[0]) * self.hop
-        self.frame_times = self.start_time + (starts + self.window_length / 2.0) / self.sample_rate
+        self.frame_times = (starts + self.window_length / 2.0) / self.sample_rate
         self.bin_frequencies = np.fft.rfftfreq(self.window_length, d=1.0 / self.sample_rate)
 
 
@@ -203,7 +201,7 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
         block = slice(start, start + _STFT_BLOCK_FRAMES)
         _one_sided_magnitudes(np.fft.rfft(frames[block] * taper, axis=1), window_length,
                               out=mags[block])
-    return Spectrogram(mags, signal.sample_rate, window_length, hop, window, signal.start_time)
+    return Spectrogram(mags, signal.sample_rate, window_length, hop, window)
 
 
 def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,

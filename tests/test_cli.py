@@ -279,6 +279,19 @@ class TestSignalChain:
         assert levels.read_text().strip() == "1010101001010101"
         assert (tmp_path / "rect.f64.json").exists()
 
+    def test_encode_rejects_a_non_integer_samples_per_bit(self, tmp_path, capsys):
+        bits = tmp_path / "bits.txt"
+        bits.write_text("01101001\n")
+        rect, signal = tmp_path / "rect.f64", tmp_path / "psk.f64"
+        rates = ["--bit-rate", "300", "--sample-rate", "1000"]
+        assert main(["encode", "--in", str(bits), *rates, "--rect-out", str(rect)]) == 1
+        encode_error = capsys.readouterr().err
+        assert main(["modulate", "--in", str(bits), "--scheme", "psk", "--fc", "100", *rates,
+                     "--out", str(signal)]) == 1
+        assert encode_error == capsys.readouterr().err
+        assert encode_error.startswith("error:") and len(encode_error.splitlines()) == 1
+        assert not rect.exists()
+
     def test_encode_without_outputs_fails(self, tmp_path):
         bits = tmp_path / "bits.txt"
         run_cli("payload", "--hex", "0F", "--out", str(bits))
@@ -461,6 +474,22 @@ class TestRun:
         assert main(["run", "--defaults", "--modulation", scheme, "--payload-bits", "1024",
                      "--snr-db", "5", "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["bit_errors"] == 0
+
+    @pytest.mark.parametrize("channel", [
+        ["--attenuation-db", "10"],
+        ["--attenuation-db", "10", "--no-compose", "--snr-db", "20"],
+        ["--attenuation-db", "30", "--snr-db", "10"],
+    ], ids=["noiseless", "no-compose", "30db-down"])
+    def test_ask_decides_against_the_attenuated_carrier(self, tmp_path, channel):
+        # ASK's threshold is half the bit energy of the carrier as received.
+        out = tmp_path / "exp"
+        assert main(["run", "--defaults", "--modulation", "ask", "--payload-bits", "1024",
+                     *channel, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["bit_errors"] == 0
+
+    def test_a_carrier_attenuated_below_the_least_float_still_runs(self, tmp_path):
+        assert main(["run", "--defaults", "--modulation", "ask", "--attenuation-db", "7000",
+                     "--noise-power", "1", "--out", str(tmp_path / "exp")]) == 0
 
     def test_nyquist_violation(self, tmp_path):
         result = run_cli("run", "--fc", "30000", "--sample-rate", "48000",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radsim.codec import (HIGH, LOW, BitStream, LineCodeSignal, bits_to_hex, hex_to_bits,
+from radsim.codec import (HIGH, LOW, BitStream, LineCodeSignal, hex_to_bits,
                           manchester_decode, manchester_encode, random_payload, read_bits,
                           rectangular_waveform, write_bits, write_levels)
 from radsim.errors import ConfigurationError, ParameterError, ParseError, ShapeError
@@ -21,9 +21,6 @@ class TestBitStream:
         with pytest.raises(ParameterError):
             BitStream(np.array([0, 1]), 0.0)
 
-    def test_bit_duration(self):
-        assert BitStream(np.array([1]), 250.0).bit_duration == 0.004
-
 
 class TestHex:
     def test_nibble_expansion(self):
@@ -34,24 +31,17 @@ class TestHex:
         assert len(hex_to_bits("", 1.0)) == 0
 
     def test_lowercase(self):
-        assert bits_to_hex(hex_to_bits("a3", 1.0)) == "A3"
+        assert np.array_equal(hex_to_bits("a3", 1.0).bits, hex_to_bits("A3", 1.0).bits)
 
     def test_bad_digit_names_position(self):
         with pytest.raises(ParseError, match="position 1"):
             hex_to_bits("0G1", 1.0)
 
-    def test_inverse_examples(self):
-        assert bits_to_hex(BitStream(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 1.0)) == "0F"
-        assert bits_to_hex(BitStream(np.zeros(0, dtype=np.uint8), 1.0)) == ""
-
-    def test_length_must_be_nibbles(self):
-        with pytest.raises(ShapeError):
-            bits_to_hex(BitStream(np.array([1, 0, 1]), 1.0))
-
     @settings(max_examples=50)
-    @given(st.text(alphabet="0123456789ABCDEF", max_size=64))
-    def test_round_trip(self, hex_text):
-        assert bits_to_hex(hex_to_bits(hex_text, 1.0)) == hex_text
+    @given(st.text(alphabet="0123456789abcdefABCDEF", max_size=64))
+    def test_matches_nibble_reference(self, hex_text):
+        expected = "".join(format(int(c, 16), "04b") for c in hex_text)
+        assert "".join(map(str, hex_to_bits(hex_text, 1.0).bits)) == expected
 
 
 class TestRandomPayload:

@@ -7,9 +7,9 @@ from radsim.errors import ParameterError, ParseError, ShapeError
 from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
 
 
-def random_signal(seed=0, n=257, rate=48000.0, start=0.125):
+def random_signal(seed=0, n=257, rate=48000.0):
     rng = np.random.default_rng(seed)
-    return SampledSignal(rate, rng.standard_normal(n), start)
+    return SampledSignal(rate, rng.standard_normal(n))
 
 
 class TestValidation:
@@ -17,11 +17,10 @@ class TestValidation:
         with pytest.raises(ParameterError):
             SampledSignal(0.0, np.zeros(4))
 
-    @pytest.mark.parametrize("rate, start", [("x", 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, "0")],
-                             ids=["rate-string", "rate-inf", "start-nan", "start-string"])
-    def test_rate_and_start_checked(self, rate, start):
+    @pytest.mark.parametrize("rate", ["x", np.inf], ids=["rate-string", "rate-inf"])
+    def test_rate_and_start_checked(self, rate):
         with pytest.raises(ParameterError):
-            SampledSignal(rate, np.zeros(4), start)
+            SampledSignal(rate, np.zeros(4))
 
     def test_finite_samples(self):
         with pytest.raises(ParameterError):
@@ -32,9 +31,8 @@ class TestValidation:
             SampledSignal(1.0, np.zeros((2, 2)))
 
     def test_duration_and_times(self):
-        sig = SampledSignal(10.0, np.zeros(5), start_time=1.0)
+        sig = SampledSignal(10.0, np.zeros(5))
         assert sig.duration == 0.5
-        assert np.allclose(sig.times(), [1.0, 1.1, 1.2, 1.3, 1.4])
 
 
 class TestRawFormat:
@@ -44,15 +42,25 @@ class TestRawFormat:
         write_signal(sig, path)
         again = read_signal(path)
         assert again.sample_rate == sig.sample_rate
-        assert again.start_time == sig.start_time
         assert np.array_equal(again.samples, sig.samples)
 
     def test_sidecar_text(self, tmp_path):
         path = tmp_path / "sig.f64"
-        write_signal(SampledSignal(48000.0, np.zeros(3), 0.125), path)
+        write_signal(SampledSignal(48000.0, np.zeros(3)), path)
         assert sidecar_path(path).read_text() == (
-            '{\n  "format": "f64le",\n  "length": 3,\n  "sample_rate": 48000.0,\n'
-            '  "start_time": 0.125\n}\n')
+            '{\n  "format": "f64le",\n  "length": 3,\n  "sample_rate": 48000.0\n}\n')
+
+    def test_reads_a_sidecar_with_a_start_time(self, tmp_path):
+        # Older sidecars also hold "start_time": 0.0; the reader ignores it.
+        sig = random_signal(n=16)
+        path = tmp_path / "sig.f64"
+        write_signal(sig, path)
+        sidecar_path(path).write_text(
+            '{\n  "format": "f64le",\n  "length": 16,\n  "sample_rate": 48000.0,\n'
+            '  "start_time": 0.0\n}\n')
+        again = read_signal(path)
+        assert again.sample_rate == sig.sample_rate
+        assert np.array_equal(again.samples, sig.samples)
 
     @pytest.mark.parametrize("length", [16.0, "16", -1, True],
                              ids=["float", "string", "negative", "bool"])

@@ -410,7 +410,7 @@ class TestCsvFormats:
                                         SPECTROGRAM_CHUNK + 1, 2 * SPECTROGRAM_CHUNK + 1])
     def test_streamed_spectrogram_matches_one_string(self, tmp_path, frames):
         mags = np.random.default_rng(frames).random((frames, 129))
-        spectrogram = Spectrogram(mags, 48000.0, 256, 100, start_time=0.1 + 0.2)
+        spectrogram = Spectrogram(mags, 48000.0, 256, 100)
         write_spectrogram_csv(spectrogram, tmp_path / "streamed.csv")
         reference_write_spectrogram_csv(spectrogram, tmp_path / "expected.csv")
         assert ((tmp_path / "streamed.csv").read_bytes()
@@ -433,22 +433,35 @@ class TestCsvFormats:
 
 
 class TestSpectrogramFile:
-    @pytest.mark.parametrize("window_length, hop, window, rate, start", [
-        (127, 50, "hann", 1000.0, 0.0),
-        (128, 64, "rectangular", 1000.0, 0.0),
-        (256, 100, "hann", 44100.0 / 3.0, 0.1 + 0.2),
-    ], ids=["odd-window", "rectangular", "start-time"])
-    def test_round_trip_equals_stft(self, tmp_path, window_length, hop, window, rate, start):
-        rng = np.random.default_rng(window_length)
-        signal = SampledSignal(rate, rng.standard_normal(2000), start)
-        gram = stft(signal, window_length, hop, window)
-        path = tmp_path / "gram.f64"
-        write_spectrogram(gram, path)
-        again = read_spectrogram(path)
-        for name in ("sample_rate", "window_length", "hop", "window", "start_time"):
+    @staticmethod
+    def assert_same(again, gram):
+        for name in ("sample_rate", "window_length", "hop", "window"):
             assert getattr(again, name) == getattr(gram, name)
         for name in ("frame_times", "bin_frequencies", "magnitudes"):
             assert np.array_equal(getattr(again, name), getattr(gram, name))
+
+    @pytest.mark.parametrize("window_length, hop, window", [
+        (127, 50, "hann"),
+        (128, 64, "rectangular"),
+    ], ids=["odd-window", "rectangular"])
+    def test_round_trip_equals_stft(self, tmp_path, window_length, hop, window):
+        rng = np.random.default_rng(window_length)
+        gram = stft(SampledSignal(1000.0, rng.standard_normal(2000)), window_length, hop, window)
+        path = tmp_path / "gram.f64"
+        write_spectrogram(gram, path)
+        self.assert_same(read_spectrogram(path), gram)
+
+    def test_reads_a_sidecar_with_a_start_time(self, tmp_path):
+        # Older sidecars also hold "start_time": 0.0 in the grid; the reader ignores it.
+        rng = np.random.default_rng(256)
+        gram = stft(SampledSignal(44100.0 / 3.0, rng.standard_normal(2000)), 256, 100)
+        path = tmp_path / "gram.f64"
+        write_spectrogram(gram, path)
+        meta = json.loads(sidecar_path(path).read_text())
+        assert "start_time" not in meta
+        sidecar_path(path).write_text(
+            json.dumps(dict(meta, start_time=0.0), sort_keys=True, indent=2) + "\n")
+        self.assert_same(read_spectrogram(path), gram)
 
     @pytest.mark.parametrize("corrupt", [
         lambda path, meta: path.write_bytes(path.read_bytes()[:-8]),
