@@ -117,12 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-length", type=int, default=_DEFAULTS.stft_window)
     p.add_argument("--hop", type=int, default=_DEFAULTS.stft_hop)
     p.add_argument("--window", choices=list(spectral._WINDOWS), default=_DEFAULTS.stft_window_type)
-    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--out", required=True, help="output path (f64 + JSON sidecar)")
 
     p = sub.add_parser("peaks", help="detect spectral peaks")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile", help="signal input path (FFT computed here)")
-    src.add_argument("--spectrum", help="spectrum CSV input path")
+    src.add_argument("--spectrum", help="spectrum input path (f64 + JSON sidecar)")
     p.add_argument("--relative-threshold", type=float, default=_DEFAULTS.peak_relative_threshold)
     p.add_argument("--min-separation", type=float, default=0.0, help="Hz")
     p.add_argument("--out", required=True, help="peaks CSV output path")
@@ -285,15 +285,13 @@ def _cmd_channel(args) -> int:
 def _cmd_spectrum(args) -> int:
     signal = read_signal(args.infile)
     if args.stft:
-        gram = spectral.stft(signal, args.window_length, args.hop, args.window)
-        spectral.write_spectrogram_csv(gram, args.out)
-        print(f"wrote {args.out}: {gram.magnitudes.shape[0]} frames x "
-              f"{gram.magnitudes.shape[1]} bins")
+        spec = spectral.stft(signal, args.window_length, args.hop, args.window)
+        size = f"{spec.magnitudes.shape[0]} frames x {spec.magnitudes.shape[1]} bins"
     else:
         spec = spectral.fft_magnitude(signal, args.fft_size)
-        spectral.write_spectrum_csv(spec, args.out)
-        print(f"wrote {args.out}: {spec.magnitudes.size} bins, "
-              f"bin width {spec.bin_width:.6g} Hz")
+        size = f"{spec.magnitudes.size} bins, bin width {spec.bin_width:.6g} Hz"
+    spectral.write_spectrum(spec, args.out)
+    print(f"wrote {args.out}: {size}")
     return 0
 
 
@@ -301,7 +299,7 @@ def _cmd_peaks(args) -> int:
     if args.infile is not None:
         spec = spectral.fft_magnitude(read_signal(args.infile))
     else:
-        spec = spectral.read_spectrum_csv(args.spectrum)
+        spec = spectral.read_spectrum(args.spectrum)
     peaks = spectral.find_peaks(spec, args.relative_threshold, args.min_separation)
     spectral.write_peaks_csv(peaks, args.out)
     print(f"wrote {args.out}: {len(peaks)} peaks")

@@ -48,14 +48,13 @@ class BitStream:
 
 @dataclass(eq=False)
 class LineCodeSignal:
-    """Half-bit level sequence produced by a line coder (1=high, 0=low)."""
+    """Half-bit level sequence produced by a line coder (1=high, 0=low) at ``bit_rate`` bit/s."""
 
     levels: np.ndarray
-    half_bit_duration: float
+    bit_rate: float
 
     def __post_init__(self):
-        if self.half_bit_duration <= 0:
-            raise ParameterError(f"half_bit_duration must be positive, got {self.half_bit_duration}")
+        check_real("bit_rate", self.bit_rate, 0, bounds="()")
         self.levels = np.asarray(self.levels, dtype=np.int8)
         if self.levels.ndim != 1:
             raise ShapeError(f"levels must be one-dimensional, got shape {self.levels.shape}")
@@ -66,6 +65,10 @@ class LineCodeSignal:
 
     def __len__(self) -> int:
         return int(self.levels.size)
+
+    @property
+    def half_bit_duration(self) -> float:
+        return 1.0 / (2.0 * self.bit_rate)
 
 
 def hex_to_bits(hex_text: str, bit_rate: float) -> BitStream:
@@ -97,7 +100,7 @@ def manchester_encode(stream: BitStream) -> LineCodeSignal:
     levels = np.empty(2 * len(stream), dtype=np.int8)
     levels[0::2] = 1 - stream.bits  # first half-bit: high for 0, low for 1
     levels[1::2] = stream.bits
-    return LineCodeSignal(levels, half_bit_duration=1.0 / (2.0 * stream.bit_rate))
+    return LineCodeSignal(levels, stream.bit_rate)
 
 
 def manchester_decode(signal: LineCodeSignal) -> BitStream:
@@ -109,7 +112,7 @@ def manchester_decode(signal: LineCodeSignal) -> BitStream:
         i = int(bad[0])
         pair = "high,high" if first[i] == HIGH else "low,low"
         raise ParseError(f"invalid Manchester pair ({pair}) at bit {i}")
-    return BitStream(second.astype(np.uint8), bit_rate=1.0 / (2.0 * signal.half_bit_duration))
+    return BitStream(second.astype(np.uint8), signal.bit_rate)
 
 
 def _samples_per_bit(sample_rate: float, bit_rate: float) -> int:

@@ -1,11 +1,11 @@
 """End-to-end experiment: payload -> modulate -> compose -> channel -> analyze.
 
-One :func:`run_experiment` call writes every intermediate artifact (payload
-bits, carrier/modulated/emitted/received signals, FFT spectrum CSV, binary
-STFT spectrogram, peak list, optional classification) into an output
-directory together with a ``report.json`` summary. The directory appears
-whole or not at all. Runs are fully deterministic per seed: identical
-configs produce byte-identical directories.
+One :func:`run_experiment` call writes the chain's artifacts (payload bits,
+emitted and received signals, FFT spectrum CSV, binary STFT spectrogram,
+peak list, decoded bits, optional classification) into an output directory
+together with a ``report.json`` summary. The directory appears whole or not
+at all. Runs are fully deterministic per seed: identical configs produce
+byte-identical directories.
 
 :func:`recognition_benchmark` scores a signature library of one template per
 modulation scheme on seeded noisy probes and on white noise.
@@ -165,9 +165,8 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
 
     modulated = modulation.MODULATORS[config.modulation](payload, config.carrier)
     emitted = modulation.compose_emitted(carrier, modulated) if config.compose_with_carrier else modulated
-    for name, sig in (("carrier", carrier), ("modulated", modulated), ("emitted", emitted)):
-        write_signal(sig, out / f"{name}.f64")
-        files[name] = f"{name}.f64"
+    write_signal(emitted, out / "emitted.f64")
+    files["emitted"] = "emitted.f64"
 
     measured_snr, received = None, emitted
     if config.channel is not None:
@@ -182,7 +181,7 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     files["spectrum"] = "spectrum.csv"
     spectrogram = spectral.stft(received, config.stft_window, config.stft_hop,
                                 config.stft_window_type)
-    spectral.write_spectrogram(spectrogram, out / "stft.f64")
+    spectral.write_spectrum(spectrogram, out / "stft.f64")
     files["stft"] = "stft.f64"
     peaks = spectral.find_peaks(spectrum, config.peak_relative_threshold, config.peak_separation)
     spectral.write_peaks_csv(peaks, out / "peaks.csv")

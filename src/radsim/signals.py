@@ -3,8 +3,9 @@
 A signal file holds raw little-endian float64 samples, plus a JSON metadata
 sidecar (``<path>.json``) holding sample_rate, length and a format tag.
 It round-trips bit-exactly. A signal starts at t = 0: its first sample is
-where a carrier's initial phase falls. Spectrograms are stored the same
-way (see ``spectral.write_spectrogram``), with a shape in place of a length.
+where a carrier's initial phase falls. Spectra and spectrograms are stored
+the same way (see ``spectral.write_spectrum``), with a shape in place of a
+length.
 
 All JSON goes through :func:`_read_json` and :func:`_write_json`: strict, no ``NaN``.
 """

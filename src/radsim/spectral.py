@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, ShapeError, check_int, check_real
-from .signals import _MAX_SAMPLES, SampledSignal, _read_f64, _read_text, _write_f64
+from .errors import ParameterError, ShapeError, check_int, check_real
+from .signals import _MAX_SAMPLES, SampledSignal, _read_f64, _write_f64
 
 __all__ = [
     "Spectrum",
@@ -31,11 +31,10 @@ __all__ = [
     "fft_magnitude",
     "stft",
     "find_peaks",
-    "write_spectrum_csv",
-    "read_spectrum_csv",
-    "write_spectrogram",
+    "write_spectrum",
+    "read_spectrum",
     "read_spectrogram",
-    "write_spectrogram_csv",
+    "write_spectrum_csv",
     "write_peaks_csv",
 ]
 
@@ -251,110 +250,68 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
             for f, v, k in zip(kept_freqs, m[kept_bins].tolist(), kept_bins)]
 
 
-# Values formatted per write by :func:`_write_csv`: 4096 rows of a spectrum.
-_CSV_CHUNK_VALUES = 8192
+# Sidecar keys of a spectrum file besides format and shape: the grid of its magnitudes.
+_GRID_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.init and f.name != "magnitudes")
+                for cls in (Spectrum, Spectrogram)}
 
 
-def _write_csv(path, header: list[str], columns: tuple[np.ndarray, ...]) -> None:
-    """Header lines, then one row per line of ``columns`` stacked side by side.
+def write_spectrum(spectrum: Spectrum | Spectrogram, path) -> None:
+    """Raw little-endian float64 magnitudes plus a JSON sidecar of their shape and grid.
 
-    Every value is written as its ``repr``. Rows are formatted and written a
-    chunk of whole rows at a time, so memory beyond the data stays bounded
-    by ``_CSV_CHUNK_VALUES`` values whatever the row count.
+    This is the signal file format of :mod:`radsim.signals` with ``shape`` in
+    place of ``length``. The grid is the spectrum's other init fields:
+    ``fft_size`` and ``sample_rate`` for a :class:`Spectrum`; ``sample_rate``,
+    ``window_length``, ``hop`` and ``window`` for a :class:`Spectrogram`,
+    whose magnitudes are frames x bins. :func:`read_spectrum` and
+    :func:`read_spectrogram` rebuild it bit for bit.
     """
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    rows = max(1, _CSV_CHUNK_VALUES // width)
+    meta = {name: getattr(spectrum, name) for name in _GRID_FIELDS[type(spectrum)]}
+    _write_f64(spectrum.magnitudes, path, dict(meta, shape=list(spectrum.magnitudes.shape)))
+
+
+def _read_grid(cls, path):
+    """The ``cls`` instance in a file written by :func:`write_spectrum`."""
+    magnitudes, meta = _read_f64(path, "shape", _GRID_FIELDS[cls])
+    return cls(magnitudes, **{name: meta[name] for name in _GRID_FIELDS[cls]})
+
+
+def read_spectrum(path) -> Spectrum:
+    """Read a spectrum written by :func:`write_spectrum`."""
+    return _read_grid(Spectrum, path)
+
+
+def read_spectrogram(path) -> Spectrogram:
+    """Read a spectrogram written by :func:`write_spectrum`."""
+    return _read_grid(Spectrogram, path)
+
+
+# Rows formatted per write by :func:`write_spectrum_csv`.
+_CSV_CHUNK_ROWS = 4096
+
+
+def write_spectrum_csv(spectrum: Spectrum, path) -> None:
+    """``frequency_hz,magnitude`` rows under ``# fft_size=`` and ``# sample_rate=`` lines.
+
+    An export: radsim reads spectra back only from :func:`write_spectrum`'s
+    file. Every value is written as its ``repr``. Rows are formatted and
+    written a chunk at a time, so memory beyond the data stays bounded by
+    ``_CSV_CHUNK_ROWS`` rows whatever the spectrum's size.
+    """
     # What follows each value of a chunk, row by row; a last, shorter chunk
     # uses the start of it.
-    separators = ([","] * (width - 1) + ["\n"]) * rows
+    separators = [",", "\n"] * _CSV_CHUNK_ROWS
     with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        for start in range(0, len(columns[0]), rows):
-            values = np.column_stack([c[start:start + rows] for c in columns]).ravel().tolist()
+        fh.write(f"# fft_size={spectrum.fft_size}\n"
+                 f"# sample_rate={float(spectrum.sample_rate)!r}\n"
+                 "frequency_hz,magnitude\n")
+        for start in range(0, spectrum.magnitudes.size, _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            values = np.column_stack((spectrum.bin_frequencies[rows],
+                                      spectrum.magnitudes[rows])).ravel().tolist()
             # One join sizes the chunk's text once. Formatting into a growing
             # buffer instead (``%`` on a long template) fragments the heap, and
             # a process that writes run after run grows with it.
             fh.write("".join(map(operator.add, map(repr, values), separators)))
-
-
-def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    _write_csv(path, [f"# fft_size={spectrum.fft_size}",
-                      f"# sample_rate={float(spectrum.sample_rate)!r}",
-                      "frequency_hz,magnitude"],
-               (spectrum.bin_frequencies, spectrum.magnitudes))
-
-
-# The metadata lines of a spectrum CSV: each key once, and the type of its value.
-_SPECTRUM_META = {"fft_size": int, "sample_rate": float}
-
-
-def _csv_number(text: str, kind: type = float):
-    """``text`` as an int or float; digit-group underscores (``1_0``) raise ValueError."""
-    if "_" in text:
-        raise ValueError(f"underscore in {text!r}")
-    return kind(text)
-
-
-def read_spectrum_csv(path) -> Spectrum:
-    path = Path(path)
-    meta: dict[str, int | float] = {}
-    freqs, mags = [], []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line == "frequency_hz,magnitude":
-            continue
-        if line.startswith("#"):
-            key, _, val = line.lstrip("# ").partition("=")
-            if key in meta:
-                raise ParseError(f"{path}:{lineno}: repeated metadata key {key!r}")
-            try:
-                meta[key] = _csv_number(val, _SPECTRUM_META[key])
-            except (KeyError, ValueError) as e:  # an unknown key, or not a number of its type
-                raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}") from e
-            continue
-        try:
-            f_text, _, m_text = line.partition(",")
-            freqs.append(_csv_number(f_text))
-            mags.append(_csv_number(m_text))
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: bad spectrum row {line!r}") from e
-    if meta.keys() != _SPECTRUM_META.keys():
-        raise ParseError(f"{path}: missing fft_size/sample_rate metadata")
-    spectrum = Spectrum(np.array(mags), meta["sample_rate"], meta["fft_size"])
-    if not np.all(np.abs(np.array(freqs) - spectrum.bin_frequencies) <= 1e-9):  # NaN fails too
-        raise ParseError(f"{path}: frequency column is off the bin grid of its "
-                         f"fft_size and sample_rate")
-    return spectrum
-
-
-# Sidecar keys of a spectrogram file besides format and shape: its analysis grid.
-_GRID_FIELDS = tuple(f.name for f in fields(Spectrogram) if f.init and f.name != "magnitudes")
-
-
-def write_spectrogram(spectrogram: Spectrogram, path) -> None:
-    """Raw little-endian float64 magnitudes (frames x bins) plus a JSON sidecar of the grid.
-
-    This is the signal file format of :mod:`radsim.signals` with ``shape`` in
-    place of ``length``; :func:`read_spectrogram` rebuilds the spectrogram
-    bit for bit.
-    """
-    meta = {name: getattr(spectrogram, name) for name in _GRID_FIELDS}
-    _write_f64(spectrogram.magnitudes, path,
-               dict(meta, shape=list(spectrogram.magnitudes.shape)))
-
-
-def read_spectrogram(path) -> Spectrogram:
-    """Read a spectrogram written by :func:`write_spectrogram`."""
-    magnitudes, meta = _read_f64(path, "shape", _GRID_FIELDS)
-    return Spectrogram(magnitudes, **{name: meta[name] for name in _GRID_FIELDS})
-
-
-def write_spectrogram_csv(spectrogram: Spectrogram, path) -> None:
-    """CSV matrix: frequency header row, one time-stamped row per frame."""
-    header = "time_s," + ",".join(f"f_{float(f)!r}" for f in spectrogram.bin_frequencies)
-    _write_csv(path, [f"# window_length={spectrogram.window_length}",
-                      f"# hop={spectrogram.hop}", header],
-               (spectrogram.frame_times, spectrogram.magnitudes))
 
 
 def write_peaks_csv(peaks: list[SpectralPeak], path) -> None:

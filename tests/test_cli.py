@@ -26,8 +26,7 @@ from radsim.codec import random_payload
 from radsim.modulation import MODULATORS, CarrierSpec
 from radsim.recognition import FeatureVector, SignatureLibrary, library_add, library_save
 from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
-from radsim.spectral import (fft_magnitude, read_spectrogram, write_spectrogram_csv,
-                             write_spectrum_csv)
+from radsim.spectral import fft_magnitude, read_spectrogram, write_spectrum
 
 BASE = [sys.executable, "-m", "radsim"]
 # Subprocesses import the radsim copy this process imported, installed or not.
@@ -67,6 +66,13 @@ def test_scheme_choices_follow_registry():
 def one_line_error(capsys) -> bool:
     err = capsys.readouterr().err
     return err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def set_magnitude(path, value):
+    """Write ``value`` over the fourth magnitude in the raw bytes of a spectrum file."""
+    mags = np.fromfile(path, dtype="<f8")
+    mags[3] = value
+    mags.tofile(path)
 
 
 @pytest.mark.parametrize("args", [
@@ -154,14 +160,14 @@ def test_oversized_integer_is_one_line_error(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
-    ["peaks", "--spectrum", "{bad}", "--out", "{out}"],
+    ["peaks", "--spectrum", "{bad_sidecar}", "--out", "{out}"],
     ["library-list", "--library", "{bad}"],
     ["classify", "--in", "{signal}", "--library", "{bad}", "--out", "{out}"],
     ["run", "--config", "{bad}", "--out", "{out}"],
     ["modulate", "--in", "{bad}", "--scheme", "fsk", "--out", "{out}"],
     ["payload", "--hex-file", "{bad}", "--out", "{out}"],
     ["features", "--in", "{bad_sidecar}", "--out", "{out}"],
-], ids=["spectrum-csv", "library", "classify-library", "run-config", "bits", "hex-file",
+], ids=["spectrum-sidecar", "library", "classify-library", "run-config", "bits", "hex-file",
         "signal-sidecar"])
 def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, args):
     bad, signal, bad_sidecar = tmp_path / "bad", tmp_path / "sig.f64", tmp_path / "bad.f64"
@@ -186,10 +192,12 @@ def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, args):
     lambda text: text.replace("48000.0", "1" * 5000, 1),
     lambda text: "[" * 100_000 + "]" * 100_000,
 ], ids=["truncated", "nan", "float-overflow", "not-an-object", "integer-too-long", "deep"])
-@pytest.mark.parametrize("command", ["run", "library-list", "features"])
+@pytest.mark.parametrize("command", ["run", "library-list", "features", "peaks"])
 def test_bad_json_is_one_line_error_naming_the_file(tmp_path, capsys, command, corrupt):
     signal = tmp_path / "sig.f64"
     write_signal(MODULATORS["fsk"](random_payload(1, 64, 250.0), CarrierSpec(2000.0)), signal)
+    spectrum = tmp_path / "spectrum.f64"
+    write_spectrum(fft_magnitude(read_signal(signal)), spectrum)
     library = tmp_path / "lib.json"
     library_save(library_add(SignatureLibrary(), "fsk", read_signal(signal)), library)
     config = tmp_path / "config.json"
@@ -199,6 +207,8 @@ def test_bad_json_is_one_line_error_naming_the_file(tmp_path, capsys, command, c
         "run": (config, ["run", "--config", str(config), "--out", str(out)]),
         "library-list": (library, ["library-list", "--library", str(library)]),
         "features": (sidecar_path(signal), ["features", "--in", str(signal), "--out", str(out)]),
+        "peaks": (sidecar_path(spectrum),
+                  ["peaks", "--spectrum", str(spectrum), "--out", str(out)]),
     }[command]
     path.write_text(corrupt(path.read_text()))
     assert main(argv) == 1
@@ -303,7 +313,7 @@ class TestSignalChain:
         bits = tmp_path / "bits.txt"
         signal = tmp_path / "sig.f64"
         noisy = tmp_path / "noisy.f64"
-        spectrum = tmp_path / "spec.csv"
+        spectrum = tmp_path / "spec.f64"
         peaks = tmp_path / "peaks.csv"
         run_cli("payload", "--seed", "0", "--bits", "64", "--out", str(bits))
         run_cli("modulate", "--in", str(bits), "--scheme", "fsk", "--compose",
@@ -330,36 +340,44 @@ class TestSignalChain:
         assert len(result.stderr.strip().splitlines()) == 1
         assert not noisy.exists()
 
-    @pytest.mark.parametrize("edit", [
-        lambda lines: ["# fft_size=abc"] + lines[1:],
-        lambda lines: lines[:3] + ["0.0,nan"] + lines[4:],
-        lambda lines: lines[:len(lines) // 2],
-        lambda lines: lines[:10] + ["1000000.0," + lines[10].split(",")[1]] + lines[11:],
-    ], ids=["non-numeric-metadata", "nan-magnitude", "half-the-rows", "edited-frequency"])
-    def test_bad_spectrum_csv_fails_cleanly(self, tmp_path, edit):
-        bits = tmp_path / "bits.txt"
+    @pytest.mark.parametrize("corrupt", [
+        lambda path, meta: path.write_bytes(path.read_bytes()[:8 * (meta["shape"][0] // 2)]),
+        lambda path, meta: set_magnitude(path, math.nan),
+        lambda path, meta: set_magnitude(path, -1.0),
+        lambda path, meta: meta.__setitem__("shape", [1, meta["shape"][0]]),
+        lambda path, meta: meta.__setitem__("fft_size", True),
+        lambda path, meta: meta.__setitem__("fft_size", meta["fft_size"] * 2),
+        lambda path, meta: meta.__setitem__("fft_size", 2 ** 62),
+        lambda path, meta: meta.__setitem__("sample_rate", 0),
+        lambda path, meta: meta.pop("fft_size"),
+    ], ids=["half-the-rows", "nan-magnitude", "negative-magnitude", "wrong-shape",
+            "non-numeric-metadata", "fft-size-mismatched", "fft-size-beyond-any-array",
+            "sample-rate-zero", "missing-key"])
+    def test_bad_spectrum_csv_fails_cleanly(self, tmp_path, capsys, corrupt):
         signal = tmp_path / "sig.f64"
-        spectrum = tmp_path / "spec.csv"
-        run_cli("payload", "--seed", "0", "--bits", "16", "--out", str(bits))
-        run_cli("modulate", "--in", str(bits), "--scheme", "psk", "--out", str(signal))
-        run_cli("spectrum", "--in", str(signal), "--out", str(spectrum))
-        spectrum.write_text("\n".join(edit(spectrum.read_text().splitlines())) + "\n")
+        spectrum = tmp_path / "spec.f64"
+        write_signal(MODULATORS["psk"](random_payload(0, 16, 250.0), CarrierSpec(2000.0)), signal)
+        assert main(["spectrum", "--in", str(signal), "--out", str(spectrum)]) == 0
+        meta = json.loads(sidecar_path(spectrum).read_text())
+        corrupt(spectrum, meta)
+        sidecar_path(spectrum).write_text(json.dumps(meta))
+        capsys.readouterr()
         peaks = tmp_path / "p.csv"
-        result = run_cli("peaks", "--spectrum", str(spectrum), "--out", str(peaks))
-        assert result.returncode == 1
-        assert result.stderr.startswith("error:")
-        assert len(result.stderr.strip().splitlines()) == 1
+        assert main(["peaks", "--spectrum", str(spectrum), "--out", str(peaks)]) == 1
+        assert one_line_error(capsys)
         assert not peaks.exists()
 
     def test_stft_output(self, tmp_path):
         bits = tmp_path / "bits.txt"
         signal = tmp_path / "sig.f64"
-        gram = tmp_path / "gram.csv"
+        gram = tmp_path / "gram.f64"
         run_cli("payload", "--seed", "0", "--bits", "16", "--out", str(bits))
         run_cli("modulate", "--in", str(bits), "--scheme", "psk", "--out", str(signal))
         result = run_cli("spectrum", "--in", str(signal), "--stft", "--out", str(gram))
         assert result.returncode == 0
-        assert gram.read_text().splitlines()[2].startswith("time_s,")
+        assert "23 frames x 129 bins" in result.stdout
+        # 16 bits of 192 samples in 256-sample windows 128 apart.
+        assert read_spectrogram(gram).magnitudes.shape == (23, 129)
 
     def test_features_json(self, tmp_path):
         bits = tmp_path / "bits.txt"
@@ -678,12 +696,21 @@ class TestRun:
     def test_stft_csv_export_matches_run_spectrogram(self, tmp_path):
         run = tmp_path / "exp"
         assert main(["run", "--defaults", "--payload-bits", "1024", "--out", str(run)]) == 0
-        expected = tmp_path / "expected.csv"
-        write_spectrogram_csv(read_spectrogram(run / "stft.f64"), expected)
-        exported = tmp_path / "stft.csv"
+        exported = tmp_path / "stft.f64"
         assert main(["spectrum", "--in", str(run / "received.f64"), "--stft",
                      "--window-length", "256", "--hop", "128", "--out", str(exported)]) == 0
-        assert exported.read_bytes() == expected.read_bytes()
+        assert exported.read_bytes() == (run / "stft.f64").read_bytes()
+        assert sidecar_path(exported).read_bytes() == sidecar_path(run / "stft.f64").read_bytes()
+
+    def test_spectrum_then_peaks_matches_run_peaks(self, tmp_path):
+        run = tmp_path / "exp"
+        assert main(["run", "--defaults", "--payload-bits", "1024", "--out", str(run)]) == 0
+        spectrum, peaks = tmp_path / "spectrum.f64", tmp_path / "peaks.csv"
+        assert main(["spectrum", "--in", str(run / "received.f64"), "--out", str(spectrum)]) == 0
+        # The run's threshold and separation: 0.1 and half the bit rate.
+        assert main(["peaks", "--spectrum", str(spectrum), "--relative-threshold", "0.1",
+                     "--min-separation", "125", "--out", str(peaks)]) == 0
+        assert peaks.read_bytes() == (run / "peaks.csv").read_bytes()
 
     def test_missing_library_leaves_no_run_dir(self, tmp_path):
         out = tmp_path / "half"
@@ -903,79 +930,3 @@ def test_hostile_library_fails_cleanly(saved_library, mutations):
                 assert code == 1
             if code == 1:
                 assert len(lines) == 1 and lines[0].startswith("error:")
-
-
-@pytest.fixture(scope="module")
-def spectrum_csv_lines(tmp_path_factory):
-    """The lines of a valid spectrum CSV: 64 samples at 64 Hz, so 33 rows 1 Hz apart."""
-    path = tmp_path_factory.mktemp("spectrum") / "spectrum.csv"
-    samples = np.random.default_rng(4).standard_normal(64)
-    write_spectrum_csv(fft_magnitude(SampledSignal(64.0, samples)), path)
-    return path.read_text().splitlines()
-
-
-def peaks_from_csv(lines):
-    """Exit code, stderr lines and warnings of ``radsim peaks`` on a spectrum CSV of ``lines``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        spectrum, out = Path(tmp) / "spectrum.csv", Path(tmp) / "peaks.csv"
-        spectrum.write_text("\n".join(lines) + "\n")
-        code, err, caught = cli_result(["peaks", "--spectrum", str(spectrum), "--out", str(out)])
-        assert out.exists() == (code == 0)
-    return code, err, caught
-
-
-@pytest.mark.parametrize("edit, named", [
-    (lambda lines: lines[:7] + ["4.0,1_0"] + lines[8:], "1_0"),
-    (lambda lines: lines[:2] + lines[1:], "sample_rate"),
-    (lambda lines: ["# fft_size=9007199254740993"] + lines[1:], "9007199254740993"),
-], ids=["underscore-in-number", "repeated-key", "fft-size-beyond-float"])
-def test_strict_spectrum_csv_numbers(spectrum_csv_lines, edit, named):
-    assert spectrum_csv_lines[7].startswith("4.0,")
-    code, err, _ = peaks_from_csv(edit(spectrum_csv_lines))
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
-
-
-# The spectrum CSV fuzz: a metadata value or a field of a row (the first,
-# a middle and the last) may take any of these values, or its whole line may
-# go missing or appear twice.
-MISSING, REPEATED = "<missing line>", "<repeated line>"
-CSV_HOSTILE = ["nan", "inf", "1e400", "-1", "1_0", "", str(2 ** 60), MISSING, REPEATED]
-CSV_FIELDS = [(0, 1), (1, 1)] + [(line, field) for line in (3, 19, 35) for field in (0, 1)]
-
-
-def mutate_csv(lines, mutations):
-    """``lines`` with each ((line, field), value) mutation applied in turn."""
-    groups = [[line] for line in lines]
-    for (index, field), value in mutations:
-        if value == MISSING:
-            groups[index] = []
-        elif value == REPEATED:
-            groups[index] = groups[index] * 2
-        else:
-            sep = "=" if lines[index].startswith("#") else ","
-            groups[index] = [sep.join(value if i == field else part
-                                      for i, part in enumerate(line.split(sep)))
-                             for line in groups[index]]
-    return [line for group in groups for line in group]
-
-
-@settings(max_examples=200, deadline=None)
-@given(mutations=st.lists(st.tuples(st.sampled_from(CSV_FIELDS), st.sampled_from(CSV_HOSTILE)),
-                          min_size=1, max_size=3, unique_by=lambda m: m[0]))
-@example(mutations=[((19, 1), "1_0")])
-@example(mutations=[((1, 1), REPEATED)])
-@example(mutations=[((0, 1), MISSING)])
-@example(mutations=[((0, 1), str(2 ** 60))])
-def test_hostile_spectrum_csv_fails_cleanly(spectrum_csv_lines, mutations):
-    lines = mutate_csv(spectrum_csv_lines, mutations)
-    code, err, caught = peaks_from_csv(lines)
-    assert caught == []
-    assert code in (0, 1)
-    keys = [line.partition("=")[0] for line in lines if line.startswith("#")]
-    values = [line.partition("=")[2] if line.startswith("#") else line for line in lines
-              if line != "frequency_hz,magnitude"]
-    if any("_" in value for value in values) or len(keys) != len(set(keys)):
-        assert code == 1
-    if code == 1:
-        assert len(err) == 1 and err[0].startswith("error:")

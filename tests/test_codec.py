@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,8 +94,17 @@ class TestManchester:
         with pytest.raises(ShapeError):
             manchester_encode(BitStream(np.zeros(0, dtype=np.uint8), 1.0))
 
+    def test_bit_rate_is_kept_exactly_and_checked(self):
+        # 1 / (2 * (1 / (2 * 7638.0))) is 7637.999999999999, so the rate is
+        # stored, not rebuilt from the half-bit duration.
+        stream = BitStream(np.array([0, 1, 1]), 7638.0)
+        assert manchester_decode(manchester_encode(stream)).bit_rate == 7638.0
+        for rate in (math.nan, math.inf, True, 0.0, -1.0):
+            with pytest.raises(ParameterError, match="bit_rate"):
+                LineCodeSignal(np.array([HIGH, LOW]), rate)
+
     def test_decode_single(self):
-        dec = manchester_decode(LineCodeSignal(np.array([HIGH, LOW]), 0.5))
+        dec = manchester_decode(LineCodeSignal(np.array([HIGH, LOW]), 1.0))
         assert list(dec.bits) == [0]
         assert dec.bit_rate == 1.0
 

@@ -1,6 +1,8 @@
 """The numeric-input checkers, and the rule that they alone hold the policy."""
 
+import importlib
 import math
+import pkgutil
 import re
 from pathlib import Path
 
@@ -82,3 +84,14 @@ def test_json_lives_in_signals_only():
                  if path.name != "signals.py" and pattern.search(path.read_text())]
     assert offenders == []
     assert pattern.search((package / "signals.py").read_text())
+
+
+def test_every_name_in_all_resolves():
+    # A name left in a module's __all__ after its definition goes breaks
+    # ``from radsim.<module> import *`` and nothing else.
+    modules = [importlib.import_module(f"radsim.{info.name}")
+               for info in pkgutil.iter_modules(radsim.__path__) if info.name != "__main__"]
+    assert any(hasattr(module, "__all__") for module in modules)
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

@@ -13,8 +13,8 @@ from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
 from radsim.pipeline import (DEFAULT_CONFIG, ExperimentConfig, config_from_json,
                              recognition_benchmark, run_experiment)
 from radsim.recognition import SignatureLibrary, library_add, library_save
-from radsim.signals import read_signal
-from radsim.spectral import find_peaks, read_spectrogram, read_spectrum_csv, stft
+from radsim.signals import read_signal, sidecar_path
+from radsim.spectral import fft_magnitude, find_peaks, read_spectrogram, stft, write_spectrum_csv
 
 
 def run_default(tmp_path, name="exp", **overrides):
@@ -41,16 +41,17 @@ class TestDefaultRun:
         out = Path(config.output_dir)
         payload = read_bits(out / report.files["payload"], config.bit_rate)
         assert len(payload) == 64
-        for key in ("carrier", "modulated", "emitted", "received"):
+        for key in ("emitted", "received"):
             signal = read_signal(out / report.files[key])
             assert signal.sample_rate == 48000.0
             assert len(signal) == 64 * 192
-        spectrum = read_spectrum_csv(out / report.files["spectrum"])
-        assert spectrum.fft_size == 64 * 192
-        assert spectrum.sample_rate == 48000.0
+        received = read_signal(out / report.files["received"])
+        spectrum = fft_magnitude(received)
+        write_spectrum_csv(spectrum, tmp_path / "spectrum.csv")
+        assert ((out / report.files["spectrum"]).read_bytes()
+                == (tmp_path / "spectrum.csv").read_bytes())
         gram = read_spectrogram(out / report.files["stft"])
-        expected = stft(read_signal(out / report.files["received"]), config.stft_window,
-                        config.stft_hop, config.stft_window_type)
+        expected = stft(received, config.stft_window, config.stft_hop, config.stft_window_type)
         for name in ("frame_times", "bin_frequencies", "magnitudes"):
             assert np.array_equal(getattr(gram, name), getattr(expected, name))
         rows = np.loadtxt(out / report.files["peaks"], delimiter=",", skiprows=1, ndmin=2)
@@ -60,6 +61,19 @@ class TestDefaultRun:
         assert [p.frequency for p in peaks] == report.peak_frequencies_hz
         report_doc = json.loads((out / "report.json").read_text())
         assert report_doc["peak_frequencies_hz"] == report.peak_frequencies_hz
+
+    def test_report_lists_every_file(self, tmp_path):
+        library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
+        library = library_add(library, "fsk", fsk_modulate(random_payload(99, 1024, 250.0),
+                                                           DEFAULT_CONFIG.carrier))
+        library_save(library, tmp_path / "lib.json")
+        config, report = run_default(tmp_path, library_path=str(tmp_path / "lib.json"),
+                                     channel=ChannelParams(snr_db=10.0, seed=1))
+        out = Path(config.output_dir)
+        listed = set(report.files.values()) | {"report.json"}
+        listed |= {sidecar_path(name).name for name in listed if name.endswith(".f64")}
+        assert json.loads((out / "report.json").read_text())["files"] == report.files
+        assert {p.name for p in out.iterdir()} == listed
 
     def test_report_ber_matches_recount(self, tmp_path):
         config, report = run_default(tmp_path, channel=ChannelParams(snr_db=10.0, seed=1))
