@@ -414,7 +414,7 @@ def _cmd_evaluate(args) -> int:
     for truth, counts in sorted(result.decisions.items()):
         for predicted, count in sorted(counts.items()):
             print(f"  {truth} -> {predicted}: {count}")
-    print(f"white-noise probes rejected at threshold {recognition.DEFAULT_THRESHOLD:g}: "
+    print(f"white-noise probes rejected at threshold {result.threshold:g}: "
           f"{result.noise_rejected}/{result.probes}")
     return 0
 

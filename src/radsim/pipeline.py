@@ -155,16 +155,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     """Run the chain, writing every artifact and ``report.json`` into ``out``."""
     payload = codec.random_payload(config.seed, config.payload_bits, config.bit_rate)
-    spb = modulation.samples_per_bit(config.carrier, config.bit_rate)
-    duration = config.payload_bits * spb / config.carrier.sample_rate
-    carrier = modulation.generate_carrier(config.carrier, duration)
     files: dict[str, str] = {}
 
     codec.write_bits(payload, out / "payload.txt")
     files["payload"] = "payload.txt"
 
-    modulated = modulation.MODULATORS[config.modulation](payload, config.carrier)
-    emitted = modulation.compose_emitted(carrier, modulated) if config.compose_with_carrier else modulated
+    emitted = modulation.MODULATORS[config.modulation](payload, config.carrier)
+    if config.compose_with_carrier:
+        carrier = modulation.generate_carrier(config.carrier,
+                                              len(emitted) / config.carrier.sample_rate)
+        emitted = modulation.compose_emitted(carrier, emitted)
     write_signal(emitted, out / "emitted.f64")
     files["emitted"] = "emitted.f64"
 
@@ -267,7 +267,7 @@ def recognition_benchmark(snr_db: float, probes: int, threshold: float) -> Recog
     at ``snr_db`` with seed 20_000 + 1000*i + k, and is classified at
     ``threshold``. White-noise probe k, for k below ``probes``, is a probe's
     length of standard normal samples of seed 90_000 + k, classified at
-    ``DEFAULT_THRESHOLD``.
+    ``threshold`` too, so the rejections count false alarms at that threshold.
     """
     check_int("probes", probes, 1, _MAX_BENCHMARK_PROBES)
     spec, rate = DEFAULT_CONFIG.carrier, DEFAULT_CONFIG.bit_rate
@@ -289,6 +289,7 @@ def recognition_benchmark(snr_db: float, probes: int, threshold: float) -> Recog
     probe_samples = 256 * modulation.samples_per_bit(spec, rate)
     rejected = 0
     for k in range(probes):
-        noise = np.random.default_rng(90_000 + k).standard_normal(probe_samples)
-        rejected += classify(SampledSignal(spec.sample_rate, noise), library).label == UNKNOWN_LABEL
+        noise = SampledSignal(spec.sample_rate,
+                              np.random.default_rng(90_000 + k).standard_normal(probe_samples))
+        rejected += classify(noise, library, threshold).label == UNKNOWN_LABEL
     return RecognitionBenchmark(snr_db, probes, threshold, decisions, rejected)

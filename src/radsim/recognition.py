@@ -156,7 +156,7 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
     rms = float(np.sqrt(np.mean(x ** 2)))
     crossings = int(np.count_nonzero(x[:-1] * x[1:] < 0))
     zcr = crossings / (x.size - 1)
-    crest = float(np.max(np.abs(x)) / rms) if rms > 0 else 0.0
+    crest = float(max(x.max(), -x.min()) / rms) if rms > 0 else 0.0
 
     spectrum = fft_magnitude(signal)
     mags = spectrum.magnitudes
@@ -179,10 +179,10 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
     else:
         entropy = 0.0
 
-    peaks = find_peaks(spectrum, relative_threshold=_PEAK_THRESHOLD,
-                       min_separation=_PEAK_SEPARATION_BINS * spectrum.bin_width)
-    peaks.sort(key=attrgetter("magnitude"), reverse=True)  # stable: ties stay by frequency
-    top = peaks[:_MAX_DOMINANT_PEAKS]
+    top = find_peaks(spectrum, relative_threshold=_PEAK_THRESHOLD,
+                     min_separation=_PEAK_SEPARATION_BINS * spectrum.bin_width,
+                     limit=_MAX_DOMINANT_PEAKS)
+    top.sort(key=attrgetter("magnitude"), reverse=True)  # stable: ties stay by frequency
     max_mag = top[0].magnitude if top else 0.0
     dominant = tuple((pk.frequency, pk.magnitude / max_mag) for pk in top)
 

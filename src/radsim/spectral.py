@@ -204,7 +204,7 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
 
 
 def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
-               min_separation: float = 0.0) -> list[SpectralPeak]:
+               min_separation: float = 0.0, *, limit: int | None = None) -> list[SpectralPeak]:
     """Local maxima above a relative threshold, thinned to a minimum spacing.
 
     A candidate is a local maximum at or above ``relative_threshold * max``:
@@ -218,9 +218,18 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     peak already kept, and are returned sorted by frequency. Only the nearest
     kept peak on each side can be too close, so each candidate costs one
     bisection of the kept frequencies, plus a list insert if it is kept.
+
+    With a ``limit``, keeping stops once that many peaks are kept. As peaks
+    are kept from the strongest down, they are the ``limit`` strongest of
+    the unlimited result (ties toward lower frequency), still returned
+    sorted by frequency. :func:`radsim.recognition.extract_features` asks
+    for its 5 dominant peaks only; ``radsim peaks`` and a run's
+    ``peaks.csv`` keep every peak.
     """
     check_real("relative_threshold", relative_threshold, 0, 1, "(]")
     check_real("min_separation", min_separation, 0)
+    if limit is not None:
+        check_int("limit", limit, 1)
     m = spectrum.magnitudes
     freqs = spectrum.bin_frequencies
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0
@@ -246,6 +255,8 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
                 and (i == len(kept_freqs) or kept_freqs[i] - fk >= min_separation)):
             kept_freqs.insert(i, fk)
             kept_bins.insert(i, k)
+            if len(kept_bins) == limit:
+                break
     return [SpectralPeak(f, v, k)
             for f, v, k in zip(kept_freqs, m[kept_bins].tolist(), kept_bins)]
 

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy.fft  # noqa: F401 -- numpy 2 imports it on first use; not inside a traced call
 import pytest
 
 

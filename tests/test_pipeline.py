@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radsim import spectral
+from radsim import modulation, spectral
 from radsim.channel import ChannelParams
 from radsim.codec import random_payload, read_bits
 from radsim.errors import ConfigurationError
@@ -115,6 +115,13 @@ class TestSchemes:
                                 compose_with_carrier=False)
         assert report.ber == 0.0
 
+    def test_uncomposed_run_builds_no_carrier(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("carrier built for a run that does not add it")
+        monkeypatch.setattr(modulation, "generate_carrier", fail)
+        _, report = run_default(tmp_path, compose_with_carrier=False)
+        assert report.ber == 0.0
+
 
 class TestChannelRuns:
     def test_measured_snr_reported(self, tmp_path):
@@ -192,6 +199,11 @@ class TestRecognitionBenchmark:
         assert result.decisions == {"fsk": {"fsk": 50}, "psk": {"psk": 50}, "ask": {"ask": 50}}
         assert result.correct == 150
         assert result.noise_rejected == 50
+
+    def test_white_noise_is_judged_at_the_threshold(self):
+        # Judged at the 0.8 default, every noise probe would be rejected.
+        result = recognition_benchmark(15.0, 3, 1e-3)
+        assert result.noise_rejected < result.probes
 
     def test_misses_are_counted_under_their_label(self):
         # At -17 dB most best scores fall below the threshold; every psk one does.

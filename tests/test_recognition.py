@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,7 @@ from radsim.recognition import (UNKNOWN_LABEL, SignatureLibrary, classify,
                                 extract_features, library_add, library_load, library_save,
                                 matching_spectrum, spectral_correlation)
 from radsim.signals import SampledSignal
-from radsim.spectral import Spectrum, fft_magnitude
+from radsim.spectral import Spectrum, fft_magnitude, find_peaks
 
 SPEC = CarrierSpec(2000.0, 1.0, 0.0, 48000.0)
 RATE = 250.0
@@ -45,7 +46,44 @@ def pearson(a, b):
     return float(np.dot(da, db) / math.sqrt(float(np.dot(da, da)) * float(np.dot(db, db))))
 
 
+def with_unlimited_peaks(features, signal):
+    """``features`` with its dominant peaks taken from every peak ``find_peaks``
+    keeps (strongest first, ties toward lower frequency, the first 5) and its
+    crest factor from the largest absolute sample."""
+    spectrum = fft_magnitude(signal)
+    peaks = find_peaks(spectrum, 0.05, 4 * spectrum.bin_width)
+    top = sorted(peaks, key=lambda p: (-p.magnitude, p.frequency))[:5]
+    x = signal.samples
+    return dataclasses.replace(
+        features, crest_factor=float(np.max(np.abs(x)) / features.rms_power),
+        dominant_peaks=tuple((p.frequency, p.magnitude / top[0].magnitude) for p in top))
+
+
+# Probes shaped like the benchmark's: 256-bit payloads at 250 bit/s on
+# carriers from 1.5 to 12 kHz through a 15 dB channel, and 8192 samples of
+# white noise.
+MODULATORS = {"fsk": fsk_modulate, "psk": psk_modulate, "ask": ask_modulate}
+PROBE_CARRIERS = (1500.0, 6000.0, 12000.0)
+
+
 class TestExtractFeatures:
+    @pytest.mark.parametrize("scheme", sorted(MODULATORS))
+    @pytest.mark.parametrize("carrier", PROBE_CARRIERS)
+    def test_equals_unlimited_peaks_on_tonal_probes(self, scheme, carrier):
+        spec = CarrierSpec(carrier, 1.0, 0.0, 48000.0)
+        seed = int(carrier) + sorted(MODULATORS).index(scheme)
+        probe = apply_channel(MODULATORS[scheme](random_payload(seed, 256, RATE), spec),
+                              ChannelParams(snr_db=15.0, seed=seed))
+        features = extract_features(probe)
+        assert len(features.dominant_peaks) == 5
+        assert features == with_unlimited_peaks(features, probe)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_unlimited_peaks_on_white_noise(self, seed):
+        probe = white_noise(seed, n=8192)
+        features = extract_features(probe)
+        assert features == with_unlimited_peaks(features, probe)
+
     def test_pure_cosine_statistics(self):
         amplitude = 2.0
         features = extract_features(tone(amplitude=amplitude))

@@ -72,6 +72,12 @@ def reference_run_peaks(spectrum, relative_threshold, min_separation):
     return [(freqs[k], m[k], k) for k in sorted(kept)]
 
 
+def strongest(peaks, limit):
+    """The ``limit`` strongest of (frequency, magnitude, bin) peaks, ties toward
+    lower frequency, sorted back by frequency."""
+    return sorted(sorted(peaks, key=lambda p: (-p[1], p[0]))[:limit])
+
+
 def reference_write_spectrum_csv(spectrum, path):
     """The whole file as one string, as write_spectrum_csv wrote it before it streamed."""
     lines = [
@@ -324,15 +330,26 @@ class TestFindPeaks:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=40), st.booleans(),
            st.floats(0.0, 1.0, exclude_min=True),
-           st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.5, 1e9]))
-    def test_matches_run_reference_with_plateaus(self, values, odd, threshold, separation):
+           st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.5, 1e9]),
+           st.integers(1, 6))
+    def test_matches_run_reference_with_plateaus(self, values, odd, threshold, separation,
+                                                 limit):
         # Few distinct integer levels make plateaus, shoulders and equal
         # peaks common; the rate equals fft_size, so bins are 1 Hz apart.
         fft_size = 2 * len(values) - 1 if odd else 2 * (len(values) - 1)
         spectrum = Spectrum(np.array(values, dtype=float), float(fft_size), fft_size)
+        reference = reference_run_peaks(spectrum, threshold, separation)
         peaks = find_peaks(spectrum, threshold, separation)
-        assert ([(p.frequency, p.magnitude, p.bin_index) for p in peaks]
-                == reference_run_peaks(spectrum, threshold, separation))
+        assert [(p.frequency, p.magnitude, p.bin_index) for p in peaks] == reference
+        limited = find_peaks(spectrum, threshold, separation, limit=limit)
+        assert ([(p.frequency, p.magnitude, p.bin_index) for p in limited]
+                == strongest(reference, limit))
+
+    @pytest.mark.parametrize("limit", [0, -1, True, 2.5, "5"])
+    def test_limit_validated(self, limit):
+        spectrum = fft_magnitude(cosine(10.0, 100.0, 100))
+        with pytest.raises(ParameterError):
+            find_peaks(spectrum, limit=limit)
 
     def test_tie_breaks_toward_lower_frequency(self):
         mags = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
