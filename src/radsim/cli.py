@@ -10,7 +10,6 @@ diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -234,18 +233,12 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _scheme_options(fn, **options) -> dict:
-    """The keyword options that ``fn`` takes; a scheme ignores the other schemes' flags."""
-    accepted = inspect.signature(fn).parameters
-    return {name: value for name, value in options.items() if name in accepted}
-
-
 def _cmd_modulate(args) -> int:
     stream = codec.read_bits(args.infile, args.bit_rate)
     spec = _carrier_from(args)
-    modulate = MODULATORS[args.scheme]
-    signal = modulate(stream, spec, **_scheme_options(
-        modulate, phase_continuous=not args.fsk_phase_reset))
+    # ASK and PSK ignore --fsk-phase-reset.
+    options = {"phase_continuous": not args.fsk_phase_reset} if args.scheme == "fsk" else {}
+    signal = MODULATORS[args.scheme](stream, spec, **options)
     if args.compose:
         carrier = generate_carrier(spec, len(signal) / spec.sample_rate)
         signal = compose_emitted(carrier, signal)
@@ -441,7 +434,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Values that overflow float64 stop the command here instead of printing
+        # a numpy warning per operation before some later check fails.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
+    except FloatingPointError as e:
+        print(f"error: the input's values are out of float64 range: {e}", file=sys.stderr)
+        return 1
     except (RadsimError, OSError, MemoryError) as e:
         # A Python MemoryError carries no message; numpy's names the size asked for.
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)

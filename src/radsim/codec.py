@@ -66,10 +66,6 @@ class LineCodeSignal:
     def __len__(self) -> int:
         return int(self.levels.size)
 
-    @property
-    def half_bit_duration(self) -> float:
-        return 1.0 / (2.0 * self.bit_rate)
-
 
 def hex_to_bits(hex_text: str, bit_rate: float) -> BitStream:
     """Expand hex digits into bits, most significant bit of each nibble first."""

@@ -3,20 +3,23 @@
 The defense pipeline is: receive -> magnitude spectrum on the library's bin
 grid -> Pearson correlation against each stored template -> threshold. A
 signal whose best correlation clears the threshold is labeled with that
-template's name, otherwise "unknown". Time/frequency features are extracted
-alongside for inspection; the decision statistic is the template correlation.
+template's name, otherwise "unknown". The decision statistic is the template
+correlation alone. Time/frequency features are for inspection: ``radsim
+features`` extracts them from a signal, and the library does not store them.
 
 Matching spectra are block-averaged: the signal is cut into disjoint
 ``fft_size`` blocks whose one-sided magnitudes are averaged (a short signal
 is zero-padded into a single block). Templates are stored normalized to unit
 energy. Libraries persist as versioned JSON with stable key order; floats
-survive the round trip bit-exactly.
+survive the round trip bit-exactly. Each entry holds a label, its template
+magnitudes and metadata; the reader ignores any other entry key, so the
+``features`` objects of 1.0 files are skipped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -50,7 +53,7 @@ DEFAULT_THRESHOLD = 0.8
 
 LIBRARY_FORMAT = "radsim-signature-library"
 LIBRARY_MAJOR_VERSION = 1
-LIBRARY_MINOR_VERSION = 0
+LIBRARY_MINOR_VERSION = 1
 
 # Peak-picking defaults for the dominant_peaks feature; fixed for determinism.
 _PEAK_THRESHOLD = 0.05
@@ -86,20 +89,10 @@ class FeatureVector:
             check_real("dominant peak magnitude", rel, 0, peaks[i - 1][1] if i else 1, "(]")
         object.__setattr__(self, "dominant_peaks", peaks)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureVector":
-        try:
-            return cls(**{f.name: data[f.name] for f in fields(cls)})
-        except KeyError as e:
-            raise ParseError(f"feature vector missing key {e.args[0]!r}") from e
-        except (TypeError, ValueError) as e:  # not an object, or a value of the wrong type or shape
-            raise ParseError(f"bad feature vector: {e}") from e
-
 
 @dataclass(frozen=True)
 class SignatureEntry:
     label: str
-    features: FeatureVector
     template_spectrum: Spectrum
     metadata: dict = field(default_factory=dict)
 
@@ -240,9 +233,7 @@ def classify(signal: SampledSignal, library: SignatureLibrary,
 
 def library_add(library: SignatureLibrary, label: str, signal: SampledSignal,
                 metadata: dict | None = None) -> SignatureLibrary:
-    """Return a new library with the signal's template and features added."""
-    if not label:
-        raise ParameterError("label must be nonempty")
+    """Return a new library with the signal's template added."""
     if label in library.labels():
         raise ConflictError(f"label {label!r} already exists in the library")
     if signal.sample_rate != library.sample_rate:
@@ -251,7 +242,6 @@ def library_add(library: SignatureLibrary, label: str, signal: SampledSignal,
             f"grid ({library.sample_rate})")
     entry = SignatureEntry(
         label=label,
-        features=extract_features(signal),
         template_spectrum=matching_spectrum(signal, library.fft_size),
         metadata=dict(metadata or {}),
     )
@@ -267,7 +257,6 @@ def library_save(library: SignatureLibrary, path) -> None:
         "entries": [
             {
                 "label": e.label,
-                "features": asdict(e.features),
                 "template_magnitudes": [float(v) for v in e.template_spectrum.magnitudes],
                 "metadata": e.metadata,
             }
@@ -300,13 +289,12 @@ def library_load(path) -> SignatureLibrary:
     entries = []
     for raw in raw_entries:
         try:
-            label, features = raw["label"], raw["features"]
+            label = raw["label"]
             mags = np.array(raw["template_magnitudes"], dtype=np.float64)
         except KeyError as e:
             raise ParseError(f"{path}: entry missing key {e.args[0]!r}") from e
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}: template for {label!r} is not a list of numbers") from e
-        entries.append(SignatureEntry(label, FeatureVector.from_dict(features),
-                                      Spectrum(mags, sample_rate, fft_size),
+        entries.append(SignatureEntry(label, Spectrum(mags, sample_rate, fft_size),
                                       raw.get("metadata", {})))
     return SignatureLibrary(fft_size, sample_rate, tuple(entries))

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +21,10 @@ from hypothesis import strategies as st
 
 import radsim
 from radsim.cli import build_parser, main
-from radsim.codec import random_payload
-from radsim.modulation import MODULATORS, CarrierSpec
-from radsim.recognition import FeatureVector, SignatureLibrary, library_add, library_save
+from radsim.codec import random_payload, read_bits
+from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
+from radsim.pipeline import DEFAULT_CONFIG as DEFAULTS
+from radsim.recognition import SignatureLibrary, library_add, library_save
 from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
 from radsim.spectral import fft_magnitude, read_spectrogram, write_spectrum
 
@@ -391,6 +391,23 @@ class TestSignalChain:
                             "spectral_centroid", "spectral_bandwidth", "spectral_entropy",
                             "dominant_peaks"}
 
+    def test_fsk_phase_reset(self, tmp_path):
+        bits = tmp_path / "bits.txt"
+        assert main(["payload", "--seed", "7", "--bits", "64", "--out", str(bits)]) == 0
+        written = {}
+        for scheme in ("fsk", "psk"):
+            for flags in ((), ("--fsk-phase-reset",)):
+                out = tmp_path / f"{scheme}{len(flags)}.f64"
+                assert main(["modulate", "--in", str(bits), "--scheme", scheme, *flags,
+                             "--out", str(out)]) == 0
+                written[scheme, bool(flags)] = out.read_bytes() + sidecar_path(out).read_bytes()
+        expected = tmp_path / "expected.f64"
+        write_signal(fsk_modulate(read_bits(bits, DEFAULTS.bit_rate), DEFAULTS.carrier,
+                                  phase_continuous=False), expected)
+        assert written["fsk", True] == expected.read_bytes() + sidecar_path(expected).read_bytes()
+        assert written["fsk", True] != written["fsk", False]
+        assert written["psk", True] == written["psk", False]
+
 
 class TestLibraryCommands:
     def make_template(self, tmp_path, scheme, seed):
@@ -427,26 +444,17 @@ class TestLibraryCommands:
         lambda doc: doc.update(entries=[5]),
         lambda doc: doc["entries"][0].update(template_magnitudes="abc"),
         lambda doc: doc["entries"][0].update(template_magnitudes=[0.5] * 2048),
-        lambda doc: doc["entries"][0].update(features=5),
-        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[1.0, 1.0, 1.0]]),
         lambda doc: doc["entries"][0].update(label=5),
         lambda doc: doc["entries"][0].update(metadata=5),
         lambda doc: doc.update(version=3),
         lambda doc: doc.update(sample_rate=True),
-        lambda doc: doc["entries"][0]["features"].update(rms_power=True),
         lambda doc: doc.update(version={"major": True, "minor": 0}),
         lambda doc: doc["entries"][0].update(template_magnitudes=[10 ** 400] * 2049),
-        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[math.nan, 1.0]]),
-        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[math.inf, 0.5]]),
-        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[10 ** 400, 0.5]]),
-        lambda doc: doc["entries"][0]["features"].update(dominant_peaks=[[1000.0, 0.0]]),
         lambda doc: doc["entries"][0].update(metadata={"k": math.nan}),
     ], ids=["fft-size-string", "fft-size-null", "fft-size-float", "sample-rate-string",
             "entries-number", "entry-number", "magnitudes-string", "magnitudes-short",
-            "features-number", "peak-triple", "label-number", "metadata-number",
-            "version-number", "sample-rate-bool", "rms-power-bool", "version-major-bool",
-            "magnitudes-beyond-float", "peak-nan", "peak-float-overflow", "peak-beyond-float",
-            "peak-relative-zero", "metadata-nan"])
+            "label-number", "metadata-number", "version-number", "sample-rate-bool",
+            "version-major-bool", "magnitudes-beyond-float", "metadata-nan"])
     def test_bad_library_is_one_line_error(self, tmp_path, capsys, corrupt):
         t = np.arange(4096) / 48000.0
         tone = SampledSignal(48000.0, np.cos(2 * np.pi * 1000.0 * t))
@@ -459,6 +467,14 @@ class TestLibraryCommands:
         path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
         assert main(["library-list", "--library", str(path)]) == 1
         assert one_line_error(capsys)
+
+    def test_empty_label_fails(self, tmp_path, capsys):
+        library = tmp_path / "lib.json"
+        signal = self.make_template(tmp_path, "fsk", 10)
+        assert main(["library-add", "--library", str(library), "--label", "",
+                     "--in", str(signal)]) == 1
+        assert one_line_error(capsys)
+        assert not library.exists()
 
     def test_duplicate_label_fails(self, tmp_path):
         library = tmp_path / "lib.json"
@@ -855,6 +871,21 @@ def cli_result(argv):
     return code, err.getvalue().splitlines(), [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("command", [
+    ["features", "--out", "features.json"],
+    ["channel", "--snr-db", "10", "--out", "received.f64"],
+    ["library-add", "--library", "lib.json", "--label", "big"],
+], ids=lambda argv: argv[0])
+def test_overflowing_signal_is_one_line_error(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    # Finite samples whose squares overflow float64.
+    write_signal(SampledSignal(48000.0, np.full(128, 1e200) * np.cos(np.arange(128))), "big.f64")
+    code, lines, caught = cli_result([command[0], "--in", "big.f64", *command[1:]])
+    assert (code, caught) == (1, [])
+    assert len(lines) == 1 and lines[0].startswith("error: the input's values are out of float64")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.f64", "big.f64.json"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(scheme=st.sampled_from(sorted(MODULATORS)),
        mutations=st.lists(st.tuples(st.sampled_from(RUN_FIELDS), st.sampled_from(HOSTILE)),
@@ -886,12 +917,10 @@ def test_hostile_run_config_fails_cleanly(scheme, mutations, flags):
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]
 
 
-# The library fuzz: a saved library's top-level fields, its first entry's
-# fields and that entry's features may take any HOSTILE value.
+# The library fuzz: a saved library's top-level fields and its first entry's
+# fields may take any HOSTILE value.
 LIBRARY_FIELDS = ([(name,) for name in ("format", "version", "fft_size", "sample_rate", "entries")]
-                  + [("entries", 0, name)
-                     for name in ("label", "features", "template_magnitudes", "metadata")]
-                  + [("entries", 0, "features", f.name) for f in fields(FeatureVector)])
+                  + [("entries", 0, name) for name in ("label", "template_magnitudes", "metadata")])
 
 
 @pytest.fixture(scope="module")

@@ -86,10 +86,6 @@ class TestManchester:
         enc = manchester_encode(BitStream(np.array([0, 1, 0]), 1.0))
         assert list(enc.levels) == [HIGH, LOW, LOW, HIGH, HIGH, LOW]
 
-    def test_half_bit_duration(self):
-        enc = manchester_encode(BitStream(np.array([1]), 250.0))
-        assert enc.half_bit_duration == 1.0 / 500.0
-
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             manchester_encode(BitStream(np.zeros(0, dtype=np.uint8), 1.0))

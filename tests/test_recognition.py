@@ -28,14 +28,19 @@ def white_noise(seed, n=49152, rate=48000.0):
     return SampledSignal(rate, np.random.default_rng(seed).standard_normal(n))
 
 
+def template_signals(template_bits=1024):
+    """(label, signal, metadata) of the three templates in ``small_library``."""
+    return [(label, modulate(random_payload(seed, template_bits, RATE), SPEC),
+             {"scheme": label, "payload_seed": str(seed)})
+            for label, modulate, seed in (("fsk", fsk_modulate, 1000),
+                                          ("psk", psk_modulate, 2000),
+                                          ("ask", ask_modulate, 3000))]
+
+
 def small_library(template_bits=1024):
     library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
-    for label, modulate, seed in (("fsk", fsk_modulate, 1000),
-                                  ("psk", psk_modulate, 2000),
-                                  ("ask", ask_modulate, 3000)):
-        payload = random_payload(seed, template_bits, RATE)
-        library = library_add(library, label, modulate(payload, SPEC),
-                              {"scheme": label, "payload_seed": str(seed)})
+    for label, signal, metadata in template_signals(template_bits):
+        library = library_add(library, label, signal, metadata)
     return library
 
 
@@ -294,8 +299,35 @@ class TestLibraryPersistence:
         for a, b in zip(loaded.entries, library.entries):
             assert np.array_equal(a.template_spectrum.magnitudes,
                                   b.template_spectrum.magnitudes)
-            assert a.features == b.features
             assert a.metadata == b.metadata
+
+    def test_reads_a_1_0_library_with_features(self, tmp_path):
+        # Libraries of format 1.0 stored each entry's feature vector; the
+        # reader skips it, and saving writes 1.1 without it.
+        library = small_library(template_bits=256)
+        current = tmp_path / "lib.json"
+        library_save(library, current)
+        doc = json.loads(current.read_text())
+        doc["version"]["minor"] = 0
+        for entry, (_, signal, _) in zip(doc["entries"], template_signals(256)):
+            entry["features"] = dataclasses.asdict(extract_features(signal))
+        old = tmp_path / "lib-1.0.json"
+        old.write_text(json.dumps(doc))
+        loaded = library_load(old)
+        assert loaded.labels() == library.labels()
+        for a, b in zip(loaded.entries, library.entries):
+            assert (a.template_spectrum.magnitudes.tobytes()
+                    == b.template_spectrum.magnitudes.tobytes())
+            assert a.metadata == b.metadata
+        probe = apply_channel(psk_modulate(random_payload(6, 256, RATE), SPEC),
+                              ChannelParams(snr_db=15.0, seed=3))
+        assert classify(probe, loaded, 0.5) == classify(probe, library, 0.5)
+        resaved = tmp_path / "lib-1.1.json"
+        library_save(loaded, resaved)
+        assert resaved.read_bytes() == current.read_bytes()
+        resaved_doc = json.loads(resaved.read_text())
+        assert resaved_doc["version"] == {"major": 1, "minor": 1}
+        assert not any("features" in entry for entry in resaved_doc["entries"])
 
     def test_classification_stable_across_round_trip(self, tmp_path):
         library = small_library(template_bits=256)
