@@ -15,9 +15,8 @@ from .modulation import (CarrierSpec, ask_demodulate, ask_modulate, compose_emit
                          fsk_demodulate, fsk_modulate, generate_carrier,
                          psk_demodulate, psk_modulate, samples_per_bit)
 from .pipeline import ExperimentConfig, ExperimentReport, run_experiment
-from .propagation import (PropagationCurve, PropagationParams, expected_infected_closed_form,
-                          inflection_time, monte_carlo_propagation, simulate_curve,
-                          step_recurrence)
+from .propagation import (PropagationParams, expected_infected_closed_form, inflection_time,
+                          monte_carlo_propagation, simulate_curve, step_recurrence)
 from .recognition import (ClassificationResult, FeatureVector, SignatureEntry,
                           SignatureLibrary, classify, extract_features, library_add,
                           library_load, library_save, spectral_correlation)

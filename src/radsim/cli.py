@@ -198,7 +198,7 @@ def _cmd_propagate(args) -> int:
     else:
         curve = propagation.monte_carlo_propagation(params, args.seed, args.steps, args.trials)
     propagation.write_curve_csv(curve, args.out)
-    final = float(curve.expected_infected[-1])
+    final = float(curve[-1])
     print(f"wrote {args.out}: {len(curve)} steps, final expected infected {final:.6g}")
     if params.initial_infected < params.n_computers:
         print(f"inflection time (closed form): {propagation.inflection_time(params):.6g}")

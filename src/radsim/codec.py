@@ -72,12 +72,9 @@ def hex_to_bits(hex_text: str, bit_rate: float) -> BitStream:
     for pos, ch in enumerate(hex_text):
         if ch not in _HEX_DIGITS:
             raise ParseError(f"invalid hex digit {ch!r} at position {pos}")
-    bits = np.zeros(4 * len(hex_text), dtype=np.uint8)
-    for i, ch in enumerate(hex_text):
-        nibble = int(ch, 16)
-        for b in range(4):
-            bits[4 * i + b] = (nibble >> (3 - b)) & 1
-    return BitStream(bits, bit_rate)
+    pad = len(hex_text) % 2  # fromhex reads whole bytes: a leading 0 evens the digit count
+    octets = np.frombuffer(bytes.fromhex("0" * pad + hex_text), dtype=np.uint8)
+    return BitStream(np.unpackbits(octets)[4 * pad:], bit_rate)
 
 
 def random_payload(seed: int, n_bits: int, bit_rate: float) -> BitStream:
@@ -136,9 +133,14 @@ def rectangular_waveform(stream: BitStream, sample_rate: float,
     return SampledSignal(sample_rate, np.repeat(levels, spb))
 
 
+def _write_digits(values: np.ndarray, path) -> None:
+    """Write 0/1 values as one line of '0'/'1' characters."""
+    Path(path).write_bytes((values + ord("0")).astype(np.uint8).tobytes() + b"\n")
+
+
 def write_bits(stream: BitStream, path) -> None:
     """Serialize as a text file of '0'/'1' characters with a trailing newline."""
-    Path(path).write_text("".join(str(int(b)) for b in stream.bits) + "\n")
+    _write_digits(stream.bits, path)
 
 
 def read_bits(path, bit_rate: float) -> BitStream:
@@ -152,4 +154,4 @@ def read_bits(path, bit_rate: float) -> BitStream:
 
 def write_levels(signal: LineCodeSignal, path) -> None:
     """Serialize half-bit levels as '1'/'0' characters (1=high, 0=low)."""
-    Path(path).write_text("".join(str(int(v)) for v in signal.levels) + "\n")
+    _write_digits(signal.levels, path)

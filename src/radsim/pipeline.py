@@ -82,6 +82,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"library_path must be a path string or null, "
                                      f"got {self.library_path!r}")
         check_real("classification_threshold", self.classification_threshold, 0, 1, "()")
+        # The analysis settings are checked here, before a run writes anything.
+        spectral._check_window(self.stft_window, self.stft_hop, self.stft_window_type)
+        spectral._check_peak_options(self.peak_relative_threshold, self.peak_separation)
+        n_samples = self.payload_bits * modulation.samples_per_bit(self.carrier, self.bit_rate)
+        if self.stft_window > n_samples:
+            raise ConfigurationError(
+                f"stft_window {self.stft_window} exceeds signal length {n_samples}")
 
     @property
     def peak_separation(self) -> float:

@@ -33,7 +33,6 @@ from .signals import _MAX_SAMPLES
 
 __all__ = [
     "PropagationParams",
-    "PropagationCurve",
     "expected_infected_closed_form",
     "step_recurrence",
     "simulate_curve",
@@ -61,23 +60,6 @@ class PropagationParams:
                 f"initial_infected must lie in [1, {self.n_computers}], got {self.initial_infected}")
 
 
-@dataclass(eq=False)
-class PropagationCurve:
-    """Expected infected count per time step, from step 0."""
-
-    expected_infected: np.ndarray
-
-    def __post_init__(self):
-        self.expected_infected = np.asarray(self.expected_infected, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return int(self.expected_infected.size)
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.arange(len(self))
-
-
 def expected_infected_closed_form(params: PropagationParams, n: float) -> float:
     """Logistic expected infected count at (integer or real) time n."""
     if n < 0:
@@ -96,8 +78,8 @@ def step_recurrence(params: PropagationParams, current: float) -> float:
     return current + rate * current * (1.0 - current / big_n)
 
 
-def simulate_curve(params: PropagationParams, n_max: int, method: str = "closed_form") -> PropagationCurve:
-    """Expected-infection trajectory for n = 0..n_max."""
+def simulate_curve(params: PropagationParams, n_max: int, method: str = "closed_form") -> np.ndarray:
+    """Expected-infection trajectory: float64 values indexed by step n = 0..n_max."""
     check_int("n_max", n_max, 0, _MAX_SAMPLES - 1)
     steps = np.arange(n_max + 1)  # allocated first: a count no memory holds fails here, at once
     if method == "closed_form":
@@ -109,7 +91,7 @@ def simulate_curve(params: PropagationParams, n_max: int, method: str = "closed_
             values[i + 1] = step_recurrence(params, values[i])
     else:
         raise ParameterError(f"unknown method {method!r} (expected 'closed_form' or 'recurrence')")
-    return PropagationCurve(values)
+    return values
 
 
 def inflection_time(params: PropagationParams) -> float:
@@ -142,8 +124,8 @@ def _step_pairs(rng: np.random.Generator, n: int, m: int, block_steps: int):
 
 
 def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
-                            trials: int) -> PropagationCurve:
-    """Agent simulation: mean infected count per step across seeded trials.
+                            trials: int) -> np.ndarray:
+    """Agent simulation: float64 mean infected count per step n = 0..n_max across seeded trials.
 
     Each step draws ``comms_per_interval`` uniformly random ordered pairs
     (source != target, with replacement) and applies them sequentially, so an
@@ -186,11 +168,11 @@ def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
             infected[i] = False
         totals[:len(counts)] += counts
         totals[len(counts):] += len(hits)
-    return PropagationCurve(totals / trials)
+    return totals / trials
 
 
-def write_curve_csv(curve: PropagationCurve, path) -> None:
-    """CSV export, header ``n,expected_infected``, full float precision."""
+def write_curve_csv(curve: np.ndarray, path) -> None:
+    """CSV of values indexed by step: header ``n,expected_infected``, full float precision."""
     lines = ["n,expected_infected"]
-    lines.extend(f"{int(n)},{float(v)!r}" for n, v in zip(curve.steps, curve.expected_infected))
+    lines.extend(f"{n},{v!r}" for n, v in enumerate(curve.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")

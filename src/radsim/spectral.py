@@ -39,6 +39,20 @@ __all__ = [
 ]
 
 
+def _magnitudes_view(magnitudes) -> np.ndarray:
+    """``magnitudes`` as a read-only float64 view; each must be finite and nonnegative."""
+    view = np.asarray(magnitudes, dtype=np.float64).view()
+    view.flags.writeable = False
+    if view.size:
+        # The extremes are NaN or infinite exactly when some magnitude is.
+        lowest, highest = view.min(), view.max()
+        if not (np.isfinite(lowest) and np.isfinite(highest)):
+            raise ParameterError("magnitudes must be finite")
+        if lowest < 0:
+            raise ParameterError("magnitudes must be nonnegative")
+    return view
+
+
 @dataclass(eq=False)
 class Spectrum:
     """One-sided magnitude spectrum on the bin grid of ``(sample_rate, fft_size)``.
@@ -55,19 +69,12 @@ class Spectrum:
     bin_frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64).view()
-        self.magnitudes.flags.writeable = False
+        self.magnitudes = _magnitudes_view(self.magnitudes)
         check_real("sample_rate", self.sample_rate, 0, bounds="()")
         check_int("fft_size", self.fft_size, 2)
         if self.magnitudes.shape != (self.fft_size // 2 + 1,):
             raise ShapeError(f"magnitudes must have shape ({self.fft_size // 2 + 1},) for "
                              f"fft_size {self.fft_size}, got {self.magnitudes.shape}")
-        # The extremes are NaN or infinite exactly when some magnitude is.
-        lowest, highest = self.magnitudes.min(), self.magnitudes.max()
-        if not (np.isfinite(lowest) and np.isfinite(highest)):
-            raise ParameterError("magnitudes must be finite")
-        if lowest < 0:
-            raise ParameterError("magnitudes must be nonnegative")
         self.bin_frequencies = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
 
     @cached_property
@@ -80,13 +87,10 @@ class Spectrum:
     def bin_width(self) -> float:
         return self.sample_rate / self.fft_size
 
-    def _has_nyquist_bin(self) -> bool:
-        return self.fft_size % 2 == 0
-
     def time_domain_energy(self) -> float:
         """Sum of squared time samples implied by Parseval under this scaling."""
         m = self.magnitudes
-        if self._has_nyquist_bin():
+        if self.fft_size % 2 == 0:  # the last bin is Nyquist
             interior = m[1:-1]
             edges = m[0] ** 2 + m[-1] ** 2
         else:
@@ -101,7 +105,7 @@ class Spectrogram:
 
     Frame times (window centres) and bin frequencies are derived from the
     analysis grid, so a spectrogram rebuilt from its grid and magnitudes
-    equals the one :func:`stft` returned, bit for bit.
+    equals the one :func:`stft` returned, bit for bit. Its magnitudes are read-only.
     """
 
     magnitudes: np.ndarray
@@ -113,7 +117,7 @@ class Spectrogram:
     bin_frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
+        self.magnitudes = _magnitudes_view(self.magnitudes)
         _check_window(self.window_length, self.hop, self.window)
         check_real("sample_rate", self.sample_rate, 0, bounds="()")
         if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.window_length // 2 + 1:
@@ -203,6 +207,12 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
     return Spectrogram(mags, signal.sample_rate, window_length, hop, window)
 
 
+def _check_peak_options(relative_threshold: float, min_separation: float) -> None:
+    """Reject a peak threshold outside (0, 1] or a negative peak spacing."""
+    check_real("relative_threshold", relative_threshold, 0, 1, "(]")
+    check_real("min_separation", min_separation, 0)
+
+
 def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
                min_separation: float = 0.0, *, limit: int | None = None) -> list[SpectralPeak]:
     """Local maxima above a relative threshold, thinned to a minimum spacing.
@@ -226,8 +236,7 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     for its 5 dominant peaks only; ``radsim peaks`` and a run's
     ``peaks.csv`` keep every peak.
     """
-    check_real("relative_threshold", relative_threshold, 0, 1, "(]")
-    check_real("min_separation", min_separation, 0)
+    _check_peak_options(relative_threshold, min_separation)
     if limit is not None:
         check_int("limit", limit, 1)
     m = spectrum.magnitudes

@@ -77,7 +77,7 @@ def test_criterion_2_oracle_agreement():
     # the deterministic logistic by up to ~17% near the inflection, so only
     # a minority of 200-trial seeds sit inside +/-15%; this one does, with
     # margin (max deviation ~11.6%).
-    mc = monte_carlo_propagation(P100, seed=109, n_max=100, trials=200).expected_infected
+    mc = monte_carlo_propagation(P100, seed=109, n_max=100, trials=200)
     mc_rel = np.max(np.abs(mc[10:81] - closed[10:81]) / closed[10:81])
 
     elapsed = time.perf_counter() - start

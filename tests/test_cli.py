@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 import radsim
 from radsim.cli import build_parser, main
 from radsim.codec import random_payload, read_bits
+from radsim.errors import RadsimError
 from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
 from radsim.pipeline import DEFAULT_CONFIG as DEFAULTS
+from radsim.pipeline import ExperimentConfig, config_from_json
 from radsim.recognition import SignatureLibrary, library_add, library_save
 from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
 from radsim.spectral import fft_magnitude, read_spectrogram, write_spectrum
@@ -658,6 +660,30 @@ class TestRun:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert name in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"stft_window": 1},
+        {"stft_hop": 0},
+        {"stft_window_type": "kaiser"},
+        {"peak_relative_threshold": 2.0},
+        {"peak_min_separation": -1.0},
+        {"stft_window": 64 * 192 + 1},  # 64 bits of 192 samples
+    ], ids=["window-one", "hop-zero", "window-kaiser", "threshold-two", "separation-negative",
+            "window-beyond-signal"])
+    def test_bad_analysis_setting_fails_at_construction(self, tmp_path, changes):
+        doc = dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)
+        with pytest.raises(RadsimError):
+            ExperimentConfig(**changes)
+        with pytest.raises(RadsimError):
+            config_from_json(doc)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, lines, caught = cli_result(["run", "--config", str(config),
+                                          "--out", str(tmp_path / "exp")])
+        assert (code, caught) == (1, [])
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        # Nothing was written, not even the hidden .partial sibling.
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_failed_run_removes_parents_it_made(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()

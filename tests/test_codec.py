@@ -178,3 +178,16 @@ class TestTextFiles:
         path = tmp_path / "levels.txt"
         write_levels(enc, path)
         assert [int(c) for c in path.read_text().rstrip("\n")] == enc.levels.tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), n_bits=st.integers(1, 2000))
+    def test_text_is_one_digit_per_value(self, tmp_path_factory, seed, n_bits):
+        stream = random_payload(seed, n_bits, 250.0)
+        path = tmp_path_factory.mktemp("digits") / "out.txt"
+        levels = manchester_encode(stream)
+        empty = BitStream(np.zeros(0, np.uint8), 250.0)
+        for write, value, digits in ((write_bits, stream, stream.bits),
+                                     (write_levels, levels, levels.levels),
+                                     (write_bits, empty, empty.bits)):
+            write(value, path)
+            assert path.read_text() == "".join(map(str, digits)) + "\n"

@@ -127,30 +127,30 @@ class TestRecurrence:
         for m, steps, bound in ((15, 120, 0.15), (5, 400, 0.055), (2, 800, 0.025)):
             p = PropagationParams(100, m, 1)
             cf = np.array([expected_infected_closed_form(p, n) for n in range(steps + 1)])
-            rec = simulate_curve(p, steps, "recurrence").expected_infected
+            rec = simulate_curve(p, steps, "recurrence")
             assert np.max(np.abs(rec - cf) / cf) < bound
 
 
 class TestCurve:
     def test_hundred_machine_scenario_phases(self):
         curve = simulate_curve(P100, 100, "closed_form")
-        values = curve.expected_infected
+        values = curve
         assert values[20] < 0.2 * 100
         assert values[60] > 0.95 * 100
 
     def test_single_computer_constant(self):
         p = PropagationParams(1, 1, 1)
         curve = simulate_curve(p, 10, "closed_form")
-        assert np.allclose(curve.expected_infected, 1.0)
+        assert np.allclose(curve, 1.0)
 
     def test_n_max_zero(self):
         curve = simulate_curve(P100, 0, "recurrence")
         assert len(curve) == 1
-        assert curve.expected_infected[0] == 1.0
+        assert curve[0] == 1.0
 
     def test_methods_agree_at_zero(self):
         for method in ("closed_form", "recurrence"):
-            assert simulate_curve(P100, 5, method).expected_infected[0] == 1.0
+            assert simulate_curve(P100, 5, method)[0] == 1.0
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
@@ -166,7 +166,7 @@ class TestCurve:
         cases = [("closed_form", PropagationParams(n, m, x0)),
                  ("recurrence", PropagationParams(n, min(m, n), x0))]
         for method, p in cases:
-            v = simulate_curve(p, 50, method).expected_infected
+            v = simulate_curve(p, 50, method)
             diffs = np.diff(v)
             assert np.all(diffs >= 0)
             # strictly increasing until float saturation flattens the tail
@@ -203,22 +203,22 @@ class TestInflection:
 class TestMonteCarlo:
     def test_single_computer_constant(self):
         curve = monte_carlo_propagation(PropagationParams(1, 1, 1), seed=0, n_max=5, trials=10)
-        assert np.array_equal(curve.expected_infected, np.ones(6))
+        assert np.array_equal(curve, np.ones(6))
 
     def test_two_computers_many_comms(self):
         # P(the infected->susceptible pair never drawn in 50 tries) = 2^-50,
         # so every trial saturates; the mean is exactly 2.
         curve = monte_carlo_propagation(PropagationParams(2, 50, 1), seed=1, n_max=1, trials=10)
-        assert curve.expected_infected[1] == 2.0
+        assert curve[1] == 2.0
 
     def test_deterministic_per_seed(self):
         a = monte_carlo_propagation(P100, seed=7, n_max=30, trials=20)
         b = monte_carlo_propagation(P100, seed=7, n_max=30, trials=20)
-        assert np.array_equal(a.expected_infected, b.expected_infected)
+        assert np.array_equal(a, b)
 
     def test_mean_nondecreasing_and_bounded(self):
         curve = monte_carlo_propagation(P100, seed=3, n_max=60, trials=50)
-        v = curve.expected_infected
+        v = curve
         assert np.all(np.diff(v) >= 0)
         assert v[0] == 1.0
         assert np.all(v <= 100.0)
@@ -229,7 +229,7 @@ class TestMonteCarlo:
         # across trials plus per-interval target collisions), by up to ~17%
         # at 10k trials. At 200 trials roughly one seed in five stays within
         # the +/-15% band checked here; see also the acceptance suite.
-        mc = monte_carlo_propagation(P100, seed=109, n_max=100, trials=200).expected_infected
+        mc = monte_carlo_propagation(P100, seed=109, n_max=100, trials=200)
         cf = np.array([expected_infected_closed_form(P100, n) for n in range(101)])
         rel = np.abs(mc[10:81] - cf[10:81]) / cf[10:81]
         assert rel.max() < 0.15
@@ -252,7 +252,7 @@ class TestMonteCarloMatchesReference:
            seed=st.integers(0, 2 ** 128))
     def test_any_input(self, n, m, data, n_max, trials, seed):
         params = PropagationParams(n, m, data.draw(st.integers(1, n), label="x0"))
-        got = monte_carlo_propagation(params, seed, n_max, trials).expected_infected
+        got = monte_carlo_propagation(params, seed, n_max, trials)
         assert np.array_equal(got, reference_monte_carlo(params, seed, n_max, trials))
 
     @pytest.mark.parametrize("params, n_max, trials", [
@@ -263,7 +263,7 @@ class TestMonteCarloMatchesReference:
         (PropagationParams(40, 7, 1), 0, 3),
     ], ids=["n2", "n2-many-comms", "n1", "x0-is-n", "n_max-0"])
     def test_edge_cases(self, params, n_max, trials):
-        got = monte_carlo_propagation(params, 5, n_max, trials).expected_infected
+        got = monte_carlo_propagation(params, 5, n_max, trials)
         assert np.array_equal(got, reference_monte_carlo(params, 5, n_max, trials))
 
     def test_several_blocks_saturating_inside_one(self):
@@ -274,7 +274,7 @@ class TestMonteCarloMatchesReference:
         first = reference_monte_carlo(params, 22, 60, 1)
         saturated_at = int(np.argmax(first == params.n_computers))
         assert block < saturated_at < 60 and saturated_at % block != 0
-        got = monte_carlo_propagation(params, 22, 60, 3).expected_infected
+        got = monte_carlo_propagation(params, 22, 60, 3)
         assert np.array_equal(got, reference_monte_carlo(params, 22, 60, 3))
 
     @pytest.mark.parametrize("block_draws", [1, 7, 64, 1000])
@@ -282,7 +282,7 @@ class TestMonteCarloMatchesReference:
         monkeypatch.setattr(propagation, "_BLOCK_DRAWS", block_draws)
         for params, n_max, trials in ((P100, 60, 4), (PropagationParams(20, 3, 2), 40, 5),
                                       (PropagationParams(2, 1, 1), 6, 3)):
-            got = monte_carlo_propagation(params, 8, n_max, trials).expected_infected
+            got = monte_carlo_propagation(params, 8, n_max, trials)
             assert np.array_equal(got, reference_monte_carlo(params, 8, n_max, trials))
 
 
@@ -294,8 +294,30 @@ def test_curve_csv_round_trip(tmp_path):
     assert text.startswith("n,expected_infected\n")
     # full float precision survives the file
     steps, values = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-    assert np.array_equal(steps, curve.steps)
-    assert np.array_equal(values, curve.expected_infected)
+    assert np.array_equal(steps, np.arange(len(curve)))
+    assert np.array_equal(values, curve)
     # at least 9 significant digits in a representative row
     row20 = text.splitlines()[21].split(",")[1]
     assert len(row20.replace(".", "").replace("-", "").lstrip("0")) >= 9
+
+
+@pytest.mark.parametrize("make", [
+    lambda n_max: simulate_curve(P100, n_max, "closed_form"),
+    lambda n_max: simulate_curve(P100, n_max, "recurrence"),
+    lambda n_max: monte_carlo_propagation(P100, 4, n_max, 3),
+], ids=["closed_form", "recurrence", "monte_carlo"])
+@pytest.mark.parametrize("n_max", [0, 1, 37])
+def test_curve_is_float64_array_indexed_by_step(make, n_max):
+    curve = make(n_max)
+    assert type(curve) is np.ndarray
+    assert curve.dtype == np.float64
+    assert curve.shape == (n_max + 1,)
+
+
+def test_monte_carlo_csv_bytes(tmp_path):
+    # Fractional means (200 trials) written as full-precision reprs, one row per step.
+    curve = monte_carlo_propagation(P100, seed=109, n_max=100, trials=200)
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, path)
+    rows = [f"{int(n)},{float(v)!r}" for n, v in enumerate(curve)]
+    assert path.read_bytes() == "\n".join(["n,expected_infected", *rows, ""]).encode()

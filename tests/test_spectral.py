@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from radsim import spectral
 from radsim.errors import ParameterError, ParseError, ShapeError
 from radsim.signals import SampledSignal, sidecar_path
-from radsim.spectral import (Spectrum, fft_magnitude, find_peaks, read_spectrogram,
+from radsim.spectral import (Spectrogram, Spectrum, fft_magnitude, find_peaks, read_spectrogram,
                              read_spectrum, stft, write_peaks_csv, write_spectrum,
                              write_spectrum_csv)
 
@@ -181,18 +181,24 @@ class TestSpectrum:
         ([0.0, 1.0, -1e-300, 0.0, 0.0], "nonnegative"),
     ], ids=["nan", "inf", "minus-inf", "negative-and-nan", "negative"])
     def test_bad_magnitude_message(self, mags, message):
-        with pytest.raises(ParameterError, match=f"^magnitudes must be {message}$"):
-            Spectrum(np.array(mags), 100.0, 8)
+        # A spectrogram of 3 frames with these bins is checked as a spectrum is.
+        for cls, grid, shape in ((Spectrum, (100.0, 8), (5,)),
+                                 (Spectrogram, (100.0, 8, 4), (3, 5))):
+            with pytest.raises(ParameterError, match=f"^magnitudes must be {message}$"):
+                cls(np.broadcast_to(mags, shape), *grid)
 
     def test_magnitudes_are_read_only(self):
-        mags = np.linspace(0.0, 1.0, 5)
-        spectrum = Spectrum(mags, 100.0, 8)
-        with pytest.raises(ValueError, match="read-only"):
-            spectrum.magnitudes[0] = 2.0
-        with pytest.raises(ValueError, match="read-only"):
-            spectrum.magnitudes *= 2.0
-        assert mags.flags.writeable  # the caller's array is left as it was
-        assert np.array_equal(spectrum.magnitudes, np.linspace(0.0, 1.0, 5))
+        for cls, grid, shape in ((Spectrum, (100.0, 8), (5,)),
+                                 (Spectrogram, (100.0, 8, 4), (3, 5))):
+            mags = np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape)
+            spectrum = cls(mags, *grid)
+            with pytest.raises(ValueError, match="read-only"):
+                spectrum.magnitudes[0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                spectrum.magnitudes *= 2.0
+            assert mags.flags.writeable  # the caller's array is left as it was
+            assert np.array_equal(spectrum.magnitudes,
+                                  np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape))
 
 
 class TestStft:
@@ -441,18 +447,27 @@ class TestSpectrogramFile:
             json.dumps(dict(meta, start_time=0.0), sort_keys=True, indent=2) + "\n")
         self.assert_same(read_spectrogram(path), gram)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda path, meta: path.write_bytes(path.read_bytes()[:-8]),
-        lambda path, meta: meta.__setitem__("shape", [meta["shape"][0] + 1, meta["shape"][1]]),
-        lambda path, meta: meta.pop("hop"),
-        lambda path, meta: meta.pop("shape"),
-        lambda path, meta: meta.__setitem__("format", "f32be"),
-    ], ids=["truncated", "shape-too-big", "missing-hop", "missing-shape", "unknown-format"])
-    def test_bad_file_is_parse_error(self, tmp_path, corrupt):
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda path, meta: path.write_bytes(path.read_bytes()[:-8]), ParseError),
+        (lambda path, meta: meta.__setitem__("shape", [meta["shape"][0] + 1, meta["shape"][1]]),
+         ParseError),
+        (lambda path, meta: meta.pop("hop"), ParseError),
+        (lambda path, meta: meta.pop("shape"), ParseError),
+        (lambda path, meta: meta.__setitem__("format", "f32be"), ParseError),
+        (lambda path, meta: path.write_bytes(path.read_bytes()[:-8]
+                                             + np.array([np.nan], "<f8").tobytes()),
+         ParameterError),
+        (lambda path, meta: path.write_bytes(path.read_bytes()[:-8]
+                                             + np.array([-1.0], "<f8").tobytes()),
+         ParameterError),
+    ], ids=["truncated", "shape-too-big", "missing-hop", "missing-shape", "unknown-format",
+            "nan-magnitude", "negative-magnitude"])
+    def test_bad_file_is_parse_error(self, tmp_path, corrupt, error):
         path = tmp_path / "gram.f64"
         write_spectrum(stft(cosine(100.0, 1000.0, 2000), window_length=128, hop=64), path)
         meta = json.loads(sidecar_path(path).read_text())
         corrupt(path, meta)
         sidecar_path(path).write_text(json.dumps(meta))
-        with pytest.raises(ParseError):
+        with pytest.raises(error) as caught:
             read_spectrogram(path)
+        assert "\n" not in str(caught.value)
