@@ -11,7 +11,6 @@ seed reproduces the exact same stream everywhere.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +22,6 @@ from .signals import _MAX_SAMPLES, SampledSignal, _check_length, _read_text
 
 HIGH = 1
 LOW = 0
-
-_HEX_DIGITS = set(string.hexdigits)
 
 
 @dataclass(eq=False)
@@ -69,9 +66,9 @@ class LineCodeSignal:
 
 def hex_to_bits(hex_text: str, bit_rate: float) -> BitStream:
     """Expand hex digits into bits, most significant bit of each nibble first."""
-    for pos, ch in enumerate(hex_text):
-        if ch not in _HEX_DIGITS:
-            raise ParseError(f"invalid hex digit {ch!r} at position {pos}")
+    pos = len(hex_text) - len(hex_text.lstrip("0123456789abcdefABCDEF"))
+    if pos < len(hex_text):
+        raise ParseError(f"invalid hex digit {hex_text[pos]!r} at position {pos}")
     pad = len(hex_text) % 2  # fromhex reads whole bytes: a leading 0 evens the digit count
     octets = np.frombuffer(bytes.fromhex("0" * pad + hex_text), dtype=np.uint8)
     return BitStream(np.unpackbits(octets)[4 * pad:], bit_rate)
@@ -145,9 +142,9 @@ def write_bits(stream: BitStream, path) -> None:
 
 def read_bits(path, bit_rate: float) -> BitStream:
     text = _read_text(path).rstrip("\n")
-    for pos, ch in enumerate(text):
-        if ch not in "01":
-            raise ParseError(f"{path}: invalid bit character {ch!r} at position {pos}")
+    pos = len(text) - len(text.lstrip("01"))
+    if pos < len(text):
+        raise ParseError(f"{path}: invalid bit character {text[pos]!r} at position {pos}")
     bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0") if text else np.zeros(0, np.uint8)
     return BitStream(bits, bit_rate)
 

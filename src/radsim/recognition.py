@@ -157,17 +157,21 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
     total = float(mags.sum())
     if total > 0:
         centroid = float((freqs * mags).sum() / total)
-        bandwidth = float(np.sqrt(((freqs - centroid) ** 2 * mags).sum() / total))
+        spread = freqs - centroid
+        spread *= spread
+        bandwidth = float(np.sqrt(np.multiply(spread, mags, out=spread).sum() / total))
     else:
         centroid = 0.0
         bandwidth = 0.0
 
-    power = mags ** 2
-    power_total = float(power.sum())
+    p = mags ** 2
+    power_total = float(p.sum())
     if power_total > 0 and mags.size > 1:
-        p = power / power_total
-        nonzero = p[p > 0]
-        entropy = float(-(nonzero * np.log(nonzero)).sum() / math.log(mags.size))
+        p /= power_total
+        p = p if p.min() > 0 else p[p > 0]  # zero bins add nothing; log 0 is -inf
+        plogp = np.log(p)
+        plogp *= p
+        entropy = float(-plogp.sum() / math.log(mags.size))
         entropy = min(max(entropy, 0.0), 1.0)
     else:
         entropy = 0.0
@@ -183,14 +187,18 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
 
 
 def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -> Spectrum:
-    """Magnitude spectrum averaged over disjoint fft_size blocks, unit energy."""
+    """Magnitude spectrum averaged over disjoint fft_size blocks, unit energy.
+
+    The blocks' |rfft| are summed and scaled once; as ``fft_size`` is a power of two,
+    that is exact unless a scaled block magnitude is subnormal or the sum overflows.
+    """
     _check_fft_size(fft_size)
     if len(signal) < 2:
         raise ShapeError(f"signal must have at least 2 samples, got {len(signal)}")
     n_blocks = max(1, len(signal) // fft_size)
     blocks = signal.samples[:n_blocks * fft_size].reshape(n_blocks, -1)
-    mags = _one_sided_magnitudes(np.fft.rfft(blocks, n=fft_size, axis=1), fft_size)
-    mean = mags.sum(axis=0) / n_blocks
+    total = np.abs(np.fft.rfft(blocks, n=fft_size, axis=1)).sum(axis=0)
+    mean = _one_sided_magnitudes(total, fft_size, out=total) / n_blocks
     energy = math.sqrt(float(np.sum(mean ** 2)))
     if energy == 0.0:
         raise ParameterError("signal spectrum has zero energy; cannot normalize")

@@ -252,8 +252,12 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     rises[0] = True
     np.greater(m[1:], m[:-1], out=rises[1:])
     starts = np.flatnonzero(rises & (m >= peak_floor))
-    run_ends = np.append(np.flatnonzero(m[:-1] != m[1:]), m.size - 1)
-    ends = run_ends[np.searchsorted(run_ends, starts)]
+    # Each run ends at its start unless a start begins a plateau; only then are
+    # run ends looked up (the wrap compares the last bin with bin 0: harmless).
+    ends = starts
+    if np.any(m.take(starts + 1, mode="wrap") == m[starts]):
+        run_ends = np.append(np.flatnonzero(m[:-1] != m[1:]), m.size - 1)
+        ends = run_ends[np.searchsorted(run_ends, starts)]
     candidates = starts[(ends == m.size - 1) | (m.take(ends + 1, mode="clip") < m[starts])]
     order = candidates[np.lexsort((freqs[candidates], -m[candidates]))]
     kept_freqs: list[float] = []

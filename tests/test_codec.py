@@ -39,6 +39,15 @@ class TestHex:
         with pytest.raises(ParseError, match="position 1"):
             hex_to_bits("0G1", 1.0)
 
+    @pytest.mark.parametrize("hex_text, pos", [
+        ("0f\u00e9a", 2), ("ab\u0663", 2), (" 0f", 0), ("0f ", 2), ("f" * 4095 + "x", 4095),
+    ], ids=["non-ascii", "arabic-indic-digit", "leading-space", "trailing-space", "late"])
+    def test_bad_digit_message_names_character_and_position(self, hex_text, pos):
+        # bytes.fromhex would skip whitespace; the digit check must not.
+        with pytest.raises(ParseError) as info:
+            hex_to_bits(hex_text, 1.0)
+        assert str(info.value) == f"invalid hex digit {hex_text[pos]!r} at position {pos}"
+
     @settings(max_examples=50)
     @given(st.text(alphabet="0123456789abcdefABCDEF", max_size=64))
     def test_matches_nibble_reference(self, hex_text):
@@ -172,6 +181,22 @@ class TestTextFiles:
         path.write_text("0120\n")
         with pytest.raises(ParseError, match="position 2"):
             read_bits(path, 1.0)
+
+    @pytest.mark.parametrize("text, pos", [
+        ("0" * 16383 + "21\n", 16383), ("01\u00e90\n", 2), ("0110\u0661\n", 4), ("01 10\n", 2),
+    ], ids=["after-16383-bits", "non-ascii", "arabic-indic-digit", "space"])
+    def test_bad_character_message_names_character_and_position(self, tmp_path, text, pos):
+        path = tmp_path / "bits.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_bits(path, 1.0)
+        assert str(info.value) == f"{path}: invalid bit character {text[pos]!r} at position {pos}"
+
+    def test_empty_bits_file_is_an_empty_stream(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text("\n")
+        stream = read_bits(path, 1.0)
+        assert len(stream) == 0 and stream.bits.dtype == np.uint8
 
     def test_levels_round_trip(self, tmp_path):
         enc = manchester_encode(random_payload(9, 40, 100.0))

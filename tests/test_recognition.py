@@ -64,6 +64,29 @@ def with_unlimited_peaks(features, signal):
         dominant_peaks=tuple((p.frequency, p.magnitude / top[0].magnitude) for p in top))
 
 
+def reference_features(signal):
+    """(rms, centroid, bandwidth, entropy) by the textbook formulas, one temporary
+    array per operation, entropy over the nonzero bins."""
+    x = signal.samples
+    spectrum = fft_magnitude(signal)
+    mags, freqs = spectrum.magnitudes, spectrum.bin_frequencies
+    total = float(mags.sum())
+    centroid = float((freqs * mags).sum() / total)
+    bandwidth = float(np.sqrt(((freqs - centroid) ** 2 * mags).sum() / total))
+    power = mags ** 2
+    p = power / float(power.sum())
+    nonzero = p[p > 0]
+    entropy = float(-(nonzero * np.log(nonzero)).sum() / math.log(mags.size))
+    return float(np.sqrt(np.mean(x ** 2))), centroid, bandwidth, min(max(entropy, 0.0), 1.0)
+
+
+def with_zero_bin(seed, n=8192):
+    """Integer-valued noise summing to zero, so its DC bin is exactly 0."""
+    x = np.random.default_rng(seed).integers(-3, 4, n).astype(float)
+    x[-1] = -x[:-1].sum()
+    return SampledSignal(48000.0, x)
+
+
 # Probes shaped like the benchmark's: 256-bit payloads at 250 bit/s on
 # carriers from 1.5 to 12 kHz through a 15 dB channel, and 8192 samples of
 # white noise.
@@ -118,20 +141,36 @@ class TestExtractFeatures:
         signal = white_noise(21, n=8192)
         assert extract_features(signal) == extract_features(signal)
 
+    @pytest.mark.parametrize("signal, zero_bin", [
+        (white_noise(5, n=8192), False), (tone(), False), (with_zero_bin(6), True),
+    ], ids=["white-noise", "tone", "zero-bin"])
+    def test_matches_textbook_formulas_bit_for_bit(self, signal, zero_bin):
+        # The zero bin sends the entropy through its nonzero-bins path.
+        assert bool(np.any(fft_magnitude(signal).magnitudes == 0.0)) == zero_bin
+        features = extract_features(signal)
+        got = (features.rms_power, features.spectral_centroid, features.spectral_bandwidth,
+               features.spectral_entropy)
+        assert [v.hex() for v in got] == [v.hex() for v in reference_features(signal)]
+
 
 class TestMatchingSpectrum:
-    @pytest.mark.parametrize("n", [100, 4096, 3 * 4096, 3 * 4096 + 1234],
-                             ids=["short", "one-block", "exact-multiple", "remainder"])
-    def test_equals_per_block_fft_loop(self, n):
-        signal = white_noise(31, n=n)
-        n_blocks = max(1, n // 4096)
-        acc = np.zeros(4096 // 2 + 1)
+    @pytest.mark.parametrize("n, fft_size, scale", [
+        (100, 4096, 1.0), (4096, 4096, 1.0), (3 * 4096, 4096, 1.0), (3 * 4096 + 1234, 4096, 1.0),
+        (30, 64, 1.0), (12 * 64 + 5, 64, 1.0), (3 * 4096 + 1234, 4096, 1e-150),
+        (12 * 64 + 5, 64, 1e-150),
+    ], ids=["short", "one-block", "exact-multiple", "remainder", "short-64", "remainder-64",
+            "remainder-1e-150", "remainder-64-1e-150"])
+    def test_equals_per_block_fft_loop(self, n, fft_size, scale):
+        signal = SampledSignal(48000.0, scale * white_noise(31, n=n).samples)
+        n_blocks = max(1, n // fft_size)
+        acc = np.zeros(fft_size // 2 + 1)
         for b in range(n_blocks):
-            block = SampledSignal(signal.sample_rate, signal.samples[b * 4096:(b + 1) * 4096])
-            acc += fft_magnitude(block, fft_size=4096).magnitudes
+            block = SampledSignal(signal.sample_rate,
+                                  signal.samples[b * fft_size:(b + 1) * fft_size])
+            acc += fft_magnitude(block, fft_size=fft_size).magnitudes
         mean = acc / n_blocks
         expected = mean / math.sqrt(float(np.sum(mean ** 2)))
-        assert matching_spectrum(signal, 4096).magnitudes.tobytes() == expected.tobytes()
+        assert matching_spectrum(signal, fft_size).magnitudes.tobytes() == expected.tobytes()
 
     def test_too_short(self):
         with pytest.raises(ShapeError):

@@ -327,11 +327,21 @@ class TestFindPeaks:
         ([0.0, 1.0, 1.0, 2.0, 0.0], [3]),
         ([2.0, 2.0, 1.0, 3.0, 3.0], [0, 3]),
         ([1.0, 1.0, 1.0], [0]),
-    ], ids=["plateau", "shoulder", "edge-plateaus", "flat"])
+        ([0.0, 2.0, 0.0, 1.0, 1.0, 0.0, 3.0, 0.0], [1, 3, 6]),
+    ], ids=["plateau", "shoulder", "edge-plateaus", "flat", "one-plateau-among-peaks"])
     def test_plateau_is_one_peak_at_its_lowest_bin(self, mags, bins):
         spectrum = Spectrum(mags, sample_rate=8.0, fft_size=2 * (len(mags) - 1))
         peaks = find_peaks(spectrum, relative_threshold=0.1, min_separation=0.0)
         assert [p.bin_index for p in peaks] == bins
+
+    def test_plateau_free_spectrum_builds_no_run_end_index(self, traced_peak):
+        # 24 577 bins of white noise and no plateau: an index of every run's
+        # end (int64 per bin, about 0.2 MB) would lift the peak to about 1.2 MB.
+        signal = SampledSignal(48000.0, np.random.default_rng(5).standard_normal(49152))
+        spectrum = fft_magnitude(signal)
+        assert np.all(np.diff(spectrum.magnitudes) != 0)
+        peak = traced_peak(lambda: find_peaks(spectrum, 0.05, 4 * spectrum.bin_width, limit=5))
+        assert peak < 1.05e6
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=40), st.booleans(),
