@@ -4,7 +4,7 @@ Every subcommand writes machine-readable output to the file paths named in
 its flags and prints a short human summary to stdout. All randomness flows
 from explicit ``--seed`` flags (default 0, never wall-clock). Exit codes:
 0 success, 2 usage error (argparse), 1 runtime/domain error with a one-line
-diagnostic on stderr.
+diagnostic on stderr and no file written: every check precedes the first write.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--config", help="experiment config JSON path")
     source.add_argument("--defaults", action="store_true", help="use the built-in default config")
-    # Every other flag's dest is the dotted path of the config field it sets.
+    # Every other flag but --out has as its dest the dotted path of the config field it sets.
     p.add_argument("--seed", type=int)
     p.add_argument("--payload-bits", type=int)
     p.add_argument("--bit-rate", type=float)
@@ -222,12 +222,13 @@ def _cmd_encode(args) -> int:
     if args.manchester_out is None and args.rect_out is None:
         raise ConfigurationError("nothing to do: give --manchester-out and/or --rect-out")
     stream = codec.read_bits(args.infile, args.bit_rate)
+    if args.rect_out is not None:
+        wave = codec.rectangular_waveform(stream, args.sample_rate, args.high, args.low)
     if args.manchester_out is not None:
         encoded = codec.manchester_encode(stream)
         codec.write_levels(encoded, args.manchester_out)
         print(f"wrote {args.manchester_out}: {len(encoded)} half-bit levels")
     if args.rect_out is not None:
-        wave = codec.rectangular_waveform(stream, args.sample_rate, args.high, args.low)
         write_signal(wave, args.rect_out)
         print(f"wrote {args.rect_out}: {len(wave)} samples at {wave.sample_rate} Hz")
     return 0
@@ -252,13 +253,13 @@ def _cmd_demodulate(args) -> int:
     signal = read_signal(args.infile)
     spec = _carrier_from(args)
     stream = DEMODULATORS[args.scheme](signal, spec, args.n_bits, args.bit_rate)
+    expected = codec.read_bits(args.expected, args.bit_rate) if args.expected else None
+    if expected is not None and len(expected) != len(stream):
+        raise ConfigurationError(
+            f"--expected has {len(expected)} bits but {len(stream)} were decoded")
     codec.write_bits(stream, args.out)
     print(f"wrote {args.out}: {len(stream)} bits")
-    if args.expected:
-        expected = codec.read_bits(args.expected, args.bit_rate)
-        if len(expected) != len(stream):
-            raise ConfigurationError(
-                f"--expected has {len(expected)} bits but {len(stream)} were decoded")
+    if expected is not None:
         errors = int(np.count_nonzero(expected.bits != stream.bits))
         print(f"bit errors: {errors}/{len(stream)} (BER {errors / len(stream):.6g})")
     return 0
@@ -269,8 +270,8 @@ def _cmd_channel(args) -> int:
     params = ChannelParams(attenuation_db=args.attenuation_db, snr_db=args.snr_db,
                            noise_power=args.noise_power, seed=args.seed)
     degraded = apply_channel(signal, params)
-    write_signal(degraded, args.out)
     snr = measure_snr(signal, degraded)
+    write_signal(degraded, args.out)
     print(f"wrote {args.out}: measured SNR {snr:.3f} dB")
     return 0
 
@@ -384,16 +385,16 @@ def _run_config(args) -> pipeline.ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    report = pipeline.run_experiment(_run_config(args))
+    report = pipeline.run_experiment(_run_config(args), args.output_dir)
     print(f"report: {Path(args.output_dir) / 'report.json'}")
     print(f"peaks: {', '.join(f'{f:.6g} Hz' for f in report.peak_frequencies_hz) or 'none'}")
     if report.measured_snr_db is not None:
         print(f"measured SNR: {report.measured_snr_db:.3f} dB")
     if report.ber is not None:
-        print(f"BER: {report.ber:.6g} ({report.bit_errors}/{report.payload_bits} bits)")
+        print(f"BER: {report.ber:.6g} ({report.bit_errors}/{report.config.payload_bits} bits)")
     if report.classification is not None:
-        print(f"classified as: {report.classification['label']} "
-              f"(score {report.classification['score']:.4f})")
+        print(f"classified as: {report.classification.label} "
+              f"(score {report.classification.score:.4f})")
     return 0
 
 

@@ -2,10 +2,10 @@
 
 One :func:`run_experiment` call writes the chain's artifacts (payload bits,
 emitted and received signals, FFT spectrum CSV, binary STFT spectrogram,
-peak list, decoded bits, optional classification) into an output directory
-together with a ``report.json`` summary. The directory appears whole or not
-at all. Runs are fully deterministic per seed: identical configs produce
-byte-identical directories.
+peak list, decoded bits, optional classification) into the directory it is
+given, which is not part of the config, with a ``report.json`` summary. The
+directory appears whole or not at all. Runs are fully deterministic per seed:
+identical configs produce byte-identical directories.
 
 :func:`recognition_benchmark` scores a signature library of one template per
 modulation scheme on seeded noisy probes and on white noise.
@@ -32,8 +32,8 @@ from . import codec, modulation, spectral
 from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, ConflictError, check_int, check_real
 from .modulation import CarrierSpec
-from .recognition import (DEFAULT_FFT_SIZE, DEFAULT_THRESHOLD, UNKNOWN_LABEL, SignatureLibrary,
-                          classify, library_add, library_load)
+from .recognition import (DEFAULT_FFT_SIZE, DEFAULT_THRESHOLD, UNKNOWN_LABEL, ClassificationResult,
+                          SignatureLibrary, classify, library_add, library_load)
 from .signals import _MAX_SAMPLES, SampledSignal, _write_json, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -61,7 +61,6 @@ class ExperimentConfig:
     peak_min_separation: float | None = None  # defaults to bit_rate / 2
     library_path: str | None = None
     classification_threshold: float = DEFAULT_THRESHOLD
-    output_dir: str | None = None
 
     def __post_init__(self):
         check_int("seed", self.seed, 0)
@@ -83,12 +82,9 @@ class ExperimentConfig:
                                      f"got {self.library_path!r}")
         check_real("classification_threshold", self.classification_threshold, 0, 1, "()")
         # The analysis settings are checked here, before a run writes anything.
-        spectral._check_window(self.stft_window, self.stft_hop, self.stft_window_type)
-        spectral._check_peak_options(self.peak_relative_threshold, self.peak_separation)
         n_samples = self.payload_bits * modulation.samples_per_bit(self.carrier, self.bit_rate)
-        if self.stft_window > n_samples:
-            raise ConfigurationError(
-                f"stft_window {self.stft_window} exceeds signal length {n_samples}")
+        spectral._check_stft(self.stft_window, self.stft_hop, self.stft_window_type, n_samples)
+        spectral._check_peak_options(self.peak_relative_threshold, self.peak_separation)
 
     @property
     def peak_separation(self) -> float:
@@ -100,15 +96,13 @@ DEFAULT_CONFIG = ExperimentConfig()
 
 @dataclass(eq=False)
 class ExperimentReport:
-    files: dict
-    payload_bits: int
-    modulation: str
-    peak_frequencies_hz: list
+    config: ExperimentConfig
+    files: dict = field(default_factory=dict)
+    peak_frequencies_hz: list = field(default_factory=list)
     measured_snr_db: float | None = None  # also None when infinite: no noise was added
     bit_errors: int | None = None
     ber: float | None = None
-    classification: dict | None = None
-    config: dict = field(default_factory=dict)
+    classification: ClassificationResult | None = None
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
@@ -124,22 +118,21 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         raise ConfigurationError(f"bad experiment config: {e}") from e
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the full chain and write all artifacts into ``config.output_dir``.
+def run_experiment(config: ExperimentConfig, output_dir) -> ExperimentReport:
+    """Run the full chain and write all artifacts into ``output_dir``.
 
-    The run dir is committed at one point. ``output_dir`` must not exist or
-    must be an empty directory, else :class:`ConflictError` is raised before
-    any work. Every artifact is written into a hidden sibling
-    ``.<name>.<token>.partial``, which is renamed onto ``output_dir`` only
-    after ``report.json`` is written. On any exception the sibling is
-    removed and the exception re-raised, so a failed run leaves no
-    ``output_dir``; only a killed process can leave the ``.partial`` sibling.
-    Missing parent directories are made; a failed run removes them again,
-    deepest first, as far as they are empty.
+    ``report.json`` is ``asdict`` of the returned report. The run dir is
+    committed at one point. ``output_dir`` must not exist or must be an
+    empty directory, else :class:`ConflictError` is raised before any work.
+    Every artifact is written into a hidden sibling ``.<name>.<token>.partial``,
+    which is renamed onto ``output_dir`` only after ``report.json`` is
+    written. On any exception the sibling is removed and the exception
+    re-raised, so a failed run leaves no ``output_dir``; only a killed
+    process can leave the ``.partial`` sibling. Missing parent directories
+    are made; a failed run removes them again, deepest first, as far as they
+    are empty.
     """
-    if config.output_dir is None:
-        raise ConfigurationError("output_dir must be set")
-    out = Path(config.output_dir)
+    out = Path(output_dir)
     if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
         raise ConflictError(f"{out} exists and is not an empty directory")
     missing = [parent for parent in out.parents if not parent.exists()]  # deepest first
@@ -161,8 +154,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     """Run the chain, writing every artifact and ``report.json`` into ``out``."""
+    report = ExperimentReport(config)
+    files = report.files
     payload = codec.random_payload(config.seed, config.payload_bits, config.bit_rate)
-    files: dict[str, str] = {}
 
     codec.write_bits(payload, out / "payload.txt")
     files["payload"] = "payload.txt"
@@ -175,11 +169,11 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     write_signal(emitted, out / "emitted.f64")
     files["emitted"] = "emitted.f64"
 
-    measured_snr, received = None, emitted
+    received = emitted
     if config.channel is not None:
         received = apply_channel(emitted, config.channel)
         snr = measure_snr(emitted, received)
-        measured_snr = snr if math.isfinite(snr) else None  # JSON has no Infinity
+        report.measured_snr_db = snr if math.isfinite(snr) else None  # JSON has no Infinity
     write_signal(received, out / "received.f64")
     files["received"] = "received.f64"
 
@@ -193,9 +187,8 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     peaks = spectral.find_peaks(spectrum, config.peak_relative_threshold, config.peak_separation)
     spectral.write_peaks_csv(peaks, out / "peaks.csv")
     files["peaks"] = "peaks.csv"
+    report.peak_frequencies_hz = [p.frequency for p in peaks]
 
-    bit_errors = None
-    ber = None
     if config.demodulate:
         to_demodulate = received
         gain = config.channel.linear_gain if config.channel is not None else 1.0
@@ -212,27 +205,15 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
         decoded = demodulate(to_demodulate, received_carrier, config.payload_bits, config.bit_rate)
         codec.write_bits(decoded, out / "demodulated.txt")
         files["demodulated"] = "demodulated.txt"
-        bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))
-        ber = bit_errors / config.payload_bits
+        report.bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))
+        report.ber = report.bit_errors / config.payload_bits
 
-    classification = None
     if config.library_path is not None:
         library = library_load(config.library_path)
-        classification = asdict(classify(received, library, config.classification_threshold))
-        _write_json(out / "classification.json", classification)
+        report.classification = classify(received, library, config.classification_threshold)
+        _write_json(out / "classification.json", asdict(report.classification))
         files["classification"] = "classification.json"
 
-    report = ExperimentReport(
-        files=files,
-        payload_bits=config.payload_bits,
-        modulation=config.modulation,
-        peak_frequencies_hz=[p.frequency for p in peaks],
-        measured_snr_db=measured_snr,
-        bit_errors=bit_errors,
-        ber=ber,
-        classification=classification,
-        config=asdict(replace(config, output_dir=None)),
-    )
     _write_json(out / "report.json", asdict(report))
     return report
 

@@ -191,6 +191,7 @@ def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -
 
     The blocks' |rfft| are summed and scaled once; as ``fft_size`` is a power of two,
     that is exact unless a scaled block magnitude is subnormal or the sum overflows.
+    A spectrum whose energy is 0 or overflows float64 raises :class:`ParameterError`.
     """
     _check_fft_size(fft_size)
     if len(signal) < 2:
@@ -200,8 +201,8 @@ def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -
     total = np.abs(np.fft.rfft(blocks, n=fft_size, axis=1)).sum(axis=0)
     mean = _one_sided_magnitudes(total, fft_size, out=total) / n_blocks
     energy = math.sqrt(float(np.sum(mean ** 2)))
-    if energy == 0.0:
-        raise ParameterError("signal spectrum has zero energy; cannot normalize")
+    if not 0.0 < energy < math.inf:  # the root is 0 or inf exactly when the sum is
+        raise ParameterError(f"signal spectrum energy is {energy}; cannot normalize")
     return Spectrum(mean / energy, signal.sample_rate, fft_size)
 
 

@@ -186,15 +186,25 @@ def _check_window(window_length: int, hop: int, window: str) -> None:
 
 # Frames tapered and transformed per block in :func:`stft`.
 _STFT_BLOCK_FRAMES = 512
+# Magnitudes (frames x bins) a spectrogram may hold per signal sample; the default grid holds ~1.
+_STFT_MAX_PER_SAMPLE = 64
+
+
+def _check_stft(window_length: int, hop: int, window: str, n_samples: int) -> None:
+    """Reject an STFT grid that no ``n_samples`` signal can use, or that is too fine for it."""
+    _check_window(window_length, hop, window)
+    if window_length > n_samples:
+        raise ShapeError(f"window_length {window_length} exceeds signal length {n_samples}")
+    frames, bins = (n_samples - window_length) // hop + 1, window_length // 2 + 1
+    if frames * bins > _STFT_MAX_PER_SAMPLE * n_samples:
+        raise ShapeError(f"{frames} frames x {bins} bins exceed {_STFT_MAX_PER_SAMPLE} "
+                         f"magnitudes per sample of the {n_samples}-sample signal")
 
 
 def stft(signal: SampledSignal, window_length: int, hop: int,
          window: str = "hann") -> Spectrogram:
     """Short-time Fourier transform; frame times mark window centers."""
-    _check_window(window_length, hop, window)
-    if window_length > len(signal):
-        raise ShapeError(
-            f"window_length {window_length} exceeds signal length {len(signal)}")
+    _check_stft(window_length, hop, window, len(signal))
     taper = _WINDOWS[window](window_length)
     frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop]
     mags = np.empty((len(frames), window_length // 2 + 1))

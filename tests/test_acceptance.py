@@ -6,7 +6,6 @@ are produced. Every tolerance is pinned here; nothing is deferred.
 
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -101,8 +100,7 @@ def test_criterion_3_noiseless_round_trips():
 
 def test_criterion_4_three_peak_structure(tmp_path):
     start = time.perf_counter()
-    config = replace(DEFAULT_CONFIG, output_dir=str(tmp_path / "exp"))
-    report = run_experiment(config)
+    report = run_experiment(DEFAULT_CONFIG, tmp_path / "exp")
     bin_width = SPEC.sample_rate / (64 * 192)
     expected = [1875.0, 2000.0, 2125.0]
     got = report.peak_frequencies_hz
@@ -182,13 +180,11 @@ def test_criterion_8_recognition_benchmark():
 
 
 def test_criterion_9_determinism_and_persistence(tmp_path):
-    config_a = replace(DEFAULT_CONFIG, seed=5, channel=ChannelParams(snr_db=15.0, seed=2),
-                       output_dir=str(tmp_path / "a"))
-    config_b = replace(config_a, output_dir=str(tmp_path / "b"))
-    run_experiment(config_a)
-    run_experiment(config_b)
-    bytes_a = {p.name: p.read_bytes() for p in sorted(Path(config_a.output_dir).iterdir())}
-    bytes_b = {p.name: p.read_bytes() for p in sorted(Path(config_b.output_dir).iterdir())}
+    config = replace(DEFAULT_CONFIG, seed=5, channel=ChannelParams(snr_db=15.0, seed=2))
+    run_experiment(config, tmp_path / "a")
+    run_experiment(config, tmp_path / "b")
+    bytes_a = {p.name: p.read_bytes() for p in sorted((tmp_path / "a").iterdir())}
+    bytes_b = {p.name: p.read_bytes() for p in sorted((tmp_path / "b").iterdir())}
     identical = bytes_a == bytes_b
 
     library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)

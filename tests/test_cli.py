@@ -101,6 +101,28 @@ def test_unallocatable_steps_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["encode", "--in", "{bits}", "--manchester-out", "{out}", "--rect-out", "{out}.f64",
+     "--sample-rate", "100"],
+    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--n-bits", "8",
+     "--expected", "{missing}", "--out", "{out}"],
+    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--n-bits", "8",
+     "--expected", "{short}", "--out", "{out}"],
+    ["channel", "--in", "{signal}", "--noise-power", "1", "--out", "{out}"],
+], ids=["encode-rect-rate", "demodulate-expected-missing", "demodulate-expected-short",
+        "channel-zero-signal"])
+def test_failed_command_writes_nothing(tmp_path, capsys, args):
+    bits, short, signal = tmp_path / "bits.txt", tmp_path / "short.txt", tmp_path / "sig.f64"
+    bits.write_text("01101001\n")
+    short.write_text("0110\n")
+    write_signal(SampledSignal(48000.0, np.zeros(8 * 192)), signal)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    assert main([a.format(bits=bits, short=short, signal=signal, missing=tmp_path / "missing.txt",
+                          out=tmp_path / "out") for a in args]) == 1
+    assert one_line_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("args", [
     ["payload", "--bits", "8", "--bit-rate", "{rate}", "--out", "{out}"],
     ["encode", "--in", "{bits}", "--bit-rate", "{rate}", "--rect-out", "{out}"],
     ["encode", "--in", "{bits}", "--sample-rate", "{rate}", "--rect-out", "{out}"],
@@ -668,8 +690,9 @@ class TestRun:
         {"peak_relative_threshold": 2.0},
         {"peak_min_separation": -1.0},
         {"stft_window": 64 * 192 + 1},  # 64 bits of 192 samples
+        {"stft_hop": 1},  # 12 033 frames x 129 bins: 126 magnitudes per sample
     ], ids=["window-one", "hop-zero", "window-kaiser", "threshold-two", "separation-negative",
-            "window-beyond-signal"])
+            "window-beyond-signal", "grid-beyond-64-per-sample"])
     def test_bad_analysis_setting_fails_at_construction(self, tmp_path, changes):
         doc = dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)
         with pytest.raises(RadsimError):
@@ -864,9 +887,9 @@ def fields_set(flags):
     return paths | NOISE_FIELDS if paths & NOISE_FIELDS else paths
 
 
-# Run config fields for which JSON true is a value: the two switches, and
-# output_dir, which --out overrides. In any other field it is an error.
-TRUE_ALLOWED = {("compose_with_carrier",), ("demodulate",), ("output_dir",)}
+# Run config fields for which JSON true is a value: the two switches. In any
+# other field it is an error.
+TRUE_ALLOWED = {("compose_with_carrier",), ("demodulate",)}
 
 
 def runs_large(path, value):

@@ -18,8 +18,17 @@ from radsim.spectral import fft_magnitude, find_peaks, read_spectrogram, stft, w
 
 
 def run_default(tmp_path, name="exp", **overrides):
-    config = replace(DEFAULT_CONFIG, output_dir=str(tmp_path / name), **overrides)
-    return config, run_experiment(config)
+    config = replace(DEFAULT_CONFIG, **overrides)
+    return config, run_experiment(config, tmp_path / name)
+
+
+def fsk_library(tmp_path):
+    """The path of a saved library holding one fsk template on the default grid."""
+    library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
+    library = library_add(library, "fsk", fsk_modulate(random_payload(99, 1024, 250.0),
+                                                       DEFAULT_CONFIG.carrier))
+    library_save(library, tmp_path / "lib.json")
+    return str(tmp_path / "lib.json")
 
 
 def directory_bytes(path):
@@ -38,7 +47,7 @@ class TestDefaultRun:
 
     def test_every_artifact_parses_back(self, tmp_path):
         config, report = run_default(tmp_path)
-        out = Path(config.output_dir)
+        out = tmp_path / "exp"
         payload = read_bits(out / report.files["payload"], config.bit_rate)
         assert len(payload) == 64
         for key in ("emitted", "received"):
@@ -63,21 +72,27 @@ class TestDefaultRun:
         assert report_doc["peak_frequencies_hz"] == report.peak_frequencies_hz
 
     def test_report_lists_every_file(self, tmp_path):
-        library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
-        library = library_add(library, "fsk", fsk_modulate(random_payload(99, 1024, 250.0),
-                                                           DEFAULT_CONFIG.carrier))
-        library_save(library, tmp_path / "lib.json")
-        config, report = run_default(tmp_path, library_path=str(tmp_path / "lib.json"),
+        config, report = run_default(tmp_path, library_path=fsk_library(tmp_path),
                                      channel=ChannelParams(snr_db=10.0, seed=1))
-        out = Path(config.output_dir)
+        out = tmp_path / "exp"
         listed = set(report.files.values()) | {"report.json"}
         listed |= {sidecar_path(name).name for name in listed if name.endswith(".f64")}
         assert json.loads((out / "report.json").read_text())["files"] == report.files
         assert {p.name for p in out.iterdir()} == listed
 
+    def test_report_json_states_each_fact_once(self, tmp_path):
+        config, _ = run_default(tmp_path, library_path=fsk_library(tmp_path),
+                                channel=ChannelParams(snr_db=10.0, seed=1))
+        out = tmp_path / "exp"
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report) == ["ber", "bit_errors", "classification", "config", "files",
+                                  "measured_snr_db", "peak_frequencies_hz"]
+        assert report["config"] == asdict(config)
+        assert report["classification"] == json.loads((out / "classification.json").read_text())
+
     def test_report_ber_matches_recount(self, tmp_path):
         config, report = run_default(tmp_path, channel=ChannelParams(snr_db=10.0, seed=1))
-        out = Path(config.output_dir)
+        out = tmp_path / "exp"
         sent = read_bits(out / "payload.txt", config.bit_rate)
         decoded = read_bits(out / "demodulated.txt", config.bit_rate)
         errors = int(np.count_nonzero(sent.bits != decoded.bits))
@@ -85,22 +100,22 @@ class TestDefaultRun:
         assert report.ber == errors / config.payload_bits
 
     def test_received_equals_emitted_without_channel(self, tmp_path):
-        config, _ = run_default(tmp_path)
-        out = Path(config.output_dir)
+        run_default(tmp_path)
+        out = tmp_path / "exp"
         assert (out / "emitted.f64").read_bytes() == (out / "received.f64").read_bytes()
 
 
 class TestDeterminism:
     def test_byte_identical_across_directories(self, tmp_path):
-        config_a, _ = run_default(tmp_path, name="a", seed=5)
-        config_b, _ = run_default(tmp_path, name="b", seed=5)
-        assert directory_bytes(config_a.output_dir) == directory_bytes(config_b.output_dir)
+        run_default(tmp_path, name="a", seed=5)
+        run_default(tmp_path, name="b", seed=5)
+        assert directory_bytes(tmp_path / "a") == directory_bytes(tmp_path / "b")
 
     def test_seed_changes_output(self, tmp_path):
-        config_a, _ = run_default(tmp_path, name="a", seed=5)
-        config_b, _ = run_default(tmp_path, name="b", seed=6)
-        assert (Path(config_a.output_dir) / "payload.txt").read_bytes() != \
-            (Path(config_b.output_dir) / "payload.txt").read_bytes()
+        run_default(tmp_path, name="a", seed=5)
+        run_default(tmp_path, name="b", seed=6)
+        assert (tmp_path / "a" / "payload.txt").read_bytes() != \
+            (tmp_path / "b" / "payload.txt").read_bytes()
 
 
 class TestSchemes:
@@ -143,7 +158,7 @@ class TestClassification:
         library_save(library, lib_path)
         _, report = run_default(tmp_path, library_path=str(lib_path),
                                 classification_threshold=0.5)
-        assert report.classification["label"] == "fsk-default"
+        assert report.classification.label == "fsk-default"
         assert (Path(tmp_path / "exp") / "classification.json").exists()
 
 
@@ -180,9 +195,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(carrier=CarrierSpec(30000.0, 1.0, 0.0, 48000.0))
 
-    def test_output_dir_required(self):
-        with pytest.raises(ConfigurationError):
-            run_experiment(DEFAULT_CONFIG)
+    def test_output_dir_is_not_a_config_key(self):
+        doc = asdict(DEFAULT_CONFIG)
+        doc["output_dir"] = "exp"
+        with pytest.raises(ConfigurationError, match="output_dir"):
+            config_from_json(doc)
 
     def test_unknown_key_rejected(self):
         doc = asdict(DEFAULT_CONFIG)

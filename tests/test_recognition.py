@@ -176,6 +176,18 @@ class TestMatchingSpectrum:
         with pytest.raises(ShapeError):
             matching_spectrum(SampledSignal(100.0, np.ones(1)), 64)
 
+    # Magnitudes near 1e200 are finite, and the sum of their squares is not.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("call", [
+        lambda loud: matching_spectrum(loud),
+        lambda loud: library_add(SignatureLibrary(), "loud", loud),
+        lambda loud: classify(loud, small_library()),
+    ], ids=["matching_spectrum", "library_add", "classify"])
+    def test_overflowing_energy_is_refused(self, call):
+        loud = SampledSignal(48000.0, 1e200 * white_noise(5).samples)
+        with pytest.raises(ParameterError, match="energy is inf; cannot normalize"):
+            call(loud)
+
 
 class TestSpectralCorrelation:
     def test_self_is_one(self):

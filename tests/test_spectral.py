@@ -267,6 +267,11 @@ class TestStft:
         with pytest.raises(ParameterError):
             stft(SampledSignal(100.0, np.zeros(64)), window_length=32, hop=16, window="kaiser")
 
+    def test_grid_far_larger_than_the_signal(self):
+        # 1001 frames x 501 bins: 250 magnitudes per sample, above the bound of 64.
+        with pytest.raises(ShapeError, match="exceed 64 magnitudes per sample of the 2000-sample"):
+            stft(SampledSignal(100.0, np.zeros(2000)), window_length=1000, hop=1)
+
 
 class TestFindPeaks:
     def test_pure_tone_single_peak(self):
