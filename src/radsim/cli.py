@@ -197,11 +197,13 @@ def _cmd_propagate(args) -> int:
         curve = propagation.simulate_curve(params, args.steps, "recurrence")
     else:
         curve = propagation.monte_carlo_propagation(params, args.seed, args.steps, args.trials)
+    has_inflection = params.initial_infected < params.n_computers
+    inflection = propagation.inflection_time(params) if has_inflection else None
     propagation.write_curve_csv(curve, args.out)
     final = float(curve[-1])
     print(f"wrote {args.out}: {len(curve)} steps, final expected infected {final:.6g}")
-    if params.initial_infected < params.n_computers:
-        print(f"inflection time (closed form): {propagation.inflection_time(params):.6g}")
+    if inflection is not None:
+        print(f"inflection time (closed form): {inflection:.6g}")
     return 0
 
 
@@ -226,7 +228,7 @@ def _cmd_encode(args) -> int:
         wave = codec.rectangular_waveform(stream, args.sample_rate, args.high, args.low)
     if args.manchester_out is not None:
         encoded = codec.manchester_encode(stream)
-        codec.write_levels(encoded, args.manchester_out)
+        codec.write_bits(encoded, args.manchester_out)
         print(f"wrote {args.manchester_out}: {len(encoded)} half-bit levels")
     if args.rect_out is not None:
         write_signal(wave, args.rect_out)

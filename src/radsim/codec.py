@@ -2,7 +2,9 @@
 
 Covers hex/binary payload conversion, seeded random payloads, Manchester
 encoding (0: high->low mid-bit, 1: low->high mid-bit, IEEE-802.3 style)
-and rendering bit streams as rectangular baseband waveforms.
+and rendering bit streams as rectangular baseband waveforms. Manchester
+levels are a :class:`BitStream` at twice the bit rate (1 = high, 0 = low).
+An empty stream is valid but makes no line code and no waveform.
 
 Random payloads are drawn from numpy's default PCG64 generator so a 64-bit
 seed reproduces the exact same stream everywhere.
@@ -43,27 +45,6 @@ class BitStream:
         return int(self.bits.size)
 
 
-@dataclass(eq=False)
-class LineCodeSignal:
-    """Half-bit level sequence produced by a line coder (1=high, 0=low) at ``bit_rate`` bit/s."""
-
-    levels: np.ndarray
-    bit_rate: float
-
-    def __post_init__(self):
-        check_real("bit_rate", self.bit_rate, 0, bounds="()")
-        self.levels = np.asarray(self.levels, dtype=np.int8)
-        if self.levels.ndim != 1:
-            raise ShapeError(f"levels must be one-dimensional, got shape {self.levels.shape}")
-        if self.levels.size % 2 != 0:
-            raise ShapeError(f"level count must be even (two half-bits per bit), got {self.levels.size}")
-        if self.levels.size and not np.all((self.levels == HIGH) | (self.levels == LOW)):
-            raise ParameterError("levels must contain only HIGH (1) and LOW (0)")
-
-    def __len__(self) -> int:
-        return int(self.levels.size)
-
-
 def hex_to_bits(hex_text: str, bit_rate: float) -> BitStream:
     """Expand hex digits into bits, most significant bit of each nibble first."""
     pos = len(hex_text) - len(hex_text.lstrip("0123456789abcdefABCDEF"))
@@ -83,26 +64,37 @@ def random_payload(seed: int, n_bits: int, bit_rate: float) -> BitStream:
     return BitStream(bits, bit_rate)
 
 
-def manchester_encode(stream: BitStream) -> LineCodeSignal:
-    """Encode bits as mid-bit transitions: 0 -> (high, low), 1 -> (low, high)."""
+def _check_nonempty(stream: BitStream, action: str) -> None:
+    """Refuse a stream with no bits: it makes no line code and no waveform."""
     if len(stream) == 0:
-        raise ShapeError("cannot Manchester-encode an empty stream")
-    levels = np.empty(2 * len(stream), dtype=np.int8)
+        raise ShapeError(f"cannot {action} an empty stream")
+
+
+def manchester_encode(stream: BitStream) -> BitStream:
+    """Mid-bit transitions at twice the bit rate: 0 -> (high, low), 1 -> (low, high)."""
+    _check_nonempty(stream, "Manchester-encode")
+    symbol_rate = 2 * stream.bit_rate
+    if math.isinf(symbol_rate):
+        raise ParameterError(
+            f"Manchester symbol rate 2 x bit_rate overflows for bit_rate {stream.bit_rate!r}")
+    levels = np.empty(2 * len(stream), dtype=np.uint8)
     levels[0::2] = 1 - stream.bits  # first half-bit: high for 0, low for 1
     levels[1::2] = stream.bits
-    return LineCodeSignal(levels, stream.bit_rate)
+    return BitStream(levels, symbol_rate)
 
 
-def manchester_decode(signal: LineCodeSignal) -> BitStream:
-    """Exact inverse of :func:`manchester_encode`."""
-    first = signal.levels[0::2]
-    second = signal.levels[1::2]
+def manchester_decode(levels: BitStream) -> BitStream:
+    """Exact inverse of :func:`manchester_encode`: levels back to bits at half their rate."""
+    if len(levels) % 2 != 0:
+        raise ShapeError(f"level count must be even (two half-bits per bit), got {len(levels)}")
+    first = levels.bits[0::2]
+    second = levels.bits[1::2]
     bad = np.nonzero(first == second)[0]
     if bad.size:
         i = int(bad[0])
         pair = "high,high" if first[i] == HIGH else "low,low"
         raise ParseError(f"invalid Manchester pair ({pair}) at bit {i}")
-    return BitStream(second.astype(np.uint8), signal.bit_rate)
+    return BitStream(second.copy(), levels.bit_rate / 2)
 
 
 def _samples_per_bit(sample_rate: float, bit_rate: float) -> int:
@@ -120,6 +112,7 @@ def _samples_per_bit(sample_rate: float, bit_rate: float) -> int:
 def rectangular_waveform(stream: BitStream, sample_rate: float,
                          high_level: float = 1.0, low_level: float = 0.0) -> SampledSignal:
     """Render bits as a piecewise-constant waveform (the time-domain view of a binary signal)."""
+    _check_nonempty(stream, "render")
     check_real("sample_rate", sample_rate, 0, bounds="()")
     if sample_rate < 2 * stream.bit_rate:
         raise ConfigurationError(
@@ -130,14 +123,9 @@ def rectangular_waveform(stream: BitStream, sample_rate: float,
     return SampledSignal(sample_rate, np.repeat(levels, spb))
 
 
-def _write_digits(values: np.ndarray, path) -> None:
-    """Write 0/1 values as one line of '0'/'1' characters."""
-    Path(path).write_bytes((values + ord("0")).astype(np.uint8).tobytes() + b"\n")
-
-
 def write_bits(stream: BitStream, path) -> None:
     """Serialize as a text file of '0'/'1' characters with a trailing newline."""
-    _write_digits(stream.bits, path)
+    Path(path).write_bytes((stream.bits + ord("0")).tobytes() + b"\n")
 
 
 def read_bits(path, bit_rate: float) -> BitStream:
@@ -148,7 +136,3 @@ def read_bits(path, bit_rate: float) -> BitStream:
     bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0") if text else np.zeros(0, np.uint8)
     return BitStream(bits, bit_rate)
 
-
-def write_levels(signal: LineCodeSignal, path) -> None:
-    """Serialize half-bit levels as '1'/'0' characters (1=high, 0=low)."""
-    _write_digits(signal.levels, path)

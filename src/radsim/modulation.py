@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import BitStream, _samples_per_bit
+from .codec import BitStream, _check_nonempty, _samples_per_bit
 from .errors import ConfigurationError, ParameterError, ShapeError, check_int, check_real
 from .signals import SampledSignal, _check_aligned, _check_length
 
@@ -109,6 +109,7 @@ def _fsk_tones(spec: CarrierSpec, bit_rate: float) -> tuple[float, float]:
 
 def fsk_modulate(stream: BitStream, spec: CarrierSpec, phase_continuous: bool = True) -> SampledSignal:
     """Binary FSK: tone fc - R/2 for 0, fc + R/2 for 1 (R = bit rate)."""
+    _check_nonempty(stream, "FSK-modulate")
     f0, f1 = _fsk_tones(spec, stream.bit_rate)
     spb = samples_per_bit(spec, stream.bit_rate)
     _check_length(len(stream) * spb)
@@ -141,6 +142,7 @@ _KEYED_LEVELS = {"ask": (0.0, 1.0), "psk": (-1.0, 1.0)}
 
 def _keyed_carrier(stream: BitStream, spec: CarrierSpec, scheme: str) -> SampledSignal:
     """The carrier over the stream, each bit's samples multiplied by that bit's level."""
+    _check_nonempty(stream, f"{scheme.upper()}-modulate")
     spb = samples_per_bit(spec, stream.bit_rate)
     keyed = generate_carrier(spec, len(stream) * spb / spec.sample_rate)
     keyed.samples *= np.repeat(np.array(_KEYED_LEVELS[scheme])[stream.bits], spb)

@@ -95,11 +95,11 @@ def simulate_curve(params: PropagationParams, n_max: int, method: str = "closed_
 
 
 def inflection_time(params: PropagationParams) -> float:
-    """Time at which the closed form reaches N/2: (N/M) * ln(N/X0 - 1)."""
-    if params.initial_infected >= params.n_computers:
+    """Time at which the closed form reaches N/2: (N/M) * ln((N - X0)/X0), N - X0 exact."""
+    big_n, x0 = params.n_computers, params.initial_infected
+    if x0 >= big_n:
         raise ParameterError("no inflection point: initial_infected >= n_computers")
-    big_n = params.n_computers
-    return (big_n / params.comms_per_interval) * math.log(big_n / params.initial_infected - 1.0)
+    return (big_n / params.comms_per_interval) * math.log((big_n - x0) / x0)
 
 
 # Most random values one block of steps draws at once (a block holds at least one step).

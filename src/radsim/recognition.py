@@ -99,6 +99,8 @@ class SignatureEntry:
     def __post_init__(self):
         if not (isinstance(self.label, str) and self.label):
             raise ParameterError(f"label must be a nonempty string, got {self.label!r}")
+        if self.label == UNKNOWN_LABEL:
+            raise ParameterError(f"label {UNKNOWN_LABEL!r} is reserved for a rejected signal")
         if not isinstance(self.metadata, dict):
             raise ParameterError(f"metadata must be a dict, got {self.metadata!r}")
         energy = float(np.sum(self.template_spectrum.magnitudes ** 2))

@@ -141,12 +141,12 @@ def test_criterion_6_manchester_properties():
         if not np.array_equal(manchester_decode(encoded).bits, bits.bits):
             ok = False
             break
-        if not np.all(encoded.levels[0::2] != encoded.levels[1::2]):
+        if not np.all(encoded.bits[0::2] != encoded.bits[1::2]):
             ok = False
             break
     zero = manchester_encode(BitStream(np.array([0], dtype=np.uint8), 100.0))
     one = manchester_encode(BitStream(np.array([1], dtype=np.uint8), 100.0))
-    ok = ok and list(zero.levels) == [1, 0] and list(one.levels) == [0, 1]
+    ok = ok and list(zero.bits) == [1, 0] and list(one.bits) == [0, 1]
     verdict(6, "Manchester round trips, mid-bit transitions, polarity", ok)
 
 

@@ -123,6 +123,33 @@ def test_failed_command_writes_nothing(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
+    ["modulate", "--in", "{bits}", "--scheme", "fsk", "--out", "{out}"],
+    ["modulate", "--in", "{bits}", "--scheme", "psk", "--out", "{out}"],
+    ["modulate", "--in", "{bits}", "--scheme", "ask", "--out", "{out}"],
+    ["encode", "--in", "{bits}", "--rect-out", "{out}"],
+    ["encode", "--in", "{bits}", "--manchester-out", "{out}"],
+], ids=["fsk", "psk", "ask", "rect", "manchester"])
+def test_empty_stream_makes_no_output(tmp_path, capsys, args):
+    bits, out = tmp_path / "bits.txt", tmp_path / "out"
+    assert main(["payload", "--hex", "", "--out", str(bits)]) == 0
+    capsys.readouterr()
+    assert main([a.format(bits=bits, out=out) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and err.endswith(" an empty stream\n")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_manchester_symbol_rate_overflow_is_one_line_error(tmp_path, capsys):
+    bits, out = tmp_path / "bits.txt", tmp_path / "m.txt"
+    bits.write_text("10\n")
+    assert main(["encode", "--in", str(bits), "--bit-rate", "1e308",
+                 "--manchester-out", str(out)]) == 1
+    assert one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
     ["payload", "--bits", "8", "--bit-rate", "{rate}", "--out", "{out}"],
     ["encode", "--in", "{bits}", "--bit-rate", "{rate}", "--rect-out", "{out}"],
     ["encode", "--in", "{bits}", "--sample-rate", "{rate}", "--rect-out", "{out}"],
@@ -257,6 +284,14 @@ class TestPropagate:
         assert rows[0] == "n,expected_infected"
         n20 = float(rows[21].split(",")[1])
         assert abs(n20 - 16.867) < 1e-3
+
+    def test_seed_count_just_below_n(self, tmp_path, capsys):
+        # N/X0 - 1 rounds to 0.0 in float64 for these counts.
+        big_n = 2 ** 60 - 1
+        assert main(["propagate", "--n", str(big_n), "--m", "1", "--x0", str(big_n - 1),
+                     "--steps", "1", "--method", "closed",
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        assert "inflection" in capsys.readouterr().out
 
     def test_single_computer(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -475,10 +510,11 @@ class TestLibraryCommands:
         lambda doc: doc.update(version={"major": True, "minor": 0}),
         lambda doc: doc["entries"][0].update(template_magnitudes=[10 ** 400] * 2049),
         lambda doc: doc["entries"][0].update(metadata={"k": math.nan}),
+        lambda doc: doc["entries"][0].update(label="unknown"),
     ], ids=["fft-size-string", "fft-size-null", "fft-size-float", "sample-rate-string",
             "entries-number", "entry-number", "magnitudes-string", "magnitudes-short",
             "label-number", "metadata-number", "version-number", "sample-rate-bool",
-            "version-major-bool", "magnitudes-beyond-float", "metadata-nan"])
+            "version-major-bool", "magnitudes-beyond-float", "metadata-nan", "label-unknown"])
     def test_bad_library_is_one_line_error(self, tmp_path, capsys, corrupt):
         t = np.arange(4096) / 48000.0
         tone = SampledSignal(48000.0, np.cos(2 * np.pi * 1000.0 * t))
@@ -496,6 +532,14 @@ class TestLibraryCommands:
         library = tmp_path / "lib.json"
         signal = self.make_template(tmp_path, "fsk", 10)
         assert main(["library-add", "--library", str(library), "--label", "",
+                     "--in", str(signal)]) == 1
+        assert one_line_error(capsys)
+        assert not library.exists()
+
+    def test_unknown_label_fails(self, tmp_path, capsys):
+        library = tmp_path / "lib.json"
+        signal = self.make_template(tmp_path, "fsk", 10)
+        assert main(["library-add", "--library", str(library), "--label", "unknown",
                      "--in", str(signal)]) == 1
         assert one_line_error(capsys)
         assert not library.exists()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radsim.codec import (HIGH, LOW, BitStream, LineCodeSignal, hex_to_bits,
-                          manchester_decode, manchester_encode, random_payload, read_bits,
-                          rectangular_waveform, write_bits, write_levels)
+from radsim.codec import (HIGH, LOW, BitStream, hex_to_bits, manchester_decode,
+                          manchester_encode, random_payload, read_bits, rectangular_waveform,
+                          write_bits)
 from radsim.errors import ConfigurationError, ParameterError, ParseError, ShapeError
 from radsim.spectral import fft_magnitude
 
@@ -85,15 +85,15 @@ class TestRandomPayload:
 class TestManchester:
     def test_zero_is_high_low(self):
         enc = manchester_encode(BitStream(np.array([0]), 1.0))
-        assert list(enc.levels) == [HIGH, LOW]
+        assert list(enc.bits) == [HIGH, LOW]
 
     def test_one_is_low_high(self):
         enc = manchester_encode(BitStream(np.array([1]), 1.0))
-        assert list(enc.levels) == [LOW, HIGH]
+        assert list(enc.bits) == [LOW, HIGH]
 
     def test_concatenation(self):
         enc = manchester_encode(BitStream(np.array([0, 1, 0]), 1.0))
-        assert list(enc.levels) == [HIGH, LOW, LOW, HIGH, HIGH, LOW]
+        assert list(enc.bits) == [HIGH, LOW, LOW, HIGH, HIGH, LOW]
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
@@ -106,22 +106,29 @@ class TestManchester:
         assert manchester_decode(manchester_encode(stream)).bit_rate == 7638.0
         for rate in (math.nan, math.inf, True, 0.0, -1.0):
             with pytest.raises(ParameterError, match="bit_rate"):
-                LineCodeSignal(np.array([HIGH, LOW]), rate)
+                BitStream(np.array([HIGH, LOW]), rate)
 
     def test_decode_single(self):
-        dec = manchester_decode(LineCodeSignal(np.array([HIGH, LOW]), 1.0))
+        dec = manchester_decode(BitStream(np.array([HIGH, LOW]), 2 * 1.0))
         assert list(dec.bits) == [0]
         assert dec.bit_rate == 1.0
 
     def test_invalid_pair_reports_bit_index(self):
         with pytest.raises(ParseError, match="bit 0"):
-            manchester_decode(LineCodeSignal(np.array([HIGH, HIGH]), 0.5))
+            manchester_decode(BitStream(np.array([HIGH, HIGH]), 2 * 0.5))
         with pytest.raises(ParseError, match="bit 1"):
-            manchester_decode(LineCodeSignal(np.array([HIGH, LOW, LOW, LOW]), 0.5))
+            manchester_decode(BitStream(np.array([HIGH, LOW, LOW, LOW]), 2 * 0.5))
 
     def test_odd_length_rejected(self):
-        with pytest.raises(ShapeError):
-            LineCodeSignal(np.array([HIGH]), 0.5)
+        with pytest.raises(ShapeError, match=r"^level count must be even \(two half-bits per bit\), got 1$"):
+            manchester_decode(BitStream(np.array([HIGH]), 2 * 0.5))
+
+    def test_symbol_rate_overflow_is_one_line(self):
+        # 2 * 1e308 is inf: no float64 holds the half-bit rate of such a stream.
+        with pytest.raises(ParameterError) as info:
+            manchester_encode(BitStream(np.array([1, 0]), 1e308))
+        assert str(info.value) == ("Manchester symbol rate 2 x bit_rate overflows "
+                                   "for bit_rate 1e+308")
 
     @settings(max_examples=100)
     @given(bit_lists)
@@ -135,7 +142,7 @@ class TestManchester:
     @given(bit_lists)
     def test_mid_bit_transition_always_present(self, bits):
         enc = manchester_encode(BitStream(np.array(bits), 1.0))
-        assert np.all(enc.levels[0::2] != enc.levels[1::2])
+        assert np.all(enc.bits[0::2] != enc.bits[1::2])
 
 
 class TestRectangularWaveform:
@@ -153,6 +160,19 @@ class TestRectangularWaveform:
         stream = BitStream(np.ones(37, dtype=np.uint8), 100.0)
         wave = rectangular_waveform(stream, 1500.0)
         assert len(wave) == 37 * round(1500.0 / 100.0)
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(ShapeError, match="empty stream"):
+            rectangular_waveform(BitStream(np.zeros(0, np.uint8), 100.0), 800.0)
+
+    @settings(max_examples=50)
+    @given(bit_lists)
+    def test_manchester_render_changes_level_at_every_mid_bit(self, bits):
+        # Levels at 2 x 100 bit/s rendered at 800 Hz: 4 samples per half-bit.
+        wave = rectangular_waveform(manchester_encode(BitStream(np.array(bits), 100.0)), 800.0)
+        per_bit = wave.samples.reshape(len(bits), 8)
+        assert np.all(per_bit[:, 3] != per_bit[:, 4])
+        assert np.array_equal(per_bit[:, 4], np.array(bits, dtype=np.float64))
 
     def test_rate_too_low(self):
         with pytest.raises(ConfigurationError):
@@ -201,8 +221,8 @@ class TestTextFiles:
     def test_levels_round_trip(self, tmp_path):
         enc = manchester_encode(random_payload(9, 40, 100.0))
         path = tmp_path / "levels.txt"
-        write_levels(enc, path)
-        assert [int(c) for c in path.read_text().rstrip("\n")] == enc.levels.tolist()
+        write_bits(enc, path)
+        assert [int(c) for c in path.read_text().rstrip("\n")] == enc.bits.tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2 ** 32), n_bits=st.integers(1, 2000))
@@ -212,7 +232,7 @@ class TestTextFiles:
         levels = manchester_encode(stream)
         empty = BitStream(np.zeros(0, np.uint8), 250.0)
         for write, value, digits in ((write_bits, stream, stream.bits),
-                                     (write_levels, levels, levels.levels),
+                                     (write_bits, levels, levels.bits),
                                      (write_bits, empty, empty.bits)):
             write(value, path)
             assert path.read_text() == "".join(map(str, digits)) + "\n"

@@ -319,6 +319,11 @@ class TestSampleCounts:
         payload = random_payload(2, 23, RATE)
         assert len(modulate(payload, SPEC)) == 23 * samples_per_bit(SPEC, RATE)
 
+    @pytest.mark.parametrize("scheme", sorted(MODULATORS))
+    def test_empty_stream_makes_no_signal(self, scheme):
+        with pytest.raises(ShapeError, match=f"^cannot {scheme.upper()}-modulate an empty stream$"):
+            MODULATORS[scheme](stream([]), SPEC)
+
 
 class TestRoundTrips:
     @settings(max_examples=25, deadline=None)

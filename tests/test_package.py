@@ -1,0 +1,72 @@
+"""The package's public surface: what ``import radsim`` gives a user."""
+
+import inspect
+
+import radsim
+
+# One name a line, sorted, so adding or removing a public name is a one-line diff.
+PUBLIC_NAMES = [
+    "BitStream",
+    "CarrierSpec",
+    "ChannelParams",
+    "ClassificationResult",
+    "ConfigurationError",
+    "ConflictError",
+    "ExperimentConfig",
+    "ExperimentReport",
+    "FeatureVector",
+    "ParameterError",
+    "ParseError",
+    "PropagationParams",
+    "RadsimError",
+    "SampledSignal",
+    "ShapeError",
+    "SignatureEntry",
+    "SignatureLibrary",
+    "SpectralPeak",
+    "Spectrogram",
+    "Spectrum",
+    "apply_channel",
+    "ask_demodulate",
+    "ask_modulate",
+    "classify",
+    "compose_emitted",
+    "expected_infected_closed_form",
+    "extract_features",
+    "fft_magnitude",
+    "find_peaks",
+    "fsk_demodulate",
+    "fsk_modulate",
+    "generate_carrier",
+    "hex_to_bits",
+    "inflection_time",
+    "library_add",
+    "library_load",
+    "library_save",
+    "manchester_decode",
+    "manchester_encode",
+    "measure_snr",
+    "monte_carlo_propagation",
+    "psk_demodulate",
+    "psk_modulate",
+    "random_payload",
+    "read_signal",
+    "read_spectrogram",
+    "read_spectrum",
+    "rectangular_waveform",
+    "run_experiment",
+    "samples_per_bit",
+    "simulate_curve",
+    "spectral_correlation",
+    "step_recurrence",
+    "stft",
+    "write_signal",
+    "write_spectrum",
+]
+
+
+def test_public_names_are_pinned():
+    # Submodules are left out: which of them are attributes depends on what was imported.
+    names = sorted(n for n, v in vars(radsim).items()
+                   if not n.startswith("_") and not inspect.ismodule(v))
+    assert names == PUBLIC_NAMES

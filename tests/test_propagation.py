@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,12 @@ class TestInflection:
         t15 = inflection_time(PropagationParams(100, 15, 1))
         t30 = inflection_time(PropagationParams(100, 30, 1))
         assert t30 == pytest.approx(t15 / 2, rel=1e-12)
+
+    def test_seed_count_just_below_n(self):
+        # N/X0 - 1 rounds to 0 here; (N - X0)/X0 = 1/X0 does not.
+        big_n = 2 ** 60 - 1
+        t = inflection_time(PropagationParams(big_n, 1, big_n - 1))
+        assert t == pytest.approx(big_n * math.log(1 / (big_n - 1)), rel=1e-12)
 
     def test_no_inflection_when_saturated(self):
         with pytest.raises(ParameterError):

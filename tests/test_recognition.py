@@ -332,6 +332,21 @@ class TestLibraryPersistence:
         with pytest.raises(ConflictError):
             library_add(library, "t", tone())
 
+    def test_unknown_label_is_reserved(self):
+        library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
+        with pytest.raises(ParameterError, match=f"^label {UNKNOWN_LABEL!r} is reserved"):
+            library_add(library, UNKNOWN_LABEL, tone())
+
+    def test_hand_edited_unknown_label_rejected(self, tmp_path):
+        # A template labeled "unknown" would make its perfect match read as a rejection.
+        path = tmp_path / "lib.json"
+        library_save(library_add(SignatureLibrary(4096, 48000.0), "t", tone()), path)
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["label"] = UNKNOWN_LABEL
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match="reserved"):
+            library_load(path)
+
     def test_add_is_functional(self):
         base = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
         grown = library_add(base, "t", tone())
