@@ -24,8 +24,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError,
-                     check_int, check_real)
+from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, RadsimError,
+                     ShapeError, check_int, check_real)
 from .signals import SampledSignal, _read_json, _write_json
 from .spectral import (Spectrum, _check_fft_size, _one_sided_magnitudes, fft_magnitude,
                        find_peaks)
@@ -120,14 +120,15 @@ class SignatureLibrary:
         _check_fft_size(self.fft_size)
         check_real("sample_rate", self.sample_rate, 0, bounds="()")
         self.entries = tuple(self.entries)
+        labels = set()
         for e in self.entries:
             t = e.template_spectrum
             if (t.fft_size, t.sample_rate) != (self.fft_size, self.sample_rate):
                 raise ShapeError(f"template {e.label!r} is not on the library's bin grid "
                                  f"(fft_size {self.fft_size}, sample_rate {self.sample_rate})")
-        labels = [e.label for e in self.entries]
-        if len(labels) != len(set(labels)):
-            raise ConflictError("duplicate labels in signature library")
+            if e.label in labels:
+                raise ConflictError(f"label {e.label!r} already exists in the library")
+            labels.add(e.label)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -222,17 +223,22 @@ def spectral_correlation(a: Spectrum, b: Spectrum) -> float:
     return float(np.dot(da, db) / math.sqrt(va * vb))
 
 
+def _library_spectrum(signal: SampledSignal, library: SignatureLibrary) -> Spectrum:
+    """The signal's matching spectrum on the library's grid, which needs its sample rate."""
+    if signal.sample_rate != library.sample_rate:
+        raise ConfigurationError(
+            f"signal sample rate {signal.sample_rate} does not match the library "
+            f"grid ({library.sample_rate}); analysis bins would not align")
+    return matching_spectrum(signal, library.fft_size)
+
+
 def classify(signal: SampledSignal, library: SignatureLibrary,
              threshold: float = DEFAULT_THRESHOLD) -> ClassificationResult:
     """Nearest-template decision by spectral correlation with a detection threshold."""
     if len(library) == 0:
         raise ConfigurationError("signature library is empty")
     check_real("threshold", threshold, 0, 1, "()")
-    if signal.sample_rate != library.sample_rate:
-        raise ConfigurationError(
-            f"signal sample rate {signal.sample_rate} does not match the library "
-            f"grid ({library.sample_rate}); analysis bins would not align")
-    probe = matching_spectrum(signal, library.fft_size)
+    probe = _library_spectrum(signal, library)
     scored = sorted(
         ((spectral_correlation(probe, e.template_spectrum), e.label) for e in library.entries),
         key=lambda sc: (-sc[0], sc[1]))
@@ -245,15 +251,9 @@ def classify(signal: SampledSignal, library: SignatureLibrary,
 def library_add(library: SignatureLibrary, label: str, signal: SampledSignal,
                 metadata: dict | None = None) -> SignatureLibrary:
     """Return a new library with the signal's template added."""
-    if label in library.labels():
-        raise ConflictError(f"label {label!r} already exists in the library")
-    if signal.sample_rate != library.sample_rate:
-        raise ConfigurationError(
-            f"signal sample rate {signal.sample_rate} does not match the library "
-            f"grid ({library.sample_rate})")
     entry = SignatureEntry(
         label=label,
-        template_spectrum=matching_spectrum(signal, library.fft_size),
+        template_spectrum=_library_spectrum(signal, library),
         metadata=dict(metadata or {}),
     )
     return SignatureLibrary(library.fft_size, library.sample_rate, library.entries + (entry,))
@@ -298,7 +298,7 @@ def library_load(path) -> SignatureLibrary:
     if not (isinstance(raw_entries, list) and all(isinstance(raw, dict) for raw in raw_entries)):
         raise ParseError(f"{path}: entries must be a list of JSON objects")
     entries = []
-    for raw in raw_entries:
+    for i, raw in enumerate(raw_entries):
         try:
             label = raw["label"]
             mags = np.array(raw["template_magnitudes"], dtype=np.float64)
@@ -306,6 +306,12 @@ def library_load(path) -> SignatureLibrary:
             raise ParseError(f"{path}: entry missing key {e.args[0]!r}") from e
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}: template for {label!r} is not a list of numbers") from e
-        entries.append(SignatureEntry(label, Spectrum(mags, sample_rate, fft_size),
-                                      raw.get("metadata", {})))
-    return SignatureLibrary(fft_size, sample_rate, tuple(entries))
+        try:
+            entries.append(SignatureEntry(label, Spectrum(mags, sample_rate, fft_size),
+                                          raw.get("metadata", {})))
+        except RadsimError as e:
+            raise type(e)(f"{path}: entry {i} ({label!r}): {e}") from e
+    try:
+        return SignatureLibrary(fft_size, sample_rate, tuple(entries))
+    except ConflictError as e:
+        raise ConflictError(f"{path}: {e}") from e

@@ -8,14 +8,17 @@ identity in this scaling reads
 
     sum(x**2) == N_fft * (M_dc**2 + M_nyq**2 + sum(M_interior**2) / 2)
 
-which :meth:`Spectrum.time_domain_energy` evaluates.
+Spectra hold their magnitudes and the grid that fixes their axes: bin ``k``
+lies at ``k * sample_rate / N_fft`` (as ``np.fft.rfftfreq`` computes it), derived
+where it is read, and STFT frame ``i`` is centred at ``(i * hop +
+window_length / 2) / sample_rate``.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -53,20 +56,23 @@ def _magnitudes_view(magnitudes) -> np.ndarray:
     return view
 
 
+def _bin_frequencies(bins, spectrum: Spectrum) -> np.ndarray:
+    """Frequencies of ``bins`` on the spectrum's grid, by ``np.fft.rfftfreq``'s arithmetic."""
+    return bins * (1.0 / (spectrum.fft_size * (1.0 / spectrum.sample_rate)))
+
+
 @dataclass(eq=False)
 class Spectrum:
     """One-sided magnitude spectrum on the bin grid of ``(sample_rate, fft_size)``.
 
-    Bin frequencies are derived from the grid, so a spectrum rebuilt from its
-    grid and magnitudes equals the one :func:`fft_magnitude` returned, bit for
-    bit. The magnitudes are a read-only view: what is derived from them is
-    computed once and stays true.
+    A spectrum rebuilt from its grid and magnitudes equals the one
+    :func:`fft_magnitude` returned, bit for bit. The magnitudes are a
+    read-only view: what is derived from them is computed once and stays true.
     """
 
     magnitudes: np.ndarray
     sample_rate: float
     fft_size: int
-    bin_frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.magnitudes = _magnitudes_view(self.magnitudes)
@@ -75,7 +81,11 @@ class Spectrum:
         if self.magnitudes.shape != (self.fft_size // 2 + 1,):
             raise ShapeError(f"magnitudes must have shape ({self.fft_size // 2 + 1},) for "
                              f"fft_size {self.fft_size}, got {self.magnitudes.shape}")
-        self.bin_frequencies = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
+
+    @cached_property
+    def bin_frequencies(self) -> np.ndarray:
+        """Every bin's frequency, equal to ``np.fft.rfftfreq`` of the grid bit for bit."""
+        return _bin_frequencies(np.arange(self.magnitudes.size), self)
 
     @cached_property
     def _centred(self) -> tuple[np.ndarray, float]:
@@ -87,25 +97,13 @@ class Spectrum:
     def bin_width(self) -> float:
         return self.sample_rate / self.fft_size
 
-    def time_domain_energy(self) -> float:
-        """Sum of squared time samples implied by Parseval under this scaling."""
-        m = self.magnitudes
-        if self.fft_size % 2 == 0:  # the last bin is Nyquist
-            interior = m[1:-1]
-            edges = m[0] ** 2 + m[-1] ** 2
-        else:
-            interior = m[1:]
-            edges = m[0] ** 2
-        return float(self.fft_size * (edges + np.sum(interior ** 2) / 2.0))
-
 
 @dataclass(eq=False)
 class Spectrogram:
     """Short-time magnitude spectra: one row per frame, one column per bin.
 
-    Frame times (window centres) and bin frequencies are derived from the
-    analysis grid, so a spectrogram rebuilt from its grid and magnitudes
-    equals the one :func:`stft` returned, bit for bit. Its magnitudes are read-only.
+    A spectrogram rebuilt from its grid and magnitudes equals the one
+    :func:`stft` returned, bit for bit. Its magnitudes are read-only.
     """
 
     magnitudes: np.ndarray
@@ -113,8 +111,6 @@ class Spectrogram:
     window_length: int
     hop: int
     window: str = "hann"
-    frame_times: np.ndarray = field(init=False, repr=False)
-    bin_frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.magnitudes = _magnitudes_view(self.magnitudes)
@@ -123,9 +119,6 @@ class Spectrogram:
         if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.window_length // 2 + 1:
             raise ShapeError(f"magnitudes must be a frames x {self.window_length // 2 + 1} "
                              f"matrix, got shape {self.magnitudes.shape}")
-        starts = np.arange(self.magnitudes.shape[0]) * self.hop
-        self.frame_times = (starts + self.window_length / 2.0) / self.sample_rate
-        self.bin_frequencies = np.fft.rfftfreq(self.window_length, d=1.0 / self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -250,7 +243,6 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     if limit is not None:
         check_int("limit", limit, 1)
     m = spectrum.magnitudes
-    freqs = spectrum.bin_frequencies
     peak_floor = relative_threshold * float(m.max()) if m.size else 0.0
     if peak_floor <= 0.0:
         return []
@@ -269,10 +261,11 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
         run_ends = np.append(np.flatnonzero(m[:-1] != m[1:]), m.size - 1)
         ends = run_ends[np.searchsorted(run_ends, starts)]
     candidates = starts[(ends == m.size - 1) | (m.take(ends + 1, mode="clip") < m[starts])]
-    order = candidates[np.lexsort((freqs[candidates], -m[candidates]))]
+    # Candidates ascend in frequency, so a stable sort breaks ties toward the lower one.
+    order = candidates[np.argsort(-m[candidates], kind="stable")]
     kept_freqs: list[float] = []
     kept_bins: list[int] = []
-    for k, fk in zip(order.tolist(), freqs[order].tolist()):
+    for k, fk in zip(order.tolist(), _bin_frequencies(order, spectrum).tolist()):
         i = bisect_left(kept_freqs, fk)
         if ((i == 0 or fk - kept_freqs[i - 1] >= min_separation)
                 and (i == len(kept_freqs) or kept_freqs[i] - fk >= min_separation)):
@@ -285,7 +278,7 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
 
 
 # Sidecar keys of a spectrum file besides format and shape: the grid of its magnitudes.
-_GRID_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.init and f.name != "magnitudes")
+_GRID_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name != "magnitudes")
                 for cls in (Spectrum, Spectrogram)}
 
 
@@ -293,7 +286,7 @@ def write_spectrum(spectrum: Spectrum | Spectrogram, path) -> None:
     """Raw little-endian float64 magnitudes plus a JSON sidecar of their shape and grid.
 
     This is the signal file format of :mod:`radsim.signals` with ``shape`` in
-    place of ``length``. The grid is the spectrum's other init fields:
+    place of ``length``. The grid is the spectrum's other fields:
     ``fft_size`` and ``sample_rate`` for a :class:`Spectrum`; ``sample_rate``,
     ``window_length``, ``hop`` and ``window`` for a :class:`Spectrogram`,
     whose magnitudes are frames x bins. :func:`read_spectrum` and
@@ -339,9 +332,9 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
                  f"# sample_rate={float(spectrum.sample_rate)!r}\n"
                  "frequency_hz,magnitude\n")
         for start in range(0, spectrum.magnitudes.size, _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            values = np.column_stack((spectrum.bin_frequencies[rows],
-                                      spectrum.magnitudes[rows])).ravel().tolist()
+            magnitudes = spectrum.magnitudes[start:start + _CSV_CHUNK_ROWS]
+            frequencies = _bin_frequencies(np.arange(start, start + magnitudes.size), spectrum)
+            values = np.column_stack((frequencies, magnitudes)).ravel().tolist()
             # One join sizes the chunk's text once. Formatting into a growing
             # buffer instead (``%`` on a long template) fragments the heap, and
             # a process that writes run after run grows with it.

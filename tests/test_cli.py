@@ -528,6 +528,37 @@ class TestLibraryCommands:
         assert main(["library-list", "--library", str(path)]) == 1
         assert one_line_error(capsys)
 
+    @pytest.mark.parametrize("edit, where, message", [
+        (lambda entry: entry["template_magnitudes"].__setitem__(3, 5.0), "entry 1 ('b'): ",
+         "template spectrum energy must be 1, got "),
+        (lambda entry: entry.update(label="unknown"), "entry 1 ('unknown'): ",
+         "label 'unknown' is reserved for a rejected signal"),
+        (lambda entry: entry.update(label="a"), "",
+         "label 'a' already exists in the library"),
+        (lambda entry: entry["template_magnitudes"].pop(), "entry 1 ('b'): ",
+         "magnitudes must have shape (2049,) for fft_size 4096, got (2048,)"),
+        (lambda entry: entry.update(metadata=[1]), "entry 1 ('b'): ",
+         "metadata must be a dict, got [1]"),
+        (lambda entry: entry["template_magnitudes"].__setitem__(3, -1e-3), "entry 1 ('b'): ",
+         "magnitudes must be nonnegative"),
+    ], ids=["energy", "label-unknown", "label-repeated", "shape", "metadata-list",
+            "magnitude-negative"])
+    def test_bad_entry_error_names_file_and_entry(self, tmp_path, capsys, edit, where, message):
+        t = np.arange(4096) / 48000.0
+        library = SignatureLibrary(4096, 48000.0)
+        for label, freq in (("a", 1000.0), ("b", 3000.0)):
+            tone = SampledSignal(48000.0, np.cos(2 * np.pi * freq * t))
+            library = library_add(library, label, tone)
+        path = tmp_path / "lib.json"
+        library_save(library, path)
+        doc = json.loads(path.read_text())
+        edit(doc["entries"][1])
+        path.write_text(json.dumps(doc))
+        assert main(["library-list", "--library", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {where}{message}")
+        assert len(err.strip().splitlines()) == 1
+
     def test_empty_label_fails(self, tmp_path, capsys):
         library = tmp_path / "lib.json"
         signal = self.make_template(tmp_path, "fsk", 10)

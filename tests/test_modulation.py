@@ -13,6 +13,7 @@ from radsim.modulation import (DEMODULATORS, MODULATORS, CarrierSpec, ask_modula
                                psk_demodulate, psk_modulate, samples_per_bit)
 from radsim.signals import SampledSignal
 from radsim.spectral import fft_magnitude, find_peaks
+from reference import parseval_energy
 
 # Default-scale carrier (192 samples per bit at 250 bit/s).
 SPEC = CarrierSpec(center_frequency=2000.0, amplitude=1.0, initial_phase=0.0, sample_rate=48000.0)
@@ -189,8 +190,8 @@ class TestFsk:
         band = (spectrum.bin_frequencies >= 1875.0 - RATE) & (spectrum.bin_frequencies <= 2125.0 + RATE)
         masked[~band] = 0.0
         from radsim.spectral import Spectrum
-        in_band = Spectrum(masked, spectrum.sample_rate, spectrum.fft_size).time_domain_energy()
-        assert in_band / spectrum.time_domain_energy() >= 0.9
+        in_band = parseval_energy(Spectrum(masked, spectrum.sample_rate, spectrum.fft_size))
+        assert in_band / parseval_energy(spectrum) >= 0.9
 
 
 def reference_fsk_modulate(stream, spec, phase_continuous):

@@ -1,5 +1,6 @@
 """The package's public surface: what ``import radsim`` gives a user."""
 
+import dataclasses
 import inspect
 
 import radsim
@@ -70,3 +71,18 @@ def test_public_names_are_pinned():
     names = sorted(n for n, v in vars(radsim).items()
                    if not n.startswith("_") and not inspect.ismodule(v))
     assert names == PUBLIC_NAMES
+
+
+# The public members of the spectrum types, pinned the same way.
+SPECTRUM_MEMBERS = ["bin_frequencies", "bin_width", "fft_size", "magnitudes", "sample_rate"]
+SPECTROGRAM_MEMBERS = ["hop", "magnitudes", "sample_rate", "window", "window_length"]
+
+
+def public_members(cls):
+    return sorted({f.name for f in dataclasses.fields(cls)}
+                  | {n for n in dir(cls) if not n.startswith("_")})
+
+
+def test_spectrum_members_are_pinned():
+    assert public_members(radsim.Spectrum) == SPECTRUM_MEMBERS
+    assert public_members(radsim.Spectrogram) == SPECTROGRAM_MEMBERS

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from radsim import recognition
 from radsim.channel import ChannelParams, apply_channel
 from radsim.codec import random_payload
 from radsim.errors import ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError
@@ -307,6 +308,22 @@ class TestClassify:
         with pytest.raises(ConfigurationError):
             classify(tone(rate=44100.0, n=44100), library, 0.5)
 
+    def test_spectra_build_no_frequency_axis(self, tmp_path, monkeypatch):
+        # Matching, loading and classifying read magnitudes and bin widths, never frequencies.
+        built = []
+
+        class Recorded(Spectrum):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        monkeypatch.setattr(recognition, "Spectrum", Recorded)
+        library_save(small_library(template_bits=128), tmp_path / "lib.json")
+        library = library_load(tmp_path / "lib.json")
+        classify(psk_modulate(random_payload(9, 128, RATE), SPEC), library, 0.5)
+        assert len(built) == 3 + 3 + 1  # added templates, loaded templates, the probe
+        assert [s for s in built if "bin_frequencies" in vars(s)] == []
+
     def test_threshold_validated(self):
         library = small_library(template_bits=128)
         with pytest.raises(ParameterError):
@@ -329,8 +346,23 @@ class TestLibraryPersistence:
     def test_duplicate_label(self):
         library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
         library = library_add(library, "t", tone())
-        with pytest.raises(ConflictError):
+        with pytest.raises(ConflictError, match="^label 't' already exists in the library$"):
             library_add(library, "t", tone())
+
+    def test_duplicate_entries_name_the_label(self):
+        # The library itself names the repeated label, however its entries were made.
+        entry = library_add(SignatureLibrary(4096, 48000.0), "t", tone()).entries[0]
+        with pytest.raises(ConflictError, match="^label 't' already exists in the library$"):
+            SignatureLibrary(4096, 48000.0, (entry, entry))
+
+    def test_add_and_classify_share_the_rate_check(self):
+        library = small_library(template_bits=128)
+        probe = tone(rate=44100.0, n=44100)
+        for call in (lambda: library_add(library, "x", probe), lambda: classify(probe, library)):
+            with pytest.raises(ConfigurationError, match="^signal sample rate 44100.0 does not "
+                               r"match the library grid \(48000.0\); analysis bins would not "
+                               "align$"):
+                call()
 
     def test_unknown_label_is_reserved(self):
         library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)

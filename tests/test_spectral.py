@@ -13,6 +13,7 @@ from radsim.signals import SampledSignal, sidecar_path
 from radsim.spectral import (Spectrogram, Spectrum, fft_magnitude, find_peaks, read_spectrogram,
                              read_spectrum, stft, write_peaks_csv, write_spectrum,
                              write_spectrum_csv)
+from reference import frame_times, parseval_energy
 
 
 def reference_find_peaks(spectrum, relative_threshold, min_separation):
@@ -135,7 +136,7 @@ class TestFftMagnitude:
         spectrum = fft_magnitude(sig)
         energy = float(np.sum(sig.samples ** 2))
         if energy > 0:
-            assert abs(spectrum.time_domain_energy() - energy) / energy < 1e-9
+            assert abs(parseval_energy(spectrum) - energy) / energy < 1e-9
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
@@ -157,6 +158,14 @@ class TestSpectrum:
         spectrum = Spectrum(np.zeros(5), sample_rate=44100.0, fft_size=9)
         assert np.array_equal(spectrum.bin_frequencies, np.fft.rfftfreq(9, d=1.0 / 44100.0))
         assert spectrum.bin_width == 44100.0 / 9
+
+    def test_bin_frequencies_are_rfftfreq_byte_for_byte(self):
+        # Frequencies are derived where they are read, by rfftfreq's own arithmetic.
+        for fft_size in [*range(2, 70), 127, 1000, 4095, 4096, 98304]:
+            for rate in (1.0, 7.0, 1000.0, 44100.0 / 3.0, 48000.0, 96000.0, 0.1, 1e6, 12345.678):
+                spectrum = Spectrum(np.zeros(fft_size // 2 + 1), rate, fft_size)
+                expected = np.fft.rfftfreq(fft_size, d=1.0 / rate)
+                assert spectrum.bin_frequencies.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mags, rate, fft_size, error", [
         (np.zeros(4), 100.0, 8, ShapeError),
@@ -216,10 +225,11 @@ class TestStft:
         argmaxes = gram.magnitudes.argmax(axis=1)
         boundary = 32 / 250.0
         window_seconds = 256 / 48000.0
-        pre = argmaxes[gram.frame_times < boundary - window_seconds]
-        post = argmaxes[gram.frame_times > boundary + window_seconds]
-        f0_bin = int(np.argmin(np.abs(gram.bin_frequencies - 1875.0)))
-        f1_bin = int(np.argmin(np.abs(gram.bin_frequencies - 2125.0)))
+        pre = argmaxes[frame_times(gram) < boundary - window_seconds]
+        post = argmaxes[frame_times(gram) > boundary + window_seconds]
+        freqs = np.fft.rfftfreq(gram.window_length, d=1.0 / gram.sample_rate)
+        f0_bin = int(np.argmin(np.abs(freqs - 1875.0)))
+        f1_bin = int(np.argmin(np.abs(freqs - 2125.0)))
         assert np.all(pre == f0_bin)
         assert np.all(post == f1_bin)
 
@@ -436,8 +446,7 @@ class TestSpectrogramFile:
     def assert_same(again, gram):
         for name in ("sample_rate", "window_length", "hop", "window"):
             assert getattr(again, name) == getattr(gram, name)
-        for name in ("frame_times", "bin_frequencies", "magnitudes"):
-            assert np.array_equal(getattr(again, name), getattr(gram, name))
+        assert np.array_equal(again.magnitudes, gram.magnitudes)
 
     @pytest.mark.parametrize("window_length, hop, window", [
         (127, 50, "hann"),
