@@ -10,25 +10,34 @@ features`` extracts them from a signal, and the library does not store them.
 Matching spectra are block-averaged: the signal is cut into disjoint
 ``fft_size`` blocks whose one-sided magnitudes are averaged (a short signal
 is zero-padded into a single block). Templates are stored normalized to unit
-energy. Libraries persist as versioned JSON with stable key order; floats
-survive the round trip bit-exactly. Each entry holds a label, its template
-magnitudes and metadata; the reader ignores any other entry key, so the
-``features`` objects of 1.0 files are skipped.
+energy. Libraries persist as versioned JSON with stable key order. Each entry
+holds a label, its template and metadata. Format 2.0 stores a template as
+``template_f64``, the base64 text of its magnitudes as little-endian float64
+(the bytes of a ``.f64`` file); 1.x files store ``template_magnitudes``, a list
+of JSON numbers, and still load. Either way templates survive bit-exactly. An
+entry holding the other major version's template key is refused; the reader
+ignores any other entry key, so the ``features`` objects of 1.0 files are
+skipped.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import shutil
+from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, RadsimError,
                      ShapeError, check_int, check_real)
 from .signals import SampledSignal, _read_json, _write_json
-from .spectral import (Spectrum, _check_fft_size, _one_sided_magnitudes, fft_magnitude,
-                       find_peaks)
+from .spectral import (Spectrum, _bin_frequencies, _check_fft_size, _one_sided_magnitudes,
+                       fft_magnitude, find_peaks)
 
 __all__ = [
     "FeatureVector",
@@ -52,8 +61,10 @@ DEFAULT_FFT_SIZE = 4096
 DEFAULT_THRESHOLD = 0.8
 
 LIBRARY_FORMAT = "radsim-signature-library"
-LIBRARY_MAJOR_VERSION = 1
-LIBRARY_MINOR_VERSION = 1
+LIBRARY_MAJOR_VERSION = 2
+LIBRARY_MINOR_VERSION = 0
+# The entry key that holds a template, by the major versions this reader loads.
+_TEMPLATE_KEYS = {1: "template_magnitudes", 2: "template_f64"}
 
 # Peak-picking defaults for the dominant_peaks feature; fixed for determinism.
 _PEAK_THRESHOLD = 0.05
@@ -149,30 +160,37 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
     x = signal.samples
     if x.size < 64:
         raise ShapeError(f"signal must have at least 64 samples, got {x.size}")
-    rms = float(np.sqrt(np.mean(x ** 2)))
-    crossings = int(np.count_nonzero(x[:-1] * x[1:] < 0))
+    # One signal-sized buffer holds x**2, then the lag products x[k] * x[k + 1].
+    work = np.square(x)
+    rms = float(np.sqrt(np.mean(work)))
+    crossings = int(np.count_nonzero(np.multiply(x[:-1], x[1:], out=work[:-1]) < 0))
+    del work  # freed before the FFT, which allocates its output, plan and scratch as large
     zcr = crossings / (x.size - 1)
     crest = float(max(x.max(), -x.min()) / rms) if rms > 0 else 0.0
 
     spectrum = fft_magnitude(signal)
     mags = spectrum.magnitudes
-    freqs = spectrum.bin_frequencies
+    # Two bin-sized buffers: the bin frequencies, then p; the weighted
+    # frequencies, then the spread, then p log p.
+    freqs = np.arange(mags.size, dtype=np.float64)
+    _bin_frequencies(freqs, spectrum, out=freqs)
+    work = freqs * mags
     total = float(mags.sum())
     if total > 0:
-        centroid = float((freqs * mags).sum() / total)
-        spread = freqs - centroid
+        centroid = float(work.sum() / total)
+        spread = np.subtract(freqs, centroid, out=work)
         spread *= spread
         bandwidth = float(np.sqrt(np.multiply(spread, mags, out=spread).sum() / total))
     else:
         centroid = 0.0
         bandwidth = 0.0
 
-    p = mags ** 2
+    p = np.square(mags, out=freqs)
     power_total = float(p.sum())
     if power_total > 0 and mags.size > 1:
         p /= power_total
         p = p if p.min() > 0 else p[p > 0]  # zero bins add nothing; log 0 is -inf
-        plogp = np.log(p)
+        plogp = np.log(p, out=work[:p.size])
         plogp *= p
         entropy = float(-plogp.sum() / math.log(mags.size))
         entropy = min(max(entropy, 0.0), 1.0)
@@ -260,6 +278,14 @@ def library_add(library: SignatureLibrary, label: str, signal: SampledSignal,
 
 
 def library_save(library: SignatureLibrary, path) -> None:
+    """Write the library as format 2.0, committed at one point.
+
+    The document is written into a hidden sibling ``.<name>.<token>.partial``,
+    which is renamed onto ``path`` only once it is whole. On any exception the
+    sibling is removed, so ``path`` keeps its old bytes; only a killed process
+    can leave the sibling. A symlink at ``path`` is followed, and a replaced
+    file keeps its permission bits.
+    """
     doc = {
         "format": LIBRARY_FORMAT,
         "version": {"major": LIBRARY_MAJOR_VERSION, "minor": LIBRARY_MINOR_VERSION},
@@ -268,46 +294,79 @@ def library_save(library: SignatureLibrary, path) -> None:
         "entries": [
             {
                 "label": e.label,
-                "template_magnitudes": [float(v) for v in e.template_spectrum.magnitudes],
+                "template_f64": b64encode(np.ascontiguousarray(
+                    e.template_spectrum.magnitudes, dtype="<f8").tobytes()).decode("ascii"),
                 "metadata": e.metadata,
             }
             for e in library.entries
         ],
     }
-    _write_json(path, doc)
+    target = Path(os.path.realpath(path))
+    partial = target.parent / f".{target.name}.{os.urandom(8).hex()}.partial"
+    try:
+        _write_json(partial, doc)
+        with contextlib.suppress(FileNotFoundError):  # a new library takes the default mode
+            shutil.copymode(target, partial)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _template_values(key: str, stored) -> np.ndarray:
+    """The float64 values an entry stores under ``key``, its major version's template key."""
+    if key == "template_magnitudes":
+        try:
+            return np.array(stored, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ParseError("template_magnitudes is not a list of numbers") from e
+    if not isinstance(stored, str):
+        raise ParseError(f"template_f64 must be a base64 string, got {stored!r:.40}")
+    try:
+        raw = b64decode(stored, validate=True)
+    except ValueError as e:  # binascii.Error, or text that is not ASCII
+        raise ParseError(f"template_f64 is not base64 ({e})") from e
+    if len(raw) % 8:
+        raise ParseError(f"template_f64 holds {len(raw)} bytes, not a whole number of float64s")
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def library_load(path) -> SignatureLibrary:
+    """Read a library of format 2.0 or 1.x; every error names the file, and the entry if one."""
     doc = _read_json(path)
     if doc.get("format") != LIBRARY_FORMAT:
         raise ParseError(f"{path}: not a signature library file")
     version = doc.get("version")
     major = version.get("major") if isinstance(version, dict) else None
     check_int(f"{path}: library major version", major, 0)  # JSON true is not 1
-    if major != LIBRARY_MAJOR_VERSION:
+    if major not in _TEMPLATE_KEYS:
         raise ParseError(
             f"{path}: unsupported library major version {major!r} "
-            f"(supported: {LIBRARY_MAJOR_VERSION})")
+            f"(supported: {', '.join(map(str, _TEMPLATE_KEYS))})")
+    key = _TEMPLATE_KEYS[major]
     try:
         fft_size, sample_rate, raw_entries = doc["fft_size"], doc["sample_rate"], doc["entries"]
     except KeyError as e:
         raise ParseError(f"{path}: missing key {e.args[0]!r}") from e
-    _check_fft_size(fft_size)
-    check_real("sample_rate", sample_rate, 0, bounds="()")
+    try:
+        _check_fft_size(fft_size)
+        check_real("sample_rate", sample_rate, 0, bounds="()")
+    except RadsimError as e:
+        raise type(e)(f"{path}: {e}") from e
     sample_rate = float(sample_rate)
     if not (isinstance(raw_entries, list) and all(isinstance(raw, dict) for raw in raw_entries)):
         raise ParseError(f"{path}: entries must be a list of JSON objects")
     entries = []
     for i, raw in enumerate(raw_entries):
         try:
-            label = raw["label"]
-            mags = np.array(raw["template_magnitudes"], dtype=np.float64)
+            label, stored = raw["label"], raw[key]
         except KeyError as e:
             raise ParseError(f"{path}: entry missing key {e.args[0]!r}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ParseError(f"{path}: template for {label!r} is not a list of numbers") from e
         try:
-            entries.append(SignatureEntry(label, Spectrum(mags, sample_rate, fft_size),
+            if len(raw.keys() & _TEMPLATE_KEYS.values()) > 1:
+                raise ParseError(f"a {major}.x entry stores its template as {key!r} only")
+            entries.append(SignatureEntry(label, Spectrum(_template_values(key, stored),
+                                                          sample_rate, fft_size),
                                           raw.get("metadata", {})))
         except RadsimError as e:
             raise type(e)(f"{path}: entry {i} ({label!r}): {e}") from e

@@ -56,9 +56,9 @@ def _magnitudes_view(magnitudes) -> np.ndarray:
     return view
 
 
-def _bin_frequencies(bins, spectrum: Spectrum) -> np.ndarray:
+def _bin_frequencies(bins, spectrum: Spectrum, out: np.ndarray | None = None) -> np.ndarray:
     """Frequencies of ``bins`` on the spectrum's grid, by ``np.fft.rfftfreq``'s arithmetic."""
-    return bins * (1.0 / (spectrum.fft_size * (1.0 / spectrum.sample_rate)))
+    return np.multiply(bins, 1.0 / (spectrum.fft_size * (1.0 / spectrum.sample_rate)), out=out)
 
 
 @dataclass(eq=False)

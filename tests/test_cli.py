@@ -29,6 +29,7 @@ from radsim.pipeline import ExperimentConfig, config_from_json
 from radsim.recognition import SignatureLibrary, library_add, library_save
 from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
 from radsim.spectral import fft_magnitude, read_spectrogram, write_spectrum
+from reference import as_version_1, f64_text, template_values
 
 BASE = [sys.executable, "-m", "radsim"]
 # Subprocesses import the radsim copy this process imported, installed or not.
@@ -468,6 +469,15 @@ class TestSignalChain:
         assert written["psk", True] == written["psk", False]
 
 
+def edit_template(edit):
+    """An edit of a 2.0 library entry that applies ``edit`` to its template values, a list."""
+    def apply(entry):
+        values = template_values(entry)
+        edit(values)
+        entry["template_f64"] = f64_text(values)
+    return apply
+
+
 class TestLibraryCommands:
     def make_template(self, tmp_path, scheme, seed):
         bits = tmp_path / f"{scheme}_bits.txt"
@@ -501,14 +511,14 @@ class TestLibraryCommands:
         lambda doc: doc.update(sample_rate="x"),
         lambda doc: doc.update(entries=5),
         lambda doc: doc.update(entries=[5]),
-        lambda doc: doc["entries"][0].update(template_magnitudes="abc"),
-        lambda doc: doc["entries"][0].update(template_magnitudes=[0.5] * 2048),
+        lambda doc: doc["entries"][0].update(template_f64="abc"),
+        lambda doc: doc["entries"][0].update(template_f64=f64_text([0.5] * 2048)),
         lambda doc: doc["entries"][0].update(label=5),
         lambda doc: doc["entries"][0].update(metadata=5),
         lambda doc: doc.update(version=3),
         lambda doc: doc.update(sample_rate=True),
         lambda doc: doc.update(version={"major": True, "minor": 0}),
-        lambda doc: doc["entries"][0].update(template_magnitudes=[10 ** 400] * 2049),
+        lambda doc: as_version_1(doc)["entries"][0].update(template_magnitudes=[10 ** 400] * 2049),
         lambda doc: doc["entries"][0].update(metadata={"k": math.nan}),
         lambda doc: doc["entries"][0].update(label="unknown"),
     ], ids=["fft-size-string", "fft-size-null", "fft-size-float", "sample-rate-string",
@@ -529,20 +539,37 @@ class TestLibraryCommands:
         assert one_line_error(capsys)
 
     @pytest.mark.parametrize("edit, where, message", [
-        (lambda entry: entry["template_magnitudes"].__setitem__(3, 5.0), "entry 1 ('b'): ",
+        (edit_template(lambda m: m.__setitem__(3, 5.0)), "entry 1 ('b'): ",
          "template spectrum energy must be 1, got "),
         (lambda entry: entry.update(label="unknown"), "entry 1 ('unknown'): ",
          "label 'unknown' is reserved for a rejected signal"),
         (lambda entry: entry.update(label="a"), "",
          "label 'a' already exists in the library"),
-        (lambda entry: entry["template_magnitudes"].pop(), "entry 1 ('b'): ",
+        (edit_template(list.pop), "entry 1 ('b'): ",
          "magnitudes must have shape (2049,) for fft_size 4096, got (2048,)"),
         (lambda entry: entry.update(metadata=[1]), "entry 1 ('b'): ",
          "metadata must be a dict, got [1]"),
-        (lambda entry: entry["template_magnitudes"].__setitem__(3, -1e-3), "entry 1 ('b'): ",
+        (edit_template(lambda m: m.__setitem__(3, -1e-3)), "entry 1 ('b'): ",
          "magnitudes must be nonnegative"),
+        (lambda entry: entry.update(template_f64="%" * 8), "entry 1 ('b'): ",
+         "template_f64 is not base64 ("),
+        (lambda entry: entry.update(template_f64="\u00e9" * 4), "entry 1 ('b'): ",
+         "template_f64 is not base64 ("),
+        (lambda entry: entry.update(template_f64=entry["template_f64"][:-4] + "AAA="),
+         "entry 1 ('b'): ", "template_f64 holds 16391 bytes, not a whole number of float64s"),
+        (lambda entry: entry.update(template_f64=f64_text([0.5] * 4)), "entry 1 ('b'): ",
+         "magnitudes must have shape (2049,) for fft_size 4096, got (4,)"),
+        (edit_template(lambda m: m.__setitem__(3, math.nan)), "entry 1 ('b'): ",
+         "magnitudes must be finite"),
+        (lambda entry: entry.update(template_f64=5), "entry 1 ('b'): ",
+         "template_f64 must be a base64 string, got 5"),
+        (lambda entry: entry.update(template_f64=[0.5] * 2049), "entry 1 ('b'): ",
+         "template_f64 must be a base64 string, got [0.5, 0.5, "),
+        (lambda entry: entry.update(template_magnitudes=template_values(entry)), "entry 1 ('b'): ",
+         "a 2.x entry stores its template as 'template_f64' only"),
     ], ids=["energy", "label-unknown", "label-repeated", "shape", "metadata-list",
-            "magnitude-negative"])
+            "magnitude-negative", "f64-not-base64", "f64-not-ascii", "f64-partial-value",
+            "f64-count", "f64-nan", "f64-number", "f64-list", "f64-with-magnitudes"])
     def test_bad_entry_error_names_file_and_entry(self, tmp_path, capsys, edit, where, message):
         t = np.arange(4096) / 48000.0
         library = SignatureLibrary(4096, 48000.0)
@@ -558,6 +585,19 @@ class TestLibraryCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {where}{message}")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("fft_size", 48, "fft_size must be a power of two, got 48"),
+        ("sample_rate", -1, "sample_rate must be a finite number > 0, got -1"),
+    ], ids=["fft-size", "sample-rate"])
+    def test_bad_grid_error_names_file(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "lib.json"
+        library_save(SignatureLibrary(4096, 48000.0), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["library-list", "--library", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_empty_label_fails(self, tmp_path, capsys):
         library = tmp_path / "lib.json"
@@ -1044,7 +1084,8 @@ def test_hostile_run_config_fails_cleanly(scheme, mutations, flags):
 # The library fuzz: a saved library's top-level fields and its first entry's
 # fields may take any HOSTILE value.
 LIBRARY_FIELDS = ([(name,) for name in ("format", "version", "fft_size", "sample_rate", "entries")]
-                  + [("entries", 0, name) for name in ("label", "template_magnitudes", "metadata")])
+                  + [("entries", 0, name)
+                     for name in ("label", "template_f64", "template_magnitudes", "metadata")])
 
 
 @pytest.fixture(scope="module")

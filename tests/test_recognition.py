@@ -1,6 +1,9 @@
+import base64
 import dataclasses
+import errno
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,11 +13,12 @@ from radsim.channel import ChannelParams, apply_channel
 from radsim.codec import random_payload
 from radsim.errors import ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError
 from radsim.modulation import CarrierSpec, ask_modulate, fsk_modulate, psk_modulate
-from radsim.recognition import (UNKNOWN_LABEL, SignatureLibrary, classify,
+from radsim.recognition import (UNKNOWN_LABEL, FeatureVector, SignatureLibrary, classify,
                                 extract_features, library_add, library_load, library_save,
                                 matching_spectrum, spectral_correlation)
 from radsim.signals import SampledSignal
 from radsim.spectral import Spectrum, fft_magnitude, find_peaks
+from reference import as_version_1
 
 SPEC = CarrierSpec(2000.0, 1.0, 0.0, 48000.0)
 RATE = 250.0
@@ -95,14 +99,55 @@ MODULATORS = {"fsk": fsk_modulate, "psk": psk_modulate, "ask": ask_modulate}
 PROBE_CARRIERS = (1500.0, 6000.0, 12000.0)
 
 
+def tonal_probe(scheme, carrier):
+    spec = CarrierSpec(carrier, 1.0, 0.0, 48000.0)
+    seed = int(carrier) + sorted(MODULATORS).index(scheme)
+    return apply_channel(MODULATORS[scheme](random_payload(seed, 256, RATE), spec),
+                         ChannelParams(snr_db=15.0, seed=seed))
+
+
+def features_one_temporary_per_operation(signal):
+    """``extract_features`` as written before it reused work buffers, peaks left out."""
+    x = signal.samples
+    rms = float(np.sqrt(np.mean(x ** 2)))
+    crossings = int(np.count_nonzero(x[:-1] * x[1:] < 0))
+    crest = float(max(x.max(), -x.min()) / rms) if rms > 0 else 0.0
+    spectrum = fft_magnitude(signal)
+    mags, freqs = spectrum.magnitudes, spectrum.bin_frequencies
+    total = float(mags.sum())
+    centroid = bandwidth = entropy = 0.0
+    if total > 0:
+        centroid = float((freqs * mags).sum() / total)
+        spread = freqs - centroid
+        spread *= spread
+        bandwidth = float(np.sqrt(np.multiply(spread, mags, out=spread).sum() / total))
+    p = mags ** 2
+    power_total = float(p.sum())
+    if power_total > 0:
+        p /= power_total
+        p = p if p.min() > 0 else p[p > 0]
+        plogp = np.log(p)
+        plogp *= p
+        entropy = min(max(float(-plogp.sum() / math.log(mags.size)), 0.0), 1.0)
+    return FeatureVector(rms, crossings / (x.size - 1), crest, centroid, bandwidth, entropy)
+
+
+def scalar_features_or_error(features, signal):
+    """The six scalar features' bits, or the error raised in their place."""
+    try:
+        fv = features(signal)
+    except ParameterError as e:
+        return str(e)
+    return [getattr(fv, name).hex() for name in ("rms_power", "zero_crossing_rate",
+                                                 "crest_factor", "spectral_centroid",
+                                                 "spectral_bandwidth", "spectral_entropy")]
+
+
 class TestExtractFeatures:
     @pytest.mark.parametrize("scheme", sorted(MODULATORS))
     @pytest.mark.parametrize("carrier", PROBE_CARRIERS)
     def test_equals_unlimited_peaks_on_tonal_probes(self, scheme, carrier):
-        spec = CarrierSpec(carrier, 1.0, 0.0, 48000.0)
-        seed = int(carrier) + sorted(MODULATORS).index(scheme)
-        probe = apply_channel(MODULATORS[scheme](random_payload(seed, 256, RATE), spec),
-                              ChannelParams(snr_db=15.0, seed=seed))
+        probe = tonal_probe(scheme, carrier)
         features = extract_features(probe)
         assert len(features.dominant_peaks) == 5
         assert features == with_unlimited_peaks(features, probe)
@@ -152,6 +197,21 @@ class TestExtractFeatures:
         got = (features.rms_power, features.spectral_centroid, features.spectral_bandwidth,
                features.spectral_entropy)
         assert [v.hex() for v in got] == [v.hex() for v in reference_features(signal)]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300], ids=["unit", "tiny", "huge"])
+    @pytest.mark.parametrize("make", [
+        lambda: tonal_probe("psk", 6000.0), lambda: tonal_probe("fsk", 1500.0),
+        lambda: white_noise(7, n=8192), lambda: with_zero_bin(8),
+        lambda: ask_modulate(random_payload(9, 64, RATE), SPEC),
+    ], ids=["psk", "fsk", "white-noise", "zero-bin", "ask-zero-samples"])
+    def test_buffer_reuse_is_bit_identical(self, make, scale):
+        # At 1e300 the squares overflow and both forms refuse the same rms_power.
+        signal = make()
+        signal = SampledSignal(signal.sample_rate, signal.samples * scale)
+        assert (scalar_features_or_error(extract_features, signal)
+                == scalar_features_or_error(features_one_temporary_per_operation, signal))
 
 
 class TestMatchingSpectrum:
@@ -401,12 +461,11 @@ class TestLibraryPersistence:
 
     def test_reads_a_1_0_library_with_features(self, tmp_path):
         # Libraries of format 1.0 stored each entry's feature vector; the
-        # reader skips it, and saving writes 1.1 without it.
+        # reader skips it, and saving writes 2.0 without it.
         library = small_library(template_bits=256)
         current = tmp_path / "lib.json"
         library_save(library, current)
-        doc = json.loads(current.read_text())
-        doc["version"]["minor"] = 0
+        doc = as_version_1(json.loads(current.read_text()), minor=0)
         for entry, (_, signal, _) in zip(doc["entries"], template_signals(256)):
             entry["features"] = dataclasses.asdict(extract_features(signal))
         old = tmp_path / "lib-1.0.json"
@@ -420,12 +479,70 @@ class TestLibraryPersistence:
         probe = apply_channel(psk_modulate(random_payload(6, 256, RATE), SPEC),
                               ChannelParams(snr_db=15.0, seed=3))
         assert classify(probe, loaded, 0.5) == classify(probe, library, 0.5)
-        resaved = tmp_path / "lib-1.1.json"
+        resaved = tmp_path / "lib-2.0.json"
         library_save(loaded, resaved)
         assert resaved.read_bytes() == current.read_bytes()
         resaved_doc = json.loads(resaved.read_text())
-        assert resaved_doc["version"] == {"major": 1, "minor": 1}
+        assert resaved_doc["version"] == {"major": 2, "minor": 0}
         assert not any("features" in entry for entry in resaved_doc["entries"])
+
+    def test_reads_a_1_1_library_bit_exactly(self, tmp_path):
+        # A 1.1 file spells each template as JSON numbers; written back, it is 2.0.
+        library = small_library(template_bits=256)
+        fresh = tmp_path / "lib.json"
+        library_save(library, fresh)
+        old = tmp_path / "lib-1.1.json"
+        old.write_text(json.dumps(as_version_1(json.loads(fresh.read_text())),
+                                  sort_keys=True, indent=2) + "\n")
+        loaded = library_load(old)
+        for a, b in zip(loaded.entries, library.entries, strict=True):
+            assert (a.template_spectrum.magnitudes.tobytes()
+                    == b.template_spectrum.magnitudes.tobytes())
+        resaved = tmp_path / "resaved.json"
+        library_save(loaded, resaved)
+        assert resaved.read_bytes() == fresh.read_bytes()
+
+    def test_templates_are_stored_as_base64_float64(self, tmp_path):
+        # 24 templates at fft_size 4096, the bench's library: 2049 float64 per
+        # template, 21 856 base64 characters, under 0.6 MB in all.
+        library = SignatureLibrary(4096, 48000.0)
+        for k in range(24):
+            library = library_add(library, f"noise-{k}", white_noise(k, n=4096))
+        path = tmp_path / "lib.json"
+        library_save(library, path)
+        assert path.stat().st_size < 600_000
+        entry = json.loads(path.read_text())["entries"][5]
+        assert sorted(entry) == ["label", "metadata", "template_f64"]
+        assert (base64.b64decode(entry["template_f64"], validate=True)
+                == library.entries[5].template_spectrum.magnitudes.astype("<f8").tobytes())
+
+    def test_failed_save_keeps_the_old_library(self, tmp_path, monkeypatch):
+        path = tmp_path / "lib.json"
+        library_save(small_library(template_bits=128), path)
+        old = path.read_bytes()
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            with open(self, "w", encoding="utf-8") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            library_save(small_library(template_bits=256), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["lib.json"]
+
+    def test_save_follows_a_symlink_and_keeps_the_mode(self, tmp_path):
+        path = tmp_path / "lib.json"
+        library_save(small_library(template_bits=128), path)
+        path.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(path)
+        library_save(small_library(template_bits=256), link)
+        assert link.is_symlink()
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert library_load(path).labels() == ["fsk", "psk", "ask"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.json", "link.json"]
 
     def test_classification_stable_across_round_trip(self, tmp_path):
         library = small_library(template_bits=256)
@@ -450,7 +567,7 @@ class TestLibraryPersistence:
         path = tmp_path / "lib.json"
         library_save(library, path)
         doc = json.loads(path.read_text())
-        doc["version"]["major"] = 2
+        doc["version"]["major"] = 3
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="version"):
             library_load(path)
