@@ -2,7 +2,10 @@
 
 Conventions:
 
-* carriers are cosines ``A * cos(2*pi*fc*t + theta0)``;
+* carriers are cosines ``A * cos(2*pi*fc*t + theta0)``; their samples are
+  read-only and shared: the last carrier is kept (one carrier's memory,
+  about 25 MB after a 16384-bit run), and asking for it again returns the
+  same array;
 * FSK signals bit 0 at ``fc - bit_rate/2`` and bit 1 at ``fc + bit_rate/2``,
   phase-continuous across bit boundaries by default (``phase_continuous=False``
   restores the literal per-bit cosine definition);
@@ -18,6 +21,7 @@ decides at the keyed levels' midpoint; FSK is noncoherent (tone magnitudes).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,20 +84,35 @@ def samples_per_bit(spec: CarrierSpec, bit_rate: float) -> int:
 
 
 def generate_carrier(spec: CarrierSpec, duration: float) -> SampledSignal:
-    """Pure carrier tone of the given duration (sample count = round(duration*fs))."""
-    if duration <= 0:
-        raise ParameterError(f"duration must be positive, got {duration}")
+    """Pure carrier tone of the given duration (sample count = round(duration*fs)).
+
+    The samples are read-only and shared: the last carrier asked for is kept,
+    and asking for it again returns the same array without computing it.
+    """
+    check_real("duration", duration, 0, bounds="(]")
     _check_length(duration * spec.sample_rate)
     n = int(round(duration * spec.sample_rate))
-    # A*cos(2*pi*fc*t + theta0) evaluated in one array, in the order (and so
-    # with the rounding) of that expression.
+    if n == 0:
+        raise ParameterError(f"duration {duration!r} s is under half a sample at "
+                             f"{spec.sample_rate} Hz: the carrier would have no samples")
+    return SampledSignal(spec.sample_rate, _carrier_samples(spec, n))
+
+
+# One entry serves the repeats that occur: a keyed signal composed with its carrier.
+@functools.lru_cache(maxsize=1)
+def _carrier_samples(spec: CarrierSpec, n: int) -> np.ndarray:
+    """The carrier's first n samples A*cos(2*pi*fc*t + theta0), read-only."""
+    # Evaluated in one array, in the order (and so with the rounding) of that
+    # expression. fc is taken as a float64, so specs that compare equal give
+    # the same samples.
     samples = np.arange(n, dtype=np.float64)
     samples /= spec.sample_rate
-    samples *= 2 * np.pi * spec.center_frequency
+    samples *= 2 * np.pi * float(spec.center_frequency)
     samples += spec.initial_phase
     np.cos(samples, out=samples)
     samples *= spec.amplitude
-    return SampledSignal(spec.sample_rate, samples)
+    samples.flags.writeable = False
+    return samples
 
 
 def _fsk_tones(spec: CarrierSpec, bit_rate: float) -> tuple[float, float]:
@@ -144,9 +163,10 @@ def _keyed_carrier(stream: BitStream, spec: CarrierSpec, scheme: str) -> Sampled
     """The carrier over the stream, each bit's samples multiplied by that bit's level."""
     _check_nonempty(stream, f"{scheme.upper()}-modulate")
     spb = samples_per_bit(spec, stream.bit_rate)
-    keyed = generate_carrier(spec, len(stream) * spb / spec.sample_rate)
-    keyed.samples *= np.repeat(np.array(_KEYED_LEVELS[scheme])[stream.bits], spb)
-    return keyed
+    carrier = generate_carrier(spec, len(stream) * spb / spec.sample_rate)
+    levels = np.array(_KEYED_LEVELS[scheme])[stream.bits]
+    keyed = carrier.samples.reshape(len(stream), spb) * levels[:, None]
+    return SampledSignal(spec.sample_rate, keyed.ravel())
 
 
 def ask_modulate(stream: BitStream, spec: CarrierSpec) -> SampledSignal:

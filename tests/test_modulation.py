@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radsim import modulation
 from radsim.channel import ChannelParams, apply_channel
 from radsim.codec import BitStream, random_payload
 from radsim.errors import ConfigurationError, ParameterError, ShapeError
@@ -99,6 +100,12 @@ class TestCarrierSpec:
             CarrierSpec(center_frequency=10.0, amplitude=1e300, sample_rate=100.0)
 
 
+def carrier_formula(spec, n):
+    """The spec's first n samples, computed from the carrier formula."""
+    t = np.arange(n) / spec.sample_rate
+    return spec.amplitude * np.cos(2 * np.pi * spec.center_frequency * t + spec.initial_phase)
+
+
 class TestGenerateCarrier:
     def test_length(self):
         carrier = generate_carrier(SPEC, 0.25)
@@ -125,8 +132,7 @@ class TestGenerateCarrier:
            phase=st.floats(-100.0, 100.0), n=st.integers(1, 5000))
     def test_bit_identical_to_the_expression(self, fc, amplitude, phase, n):
         spec = CarrierSpec(fc, amplitude, phase, 48000.0)
-        t = np.arange(n) / 48000.0
-        expected = amplitude * np.cos(2 * np.pi * fc * t + phase)
+        expected = carrier_formula(spec, n)
         assert generate_carrier(spec, n / 48000.0).samples.tobytes() == expected.tobytes()
 
     def test_memory_is_the_output(self, traced_peak):
@@ -134,6 +140,67 @@ class TestGenerateCarrier:
         n = 4096 * 192
         peak = traced_peak(lambda: generate_carrier(SPEC, n / SPEC.sample_rate))
         assert peak <= 1.1 * n * 8
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_duration_must_be_finite(self, duration):
+        with pytest.raises(ParameterError, match=r"^duration must be a finite number > 0, got"):
+            generate_carrier(SPEC, duration)
+
+    @pytest.mark.parametrize("duration", [1e-6, 0.5 / 48000.0, 5e-324])
+    def test_duration_under_half_a_sample_is_refused(self, duration):
+        with pytest.raises(ParameterError, match=r"^duration .* the carrier would have no samples$"):
+            generate_carrier(SPEC, duration)
+
+
+class TestCarrierCache:
+    def test_repeat_is_the_same_read_only_array(self, traced_peak):
+        n = 4096 * 192
+        first = generate_carrier(SPEC, n / SPEC.sample_rate)
+        peak = traced_peak(lambda: generate_carrier(SPEC, n / SPEC.sample_rate))
+        again = generate_carrier(SPEC, n / SPEC.sample_rate)
+        assert again.samples is first.samples
+        assert not again.samples.flags.writeable
+        assert peak < 0.01 * n * 8
+
+    def test_samples_cannot_be_written(self):
+        carrier = generate_carrier(SPEC, 0.01)
+        with pytest.raises(ValueError, match="read-only"):
+            carrier.samples[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            carrier.samples *= 2.0
+        assert carrier.samples.tobytes() == carrier_formula(SPEC, len(carrier)).tobytes()
+
+    def test_alternating_requests_equal_the_formula(self):
+        other = CarrierSpec(3000.0, 2.0, 0.5, 48000.0)
+        for spec, n in [(SPEC, 1000), (other, 1000), (SPEC, 1000), (SPEC, 999), (SPEC, 1000)]:
+            carrier = generate_carrier(spec, n / spec.sample_rate)
+            assert carrier.samples.tobytes() == carrier_formula(spec, n).tobytes()
+
+    @pytest.mark.parametrize("first, second", [
+        (CarrierSpec(0.0, sample_rate=100.0), CarrierSpec(-0.0, sample_rate=100.0)),
+        (CarrierSpec(-0.0, sample_rate=100.0), CarrierSpec(0.0, sample_rate=100.0)),
+        (CarrierSpec(10.0, 1.0, 0.0, 100.0), CarrierSpec(10.0, 1.0, -0.0, 100.0)),
+        (CarrierSpec(10.0, 1.0, -0.0, 100.0), CarrierSpec(10.0, 1.0, 0.0, 100.0)),
+        (CarrierSpec(0.0, 1.0, -0.0, 100.0), CarrierSpec(-0.0, 1.0, 0.0, 100.0)),
+        (CarrierSpec(2000.0, 3.0, 1.0, 48000.0), CarrierSpec(2000, 3, 1, 48000)),
+        (CarrierSpec(2000, 3, 1, 48000), CarrierSpec(2000.0, 3.0, 1.0, 48000.0)),
+        (CarrierSpec(2000.0, 3.0, 1.0, 48000.0),
+         CarrierSpec(np.float64(2000.0), np.float64(3.0), np.float64(1.0), np.float64(48000.0))),
+    ], ids=["fc-0", "fc+0", "phase-0", "phase+0", "both", "ints", "floats", "numpy"])
+    def test_equal_specs_share_exact_samples(self, first, second):
+        assert first == second and hash(first) == hash(second)
+        generate_carrier(first, 0.5)
+        shared = generate_carrier(second, 0.5)
+        assert shared.samples.tobytes() == carrier_formula(second, len(shared)).tobytes()
+
+    def test_a_float32_frequency_is_read_as_float64(self):
+        # It compares equal to the float64 spec, so both must give its samples.
+        narrow = CarrierSpec(np.float32(2000.0), 1.0, 0.0, 48000.0)
+        assert narrow == SPEC
+        modulation._carrier_samples.cache_clear()
+        for spec in (narrow, SPEC, narrow):
+            carrier = generate_carrier(spec, 0.5)
+            assert carrier.samples.tobytes() == carrier_formula(SPEC, 24000).tobytes()
 
 
 class TestSamplesPerBit:
@@ -312,6 +379,25 @@ class TestCompose:
         spectrum = fft_magnitude(compose_emitted(carrier, modulated))
         peaks = find_peaks(spectrum, relative_threshold=0.1, min_separation=RATE / 2)
         assert [p.frequency for p in peaks] == [1875.0, 2000.0, 2125.0]
+
+
+class TestKeyed:
+    @pytest.mark.parametrize("scheme, levels", [("ask", (0.0, 1.0)), ("psk", (-1.0, 1.0))])
+    def test_bit_identical_to_the_keyed_carrier(self, scheme, levels):
+        payload = random_payload(8, 64, RATE)
+        signal = MODULATORS[scheme](payload, SPEC)
+        keyed = np.repeat(np.array(levels)[payload.bits], samples_per_bit(SPEC, RATE))
+        assert signal.samples.tobytes() == (carrier_formula(SPEC, len(signal)) * keyed).tobytes()
+
+    @pytest.mark.parametrize("scheme", ["ask", "psk"])
+    def test_memory_is_the_carrier_and_the_output(self, traced_peak, scheme):
+        # 4096 bits x 192 samples: a miss computes the 6.3 MB carrier and the
+        # output; a repeat, as when the emitter adds the carrier, only the output.
+        payload = random_payload(3, 4096, RATE)
+        size = 4096 * 192 * 8
+        modulation._carrier_samples.cache_clear()
+        assert traced_peak(lambda: MODULATORS[scheme](payload, SPEC)) <= 2.1 * size
+        assert traced_peak(lambda: MODULATORS[scheme](payload, SPEC)) <= 1.1 * size
 
 
 class TestSampleCounts:
