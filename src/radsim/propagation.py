@@ -5,14 +5,23 @@ Three views of the same process:
 * a discrete recurrence for the expected infected count,
   ``E[n+1] = E[n] + (M/N) * E[n] * (1 - E[n]/N)``;
 * its logistic closed form ``N / (1 + (N/X0 - 1) * exp(-n*M/N))``;
-* an agent-based Monte Carlo simulation over uniformly random ordered
-  communication pairs, used as an independent oracle.
+* a Monte Carlo simulation of the agent model, used as an independent oracle.
 
 N is the machine count, M the number of data communications per unit time,
-X0 the initially infected count. The per-communication infection rule is:
-the target becomes infected iff the source is infected and the target is
-not. Pairs are drawn with replacement (the pair distribution is otherwise
-unspecified); curve values are real-valued expectations, never rounded.
+X0 the initially infected count. The agent model draws M uniformly random
+ordered communication pairs (source != target, with replacement) per step and
+applies them in turn: the target becomes infected iff the source is infected
+and the target is not. Curve values are real-valued expectations, never
+rounded.
+
+The agent model's infected count X is a Markov chain on 0..N. Whichever X
+machines are infected, a pair infects with probability
+``p(X) = X (N - X) / (N (N - 1))`` (X infected sources times N - X
+susceptible targets, over N (N - 1) ordered pairs), and the pair draws are
+independent, so which machines are infected never matters. From the
+infection that makes X machines infected, the number of pairs up to the next
+infection is therefore Geometric(p(X)), independent of the other waits, and
+a trial is fixed by its waits alone.
 
 The recurrence view is a discrete logistic map: it stays monotone and
 bounded by N only while M <= N. For larger M it can overshoot, and
@@ -51,7 +60,8 @@ class PropagationParams:
     initial_infected: int = 1
 
     def __post_init__(self):
-        # The Monte Carlo oracle holds N flags and draws 2M values per step.
+        # A Monte Carlo trial holds up to min(N - X0, n_max * M) waits, so N is
+        # bounded as an array length is; M is bounded at half that.
         check_int("n_computers", self.n_computers, 1, _MAX_SAMPLES)
         check_int("comms_per_interval", self.comms_per_interval, 1, _MAX_SAMPLES // 2)
         check_int("initial_infected", self.initial_infected, 1)
@@ -102,72 +112,49 @@ def inflection_time(params: PropagationParams) -> float:
     return (big_n / params.comms_per_interval) * math.log((big_n - x0) / x0)
 
 
-# Most random values one block of steps draws at once (a block holds at least one step).
-_BLOCK_DRAWS = 1 << 12
-
-
-def _step_pairs(rng: np.random.Generator, n: int, m: int, block_steps: int):
-    """Endless (sources, targets) lists, one per step, drawn ``block_steps`` at a time.
-
-    One ``integers`` call over a ``(block_steps, 2m)`` array of bounds
-    ``[n]*m + [n-1]*m`` yields the same values, and leaves the generator in the
-    same state, as ``block_steps`` rounds of ``integers(0, n, m)`` then
-    ``integers(0, n - 1, m)``; a target at or above its source is shifted up by
-    one, so it never equals the source.
-    """
-    bounds = np.repeat([n, n - 1], m)
-    while True:
-        pairs = rng.integers(0, bounds, size=(block_steps, 2 * m))
-        sources, targets = pairs[:, :m], pairs[:, m:]
-        targets += targets >= sources
-        yield from zip(sources.tolist(), targets.tolist())
+# Most waits one block of trials draws at once (a block holds at least one trial).
+_BLOCK_VALUES = 1 << 13
 
 
 def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
                             trials: int) -> np.ndarray:
     """Agent simulation: float64 mean infected count per step n = 0..n_max across seeded trials.
 
-    Each step draws ``comms_per_interval`` uniformly random ordered pairs
-    (source != target, with replacement) and applies them sequentially, so an
-    infection can propagate onward within the same interval. A trial draws
-    nothing once every machine is infected. Deterministic for a fixed seed.
+    Each trial is drawn as the waits of the count chain (see the module
+    docstring): the k-th infection after the X0 initial ones falls at pair
+    index ``T = w_1 + ... + w_k``, that is in step ``ceil(T / M)``, with
+    ``w_j ~ Geometric(p(X0 + j - 1))``. Only the first
+    ``min(N - X0, n_max * M)`` infections can fall within n_max steps, since
+    each takes at least one pair, so a trial draws that many waits and no
+    more. Deterministic for a fixed seed.
 
-    The pairs are drawn a block of steps at a time, one ``integers`` call per
-    block, from a single stream shared by all trials: a trial that saturates
-    inside a block leaves the block's remaining steps to the next trial, which
-    is where a draw of one step at a time would have put them, so every curve
-    is the one that per-step draws give. A block holds at most
-    ``_BLOCK_DRAWS`` values but always at least one step, so the draws take
-    O(M) memory whatever ``n_max``. The infected flags are one Python list
-    of N entries, allocated once; a trial clears only the machines it infected.
+    Trials are drawn a block of rows at a time, one ``geometric`` call per
+    block, from one stream: the values come row by row, so the curve does
+    not depend on the block size. A block holds at most ``_BLOCK_VALUES``
+    waits but always at least one trial. The pair indices are summed in
+    float64, which cannot wrap; they are exact while below 2**53, and
+    ``geometric`` itself computes any wait above that in float64.
     """
-    check_int("trials", trials, 1)
+    check_int("trials", trials, 1, _MAX_SAMPLES)
     check_int("n_max", n_max, 0, _MAX_SAMPLES - 1)
     check_int("seed", seed, 0)
-    rng = np.random.default_rng(seed)
     n = params.n_computers
     m = params.comms_per_interval
     x0 = params.initial_infected
-    steps = _step_pairs(rng, n, m, max(1, _BLOCK_DRAWS // (2 * m)))
-    totals = np.zeros(n_max + 1, dtype=np.float64)
-    infected = [False] * n
-    for _ in range(trials):
-        hits = list(range(x0))  # the machines infected in this trial
-        for i in hits:
-            infected[i] = True
-        counts = [x0]
-        # Saturated (always so when N < 2, since x0 >= 1): no more draws.
-        while len(hits) < n and len(counts) <= n_max:
-            sources, targets = next(steps)
-            for s, t in zip(sources, targets):
-                if infected[s] and not infected[t]:
-                    infected[t] = True
-                    hits.append(t)
-            counts.append(len(hits))
-        for i in hits:
-            infected[i] = False
-        totals[:len(counts)] += counts
-        totals[len(counts):] += len(hits)
+    totals = np.empty(n_max + 1)  # allocated first: a count no memory holds fails here, at once
+    hist = np.zeros(n_max + 2, dtype=np.int64)  # infections per step; n_max + 1 is "later"
+    states = np.arange(x0, x0 + min(n - x0, n_max * m))
+    p = states / n * ((n - states) / (n - 1))  # N - X exact: int64 holds every count
+    rng = np.random.default_rng(seed)
+    if states.size:  # else saturated (X0 = N) or no step: the curve is X0 throughout
+        rows = max(1, _BLOCK_VALUES // states.size)
+        for done in range(0, trials, rows):
+            waits = rng.geometric(p, size=(min(rows, trials - done), states.size))
+            steps = np.ceil(np.cumsum(waits, axis=1, dtype=np.float64) / m)
+            hist += np.bincount(np.minimum(steps, n_max + 1).astype(np.intp).ravel(),
+                                minlength=n_max + 2)
+    np.cumsum(hist[:-1], out=totals)
+    totals += x0 * trials
     return totals / trials
 
 

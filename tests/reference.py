@@ -4,6 +4,9 @@ Parseval's energy is computed as ``bench/checks.py`` computes it from a run's
 spectrum; frame times are the window centres of :func:`radsim.spectral.stft`.
 Library templates are spelled as format 2.0 stores them (``template_f64``) and
 as 1.x stored them (``template_magnitudes``, a list of JSON numbers).
+The propagation model is simulated agent by agent, as the paper states it,
+and its infected count's exact distribution is pushed through the count
+chain one pair at a time.
 """
 
 from base64 import b64decode, b64encode
@@ -42,3 +45,62 @@ def as_version_1(doc, minor=1):
         entry["template_magnitudes"] = template_values(entry)
         del entry["template_f64"]
     return doc
+
+
+def reference_monte_carlo(params, seed, n_max, trials):
+    """The agent model machine by machine: mean infected count per step over ``trials``.
+
+    Each step draws ``comms_per_interval`` ordered pairs (two ``integers``
+    calls; a target at or above its source is shifted up by one, so it never
+    equals the source) and applies them in turn to an array of infected flags.
+    """
+    rng = np.random.default_rng(seed)
+    n = params.n_computers
+    m = params.comms_per_interval
+    totals = np.zeros(n_max + 1, dtype=np.float64)
+    for _ in range(trials):
+        infected = np.zeros(n, dtype=bool)
+        infected[: params.initial_infected] = True
+        count = params.initial_infected
+        totals[0] += count
+        for step in range(1, n_max + 1):
+            if count < n and n >= 2:
+                sources = rng.integers(0, n, size=m)
+                targets = rng.integers(0, n - 1, size=m)
+                targets = targets + (targets >= sources)
+                for s, t in zip(sources, targets):
+                    if infected[s] and not infected[t]:
+                        infected[t] = True
+                        count += 1
+            totals[step] += count
+    return totals / trials
+
+
+def exact_count_distribution(params, n_max):
+    """P(X_n = x) for steps n = 0..n_max (rows) and counts x = 0..N (columns).
+
+    One pair moves the count from x to x + 1 with probability
+    ``x (N - x) / (N (N - 1))`` and leaves it otherwise: a step is
+    ``comms_per_interval`` such two-diagonal updates.
+    """
+    n, x0 = params.n_computers, params.initial_infected
+    x = np.arange(n + 1.0)
+    p = x * (n - x) / (n * (n - 1.0)) if n > 1 else np.zeros(n + 1)
+    dist = np.zeros(n + 1)
+    dist[x0] = 1.0
+    rows = [dist]
+    for _ in range(n_max):
+        for _ in range(params.comms_per_interval):
+            moved = dist * p
+            dist = dist - moved
+            dist[1:] += moved[:-1]
+        rows.append(dist)
+    return np.array(rows)
+
+
+def exact_mean_and_variance(params, n_max):
+    """The infected count's exact mean and variance at steps 0..n_max."""
+    dist = exact_count_distribution(params, n_max)
+    x = np.arange(params.n_computers + 1.0)
+    mean = dist @ x
+    return mean, dist @ x ** 2 - mean ** 2

@@ -20,7 +20,7 @@ from radsim.recognition import (SignatureLibrary, classify, library_add, library
                                 library_save)
 from radsim.signals import SampledSignal
 from radsim.spectral import fft_magnitude
-from reference import parseval_energy
+from reference import exact_mean_and_variance, parseval_energy
 
 P100 = PropagationParams(n_computers=100, comms_per_interval=15, initial_infected=1)
 SPEC = CarrierSpec(center_frequency=2000.0, amplitude=1.0, initial_phase=0.0, sample_rate=48000.0)
@@ -73,17 +73,20 @@ def test_criterion_2_oracle_agreement():
     closed = np.array([expected_infected_closed_form(P100, n) for n in range(101)])
     ode_rel = np.max(np.abs(closed - np.array(ode_values)) / np.array(ode_values))
 
-    # Agent-model oracle, 200 trials. Seed pinned: the stochastic mean lags
-    # the deterministic logistic by up to ~17% near the inflection, so only
-    # a minority of 200-trial seeds sit inside +/-15%; this one does, with
-    # margin (max deviation ~11.6%).
-    mc = monte_carlo_propagation(P100, seed=109, n_max=100, trials=200)
-    mc_rel = np.max(np.abs(mc[10:81] - closed[10:81]) / closed[10:81])
+    # Agent-model oracle against the model's exact mean. The mean lags the
+    # deterministic logistic near the inflection (timing jitter across
+    # trials), by 12.4% of N here; the Monte Carlo mean stays within 6
+    # standard errors of the exact one on steps 10..80 (largest score 5.35
+    # over seeds 0..9999 at 1000 trials).
+    mean, variance = exact_mean_and_variance(P100, 100)
+    lag = np.max(np.abs(closed - mean)) / big_n
+    mc = monte_carlo_propagation(P100, seed=109, n_max=100, trials=1000)
+    mc_z = np.max(np.abs(mc - mean)[10:81] / np.sqrt(variance[10:81] / 1000))
 
     elapsed = time.perf_counter() - start
-    ok = ode_rel < 1e-6 and mc_rel < 0.15 and elapsed < 10.0
-    verdict(2, f"ODE rel err {ode_rel:.2e} < 1e-6, Monte Carlo dev {mc_rel:.3f} < 0.15 "
-               f"({elapsed:.2f}s)", ok)
+    ok = ode_rel < 1e-6 and lag <= 0.13 and mc_z < 6.0 and elapsed < 10.0
+    verdict(2, f"ODE rel err {ode_rel:.2e} < 1e-6, exact-mean lag {lag:.3f} N <= 0.13 N, "
+               f"Monte Carlo {mc_z:.2f} < 6 standard errors ({elapsed:.2f}s)", ok)
 
 
 def test_criterion_3_noiseless_round_trips():

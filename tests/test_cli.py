@@ -196,12 +196,15 @@ def test_unallocatable_signal_is_one_line_error(tmp_path, capsys, args):
     ["propagate", "--n", "10", "--m", "2", "--steps", str(2 ** 62), "--out", "{out}"],
     ["propagate", "--n", "10", "--m", str(2 ** 62), "--method", "montecarlo", "--out", "{out}"],
     ["propagate", "--n", str(10 ** 23), "--m", "2", "--method", "montecarlo", "--out", "{out}"],
+    ["propagate", "--n", "1", "--m", "1", "--method", "montecarlo", "--trials", str(10 ** 400),
+     "--out", "{out}"],
     ["propagate", "--n", "100", "--m", str(10 ** 400), "--out", "{out}"],
     ["spectrum", "--in", "{signal}", "--fft-size", str(2 ** 62), "--out", "{out}"],
     ["library-add", "--library", "{out}", "--label", "x", "--in", "{signal}",
      "--fft-size", str(2 ** 100)],
 ], ids=["payload-bits", "propagate-steps", "propagate-montecarlo-m", "propagate-montecarlo-n",
-        "propagate-closed-m", "spectrum-fft-size", "library-fft-size"])
+        "propagate-montecarlo-trials", "propagate-closed-m", "spectrum-fft-size",
+        "library-fft-size"])
 def test_oversized_integer_is_one_line_error(tmp_path, capsys, args):
     # Integers that size arrays are bounded by the largest array length.
     signal, out = tmp_path / "sig.f64", tmp_path / "out"

@@ -10,36 +10,10 @@ from radsim.errors import ParameterError
 from radsim.propagation import (PropagationParams, expected_infected_closed_form,
                                 inflection_time, monte_carlo_propagation, simulate_curve,
                                 step_recurrence, write_curve_csv)
+from radsim.signals import _MAX_SAMPLES
+from reference import exact_count_distribution, exact_mean_and_variance, reference_monte_carlo
 
 P100 = PropagationParams(n_computers=100, comms_per_interval=15, initial_infected=1)
-
-
-def reference_monte_carlo(params, seed, n_max, trials):
-    """Two ``integers`` calls per step and a pair loop over numpy arrays.
-
-    monte_carlo_propagation must return exactly this mean curve: it draws the
-    same random stream in blocks of steps.
-    """
-    rng = np.random.default_rng(seed)
-    n = params.n_computers
-    m = params.comms_per_interval
-    totals = np.zeros(n_max + 1, dtype=np.float64)
-    for _ in range(trials):
-        infected = np.zeros(n, dtype=bool)
-        infected[: params.initial_infected] = True
-        count = params.initial_infected
-        totals[0] += count
-        for step in range(1, n_max + 1):
-            if count < n and n >= 2:
-                sources = rng.integers(0, n, size=m)
-                targets = rng.integers(0, n - 1, size=m)
-                targets = targets + (targets >= sources)
-                for s, t in zip(sources, targets):
-                    if infected[s] and not infected[t]:
-                        infected[t] = True
-                        count += 1
-            totals[step] += count
-    return totals / trials
 
 
 def rk4_logistic(params, n_max, h=0.01):
@@ -232,15 +206,44 @@ class TestMonteCarlo:
         assert np.all(v <= 100.0)
 
     def test_tracks_closed_form(self):
-        # Seed pinned: the agent model's mean trajectory systematically lags
-        # the logistic curve around its inflection (S-curve timing jitter
-        # across trials plus per-interval target collisions), by up to ~17%
-        # at 10k trials. At 200 trials roughly one seed in five stays within
-        # the +/-15% band checked here; see also the acceptance suite.
-        mc = monte_carlo_propagation(P100, seed=109, n_max=100, trials=200)
+        # The agent model's mean lags the logistic near the inflection (timing
+        # jitter across trials): its exact mean does, by 12.4% of N here.
         cf = np.array([expected_infected_closed_form(P100, n) for n in range(101)])
-        rel = np.abs(mc[10:81] - cf[10:81]) / cf[10:81]
-        assert rel.max() < 0.15
+        mean, variance = exact_mean_and_variance(P100, 100)
+        assert np.max(np.abs(cf - mean)) <= 0.13 * 100
+        # Standard scores of the Monte Carlo mean against the exact one on
+        # steps 10..80. At 1000 trials the largest over those steps was 5.35
+        # on seeds 0..9999 (99.9% of seeds below 4.22), and 3.48 for the agent
+        # loop on seeds 0..299. The logistic itself scores 16.9 and the
+        # recurrence 14.0. The saturated tail (steps >= 90) is left out: its
+        # variance is so small that scores there reach 10.2 on those seeds.
+        mc = monte_carlo_propagation(P100, seed=109, n_max=100, trials=1000)
+        z = (mc - mean)[10:81] / np.sqrt(variance[10:81] / 1000)
+        assert np.max(np.abs(z)) < 6.0
+
+    def test_comms_per_interval_at_its_bound(self):
+        # n_max * M is about 2**63.3: neither the horizon nor a step may wrap.
+        curve = monte_carlo_propagation(PropagationParams(3, _MAX_SAMPLES // 2, 1), 0, 20, 5)
+        assert np.array_equal(curve, [1.0] + [3.0] * 20)
+
+    def test_many_machines_few_pairs(self):
+        # A trial draws at most n_max * M = 12 waits, whatever N. Each is
+        # Geometric(about 1e-12), so no infection falls inside the 4 steps.
+        curve = monte_carlo_propagation(PropagationParams(10 ** 12, 3, 1), 0, 4, 50)
+        assert np.array_equal(curve, np.ones(5))
+
+    def test_pair_indices_past_int64(self):
+        # 100 000 waits of about N/k pairs each (k = N - X), summing to about
+        # 12 N, or 1.5 * 2**63: the sums must not wrap, and every trial
+        # saturates within the 40 steps of N/2 pairs. About 670 machines are
+        # still clean after step 10; p(X) computed from X rounded to float64
+        # (ulp 256 here) would have infected them long before.
+        big_n = _MAX_SAMPLES
+        params = PropagationParams(big_n, big_n // 2, big_n - 100_000)
+        curve = monte_carlo_propagation(params, 0, 40, 5)
+        assert curve[0] == pytest.approx(params.initial_infected, rel=1e-15)
+        assert np.all(np.diff(curve) >= 0) and curve[-1] == float(big_n)
+        assert big_n - curve[10] > 256
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -253,45 +256,57 @@ class TestMonteCarlo:
             monte_carlo_propagation(P100, seed=-1, n_max=5, trials=1)
 
 
+def assert_mean_of_counts(curve, params, trials):
+    """``curve`` is a nondecreasing mean of whole counts in [X0, N] over ``trials``."""
+    assert curve[0] == params.initial_infected
+    assert np.all(np.diff(curve) >= 0)
+    assert np.all(curve <= params.n_computers)
+    assert np.array_equal(np.round(curve * trials) / trials, curve)
+
+
 class TestMonteCarloMatchesReference:
+    """The count chain against the agent loop and the exact law of the count."""
+
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 60), m=st.integers(1, 200), data=st.data(),
-           n_max=st.integers(0, 80), trials=st.integers(1, 5),
+           n_max=st.integers(0, 80), trials=st.integers(1, 300),
            seed=st.integers(0, 2 ** 128))
     def test_any_input(self, n, m, data, n_max, trials, seed):
         params = PropagationParams(n, m, data.draw(st.integers(1, n), label="x0"))
-        got = monte_carlo_propagation(params, seed, n_max, trials)
-        assert np.array_equal(got, reference_monte_carlo(params, seed, n_max, trials))
+        assert_mean_of_counts(monte_carlo_propagation(params, seed, n_max, trials), params, trials)
 
-    @pytest.mark.parametrize("params, n_max, trials", [
-        (PropagationParams(2, 3, 1), 10, 4),
-        (PropagationParams(2, 50, 1), 1, 10),
-        (PropagationParams(1, 1, 1), 5, 3),
-        (PropagationParams(5, 3, 5), 8, 2),
-        (PropagationParams(40, 7, 1), 0, 3),
+    @pytest.mark.parametrize("params, n_max, trials, final", [
+        (PropagationParams(2, 3, 1), 10, 4, 2.0),  # P(a trial ends at 1) = 2^-30
+        (PropagationParams(2, 50, 1), 1, 10, 2.0),  # P(a trial ends at 1) = 2^-50
+        (PropagationParams(1, 1, 1), 5, 3, 1.0),
+        (PropagationParams(5, 3, 5), 8, 2, 5.0),
+        (PropagationParams(40, 7, 1), 0, 3, 1.0),
     ], ids=["n2", "n2-many-comms", "n1", "x0-is-n", "n_max-0"])
-    def test_edge_cases(self, params, n_max, trials):
-        got = monte_carlo_propagation(params, 5, n_max, trials)
-        assert np.array_equal(got, reference_monte_carlo(params, 5, n_max, trials))
+    def test_edge_cases(self, params, n_max, trials, final):
+        for simulate in (monte_carlo_propagation, reference_monte_carlo):
+            curve = simulate(params, 5, n_max, trials)
+            assert_mean_of_counts(curve, params, trials)
+            assert curve.shape == (n_max + 1,) and curve[-1] == final
 
-    def test_several_blocks_saturating_inside_one(self):
-        params = PropagationParams(1000, 300, 1)
-        block = propagation._BLOCK_DRAWS // (2 * params.comms_per_interval)
-        # The first trial alone: it runs past one block and saturates inside
-        # a later one, so the next trial starts mid-block.
-        first = reference_monte_carlo(params, 22, 60, 1)
-        saturated_at = int(np.argmax(first == params.n_computers))
-        assert block < saturated_at < 60 and saturated_at % block != 0
-        got = monte_carlo_propagation(params, 22, 60, 3)
-        assert np.array_equal(got, reference_monte_carlo(params, 22, 60, 3))
+    def test_agrees_in_distribution(self):
+        # The count after 2 steps at (N, M, X0) = (6, 3, 1), one trial per
+        # seed, from both simulations, against its exact law.
+        params, seeds = PropagationParams(6, 3, 1), 10_000
+        expected = exact_count_distribution(params, 2)[-1, 1:] * seeds
+        for simulate in (reference_monte_carlo, monte_carlo_propagation):
+            counts = [int(simulate(params, seed, 2, 1)[-1]) for seed in range(seeds)]
+            observed = np.bincount(counts, minlength=7)[1:]
+            # Chi-square on the counts 1..6: 5 degrees of freedom, P(> 25.74) = 1e-4.
+            assert np.sum((observed - expected) ** 2 / expected) < 25.74
 
-    @pytest.mark.parametrize("block_draws", [1, 7, 64, 1000])
-    def test_small_blocks(self, monkeypatch, block_draws):
-        monkeypatch.setattr(propagation, "_BLOCK_DRAWS", block_draws)
-        for params, n_max, trials in ((P100, 60, 4), (PropagationParams(20, 3, 2), 40, 5),
-                                      (PropagationParams(2, 1, 1), 6, 3)):
-            got = monte_carlo_propagation(params, 8, n_max, trials)
-            assert np.array_equal(got, reference_monte_carlo(params, 8, n_max, trials))
+    @pytest.mark.parametrize("block_values", [1, 7, 64, 1000])
+    def test_small_blocks(self, monkeypatch, block_values):
+        cases = ((P100, 60, 25), (PropagationParams(20, 3, 2), 40, 11),
+                 (PropagationParams(2, 1, 1), 6, 9))
+        expected = [monte_carlo_propagation(p, 8, n_max, trials) for p, n_max, trials in cases]
+        monkeypatch.setattr(propagation, "_BLOCK_VALUES", block_values)
+        for (params, n_max, trials), want in zip(cases, expected):
+            assert np.array_equal(monte_carlo_propagation(params, 8, n_max, trials), want)
 
 
 def test_curve_csv_round_trip(tmp_path):
