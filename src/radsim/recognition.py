@@ -7,11 +7,14 @@ template's name, otherwise "unknown". The decision statistic is the template
 correlation alone. Time/frequency features are for inspection: ``radsim
 features`` extracts them from a signal, and the library does not store them.
 
-Matching spectra are block-averaged: the signal is cut into disjoint
-``fft_size`` blocks whose one-sided magnitudes are averaged (a short signal
-is zero-padded into a single block). Templates are stored normalized to unit
-energy. Libraries persist as versioned JSON with stable key order. Each entry
-holds a label, its template and metadata. Format 2.0 stores a template as
+A matching spectrum is the mean of the signal's rectangular STFT frames at
+hop ``fft_size``: the one-sided magnitudes of its disjoint ``fft_size``
+blocks, averaged. A trailing partial block is dropped, and a signal shorter
+than ``fft_size`` is zero-padded into one frame. Templates are stored
+normalized to unit energy.
+
+Libraries persist as versioned JSON with stable key order. Each entry holds a
+label, its template and metadata. Format 2.0 stores a template as
 ``template_f64``, the base64 text of its magnitudes as little-endian float64
 (the bytes of a ``.f64`` file); 1.x files store ``template_magnitudes``, a list
 of JSON numbers, and still load. Either way templates survive bit-exactly. An
@@ -36,8 +39,8 @@ import numpy as np
 from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, RadsimError,
                      ShapeError, check_int, check_real)
 from .signals import SampledSignal, _read_json, _write_json
-from .spectral import (Spectrum, _bin_frequencies, _check_fft_size, _one_sided_magnitudes,
-                       fft_magnitude, find_peaks)
+from .spectral import (Spectrum, _bin_frequencies, _check_fft_size, _frame_magnitudes,
+                       _one_sided_magnitudes, fft_magnitude, find_peaks)
 
 __all__ = [
     "FeatureVector",
@@ -208,19 +211,27 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
 
 
 def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -> Spectrum:
-    """Magnitude spectrum averaged over disjoint fft_size blocks, unit energy.
+    """Mean of the rectangular STFT frames at hop ``fft_size``, normalised to unit energy.
 
-    The blocks' |rfft| are summed and scaled once; as ``fft_size`` is a power of two,
-    that is exact unless a scaled block magnitude is subnormal or the sum overflows.
+    The frames are the signal's disjoint ``fft_size`` blocks, as
+    ``stft(signal, fft_size, fft_size, "rectangular")`` takes them: a trailing
+    partial block is dropped, and a signal shorter than ``fft_size`` is
+    zero-padded into one frame. The frames' |rfft| are summed and scaled once;
+    as ``fft_size`` is a power of two, that equals the mean of the STFT's rows
+    bit for bit unless a scaled magnitude is subnormal or the sum overflows.
     A spectrum whose energy is 0 or overflows float64 raises :class:`ParameterError`.
     """
     _check_fft_size(fft_size)
     if len(signal) < 2:
         raise ShapeError(f"signal must have at least 2 samples, got {len(signal)}")
-    n_blocks = max(1, len(signal) // fft_size)
-    blocks = signal.samples[:n_blocks * fft_size].reshape(n_blocks, -1)
-    total = np.abs(np.fft.rfft(blocks, n=fft_size, axis=1)).sum(axis=0)
-    mean = _one_sided_magnitudes(total, fft_size, out=total) / n_blocks
+    samples = signal.samples
+    if len(samples) < fft_size:
+        samples = np.zeros(fft_size)
+        samples[:len(signal)] = signal.samples
+    frames = _frame_magnitudes(samples, fft_size, fft_size, "rectangular")
+    total = frames.sum(axis=0)
+    _one_sided_magnitudes(total, fft_size)
+    mean = total / len(frames)
     energy = math.sqrt(float(np.sum(mean ** 2)))
     if not 0.0 < energy < math.inf:  # the root is 0 or inf exactly when the sum is
         raise ParameterError(f"signal spectrum energy is {energy}; cannot normalize")

@@ -128,16 +128,13 @@ class SpectralPeak:
     bin_index: int
 
 
-def _one_sided_magnitudes(transform: np.ndarray, fft_size: int,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """Scale the last axis of an rfft result; rows of a matrix are frames."""
-    mags = np.abs(transform, out=out)
+def _one_sided_magnitudes(mags: np.ndarray, fft_size: int) -> None:
+    """Scale |rfft| values in place to one-sided magnitudes; rows of a matrix are frames."""
     mags /= fft_size
     if fft_size % 2 == 0:
         mags[..., 1:-1] *= 2.0
     else:
         mags[..., 1:] *= 2.0
-    return mags
 
 
 def _check_fft_size(fft_size: int) -> None:
@@ -159,12 +156,14 @@ def fft_magnitude(signal: SampledSignal, fft_size: int | None = None) -> Spectru
         fft_size = len(signal)
     else:
         _check_fft_size(fft_size)
-    mags = _one_sided_magnitudes(np.fft.rfft(signal.samples, n=fft_size), fft_size)
+    mags = np.abs(np.fft.rfft(signal.samples, n=fft_size))
+    _one_sided_magnitudes(mags, fft_size)
     return Spectrum(mags, signal.sample_rate, fft_size)
 
 
+# Each window's taper of a given length; a rectangular window has none to apply.
 _WINDOWS = {
-    "rectangular": np.ones,
+    "rectangular": None,
     "hann": np.hanning,
 }
 
@@ -177,7 +176,7 @@ def _check_window(window_length: int, hop: int, window: str) -> None:
         raise ParameterError(f"unknown window {window!r} (expected one of {sorted(_WINDOWS)})")
 
 
-# Frames tapered and transformed per block in :func:`stft`.
+# Frames tapered and transformed per block in :func:`_frame_magnitudes`.
 _STFT_BLOCK_FRAMES = 512
 # Magnitudes (frames x bins) a spectrogram may hold per signal sample; the default grid holds ~1.
 _STFT_MAX_PER_SAMPLE = 64
@@ -194,19 +193,39 @@ def _check_stft(window_length: int, hop: int, window: str, n_samples: int) -> No
                          f"magnitudes per sample of the {n_samples}-sample signal")
 
 
+def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
+                      window: str) -> np.ndarray:
+    """Unscaled |rfft| of every ``hop``-spaced ``window_length`` frame, one row per frame.
+
+    A frame starts at each multiple of ``hop`` that leaves ``window_length``
+    samples; there must be at least one. A block of frames is tapered and
+    transformed at a time, so the tapered copies and their transforms never
+    take more than one block's workspace; each row's rfft is the same.
+    """
+    n_frames = (len(samples) - window_length) // hop + 1
+    if hop == window_length:  # disjoint frames: a reshape is the cheapest view of them
+        frames = samples[:n_frames * hop].reshape(n_frames, hop)
+    else:
+        frames = np.lib.stride_tricks.sliding_window_view(samples, window_length)[::hop]
+    taper = _WINDOWS[window]
+    if taper is not None:
+        taper = taper(window_length)
+    mags = np.empty((n_frames, window_length // 2 + 1))
+    for start in range(0, n_frames, _STFT_BLOCK_FRAMES):
+        # Rebinding ``block`` frees the last block's tapered copy before the next is made.
+        block = frames[start:start + _STFT_BLOCK_FRAMES]
+        if taper is not None:
+            block = block * taper
+        np.abs(np.fft.rfft(block, axis=1), out=mags[start:start + _STFT_BLOCK_FRAMES])
+    return mags
+
+
 def stft(signal: SampledSignal, window_length: int, hop: int,
          window: str = "hann") -> Spectrogram:
     """Short-time Fourier transform; frame times mark window centers."""
     _check_stft(window_length, hop, window, len(signal))
-    taper = _WINDOWS[window](window_length)
-    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop]
-    mags = np.empty((len(frames), window_length // 2 + 1))
-    # A block of frames at a time, so the tapered copies and their transforms
-    # never take more than one block's workspace; each row's rfft is the same.
-    for start in range(0, len(frames), _STFT_BLOCK_FRAMES):
-        block = slice(start, start + _STFT_BLOCK_FRAMES)
-        _one_sided_magnitudes(np.fft.rfft(frames[block] * taper, axis=1), window_length,
-                              out=mags[block])
+    mags = _frame_magnitudes(signal.samples, window_length, hop, window)
+    _one_sided_magnitudes(mags, window_length)
     return Spectrogram(mags, signal.sample_rate, window_length, hop, window)
 
 

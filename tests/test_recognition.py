@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from radsim import recognition
+from radsim import recognition, spectral
 from radsim.channel import ChannelParams, apply_channel
 from radsim.codec import random_payload
 from radsim.errors import ConfigurationError, ConflictError, ParameterError, ParseError, ShapeError
@@ -17,7 +17,7 @@ from radsim.recognition import (UNKNOWN_LABEL, FeatureVector, SignatureLibrary, 
                                 extract_features, library_add, library_load, library_save,
                                 matching_spectrum, spectral_correlation)
 from radsim.signals import SampledSignal
-from radsim.spectral import Spectrum, fft_magnitude, find_peaks
+from radsim.spectral import Spectrum, fft_magnitude, find_peaks, stft
 from reference import as_version_1
 
 SPEC = CarrierSpec(2000.0, 1.0, 0.0, 48000.0)
@@ -218,9 +218,9 @@ class TestMatchingSpectrum:
     @pytest.mark.parametrize("n, fft_size, scale", [
         (100, 4096, 1.0), (4096, 4096, 1.0), (3 * 4096, 4096, 1.0), (3 * 4096 + 1234, 4096, 1.0),
         (30, 64, 1.0), (12 * 64 + 5, 64, 1.0), (3 * 4096 + 1234, 4096, 1e-150),
-        (12 * 64 + 5, 64, 1e-150),
+        (12 * 64 + 5, 64, 1e-150), (3 * 4096 + 1234, 4096, 1e140),
     ], ids=["short", "one-block", "exact-multiple", "remainder", "short-64", "remainder-64",
-            "remainder-1e-150", "remainder-64-1e-150"])
+            "remainder-1e-150", "remainder-64-1e-150", "remainder-1e140"])
     def test_equals_per_block_fft_loop(self, n, fft_size, scale):
         signal = SampledSignal(48000.0, scale * white_noise(31, n=n).samples)
         n_blocks = max(1, n // fft_size)
@@ -231,7 +231,29 @@ class TestMatchingSpectrum:
             acc += fft_magnitude(block, fft_size=fft_size).magnitudes
         mean = acc / n_blocks
         expected = mean / math.sqrt(float(np.sum(mean ** 2)))
-        assert matching_spectrum(signal, fft_size).magnitudes.tobytes() == expected.tobytes()
+        matched = matching_spectrum(signal, fft_size).magnitudes
+        assert matched.tobytes() == expected.tobytes()
+        if n >= fft_size:
+            # The mean of the rectangular STFT frames at hop fft_size, normalised.
+            frames = stft(signal, fft_size, fft_size, "rectangular").magnitudes
+            mean = frames.sum(axis=0) / len(frames)
+            expected = mean / math.sqrt(float(np.sum(mean ** 2)))
+            assert matched.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [100, 3 * 4096 + 1234])
+    def test_strided_samples_match_a_copy(self, n):
+        samples = white_noise(12, n=2 * n).samples[::2]
+        spectra = [matching_spectrum(SampledSignal(48000.0, s)) for s in (samples, samples.copy())]
+        assert spectra[0].magnitudes.tobytes() == spectra[1].magnitudes.tobytes()
+
+    def test_memory_is_the_frame_matrix_and_one_block(self, traced_peak):
+        fft_size = 64
+        signal = white_noise(6, n=1100 * fft_size)
+        frames, bins = len(signal) // fft_size, fft_size // 2 + 1
+        assert frames > 2 * spectral._STFT_BLOCK_FRAMES
+        # The frames' magnitudes (float64), and one block of their rfft (complex128).
+        bound = frames * bins * 8 + spectral._STFT_BLOCK_FRAMES * bins * 16
+        assert traced_peak(lambda: matching_spectrum(signal, fft_size)) <= bound + 64 * 1024
 
     def test_too_short(self):
         with pytest.raises(ShapeError):

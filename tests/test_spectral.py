@@ -233,6 +233,14 @@ class TestStft:
         assert np.all(pre == f0_bin)
         assert np.all(post == f1_bin)
 
+    @pytest.mark.parametrize("window_length, hop, window", [
+        (256, 256, "rectangular"), (256, 100, "rectangular"), (256, 128, "hann")])
+    def test_strided_samples_match_a_copy(self, window_length, hop, window):
+        samples = np.random.default_rng(9).standard_normal(2 * 5000)[::2]
+        grams = [stft(SampledSignal(1000.0, s), window_length, hop, window)
+                 for s in (samples, samples.copy())]
+        assert grams[0].magnitudes.tobytes() == grams[1].magnitudes.tobytes()
+
     def test_rectangular_disjoint_blocks_match_fft(self):
         rng = np.random.default_rng(8)
         sig = SampledSignal(1000.0, rng.standard_normal(1024))
@@ -257,16 +265,19 @@ class TestStft:
         assert len(frames) > 2 * spectral._STFT_BLOCK_FRAMES
         assert np.array_equal(stft(signal, window_length, hop).magnitudes, transform)
 
-    def test_memory_is_one_block_beyond_the_output(self, traced_peak):
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    def test_memory_is_one_block_beyond_the_output(self, traced_peak, window):
         window_length, hop = 256, 128
         signal = SampledSignal(48000.0, np.random.default_rng(4).standard_normal(1024 * 192))
         frames = (len(signal) - window_length) // hop + 1
         assert frames > 2 * spectral._STFT_BLOCK_FRAMES
         bins = window_length // 2 + 1
         output = frames * bins * 8
-        # Per block: the tapered frames (float64) and their rfft (complex128).
-        workspace = spectral._STFT_BLOCK_FRAMES * (window_length * 8 + bins * 16)
-        peak = traced_peak(lambda: stft(signal, window_length, hop))
+        # Per block: the tapered frames (float64), if the window tapers, and their
+        # rfft (complex128).
+        tapered = window_length * 8 if window == "hann" else 0
+        workspace = spectral._STFT_BLOCK_FRAMES * (tapered + bins * 16)
+        peak = traced_peak(lambda: stft(signal, window_length, hop, window))
         assert peak <= output + workspace + 64 * 1024  # 64 KiB: taper and frame times
 
     def test_window_longer_than_signal(self):
