@@ -21,7 +21,8 @@ susceptible targets, over N (N - 1) ordered pairs), and the pair draws are
 independent, so which machines are infected never matters. From the
 infection that makes X machines infected, the number of pairs up to the next
 infection is therefore Geometric(p(X)), independent of the other waits, and
-a trial is fixed by its waits alone.
+a trial is fixed by its waits alone. The Monte Carlo draws each wait by
+inversion from one standard exponential.
 
 The recurrence view is a discrete logistic map: it stays monotone and
 bounded by N only while M <= N. For larger M it can overshoot, and
@@ -112,8 +113,17 @@ def inflection_time(params: PropagationParams) -> float:
     return (big_n / params.comms_per_interval) * math.log((big_n - x0) / x0)
 
 
-# Most waits one block of trials draws at once (a block holds at least one trial).
+# Most waits one block of trials draws at once (a block holds at least one trial,
+# or one chunk of a trial that needs more).
 _BLOCK_VALUES = 1 << 13
+
+
+def _wait_rates(start: int, stop: int, n: int) -> np.ndarray:
+    """``-log(1 - p(X))`` for X = start..stop-1: a wait at X is ``ceil(E / rate)``, E ~ Exp(1)."""
+    states = np.arange(start, stop)
+    p = states / n * ((n - states) / (n - 1))  # N - X exact: int64 holds every count
+    np.log1p(np.negative(p, out=p), out=p)
+    return np.negative(p, out=p)
 
 
 def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
@@ -128,12 +138,22 @@ def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
     each takes at least one pair, so a trial draws that many waits and no
     more. Deterministic for a fixed seed.
 
-    Trials are drawn a block of rows at a time, one ``geometric`` call per
-    block, from one stream: the values come row by row, so the curve does
-    not depend on the block size. A block holds at most ``_BLOCK_VALUES``
-    waits but always at least one trial. The pair indices are summed in
-    float64, which cannot wrap; they are exact while below 2**53, and
-    ``geometric`` itself computes any wait above that in float64.
+    A wait is drawn by inversion, ``ceil(E / -log(1 - p))`` from one standard
+    exponential E (Devroye 1986, section X.2), with the logarithm taken once
+    per state. This is how numpy's ``Generator.geometric`` draws any
+    p < 1/3, so for N >= 5, where p(X) <= N / (4 (N - 1)) < 1/3, the curve is
+    the one ``geometric`` draws would give, unless a wait passes 2**63
+    (``geometric`` clamps it there) or numpy's vector ``log1p`` and the C
+    library's differ in the last place just where a quotient meets an integer.
+
+    Trials are drawn a block of rows at a time, one ``standard_exponential``
+    call per block into one reused buffer, from one stream: the values come
+    row by row, so the curve does not depend on the block size. A block
+    holds at most ``_BLOCK_VALUES`` waits but always at least one trial; a
+    trial that needs more is drawn in chunks of ``_BLOCK_VALUES`` waits, each
+    chunk's pair indices continuing from the last, so memory stays bounded
+    by the block whatever N and M are. The pair indices are summed in
+    float64, which cannot wrap; they are exact while below 2**53.
     """
     check_int("trials", trials, 1, _MAX_SAMPLES)
     check_int("n_max", n_max, 0, _MAX_SAMPLES - 1)
@@ -143,16 +163,31 @@ def monte_carlo_propagation(params: PropagationParams, seed: int, n_max: int,
     x0 = params.initial_infected
     totals = np.empty(n_max + 1)  # allocated first: a count no memory holds fails here, at once
     hist = np.zeros(n_max + 2, dtype=np.int64)  # infections per step; n_max + 1 is "later"
-    states = np.arange(x0, x0 + min(n - x0, n_max * m))
-    p = states / n * ((n - states) / (n - 1))  # N - X exact: int64 holds every count
+    count = min(n - x0, n_max * m)  # waits per trial
     rng = np.random.default_rng(seed)
-    if states.size:  # else saturated (X0 = N) or no step: the curve is X0 throughout
-        rows = max(1, _BLOCK_VALUES // states.size)
+    if count:  # else saturated (X0 = N) or no step: the curve is X0 throughout
+        rows = max(1, _BLOCK_VALUES // count)
+        cols = min(count, _BLOCK_VALUES)
+        rates = _wait_rates(x0, x0 + count, n) if count == cols else None
+        buffer = np.empty(min(rows, trials) * cols)
         for done in range(0, trials, rows):
-            waits = rng.geometric(p, size=(min(rows, trials - done), states.size))
-            steps = np.ceil(np.cumsum(waits, axis=1, dtype=np.float64) / m)
-            hist += np.bincount(np.minimum(steps, n_max + 1).astype(np.intp).ravel(),
-                                minlength=n_max + 2)
+            block_rows = min(rows, trials - done)
+            reached = 0.0  # pair index of the last infection drawn in this trial
+            for start in range(x0, x0 + count, cols):
+                stop = min(start + cols, x0 + count)
+                if count > cols:  # chunks of one trial: each makes its own rates
+                    rates = _wait_rates(start, stop, n)
+                block = buffer[:block_rows * (stop - start)].reshape(block_rows, stop - start)
+                rng.standard_exponential(out=block)
+                np.divide(block, rates, out=block)
+                np.ceil(block, out=block)
+                block[0, 0] += reached
+                np.cumsum(block, axis=1, out=block)
+                reached = block[0, -1]
+                block /= m
+                np.ceil(block, out=block)
+                np.minimum(block, n_max + 1, out=block)
+                hist += np.bincount(block.astype(np.intp).ravel(), minlength=n_max + 2)
     np.cumsum(hist[:-1], out=totals)
     totals += x0 * trials
     return totals / trials

@@ -200,7 +200,8 @@ def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
     A frame starts at each multiple of ``hop`` that leaves ``window_length``
     samples; there must be at least one. A block of frames is tapered and
     transformed at a time, so the tapered copies and their transforms never
-    take more than one block's workspace; each row's rfft is the same.
+    take more than one block's workspace; each row's rfft is the same. The
+    tapered blocks share one buffer, so its pages are faulted in once.
     """
     n_frames = (len(samples) - window_length) // hop + 1
     if hop == window_length:  # disjoint frames: a reshape is the cheapest view of them
@@ -210,12 +211,12 @@ def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
     taper = _WINDOWS[window]
     if taper is not None:
         taper = taper(window_length)
+        tapered = np.empty((min(n_frames, _STFT_BLOCK_FRAMES), window_length))
     mags = np.empty((n_frames, window_length // 2 + 1))
     for start in range(0, n_frames, _STFT_BLOCK_FRAMES):
-        # Rebinding ``block`` frees the last block's tapered copy before the next is made.
         block = frames[start:start + _STFT_BLOCK_FRAMES]
-        if taper is not None:
-            block = block * taper
+        if taper is not None:  # every block is tapered into the same buffer
+            block = np.multiply(block, taper, out=tapered[:len(block)])
         np.abs(np.fft.rfft(block, axis=1), out=mags[start:start + _STFT_BLOCK_FRAMES])
     return mags
 
@@ -233,6 +234,10 @@ def _check_peak_options(relative_threshold: float, min_separation: float) -> Non
     """Reject a peak threshold outside (0, 1] or a negative peak spacing."""
     check_real("relative_threshold", relative_threshold, 0, 1, "(]")
     check_real("min_separation", min_separation, 0)
+
+
+# Candidates per peak of a ``limit`` that :func:`find_peaks` first orders.
+_PEAK_WINDOW = 4
 
 
 def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
@@ -254,7 +259,10 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     With a ``limit``, keeping stops once that many peaks are kept. As peaks
     are kept from the strongest down, they are the ``limit`` strongest of
     the unlimited result (ties toward lower frequency), still returned
-    sorted by frequency. :func:`radsim.recognition.extract_features` asks
+    sorted by frequency. Only the strongest ``_PEAK_WINDOW * limit``
+    candidates (ties at the cut included) are ordered and thinned at first;
+    the window doubles until ``limit`` peaks are kept or it holds every
+    candidate. :func:`radsim.recognition.extract_features` asks
     for its 5 dominant peaks only; ``radsim peaks`` and a run's
     ``peaks.csv`` keep every peak.
     """
@@ -280,18 +288,29 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
         run_ends = np.append(np.flatnonzero(m[:-1] != m[1:]), m.size - 1)
         ends = run_ends[np.searchsorted(run_ends, starts)]
     candidates = starts[(ends == m.size - 1) | (m.take(ends + 1, mode="clip") < m[starts])]
-    # Candidates ascend in frequency, so a stable sort breaks ties toward the lower one.
-    order = candidates[np.argsort(-m[candidates], kind="stable")]
-    kept_freqs: list[float] = []
-    kept_bins: list[int] = []
-    for k, fk in zip(order.tolist(), _bin_frequencies(order, spectrum).tolist()):
-        i = bisect_left(kept_freqs, fk)
-        if ((i == 0 or fk - kept_freqs[i - 1] >= min_separation)
-                and (i == len(kept_freqs) or kept_freqs[i] - fk >= min_separation)):
-            kept_freqs.insert(i, fk)
-            kept_bins.insert(i, k)
-            if len(kept_bins) == limit:
-                break
+    values = m[candidates]
+    window = candidates.size if limit is None else _PEAK_WINDOW * limit
+    while True:
+        # The window's strongest candidates, with every tie at its cut: a prefix
+        # of all candidates in descending magnitude. They ascend in frequency,
+        # so a stable sort breaks ties toward the lower one.
+        order = candidates
+        if window < candidates.size:
+            order = candidates[values >= np.partition(values, -window)[-window]]
+        order = order[np.argsort(-m[order], kind="stable")]
+        kept_freqs: list[float] = []
+        kept_bins: list[int] = []
+        for k, fk in zip(order.tolist(), _bin_frequencies(order, spectrum).tolist()):
+            i = bisect_left(kept_freqs, fk)
+            if ((i == 0 or fk - kept_freqs[i - 1] >= min_separation)
+                    and (i == len(kept_freqs) or kept_freqs[i] - fk >= min_separation)):
+                kept_freqs.insert(i, fk)
+                kept_bins.insert(i, k)
+                if len(kept_bins) == limit:
+                    break
+        if len(kept_bins) == limit or order.size == candidates.size:
+            break
+        window *= 2  # thinning left fewer than ``limit``: widen the prefix and thin it again
     return [SpectralPeak(f, v, k)
             for f, v, k in zip(kept_freqs, m[kept_bins].tolist(), kept_bins)]
 

@@ -1,6 +1,7 @@
 import tracemalloc
 
-import numpy.fft  # noqa: F401 -- numpy 2 imports it on first use; not inside a traced call
+import numpy.fft  # noqa: F401 -- numpy 2 imports these on first use; not inside a traced call
+import numpy.random  # noqa: F401
 import pytest
 
 

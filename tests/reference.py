@@ -5,8 +5,8 @@ spectrum; frame times are the window centres of :func:`radsim.spectral.stft`.
 Library templates are spelled as format 2.0 stores them (``template_f64``) and
 as 1.x stored them (``template_magnitudes``, a list of JSON numbers).
 The propagation model is simulated agent by agent, as the paper states it,
-and its infected count's exact distribution is pushed through the count
-chain one pair at a time.
+and by numpy's geometric sampler on the count chain's waits; its infected
+count's exact distribution is pushed through the chain one pair at a time.
 """
 
 from base64 import b64decode, b64encode
@@ -74,6 +74,28 @@ def reference_monte_carlo(params, seed, n_max, trials):
                         count += 1
             totals[step] += count
     return totals / trials
+
+
+def geometric_monte_carlo(params, seed, n_max, trials):
+    """The count chain's waits from ``Generator.geometric``, a block of trials per call.
+
+    The k-th infection after the X0 initial ones falls in step
+    ``ceil((w_1 + ... + w_k) / M)`` with ``w_j ~ Geometric(p(X0 + j - 1))``;
+    a trial draws ``min(N - X0, n_max * M)`` waits, all in one row.
+    """
+    n, m, x0 = params.n_computers, params.comms_per_interval, params.initial_infected
+    hist = np.zeros(n_max + 2, dtype=np.int64)
+    states = np.arange(x0, x0 + min(n - x0, n_max * m))
+    p = states / n * ((n - states) / (n - 1))
+    rng = np.random.default_rng(seed)
+    if states.size:
+        rows = max(1, (1 << 13) // states.size)
+        for done in range(0, trials, rows):
+            waits = rng.geometric(p, size=(min(rows, trials - done), states.size))
+            steps = np.ceil(np.cumsum(waits, axis=1, dtype=np.float64) / m)
+            hist += np.bincount(np.minimum(steps, n_max + 1).astype(np.intp).ravel(),
+                                minlength=n_max + 2)
+    return (np.cumsum(hist[:-1]) + x0 * trials) / trials
 
 
 def exact_count_distribution(params, n_max):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from radsim.propagation import (PropagationParams, expected_infected_closed_form
                                 inflection_time, monte_carlo_propagation, simulate_curve,
                                 step_recurrence, write_curve_csv)
 from radsim.signals import _MAX_SAMPLES
-from reference import exact_count_distribution, exact_mean_and_variance, reference_monte_carlo
+from reference import (exact_count_distribution, exact_mean_and_variance, geometric_monte_carlo,
+                       reference_monte_carlo)
 
 P100 = PropagationParams(n_computers=100, comms_per_interval=15, initial_infected=1)
 
@@ -298,6 +300,47 @@ class TestMonteCarloMatchesReference:
             observed = np.bincount(counts, minlength=7)[1:]
             # Chi-square on the counts 1..6: 5 degrees of freedom, P(> 25.74) = 1e-4.
             assert np.sum((observed - expected) ** 2 / expected) < 25.74
+
+    def test_agrees_in_distribution_below_five_machines(self):
+        # At N = 4, p(2) = 1/3: numpy's geometric sampler would search uniforms
+        # there, while the waits are drawn by inversion. The count after
+        # 2 steps at (N, M, X0) = (4, 2, 1), one trial per seed, against its law.
+        params, seeds = PropagationParams(4, 2, 1), 10_000
+        expected = exact_count_distribution(params, 2)[-1, 1:] * seeds
+        counts = [int(monte_carlo_propagation(params, seed, 2, 1)[-1]) for seed in range(seeds)]
+        observed = np.bincount(counts, minlength=5)[1:]
+        # Chi-square on the counts 1..4: 3 degrees of freedom, P(> 21.11) = 1e-4.
+        assert np.sum((observed - expected) ** 2 / expected) < 21.11
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.one_of(st.integers(5, 200), st.integers(5, 2 ** 40)), m=st.integers(1, 500),
+           n_max=st.integers(0, 60), trials=st.integers(1, 12), seed=st.integers(0, 2 ** 64),
+           block_values=st.sampled_from([1, 5, 64, propagation._BLOCK_VALUES]), data=st.data())
+    def test_geometric_sampler_from_five_machines(self, n, m, n_max, trials, seed, block_values,
+                                                  data):
+        # For p < 1/3, numpy's geometric draws ceil(E / -log1p(-p)) from one
+        # standard exponential E, and p(X) <= N / (4 (N - 1)) < 1/3 once N >= 5.
+        # Small blocks split a trial's waits into chunks.
+        x0 = data.draw(st.one_of(st.integers(1, 3), st.integers(1, n)), label="x0")
+        params = PropagationParams(n, m, x0)
+        with mock.patch.object(propagation, "_BLOCK_VALUES", block_values):
+            curve = monte_carlo_propagation(params, seed, n_max, trials)
+        assert np.array_equal(curve, geometric_monte_carlo(params, seed, n_max, trials))
+
+    def test_trial_in_chunks(self):
+        # 19 999 waits per trial: three chunks of at most 8192, pair indices
+        # carried across each chunk edge, as one geometric row sums them.
+        params = PropagationParams(20_000, 100, 1)
+        assert min(params.n_computers - 1, 200 * 100) > 2 * propagation._BLOCK_VALUES
+        for seed in (0, 1):
+            assert np.array_equal(monte_carlo_propagation(params, seed, 200, 3),
+                                  geometric_monte_carlo(params, seed, 200, 3))
+
+    def test_memory_bounded_by_the_block(self, traced_peak):
+        # A million waits per trial, drawn a block at a time: a million-state
+        # array alone would be 8 MB.
+        params = PropagationParams(10 ** 6 + 1, 10 ** 6, 1)
+        assert traced_peak(lambda: monte_carlo_propagation(params, 0, 2, 2)) < 1_000_000
 
     @pytest.mark.parametrize("block_values", [1, 7, 64, 1000])
     def test_small_blocks(self, monkeypatch, block_values):

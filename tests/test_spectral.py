@@ -387,6 +387,42 @@ class TestFindPeaks:
         assert ([(p.frequency, p.magnitude, p.bin_index) for p in limited]
                 == strongest(reference, limit))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 3)),
+                    min_size=20, max_size=150),
+           st.booleans(), st.floats(0.0, 1.0, exclude_min=True),
+           st.sampled_from([0.0, 1.0, 3.0, 0.05, 0.2, 0.5]), st.integers(1, 8))
+    def test_limit_keeps_the_strongest_of_the_unlimited(self, runs, strongest_first, threshold,
+                                                       spacing, limit):
+        # 20 to 150 peaks on six levels, each after a gap of zeros and one to
+        # three bins wide: ties at every level, and plateaus. Separations of
+        # 1 or 3 bins, or of up to half the spectrum, reject most of the
+        # strongest candidates, above all when they come first, close
+        # together: then the first window keeps fewer than ``limit`` peaks and
+        # must widen.
+        if strongest_first:
+            runs = sorted(runs, key=lambda run: -run[1])
+        values = [v for gap, level, width in runs for v in [0] * gap + [level] * width] + [0]
+        separation = spacing if spacing >= 1 else spacing * len(values)
+        fft_size = 2 * (len(values) - 1)
+        spectrum = Spectrum(np.array(values, dtype=float), float(fft_size), fft_size)
+        unlimited = find_peaks(spectrum, threshold, separation)
+        limited = find_peaks(spectrum, threshold, separation, limit=limit)
+        assert ([(p.frequency, p.magnitude, p.bin_index) for p in limited]
+                == strongest([(p.frequency, p.magnitude, p.bin_index) for p in unlimited], limit))
+
+    def test_window_widens_past_thinned_candidates(self):
+        # Twelve strong peaks 2 Hz apart, then a weak one at 50 Hz: 30 Hz apart,
+        # only the strongest of the twelve survives, so the second peak lies
+        # beyond the first 4 * 2 candidates.
+        mags = np.zeros(61)
+        mags[2:26:2] = 1.0 - 0.01 * np.arange(12)
+        mags[50] = 0.5
+        spectrum = Spectrum(mags, sample_rate=120.0, fft_size=120)  # 1 Hz bins
+        assert spectral._PEAK_WINDOW * 2 < 12
+        peaks = find_peaks(spectrum, relative_threshold=0.1, min_separation=30.0, limit=2)
+        assert [p.bin_index for p in peaks] == [2, 50]
+
     @pytest.mark.parametrize("limit", [0, -1, True, 2.5, "5"])
     def test_limit_validated(self, limit):
         spectrum = fft_magnitude(cosine(10.0, 100.0, 100))
