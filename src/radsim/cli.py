@@ -4,12 +4,15 @@ Every subcommand writes machine-readable output to the file paths named in
 its flags and prints a short human summary to stdout. All randomness flows
 from explicit ``--seed`` flags (default 0, never wall-clock). Exit codes:
 0 success, 2 usage error (argparse), 1 runtime/domain error with a one-line
-diagnostic on stderr and no file written: every check precedes the first write.
+diagnostic on stderr and no new file left: every check precedes the first
+write, and :func:`main` removes the outputs a failed command made.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -21,7 +24,7 @@ from .channel import ChannelParams, apply_channel, measure_snr
 from .errors import ConfigurationError, RadsimError
 from .modulation import (DEMODULATORS, MODULATORS, CarrierSpec, compose_emitted,
                          generate_carrier)
-from .signals import _read_json, _read_text, _write_json, read_signal, write_signal
+from .signals import _read_json, _read_text, _write_json, read_signal, sidecar_path, write_signal
 
 
 _DEFAULTS = pipeline.DEFAULT_CONFIG
@@ -53,7 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "signature-based recognition.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("propagate", help="simulate the expected-infection curve")
+    def command(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("propagate", _cmd_propagate, help="simulate the expected-infection curve")
     p.add_argument("--n", type=int, required=True, help="computer count N")
     p.add_argument("--m", type=int, required=True, help="communications per unit time M")
     p.add_argument("--x0", type=int, default=1, help="initially infected count")
@@ -63,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="curve CSV output path")
 
-    p = sub.add_parser("payload", help="generate or convert a binary payload")
+    p = command("payload", _cmd_payload, help="generate or convert a binary payload")
     src = p.add_mutually_exclusive_group()
     src.add_argument("--bits", type=int, help="generate this many random bits")
     src.add_argument("--hex", help="hex string to expand into bits")
@@ -72,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--out", required=True, help="bit text file output path")
 
-    p = sub.add_parser("encode", help="Manchester-encode bits and/or render a rectangular waveform")
+    p = command("encode", _cmd_encode,
+                help="Manchester-encode bits and/or render a rectangular waveform")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
     p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--manchester-out", help="half-bit level text file output")
@@ -81,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high", type=float, default=1.0, help="rectangular high level")
     p.add_argument("--low", type=float, default=0.0, help="rectangular low level")
 
-    p = sub.add_parser("modulate", help="modulate a bit stream onto a carrier")
+    p = command("modulate", _cmd_modulate, help="modulate a bit stream onto a carrier")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
     p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--scheme", choices=sorted(MODULATORS), required=True)
@@ -91,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reset FSK phase at bit boundaries (literal per-bit cosines)")
     p.add_argument("--out", required=True, help="signal output path (raw f64 + JSON sidecar)")
 
-    p = sub.add_parser("demodulate", help="recover bits from a modulated signal")
+    p = command("demodulate", _cmd_demodulate, help="recover bits from a modulated signal")
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--scheme", choices=sorted(DEMODULATORS), required=True)
     p.add_argument("--n-bits", type=int, required=True)
@@ -100,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expected", help="bit text file to compare against (prints BER)")
     p.add_argument("--out", required=True, help="decoded bit text file output")
 
-    p = sub.add_parser("channel", help="apply attenuation and additive Gaussian noise")
+    p = command("channel", _cmd_channel, help="apply attenuation and additive Gaussian noise")
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--attenuation-db", type=float, default=0.0)
     noise = p.add_mutually_exclusive_group(required=True)
@@ -109,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="signal output path")
 
-    p = sub.add_parser("spectrum", help="FFT magnitude spectrum or STFT spectrogram")
+    p = command("spectrum", _cmd_spectrum, help="FFT magnitude spectrum or STFT spectrogram")
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--fft-size", type=int, help="power-of-two FFT size (default: full length)")
     p.add_argument("--stft", action="store_true", help="write an STFT spectrogram instead")
@@ -118,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", choices=list(spectral._WINDOWS), default=_DEFAULTS.stft_window_type)
     p.add_argument("--out", required=True, help="output path (f64 + JSON sidecar)")
 
-    p = sub.add_parser("peaks", help="detect spectral peaks")
+    p = command("peaks", _cmd_peaks, help="detect spectral peaks")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile", help="signal input path (FFT computed here)")
     src.add_argument("--spectrum", help="spectrum input path (f64 + JSON sidecar)")
@@ -126,11 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-separation", type=float, default=0.0, help="Hz")
     p.add_argument("--out", required=True, help="peaks CSV output path")
 
-    p = sub.add_parser("features", help="extract a feature vector from a signal")
+    p = command("features", _cmd_features, help="extract a feature vector from a signal")
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--out", required=True, help="feature JSON output path")
 
-    p = sub.add_parser("library-add", help="add a labeled template signal to a signature library")
+    p = command("library-add", _cmd_library_add,
+                help="add a labeled template signal to a signature library")
     p.add_argument("--library", required=True, help="library JSON path (created if missing)")
     p.add_argument("--label", required=True)
     p.add_argument("--in", dest="infile", required=True, help="template signal input path")
@@ -139,16 +149,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", action="append", default=[], metavar="KEY=VALUE",
                    help="metadata entry (repeatable)")
 
-    p = sub.add_parser("library-list", help="list the entries of a signature library")
+    p = command("library-list", _cmd_library_list, help="list the entries of a signature library")
     p.add_argument("--library", required=True)
 
-    p = sub.add_parser("classify", help="classify a signal against a signature library")
+    p = command("classify", _cmd_classify, help="classify a signal against a signature library")
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--library", required=True)
     p.add_argument("--threshold", type=float, default=recognition.DEFAULT_THRESHOLD)
     p.add_argument("--out", help="optional classification JSON output path")
 
-    p = sub.add_parser("run", help="run the full pipeline experiment")
+    p = command("run", _cmd_run, help="run the full pipeline experiment")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--config", help="experiment config JSON path")
     source.add_argument("--defaults", action="store_true", help="use the built-in default config")
@@ -179,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="classification threshold")
     p.add_argument("--out", dest="output_dir", required=True, help="output directory")
 
-    p = sub.add_parser("evaluate", help="score a one-template-per-scheme library on noisy probes")
+    p = command("evaluate", _cmd_evaluate,
+                help="score a one-template-per-scheme library on noisy probes")
     p.add_argument("--snr-db", type=float, default=15.0, help="probe SNR at the channel output")
     p.add_argument("--probes", type=int, default=50,
                    help="probes per scheme, and white-noise probes (at most 1000)")
@@ -226,13 +237,15 @@ def _cmd_encode(args) -> int:
     stream = codec.read_bits(args.infile, args.bit_rate)
     if args.rect_out is not None:
         wave = codec.rectangular_waveform(stream, args.sample_rate, args.high, args.low)
+    summary = []  # printed once every file is written
     if args.manchester_out is not None:
         encoded = codec.manchester_encode(stream)
         codec.write_bits(encoded, args.manchester_out)
-        print(f"wrote {args.manchester_out}: {len(encoded)} half-bit levels")
+        summary.append(f"wrote {args.manchester_out}: {len(encoded)} half-bit levels")
     if args.rect_out is not None:
         write_signal(wave, args.rect_out)
-        print(f"wrote {args.rect_out}: {len(wave)} samples at {wave.sample_rate} Hz")
+        summary.append(f"wrote {args.rect_out}: {len(wave)} samples at {wave.sample_rate} Hz")
+    print("\n".join(summary))
     return 0
 
 
@@ -415,32 +428,30 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "propagate": _cmd_propagate,
-    "payload": _cmd_payload,
-    "encode": _cmd_encode,
-    "modulate": _cmd_modulate,
-    "demodulate": _cmd_demodulate,
-    "channel": _cmd_channel,
-    "spectrum": _cmd_spectrum,
-    "peaks": _cmd_peaks,
-    "features": _cmd_features,
-    "library-add": _cmd_library_add,
-    "library-list": _cmd_library_list,
-    "classify": _cmd_classify,
-    "run": _cmd_run,
-    "evaluate": _cmd_evaluate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The output files, sidecars included, that do not exist yet: a command
+    # that fails removes those it made.
+    outputs = [getattr(args, flag, None) for flag in ("out", "manchester_out", "rect_out")]
+    new = [path for out in outputs if out is not None
+           for path in (Path(out), sidecar_path(out)) if not os.path.lexists(path)]
+    code = 1
+    try:
+        code = _handle(args)
+    finally:
+        if code != 0:
+            for path in new:
+                with contextlib.suppress(OSError):
+                    path.unlink()
+    return code
+
+
+def _handle(args) -> int:
     try:
         # Values that overflow float64 stop the command here instead of printing
         # a numpy warning per operation before some later check fails.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _COMMANDS[args.command](args)
+            return args.handler(args)
     except FloatingPointError as e:
         print(f"error: the input's values are out of float64 range: {e}", file=sys.stderr)
         return 1

@@ -5,7 +5,7 @@ Conventions:
 * carriers are cosines ``A * cos(2*pi*fc*t + theta0)``; their samples are
   read-only and shared: the last carrier is kept (one carrier's memory,
   about 25 MB after a 16384-bit run), and asking for it again returns the
-  same array;
+  same signal;
 * FSK signals bit 0 at ``fc - bit_rate/2`` and bit 1 at ``fc + bit_rate/2``,
   phase-continuous across bit boundaries by default (``phase_continuous=False``
   restores the literal per-bit cosine definition);
@@ -65,10 +65,7 @@ class CarrierSpec:
         check_real("amplitude", self.amplitude, 0, _MAX_AMPLITUDE, "(]")
         check_real("initial_phase", self.initial_phase)
         check_real("sample_rate", self.sample_rate, 0, bounds="()")
-        if self.center_frequency > 0 and self.sample_rate <= 2 * self.center_frequency:
-            raise ConfigurationError(
-                f"sample_rate {self.sample_rate} violates Nyquist for carrier at "
-                f"{self.center_frequency} Hz (needs > {2 * self.center_frequency})")
+        _check_nyquist(self, self.center_frequency)
 
 
 def _check_nyquist(spec: CarrierSpec, max_frequency: float) -> None:
@@ -86,8 +83,9 @@ def samples_per_bit(spec: CarrierSpec, bit_rate: float) -> int:
 def generate_carrier(spec: CarrierSpec, duration: float) -> SampledSignal:
     """Pure carrier tone of the given duration (sample count = round(duration*fs)).
 
-    The samples are read-only and shared: the last carrier asked for is kept,
-    and asking for it again returns the same array without computing it.
+    The signal and its read-only samples are shared: the last carrier asked
+    for is kept, and asking for it again returns the same signal object
+    without computing or checking it.
     """
     check_real("duration", duration, 0, bounds="(]")
     _check_length(duration * spec.sample_rate)
@@ -95,13 +93,15 @@ def generate_carrier(spec: CarrierSpec, duration: float) -> SampledSignal:
     if n == 0:
         raise ParameterError(f"duration {duration!r} s is under half a sample at "
                              f"{spec.sample_rate} Hz: the carrier would have no samples")
-    return SampledSignal(spec.sample_rate, _carrier_samples(spec, n))
+    return _carrier(spec.sample_rate, spec, n)
 
 
 # One entry serves the repeats that occur: a keyed signal composed with its carrier.
-@functools.lru_cache(maxsize=1)
-def _carrier_samples(spec: CarrierSpec, n: int) -> np.ndarray:
-    """The carrier's first n samples A*cos(2*pi*fc*t + theta0), read-only."""
+# Typed, so equal specs whose rates differ in type (48000 and 48000.0) do not share
+# a signal: its rate goes into every sidecar written from it.
+@functools.lru_cache(maxsize=1, typed=True)
+def _carrier(sample_rate: float, spec: CarrierSpec, n: int) -> SampledSignal:
+    """The carrier's first n samples A*cos(2*pi*fc*t + theta0), read-only, as a signal."""
     # Evaluated in one array, in the order (and so with the rounding) of that
     # expression. fc is taken as a float64, so specs that compare equal give
     # the same samples.
@@ -112,7 +112,7 @@ def _carrier_samples(spec: CarrierSpec, n: int) -> np.ndarray:
     np.cos(samples, out=samples)
     samples *= spec.amplitude
     samples.flags.writeable = False
-    return samples
+    return SampledSignal(sample_rate, samples)
 
 
 def _fsk_tones(spec: CarrierSpec, bit_rate: float) -> tuple[float, float]:

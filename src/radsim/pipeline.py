@@ -19,9 +19,8 @@ bias the per-bit correlators.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
-import os
-import shutil
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -34,7 +33,7 @@ from .errors import ConfigurationError, ConflictError, check_int, check_real
 from .modulation import CarrierSpec
 from .recognition import (DEFAULT_FFT_SIZE, DEFAULT_THRESHOLD, UNKNOWN_LABEL, ClassificationResult,
                           SignatureLibrary, classify, library_add, library_load)
-from .signals import _MAX_SAMPLES, SampledSignal, _write_json, write_signal
+from .signals import _MAX_SAMPLES, SampledSignal, _commit, _write_json, write_signal
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "config_from_json", "DEFAULT_CONFIG", "RecognitionBenchmark",
@@ -121,35 +120,29 @@ def config_from_json(doc: dict) -> ExperimentConfig:
 def run_experiment(config: ExperimentConfig, output_dir) -> ExperimentReport:
     """Run the full chain and write all artifacts into ``output_dir``.
 
-    ``report.json`` is ``asdict`` of the returned report. The run dir is
-    committed at one point. ``output_dir`` must not exist or must be an
-    empty directory, else :class:`ConflictError` is raised before any work.
-    Every artifact is written into a hidden sibling ``.<name>.<token>.partial``,
-    which is renamed onto ``output_dir`` only after ``report.json`` is
-    written. On any exception the sibling is removed and the exception
-    re-raised, so a failed run leaves no ``output_dir``; only a killed
-    process can leave the ``.partial`` sibling. Missing parent directories
-    are made; a failed run removes them again, deepest first, as far as they
-    are empty.
+    ``report.json`` is ``asdict`` of the returned report. ``output_dir`` must
+    not exist or must be an empty directory, else :class:`ConflictError` is
+    raised before any work. The run dir is committed at one point by
+    :func:`signals._commit`, once ``report.json`` is written, so a failed run
+    leaves no ``output_dir``. Missing parent directories are made; a failed
+    run removes them again, deepest first, as far as they are empty.
     """
     out = Path(output_dir)
     if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
         raise ConflictError(f"{out} exists and is not an empty directory")
-    missing = [parent for parent in out.parents if not parent.exists()]  # deepest first
-    partial = out.parent / f".{out.name}.{os.urandom(8).hex()}.partial"
+    missing = []  # the parents the run makes, deepest first
     try:
-        # Made by mkdir, not tempfile.mkdtemp, so the committed dir has the mode
-        # a plain mkdir gives rather than 0700.
-        partial.mkdir(parents=True)
-        report = _write_run(config, partial)
-        os.replace(partial, out)
+        with _commit(out) as partial:
+            missing = list(itertools.takewhile(lambda parent: not parent.exists(), partial.parents))
+            # Made by mkdir, not tempfile.mkdtemp, so a new run dir has the mode
+            # a plain mkdir gives rather than 0700.
+            partial.mkdir(parents=True)
+            return _write_run(config, partial)
     except BaseException:
-        shutil.rmtree(partial, ignore_errors=True)
         for parent in missing:
             with contextlib.suppress(OSError):  # not empty: another process uses it
                 parent.rmdir()
         raise
-    return report
 
 
 def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:

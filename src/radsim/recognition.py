@@ -25,20 +25,16 @@ skipped.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import shutil
 from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, RadsimError,
                      ShapeError, check_int, check_real)
-from .signals import SampledSignal, _read_json, _write_json
+from .signals import SampledSignal, _commit, _read_json, _write_json
 from .spectral import (Spectrum, _bin_frequencies, _check_fft_size, _frame_magnitudes,
                        _one_sided_magnitudes, fft_magnitude, find_peaks)
 
@@ -289,13 +285,10 @@ def library_add(library: SignatureLibrary, label: str, signal: SampledSignal,
 
 
 def library_save(library: SignatureLibrary, path) -> None:
-    """Write the library as format 2.0, committed at one point.
+    """Write the library as format 2.0, committed at one point by :func:`signals._commit`.
 
-    The document is written into a hidden sibling ``.<name>.<token>.partial``,
-    which is renamed onto ``path`` only once it is whole. On any exception the
-    sibling is removed, so ``path`` keeps its old bytes; only a killed process
-    can leave the sibling. A symlink at ``path`` is followed, and a replaced
-    file keeps its permission bits.
+    A failed save leaves ``path`` with its old bytes. A symlink at ``path`` is
+    followed, and a replaced file keeps its permission bits.
     """
     doc = {
         "format": LIBRARY_FORMAT,
@@ -312,16 +305,8 @@ def library_save(library: SignatureLibrary, path) -> None:
             for e in library.entries
         ],
     }
-    target = Path(os.path.realpath(path))
-    partial = target.parent / f".{target.name}.{os.urandom(8).hex()}.partial"
-    try:
+    with _commit(path) as partial:
         _write_json(partial, doc)
-        with contextlib.suppress(FileNotFoundError):  # a new library takes the default mode
-            shutil.copymode(target, partial)
-        os.replace(partial, target)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
 
 
 def _template_values(key: str, stored) -> np.ndarray:

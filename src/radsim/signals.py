@@ -8,12 +8,17 @@ the same way (see ``spectral.write_spectrum``), with a shape in place of a
 length.
 
 All JSON goes through :func:`_read_json` and :func:`_write_json`: strict, no ``NaN``.
+A file or directory that must appear whole or not at all (a run directory, a
+signature library) is built under :func:`_commit`, the one commit protocol.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,6 +111,31 @@ def _read_json(path) -> dict:
 def _write_json(path, doc: dict) -> None:
     """Write ``doc`` as indented JSON with sorted keys; a non-finite float raises ValueError."""
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+@contextlib.contextmanager
+def _commit(path):
+    """Yield a hidden sibling ``.<name>.<token>.partial`` of ``path``, and rename it onto ``path``.
+
+    The block builds the sibling, a file or a directory; when it ends, the
+    sibling takes the mode of what ``path`` holds, if anything, and is renamed
+    onto it, so ``path`` changes at one point. On any exception the sibling is
+    removed and the exception re-raised, leaving ``path`` as it was; only a
+    killed process can leave the sibling. A symlink at ``path`` is followed.
+    """
+    target = Path(os.path.realpath(path))
+    partial = target.parent / f".{target.name}.{os.urandom(8).hex()}.partial"
+    try:
+        yield partial
+        with contextlib.suppress(FileNotFoundError):  # a new target takes the default mode
+            shutil.copymode(target, partial)
+        os.replace(partial, target)
+    except BaseException:
+        if partial.is_dir():
+            shutil.rmtree(partial, ignore_errors=True)
+        else:
+            partial.unlink(missing_ok=True)
+        raise
 
 
 def sidecar_path(path) -> Path:

@@ -123,6 +123,56 @@ def test_failed_command_writes_nothing(tmp_path, capsys, args):
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
+# Every subcommand that writes a file, failing at its write. ``nodir`` does not
+# exist; ``side.f64.json`` is a directory where a pair writer puts its sidecar.
+_FAILING_WRITES = {
+    "propagate": ["propagate", "--n", "10", "--m", "2", "--steps", "5", "--out", "nodir/c.csv"],
+    "payload": ["payload", "--bits", "8", "--out", "nodir/b.txt"],
+    "encode-manchester": ["encode", "--in", "bits.txt", "--manchester-out", "nodir/m.txt"],
+    "encode-rect": ["encode", "--in", "bits.txt", "--rect-out", "nodir/r.f64"],
+    "encode-both": ["encode", "--in", "bits.txt", "--manchester-out", "ok.txt",
+                    "--rect-out", "nodir/rect.f64"],
+    "modulate": ["modulate", "--in", "bits.txt", "--scheme", "psk", "--out", "nodir/s.f64"],
+    "demodulate": ["demodulate", "--in", "sig.f64", "--scheme", "fsk", "--n-bits", "64",
+                   "--out", "nodir/d.txt"],
+    "channel": ["channel", "--in", "sig.f64", "--snr-db", "10", "--out", "nodir/n.f64"],
+    "spectrum": ["spectrum", "--in", "sig.f64", "--out", "nodir/s.f64"],
+    "spectrum-stft": ["spectrum", "--in", "sig.f64", "--stft", "--out", "nodir/s.f64"],
+    "peaks": ["peaks", "--in", "sig.f64", "--out", "nodir/p.csv"],
+    "features": ["features", "--in", "sig.f64", "--out", "nodir/f.json"],
+    "library-add": ["library-add", "--library", "nodir/lib.json", "--label", "x", "--in", "sig.f64"],
+    "classify": ["classify", "--in", "sig.f64", "--library", "lib.json", "--out", "nodir/c.json"],
+    "evaluate": ["evaluate", "--probes", "1", "--out", "nodir/e.json"],
+    # run makes the missing parents of --out, so its parent is a file here.
+    "run": ["run", "--defaults", "--out", "bits.txt/exp"],
+    "sidecar-dir-encode": ["encode", "--in", "bits.txt", "--rect-out", "side.f64"],
+    "sidecar-dir-encode-both": ["encode", "--in", "bits.txt", "--manchester-out", "ok.txt",
+                                "--rect-out", "side.f64"],
+    "sidecar-dir-modulate": ["modulate", "--in", "bits.txt", "--scheme", "psk", "--out", "side.f64"],
+    "sidecar-dir-channel": ["channel", "--in", "sig.f64", "--snr-db", "10", "--out", "side.f64"],
+    "sidecar-dir-spectrum": ["spectrum", "--in", "sig.f64", "--out", "side.f64"],
+    "sidecar-dir-spectrum-stft": ["spectrum", "--in", "sig.f64", "--stft", "--out", "side.f64"],
+}
+
+
+@pytest.mark.parametrize("argv", _FAILING_WRITES.values(), ids=_FAILING_WRITES)
+def test_failed_write_leaves_the_directory_as_it_was(tmp_path, monkeypatch, capsys, argv):
+    # Before main removed what a failed command made, encode-both and every
+    # sidecar-dir case left the file written before the failing one.
+    monkeypatch.chdir(tmp_path)
+    stream = random_payload(7, 64, 250.0)
+    Path("bits.txt").write_text("".join(map(str, stream.bits)) + "\n")
+    signal = fsk_modulate(stream, CarrierSpec(2000.0))
+    write_signal(signal, "sig.f64")
+    library_save(library_add(SignatureLibrary(), "fsk", signal), "lib.json")
+    Path("side.f64.json").mkdir()
+    listing = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1  # a warning or a traceback would fail here
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == listing
+
+
 @pytest.mark.parametrize("args", [
     ["modulate", "--in", "{bits}", "--scheme", "fsk", "--out", "{out}"],
     ["modulate", "--in", "{bits}", "--scheme", "psk", "--out", "{out}"],

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,10 +158,20 @@ class TestCarrierCache:
         n = 4096 * 192
         first = generate_carrier(SPEC, n / SPEC.sample_rate)
         peak = traced_peak(lambda: generate_carrier(SPEC, n / SPEC.sample_rate))
-        again = generate_carrier(SPEC, n / SPEC.sample_rate)
-        assert again.samples is first.samples
+        again = generate_carrier(replace(SPEC), n / SPEC.sample_rate)  # an equal spec
+        assert again is first
         assert not again.samples.flags.writeable
         assert peak < 0.01 * n * 8
+
+    @pytest.mark.parametrize("first, second", [(48000.0, 48000), (48000, 48000.0)],
+                             ids=["float-then-int", "int-then-float"])
+    def test_a_rate_keeps_its_type(self, first, second):
+        # The rate goes into the sidecar of every signal built on the carrier:
+        # 48000 and 48000.0 are equal specs, but not the same JSON.
+        modulation._carrier.cache_clear()
+        generate_carrier(CarrierSpec(2000.0, sample_rate=first), 0.25)
+        carrier = generate_carrier(CarrierSpec(2000.0, sample_rate=second), 0.25)
+        assert type(carrier.sample_rate) is type(second)
 
     def test_samples_cannot_be_written(self):
         carrier = generate_carrier(SPEC, 0.01)
@@ -197,7 +208,7 @@ class TestCarrierCache:
         # It compares equal to the float64 spec, so both must give its samples.
         narrow = CarrierSpec(np.float32(2000.0), 1.0, 0.0, 48000.0)
         assert narrow == SPEC
-        modulation._carrier_samples.cache_clear()
+        modulation._carrier.cache_clear()
         for spec in (narrow, SPEC, narrow):
             carrier = generate_carrier(spec, 0.5)
             assert carrier.samples.tobytes() == carrier_formula(SPEC, 24000).tobytes()
@@ -395,7 +406,7 @@ class TestKeyed:
         # output; a repeat, as when the emitter adds the carrier, only the output.
         payload = random_payload(3, 4096, RATE)
         size = 4096 * 192 * 8
-        modulation._carrier_samples.cache_clear()
+        modulation._carrier.cache_clear()
         assert traced_peak(lambda: MODULATORS[scheme](payload, SPEC)) <= 2.1 * size
         assert traced_peak(lambda: MODULATORS[scheme](payload, SPEC)) <= 1.1 * size
 

@@ -179,6 +179,37 @@ class TestCommit:
         (tmp_path / "plain").mkdir()
         assert (tmp_path / "exp").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
+    def test_an_empty_dir_keeps_its_mode(self, tmp_path):
+        (tmp_path / "exp").mkdir()
+        (tmp_path / "exp").chmod(0o750)
+        run_default(tmp_path)
+        assert (tmp_path / "exp").stat().st_mode & 0o777 == 0o750
+        assert (tmp_path / "exp" / "report.json").is_file()
+
+    def test_a_symlinked_out_fills_the_link_target(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        (tmp_path / "exp").symlink_to(target)
+        run_default(tmp_path)
+        assert (tmp_path / "exp").is_symlink()
+        assert (target / "report.json").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp", "target"]
+
+    def test_a_failed_run_through_a_dangling_link_removes_the_parents_it_made(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "exp").symlink_to(tmp_path / "far" / "away" / "exp")
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("late")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(spectral, "write_peaks_csv", fail)
+            with pytest.raises(RuntimeError, match="late"):
+                run_default(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["exp"]
+        run_default(tmp_path)
+        assert (tmp_path / "far" / "away" / "exp" / "report.json").is_file()
+
 
 class TestConfig:
     def test_json_round_trip(self):

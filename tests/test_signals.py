@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from radsim.errors import ParameterError, ParseError, ShapeError
-from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
+from radsim.signals import SampledSignal, _commit, read_signal, sidecar_path, write_signal
 
 
 def random_signal(seed=0, n=257, rate=48000.0):
@@ -109,3 +110,73 @@ class TestRawFormat:
         with pytest.raises(ParseError, match="unknown format tag"):
             read_signal(path)
 
+
+
+def fill(partial, kind, text):
+    """Build a file, or a directory holding ``a.txt``, at ``partial``."""
+    if kind == "dir":
+        partial.mkdir()
+        (partial / "a.txt").write_text(text)
+    else:
+        partial.write_text(text)
+
+
+def content(path, kind):
+    return (path / "a.txt" if kind == "dir" else path).read_text()
+
+
+@pytest.mark.parametrize("kind", ["file", "dir"])
+class TestCommit:
+    def test_sibling_is_renamed_onto_the_target(self, tmp_path, kind):
+        target = tmp_path / "out"
+        with _commit(target) as partial:
+            assert partial.parent == tmp_path.resolve()
+            assert re.fullmatch(r"\.out\.[0-9a-f]{16}\.partial", partial.name)
+            assert not target.exists()
+            fill(partial, kind, "new")
+        assert content(target, kind) == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_a_new_target_takes_the_default_mode(self, tmp_path, kind):
+        with _commit(tmp_path / "out") as partial:
+            fill(partial, kind, "new")
+        fill(tmp_path / "plain", kind, "plain")
+        assert (tmp_path / "out").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_a_replaced_target_keeps_its_mode(self, tmp_path, kind):
+        target = tmp_path / "out"
+        fill(target, kind, "old")
+        if kind == "dir":
+            (target / "a.txt").unlink()  # a run dir replaces only an empty directory
+        target.chmod(0o750)
+        with _commit(target) as partial:
+            fill(partial, kind, "new")
+        assert content(target, kind) == "new"
+        assert target.stat().st_mode & 0o777 == 0o750
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_exception_removes_the_sibling(self, tmp_path, kind, error):
+        target = tmp_path / "out"
+        fill(target, kind, "old")
+        target.chmod(0o750)
+        with pytest.raises(error, match="late"):
+            with _commit(target) as partial:
+                fill(partial, kind, "new")
+                raise error("late")
+        assert content(target, kind) == "old"
+        assert target.stat().st_mode & 0o777 == 0o750
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_a_symlink_is_followed(self, tmp_path, kind):
+        target, link = tmp_path / "target", tmp_path / "link"
+        if kind == "dir":
+            target.mkdir()
+        else:
+            target.write_text("old")
+        link.symlink_to(target)
+        with _commit(link) as partial:
+            assert partial.parent == tmp_path.resolve() and partial.name.startswith(".target.")
+            fill(partial, kind, "new")
+        assert link.is_symlink()
+        assert content(target, kind) == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
