@@ -124,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stft", action="store_true", help="write an STFT spectrogram instead")
     p.add_argument("--window-length", type=int, default=_DEFAULTS.stft_window)
     p.add_argument("--hop", type=int, default=_DEFAULTS.stft_hop)
-    p.add_argument("--window", choices=list(spectral._WINDOWS), default=_DEFAULTS.stft_window_type)
+    p.add_argument("--window", choices=list(spectral._WINDOWS), default=spectral.DEFAULT_WINDOW)
     p.add_argument("--out", required=True, help="output path (f64 + JSON sidecar)")
 
     p = command("peaks", _cmd_peaks, help="detect spectral peaks")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile", help="signal input path (FFT computed here)")
     src.add_argument("--spectrum", help="spectrum input path (f64 + JSON sidecar)")
-    p.add_argument("--relative-threshold", type=float, default=_DEFAULTS.peak_relative_threshold)
+    p.add_argument("--relative-threshold", type=float, default=spectral.DEFAULT_RELATIVE_THRESHOLD)
     p.add_argument("--min-separation", type=float, default=0.0, help="Hz")
     p.add_argument("--out", required=True, help="peaks CSV output path")
 

@@ -55,9 +55,6 @@ class ExperimentConfig:
     demodulate: bool = True
     stft_window: int = 256
     stft_hop: int = 128
-    stft_window_type: str = "hann"
-    peak_relative_threshold: float = 0.1
-    peak_min_separation: float | None = None  # defaults to bit_rate / 2
     library_path: str | None = None
     classification_threshold: float = DEFAULT_THRESHOLD
 
@@ -82,12 +79,7 @@ class ExperimentConfig:
         check_real("classification_threshold", self.classification_threshold, 0, 1, "()")
         # The analysis settings are checked here, before a run writes anything.
         n_samples = self.payload_bits * modulation.samples_per_bit(self.carrier, self.bit_rate)
-        spectral._check_stft(self.stft_window, self.stft_hop, self.stft_window_type, n_samples)
-        spectral._check_peak_options(self.peak_relative_threshold, self.peak_separation)
-
-    @property
-    def peak_separation(self) -> float:
-        return self.bit_rate / 2.0 if self.peak_min_separation is None else self.peak_min_separation
+        spectral._check_stft(self.stft_window, self.stft_hop, spectral.DEFAULT_WINDOW, n_samples)
 
 
 DEFAULT_CONFIG = ExperimentConfig()
@@ -173,11 +165,11 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     spectrum = spectral.fft_magnitude(received)
     spectral.write_spectrum_csv(spectrum, out / "spectrum.csv")
     files["spectrum"] = "spectrum.csv"
-    spectrogram = spectral.stft(received, config.stft_window, config.stft_hop,
-                                config.stft_window_type)
+    # The STFT taper and the peak floor are the defaults; kept peaks are half a bit rate apart.
+    spectrogram = spectral.stft(received, config.stft_window, config.stft_hop)
     spectral.write_spectrum(spectrogram, out / "stft.f64")
     files["stft"] = "stft.f64"
-    peaks = spectral.find_peaks(spectrum, config.peak_relative_threshold, config.peak_separation)
+    peaks = spectral.find_peaks(spectrum, min_separation=config.bit_rate / 2.0)
     spectral.write_peaks_csv(peaks, out / "peaks.csv")
     files["peaks"] = "peaks.csv"
     report.peak_frequencies_hz = [p.frequency for p in peaks]

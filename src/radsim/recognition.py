@@ -13,14 +13,12 @@ blocks, averaged. A trailing partial block is dropped, and a signal shorter
 than ``fft_size`` is zero-padded into one frame. Templates are stored
 normalized to unit energy.
 
-Libraries persist as versioned JSON with stable key order. Each entry holds a
-label, its template and metadata. Format 2.0 stores a template as
+Libraries persist as versioned JSON with stable key order, in format 2.0.
+Each entry holds a label, its template and metadata. The template is
 ``template_f64``, the base64 text of its magnitudes as little-endian float64
-(the bytes of a ``.f64`` file); 1.x files store ``template_magnitudes``, a list
-of JSON numbers, and still load. Either way templates survive bit-exactly. An
-entry holding the other major version's template key is refused; the reader
-ignores any other entry key, so the ``features`` objects of 1.0 files are
-skipped.
+(the bytes of a ``.f64`` file), so it survives bit-exactly. The reader ignores
+any other entry key. A file of another major version, 1.x included, is
+refused with one line that names its version.
 """
 
 from __future__ import annotations
@@ -62,8 +60,6 @@ DEFAULT_THRESHOLD = 0.8
 LIBRARY_FORMAT = "radsim-signature-library"
 LIBRARY_MAJOR_VERSION = 2
 LIBRARY_MINOR_VERSION = 0
-# The entry key that holds a template, by the major versions this reader loads.
-_TEMPLATE_KEYS = {1: "template_magnitudes", 2: "template_f64"}
 
 # Peak-picking defaults for the dominant_peaks feature; fixed for determinism.
 _PEAK_THRESHOLD = 0.05
@@ -309,13 +305,8 @@ def library_save(library: SignatureLibrary, path) -> None:
         _write_json(partial, doc)
 
 
-def _template_values(key: str, stored) -> np.ndarray:
-    """The float64 values an entry stores under ``key``, its major version's template key."""
-    if key == "template_magnitudes":
-        try:
-            return np.array(stored, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ParseError("template_magnitudes is not a list of numbers") from e
+def _template_values(stored) -> np.ndarray:
+    """The float64 values an entry stores as its ``template_f64`` text."""
     if not isinstance(stored, str):
         raise ParseError(f"template_f64 must be a base64 string, got {stored!r:.40}")
     try:
@@ -328,18 +319,16 @@ def _template_values(key: str, stored) -> np.ndarray:
 
 
 def library_load(path) -> SignatureLibrary:
-    """Read a library of format 2.0 or 1.x; every error names the file, and the entry if one."""
+    """Read a library of format 2.x; every error names the file, and the entry if one."""
     doc = _read_json(path)
     if doc.get("format") != LIBRARY_FORMAT:
         raise ParseError(f"{path}: not a signature library file")
     version = doc.get("version")
     major = version.get("major") if isinstance(version, dict) else None
     check_int(f"{path}: library major version", major, 0)  # JSON true is not 1
-    if major not in _TEMPLATE_KEYS:
-        raise ParseError(
-            f"{path}: unsupported library major version {major!r} "
-            f"(supported: {', '.join(map(str, _TEMPLATE_KEYS))})")
-    key = _TEMPLATE_KEYS[major]
+    if major != LIBRARY_MAJOR_VERSION:
+        raise ParseError(f"{path}: unsupported library major version {major!r} "
+                         f"(supported: {LIBRARY_MAJOR_VERSION})")
     try:
         fft_size, sample_rate, raw_entries = doc["fft_size"], doc["sample_rate"], doc["entries"]
     except KeyError as e:
@@ -355,13 +344,11 @@ def library_load(path) -> SignatureLibrary:
     entries = []
     for i, raw in enumerate(raw_entries):
         try:
-            label, stored = raw["label"], raw[key]
+            label, stored = raw["label"], raw["template_f64"]
         except KeyError as e:
             raise ParseError(f"{path}: entry missing key {e.args[0]!r}") from e
         try:
-            if len(raw.keys() & _TEMPLATE_KEYS.values()) > 1:
-                raise ParseError(f"a {major}.x entry stores its template as {key!r} only")
-            entries.append(SignatureEntry(label, Spectrum(_template_values(key, stored),
+            entries.append(SignatureEntry(label, Spectrum(_template_values(stored),
                                                           sample_rate, fft_size),
                                           raw.get("metadata", {})))
         except RadsimError as e:

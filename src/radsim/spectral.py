@@ -39,7 +39,14 @@ __all__ = [
     "read_spectrogram",
     "write_spectrum_csv",
     "write_peaks_csv",
+    "DEFAULT_WINDOW",
+    "DEFAULT_RELATIVE_THRESHOLD",
 ]
+
+# The STFT taper and the peak floor (a fraction of the strongest bin) that
+# :func:`stft` and :func:`find_peaks` default to; a pipeline run analyses with them.
+DEFAULT_WINDOW = "hann"
+DEFAULT_RELATIVE_THRESHOLD = 0.1
 
 
 def _magnitudes_view(magnitudes) -> np.ndarray:
@@ -110,7 +117,7 @@ class Spectrogram:
     sample_rate: float
     window_length: int
     hop: int
-    window: str = "hann"
+    window: str = DEFAULT_WINDOW
 
     def __post_init__(self):
         self.magnitudes = _magnitudes_view(self.magnitudes)
@@ -222,7 +229,7 @@ def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
 
 
 def stft(signal: SampledSignal, window_length: int, hop: int,
-         window: str = "hann") -> Spectrogram:
+         window: str = DEFAULT_WINDOW) -> Spectrogram:
     """Short-time Fourier transform; frame times mark window centers."""
     _check_stft(window_length, hop, window, len(signal))
     mags = _frame_magnitudes(signal.samples, window_length, hop, window)
@@ -230,17 +237,11 @@ def stft(signal: SampledSignal, window_length: int, hop: int,
     return Spectrogram(mags, signal.sample_rate, window_length, hop, window)
 
 
-def _check_peak_options(relative_threshold: float, min_separation: float) -> None:
-    """Reject a peak threshold outside (0, 1] or a negative peak spacing."""
-    check_real("relative_threshold", relative_threshold, 0, 1, "(]")
-    check_real("min_separation", min_separation, 0)
-
-
 # Candidates per peak of a ``limit`` that :func:`find_peaks` first orders.
 _PEAK_WINDOW = 4
 
 
-def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
+def find_peaks(spectrum: Spectrum, relative_threshold: float = DEFAULT_RELATIVE_THRESHOLD,
                min_separation: float = 0.0, *, limit: int | None = None) -> list[SpectralPeak]:
     """Local maxima above a relative threshold, thinned to a minimum spacing.
 
@@ -266,7 +267,8 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = 0.1,
     for its 5 dominant peaks only; ``radsim peaks`` and a run's
     ``peaks.csv`` keep every peak.
     """
-    _check_peak_options(relative_threshold, min_separation)
+    check_real("relative_threshold", relative_threshold, 0, 1, "(]")
+    check_real("min_separation", min_separation, 0)
     if limit is not None:
         check_int("limit", limit, 1)
     m = spectrum.magnitudes

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radsim
+from radsim.channel import ChannelParams
 from radsim.cli import build_parser, main
 from radsim.codec import random_payload, read_bits
 from radsim.errors import RadsimError
@@ -57,12 +59,16 @@ def test_help_exists(name):
     assert name in result.stdout
 
 
+def subcommand(name) -> argparse.ArgumentParser:
+    """The parser of one subcommand."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[name]
+
+
 def test_scheme_choices_follow_registry():
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
     for command, flag in (("modulate", "--scheme"), ("demodulate", "--scheme"),
                           ("run", "--modulation")):
-        action = next(a for a in commands[command]._actions if flag in a.option_strings)
+        action = next(a for a in subcommand(command)._actions if flag in a.option_strings)
         assert action.choices == sorted(MODULATORS)
 
 
@@ -571,7 +577,7 @@ class TestLibraryCommands:
         lambda doc: doc.update(version=3),
         lambda doc: doc.update(sample_rate=True),
         lambda doc: doc.update(version={"major": True, "minor": 0}),
-        lambda doc: as_version_1(doc)["entries"][0].update(template_magnitudes=[10 ** 400] * 2049),
+        lambda doc: doc["entries"][0].update(template_f64=f64_text([math.inf] * 2049)),
         lambda doc: doc["entries"][0].update(metadata={"k": math.nan}),
         lambda doc: doc["entries"][0].update(label="unknown"),
     ], ids=["fft-size-string", "fft-size-null", "fft-size-float", "sample-rate-string",
@@ -618,11 +624,9 @@ class TestLibraryCommands:
          "template_f64 must be a base64 string, got 5"),
         (lambda entry: entry.update(template_f64=[0.5] * 2049), "entry 1 ('b'): ",
          "template_f64 must be a base64 string, got [0.5, 0.5, "),
-        (lambda entry: entry.update(template_magnitudes=template_values(entry)), "entry 1 ('b'): ",
-         "a 2.x entry stores its template as 'template_f64' only"),
     ], ids=["energy", "label-unknown", "label-repeated", "shape", "metadata-list",
             "magnitude-negative", "f64-not-base64", "f64-not-ascii", "f64-partial-value",
-            "f64-count", "f64-nan", "f64-number", "f64-list", "f64-with-magnitudes"])
+            "f64-count", "f64-nan", "f64-number", "f64-list"])
     def test_bad_entry_error_names_file_and_entry(self, tmp_path, capsys, edit, where, message):
         t = np.arange(4096) / 48000.0
         library = SignatureLibrary(4096, 48000.0)
@@ -827,20 +831,25 @@ class TestRun:
         (["--amplitude", "inf"], {}, "amplitude"),
         ([], {"payload_bits": 8.5}, "payload_bits"),
         ([], {"bit_rate": "x"}, "bit_rate"),
-        ([], {"peak_relative_threshold": 2}, "relative_threshold"),
+        # A run's STFT window, peak floor and peak spacing are fixed, so their keys are unknown.
+        ([], {"peak_relative_threshold": 2},
+         "unexpected keyword argument 'peak_relative_threshold'"),
         ([], {"stft_hop": True}, "hop"),
-        ([], {"peak_relative_threshold": True}, "relative_threshold"),
-        ([], {"peak_min_separation": True}, "min_separation"),
+        ([], {"peak_relative_threshold": True},
+         "unexpected keyword argument 'peak_relative_threshold'"),
+        ([], {"peak_min_separation": True},
+         "unexpected keyword argument 'peak_min_separation'"),
         ([], {"carrier": dict(json.loads(DEFAULT_CONFIG.read_text())["carrier"], amplitude=True)},
          "amplitude"),
         ([], {"channel": {"snr_db": True}}, "snr_db"),
         ([], {"channel": {"snr_db": 10.0, "seed": True}}, "seed"),
         ([], {"payload_bits": 10 ** 400}, "payload_bits"),
         ([], {"stft_hop": 10 ** 400}, "hop"),
+        ([], {"stft_window_type": "hann"}, "unexpected keyword argument 'stft_window_type'"),
     ], ids=["fc-nan", "amplitude-inf", "payload-bits-float", "bit-rate-string",
             "peak-threshold-above-one", "stft-hop-bool", "peak-threshold-bool",
             "peak-separation-bool", "amplitude-bool", "snr-db-bool", "channel-seed-bool",
-            "payload-bits-beyond-int64", "stft-hop-beyond-int64"])
+            "payload-bits-beyond-int64", "stft-hop-beyond-int64", "stft-window-type"])
     def test_bad_field_leaves_no_run_dir(self, tmp_path, capsys, flags, changes, name):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)))
@@ -854,13 +863,9 @@ class TestRun:
     @pytest.mark.parametrize("changes", [
         {"stft_window": 1},
         {"stft_hop": 0},
-        {"stft_window_type": "kaiser"},
-        {"peak_relative_threshold": 2.0},
-        {"peak_min_separation": -1.0},
         {"stft_window": 64 * 192 + 1},  # 64 bits of 192 samples
         {"stft_hop": 1},  # 12 033 frames x 129 bins: 126 magnitudes per sample
-    ], ids=["window-one", "hop-zero", "window-kaiser", "threshold-two", "separation-negative",
-            "window-beyond-signal", "grid-beyond-64-per-sample"])
+    ], ids=["window-one", "hop-zero", "window-beyond-signal", "grid-beyond-64-per-sample"])
     def test_bad_analysis_setting_fails_at_construction(self, tmp_path, changes):
         doc = dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)
         with pytest.raises(RadsimError):
@@ -875,6 +880,18 @@ class TestRun:
         assert len(lines) == 1 and lines[0].startswith("error:")
         # Nothing was written, not even the hidden .partial sibling.
         assert list(tmp_path.iterdir()) == [config]
+
+    def test_each_config_field_has_one_flag(self):
+        # Every run config field, nested ones by their dotted path, is a dest of
+        # run's flags, and every flag but the config source and --out sets one.
+        doc = dict(asdict(DEFAULTS), channel=asdict(ChannelParams(snr_db=10.0)))
+        fields = set()
+        for key, value in doc.items():
+            fields |= {f"{key}.{name}" for name in value} if isinstance(value, dict) else {key}
+        dests = {a.dest for a in subcommand("run")._actions} - {"help", "config", "defaults",
+                                                                 "output_dir"}
+        assert len(fields) == 18
+        assert dests == fields
 
     def test_failed_run_removes_parents_it_made(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
@@ -1138,7 +1155,7 @@ def test_hostile_run_config_fails_cleanly(scheme, mutations, flags):
 # fields may take any HOSTILE value.
 LIBRARY_FIELDS = ([(name,) for name in ("format", "version", "fft_size", "sample_rate", "entries")]
                   + [("entries", 0, name)
-                     for name in ("label", "template_f64", "template_magnitudes", "metadata")])
+                     for name in ("label", "template_f64", "metadata")])
 
 
 @pytest.fixture(scope="module")
@@ -1153,6 +1170,22 @@ def saved_library(tmp_path_factory):
     probe = tmp / "probe.f64"
     write_signal(MODULATORS["fsk"](random_payload(30, 64, 250.0), CarrierSpec(2000.0)), probe)
     return json.loads((tmp / "lib.json").read_text()), probe
+
+
+@pytest.mark.parametrize("minor", [0, 1])
+def test_a_1_x_library_is_refused(saved_library, tmp_path, minor):
+    base, probe = saved_library
+    library = tmp_path / "lib.json"
+    library.write_text(json.dumps(as_version_1(json.loads(json.dumps(base)), minor)))
+    old = library.read_bytes()
+    for argv in (["library-list", "--library", str(library)],
+                 ["classify", "--in", str(probe), "--library", str(library)],
+                 ["run", "--defaults", "--library", str(library), "--out", str(tmp_path / "exp")],
+                 ["library-add", "--library", str(library), "--label", "x", "--in", str(probe)]):
+        assert cli_result(argv) == (
+            1, [f"error: {library}: unsupported library major version 1 (supported: 2)"], [])
+    assert library.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [library]
 
 
 @settings(max_examples=200, deadline=None)

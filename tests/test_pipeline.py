@@ -60,12 +60,13 @@ class TestDefaultRun:
         assert ((out / report.files["spectrum"]).read_bytes()
                 == (tmp_path / "spectrum.csv").read_bytes())
         gram = read_spectrogram(out / report.files["stft"])
-        expected = stft(received, config.stft_window, config.stft_hop, config.stft_window_type)
+        # A run analyses with a hann window, a peak floor of 0.1 and peaks half a bit rate apart.
+        expected = stft(received, config.stft_window, config.stft_hop, "hann")
         for name in ("sample_rate", "window_length", "hop", "window"):
             assert getattr(gram, name) == getattr(expected, name)
         assert np.array_equal(gram.magnitudes, expected.magnitudes)
         rows = np.loadtxt(out / report.files["peaks"], delimiter=",", skiprows=1, ndmin=2)
-        peaks = find_peaks(spectrum, config.peak_relative_threshold, config.peak_separation)
+        peaks = find_peaks(spectrum, 0.1, config.bit_rate / 2)
         assert [(f, v, int(k)) for f, v, k in rows.tolist()] == [
             (p.frequency, p.magnitude, p.bin_index) for p in peaks]
         assert [p.frequency for p in peaks] == report.peak_frequencies_hz

@@ -481,48 +481,18 @@ class TestLibraryPersistence:
                                   b.template_spectrum.magnitudes)
             assert a.metadata == b.metadata
 
-    def test_reads_a_1_0_library_with_features(self, tmp_path):
-        # Libraries of format 1.0 stored each entry's feature vector; the
-        # reader skips it, and saving writes 2.0 without it.
+    def test_template_magnitudes_beside_template_f64_is_ignored(self, tmp_path):
+        # 1.x's template key is one more unknown entry key: the template is template_f64's.
         library = small_library(template_bits=256)
-        current = tmp_path / "lib.json"
-        library_save(library, current)
-        doc = as_version_1(json.loads(current.read_text()), minor=0)
-        for entry, (_, signal, _) in zip(doc["entries"], template_signals(256)):
-            entry["features"] = dataclasses.asdict(extract_features(signal))
-        old = tmp_path / "lib-1.0.json"
-        old.write_text(json.dumps(doc))
-        loaded = library_load(old)
-        assert loaded.labels() == library.labels()
-        for a, b in zip(loaded.entries, library.entries):
-            assert (a.template_spectrum.magnitudes.tobytes()
-                    == b.template_spectrum.magnitudes.tobytes())
-            assert a.metadata == b.metadata
-        probe = apply_channel(psk_modulate(random_payload(6, 256, RATE), SPEC),
-                              ChannelParams(snr_db=15.0, seed=3))
-        assert classify(probe, loaded, 0.5) == classify(probe, library, 0.5)
-        resaved = tmp_path / "lib-2.0.json"
-        library_save(loaded, resaved)
-        assert resaved.read_bytes() == current.read_bytes()
-        resaved_doc = json.loads(resaved.read_text())
-        assert resaved_doc["version"] == {"major": 2, "minor": 0}
-        assert not any("features" in entry for entry in resaved_doc["entries"])
-
-    def test_reads_a_1_1_library_bit_exactly(self, tmp_path):
-        # A 1.1 file spells each template as JSON numbers; written back, it is 2.0.
-        library = small_library(template_bits=256)
-        fresh = tmp_path / "lib.json"
-        library_save(library, fresh)
-        old = tmp_path / "lib-1.1.json"
-        old.write_text(json.dumps(as_version_1(json.loads(fresh.read_text())),
-                                  sort_keys=True, indent=2) + "\n")
-        loaded = library_load(old)
-        for a, b in zip(loaded.entries, library.entries, strict=True):
-            assert (a.template_spectrum.magnitudes.tobytes()
-                    == b.template_spectrum.magnitudes.tobytes())
+        path = tmp_path / "lib.json"
+        library_save(library, path)
+        saved = path.read_bytes()
+        doc = json.loads(saved)
+        doc["entries"][1]["template_magnitudes"] = [0.5] * 4
+        path.write_text(json.dumps(doc))
         resaved = tmp_path / "resaved.json"
-        library_save(loaded, resaved)
-        assert resaved.read_bytes() == fresh.read_bytes()
+        library_save(library_load(path), resaved)
+        assert resaved.read_bytes() == saved
 
     def test_templates_are_stored_as_base64_float64(self, tmp_path):
         # 24 templates at fft_size 4096, the bench's library: 2049 float64 per
@@ -585,21 +555,25 @@ class TestLibraryPersistence:
             library_load(path)
 
     def test_unsupported_major_version(self, tmp_path):
-        library = SignatureLibrary(fft_size=4096, sample_rate=48000.0)
         path = tmp_path / "lib.json"
-        library_save(library, path)
-        doc = json.loads(path.read_text())
-        doc["version"]["major"] = 3
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="version"):
-            library_load(path)
+        library_save(small_library(template_bits=128), path)
+        saved = json.loads(path.read_text())
+        # 1.0 and 1.1 spelled each template as JSON numbers; they are refused by version.
+        for doc, major in ((dict(saved, version={"major": 3, "minor": 0}), 3),
+                           (as_version_1(json.loads(json.dumps(saved)), minor=0), 1),
+                           (as_version_1(json.loads(json.dumps(saved)), minor=1), 1)):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ParseError) as info:
+                library_load(path)
+            assert str(info.value) == (f"{path}: unsupported library major version {major} "
+                                       "(supported: 2)")
 
     def test_nan_template_rejected(self, tmp_path):
         library = small_library(template_bits=128)
         path = tmp_path / "lib.json"
         library_save(library, path)
         doc = json.loads(path.read_text())
-        doc["entries"][0]["template_magnitudes"] = [math.nan] * 2049
+        doc["entries"][0]["template_f64"] = [math.nan] * 2049
         path.write_text(json.dumps(doc))
         # The strict JSON reader rejects the NaN before any template is built.
         with pytest.raises(ParseError, match="NaN is not a finite number"):

@@ -307,10 +307,11 @@ class TestFindPeaks:
 
     def test_threshold_validated(self):
         spectrum = fft_magnitude(cosine(10.0, 100.0, 100))
-        with pytest.raises(ParameterError):
-            find_peaks(spectrum, relative_threshold=0.0)
+        for threshold in (0.0, 2.0, True):  # the floor is a fraction in (0, 1], never a bool
+            with pytest.raises(ParameterError, match="^relative_threshold must be"):
+                find_peaks(spectrum, relative_threshold=threshold)
 
-    @pytest.mark.parametrize("separation", [-1.0, float("nan")])
+    @pytest.mark.parametrize("separation", [-1.0, float("nan"), True])
     def test_min_separation_validated(self, separation):
         spectrum = fft_magnitude(cosine(10.0, 100.0, 100))
         with pytest.raises(ParameterError):
