@@ -860,15 +860,22 @@ class TestRun:
         assert name in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("changes", [
-        {"stft_window": 1},
-        {"stft_hop": 0},
-        {"stft_window": 64 * 192 + 1},  # 64 bits of 192 samples
-        {"stft_hop": 1},  # 12 033 frames x 129 bins: 126 magnitudes per sample
-    ], ids=["window-one", "hop-zero", "window-beyond-signal", "grid-beyond-64-per-sample"])
-    def test_bad_analysis_setting_fails_at_construction(self, tmp_path, changes):
+    @pytest.mark.parametrize("changes, construction_error", [
+        ({"stft_window": 1}, RadsimError),
+        ({"stft_hop": 0}, RadsimError),
+        # Keys of the fixed analysis settings are unknown keyword arguments.
+        ({"stft_window_type": "kaiser"}, TypeError),
+        ({"peak_relative_threshold": 2.0}, TypeError),
+        ({"peak_min_separation": -1.0}, TypeError),
+        ({"stft_window": 64 * 192 + 1}, RadsimError),  # 64 bits of 192 samples
+        # 12 033 frames x 129 bins: 126 magnitudes per sample
+        ({"stft_hop": 1}, RadsimError),
+    ], ids=["window-one", "hop-zero", "window-kaiser", "threshold-two", "separation-negative",
+            "window-beyond-signal", "grid-beyond-64-per-sample"])
+    def test_bad_analysis_setting_fails_at_construction(self, tmp_path, changes,
+                                                        construction_error):
         doc = dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)
-        with pytest.raises(RadsimError):
+        with pytest.raises(construction_error):
             ExperimentConfig(**changes)
         with pytest.raises(RadsimError):
             config_from_json(doc)
