@@ -17,6 +17,9 @@ Conventions:
 The receivers know the bit timing and exist so round trips can be verified
 and bit error rates measured. ASK and PSK share one coherent correlator that
 decides at the keyed levels' midpoint; FSK is noncoherent (tone magnitudes).
+Given ``composed=True`` they decode the carrier plus the modulated signal:
+the keyed levels rise by 1, and FSK takes the carrier's known share off its
+tone correlations.
 """
 
 from __future__ import annotations
@@ -217,23 +220,33 @@ def _bit_phases(spec: CarrierSpec, spb: int, n_bits: int) -> np.ndarray:
 
 
 def fsk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                   bit_rate: float) -> BitStream:
+                   bit_rate: float, *, composed: bool = False) -> BitStream:
     """Per-bit tone correlation at f0/f1; larger magnitude wins, ties decode as 0.
 
     A tone's phase at the start of a bit is a unit-modulus factor of its
     correlation with that bit, so it drops out of the magnitudes: every bit
-    is scored against one bit of each tone.
+    is scored against one bit of each tone. A ``composed`` signal's carrier
+    (see :func:`_keyed_demodulate` for theta_b and a_j) adds
+    A*(cos(theta_b)*K_c - sin(theta_b)*K_s) to bit b's correlations, K_c and
+    K_s being those of one bit of cos(a_j) and sin(a_j); it is taken off first.
     """
     f0, f1 = _fsk_tones(spec, bit_rate)
     spb = samples_per_bit(spec, bit_rate)
     zc, zs = _tone_correlations(_bit_windows(signal, spb, n_bits), (f0, f1), spec.sample_rate)
+    if composed:
+        a = _one_bit_angles((spec.center_frequency,), spb, spec.sample_rate)[:, 0]
+        kc, ks = _tone_correlations(np.array([np.cos(a), np.sin(a)]), (f0, f1), spec.sample_rate)
+        theta = _bit_phases(spec, spb, n_bits)
+        rotation = spec.amplitude * np.column_stack([np.cos(theta), -np.sin(theta)])
+        zc -= rotation @ kc
+        zs -= rotation @ ks
     mag0, mag1 = np.hypot(zc, zs).T
     bits = (mag1 > mag0).astype(np.uint8)
     return BitStream(bits, bit_rate)
 
 
 def _keyed_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                      bit_rate: float, scheme: str) -> BitStream:
+                      bit_rate: float, scheme: str, composed: bool) -> BitStream:
     """Coherent correlation with the carrier; above the levels' midpoint decodes as 1.
 
     With theta_b from :func:`_bit_phases` and a_j = 2*pi*fc*j/fs, the window's
@@ -241,9 +254,10 @@ def _keyed_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     zc and zs being its correlations with one bit of cos(a_j) and sin(a_j).
     Without noise, level l gives l*A*E_b for E_b = sum_j cos(theta_b + a_j)**2,
     which is spb/2 + (cos(2*theta_b)*C2 - sin(2*theta_b)*S2)/2 for C2 and S2
-    the sums of cos(2*a_j) and sin(2*a_j) over one bit.
+    the sums of cos(2*a_j) and sin(2*a_j) over one bit. A ``composed``
+    signal's added carrier raises each level by 1, and so the midpoint.
     """
-    midpoint = sum(_KEYED_LEVELS[scheme]) / 2
+    midpoint = sum(_KEYED_LEVELS[scheme]) / 2 + composed
     spb = samples_per_bit(spec, bit_rate)
     zc, zs = _tone_correlations(_bit_windows(signal, spb, n_bits), (spec.center_frequency,),
                                 spec.sample_rate)
@@ -257,15 +271,15 @@ def _keyed_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
 
 
 def psk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                   bit_rate: float) -> BitStream:
-    """Coherent correlation with the carrier; positive correlation decodes as 1."""
-    return _keyed_demodulate(signal, spec, n_bits, bit_rate, "psk")
+                   bit_rate: float, *, composed: bool = False) -> BitStream:
+    """Coherent correlation with the carrier; above its levels' midpoint decodes as 1."""
+    return _keyed_demodulate(signal, spec, n_bits, bit_rate, "psk", composed)
 
 
 def ask_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                   bit_rate: float) -> BitStream:
-    """Coherent correlation with the carrier; above half a full-carrier bit's decodes as 1."""
-    return _keyed_demodulate(signal, spec, n_bits, bit_rate, "ask")
+                   bit_rate: float, *, composed: bool = False) -> BitStream:
+    """Coherent correlation with the carrier; above its levels' midpoint decodes as 1."""
+    return _keyed_demodulate(signal, spec, n_bits, bit_rate, "ask", composed)
 
 
 # The scheme registry: every scheme name the package accepts, and the one place

@@ -10,10 +10,9 @@ identical configs produce byte-identical directories.
 :func:`recognition_benchmark` scores a signature library of one template per
 modulation scheme on seeded noisy probes and on white noise.
 
-The receiver is idealized: when the emitted signal is the carrier plus the
-modulated signal, demodulation first subtracts the (gain-scaled) carrier,
-which the simulation knows exactly. Without this the added carrier would
-bias the per-bit correlators.
+The receiver is idealized: it knows the carrier spec, the channel's gain,
+the bit timing and whether the carrier was added to the modulated signal,
+and it decodes the received signal as it arrives.
 """
 
 from __future__ import annotations
@@ -175,19 +174,14 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     report.peak_frequencies_hz = [p.frequency for p in peaks]
 
     if config.demodulate:
-        to_demodulate = received
         gain = config.channel.linear_gain if config.channel is not None else 1.0
-        if config.compose_with_carrier:
-            # received - gain * carrier, bit for bit, with one signal-sized array.
-            residual = carrier.samples * -gain
-            residual += received.samples
-            to_demodulate = SampledSignal(received.sample_rate, residual)
         # The receiver takes the carrier as it arrives (ASK decides against its
         # amplitude); one attenuated below the least float arrives as the least.
         amplitude = max(config.carrier.amplitude * gain, math.ulp(0.0))
         received_carrier = replace(config.carrier, amplitude=amplitude)
         demodulate = modulation.DEMODULATORS[config.modulation]
-        decoded = demodulate(to_demodulate, received_carrier, config.payload_bits, config.bit_rate)
+        decoded = demodulate(received, received_carrier, config.payload_bits, config.bit_rate,
+                             composed=config.compose_with_carrier)
         codec.write_bits(decoded, out / "demodulated.txt")
         files["demodulated"] = "demodulated.txt"
         report.bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))

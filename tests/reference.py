@@ -7,11 +7,16 @@ as 1.x stored them (``template_magnitudes``, a list of JSON numbers).
 The propagation model is simulated agent by agent, as the paper states it,
 and by numpy's geometric sampler on the count chain's waits; its infected
 count's exact distribution is pushed through the chain one pair at a time.
+A composed signal is decoded as runs decoded it before the receivers took
+``composed``: the gain-scaled carrier subtracted, then the bare receiver.
 """
 
 from base64 import b64decode, b64encode
 
 import numpy as np
+
+from radsim.modulation import DEMODULATORS
+from radsim.signals import SampledSignal
 
 
 def parseval_energy(spectrum):
@@ -45,6 +50,15 @@ def as_version_1(doc, minor=1):
         entry["template_magnitudes"] = template_values(entry)
         del entry["template_f64"]
     return doc
+
+
+def subtracted_demodulate(scheme, received, carrier, gain, received_carrier, n_bits, bit_rate):
+    """The bare ``scheme`` receiver's bits for ``received`` less ``gain`` times ``carrier``."""
+    # received - gain * carrier, bit for bit, with one signal-sized array.
+    residual = carrier.samples * -gain
+    residual += received.samples
+    to_demodulate = SampledSignal(received.sample_rate, residual)
+    return DEMODULATORS[scheme](to_demodulate, received_carrier, n_bits, bit_rate)
 
 
 def reference_monte_carlo(params, seed, n_max, trials):

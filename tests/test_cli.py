@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from radsim.channel import ChannelParams
 from radsim.cli import build_parser, main
 from radsim.codec import random_payload, read_bits
 from radsim.errors import RadsimError
-from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
+from radsim.modulation import DEMODULATORS, MODULATORS, CarrierSpec, fsk_modulate
 from radsim.pipeline import DEFAULT_CONFIG as DEFAULTS
 from radsim.pipeline import ExperimentConfig, config_from_json
 from radsim.recognition import SignatureLibrary, library_add, library_save
@@ -389,6 +389,36 @@ class TestSignalChain:
         assert result.returncode == 0
         assert "BER 0" in result.stdout
         assert decoded.read_text() == bits.read_text()
+
+    @pytest.mark.parametrize("phase", [0.0, 1.3])
+    @pytest.mark.parametrize("scheme, flags", [("ask", ()), ("psk", ()), ("fsk", ()),
+                                               ("fsk", ("--fsk-phase-reset",))])
+    def test_composed_round_trip(self, tmp_path, capsys, scheme, flags, phase):
+        bits = tmp_path / "bits.txt"
+        signal = tmp_path / "composed.f64"
+        assert main(["payload", "--seed", "3", "--bits", "256", "--out", str(bits)]) == 0
+        assert main(["modulate", "--in", str(bits), "--scheme", scheme, "--phase", str(phase),
+                     "--compose", *flags, "--out", str(signal)]) == 0
+        spec = replace(DEFAULTS.carrier, initial_phase=phase)
+        decoded = DEMODULATORS[scheme](read_signal(signal), spec, 256, DEFAULTS.bit_rate,
+                                       composed=True)
+        assert np.array_equal(decoded.bits, read_bits(bits, DEFAULTS.bit_rate).bits)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_composed_ask_needs_the_composed_receiver(self, tmp_path, capsys, seed):
+        # The added carrier lifts every bit above the bare receiver's decision level.
+        bits = tmp_path / "bits.txt"
+        signal = tmp_path / "composed.f64"
+        decoded = tmp_path / "decoded.txt"
+        assert main(["payload", "--seed", str(seed), "--bits", "64", "--out", str(bits)]) == 0
+        assert main(["modulate", "--in", str(bits), "--scheme", "ask", "--compose",
+                     "--out", str(signal)]) == 0
+        assert main(["demodulate", "--in", str(signal), "--scheme", "ask", "--n-bits", "64",
+                     "--expected", str(bits), "--out", str(decoded)]) == 0
+        assert "bit errors: 33/64" in capsys.readouterr().out
+        composed = DEMODULATORS["ask"](read_signal(signal), DEFAULTS.carrier, 64,
+                                       DEFAULTS.bit_rate, composed=True)
+        assert np.array_equal(composed.bits, read_bits(bits, DEFAULTS.bit_rate).bits)
 
     def test_hex_payload(self, tmp_path):
         bits = tmp_path / "bits.txt"

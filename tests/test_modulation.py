@@ -15,7 +15,7 @@ from radsim.modulation import (DEMODULATORS, MODULATORS, CarrierSpec, ask_modula
                                psk_demodulate, psk_modulate, samples_per_bit)
 from radsim.signals import SampledSignal
 from radsim.spectral import fft_magnitude, find_peaks
-from reference import parseval_energy
+from reference import parseval_energy, subtracted_demodulate
 
 # Default-scale carrier (192 samples per bit at 250 bit/s).
 SPEC = CarrierSpec(center_frequency=2000.0, amplitude=1.0, initial_phase=0.0, sample_rate=48000.0)
@@ -491,12 +491,36 @@ class TestDemodulatorEdges:
         received = apply_channel(MODULATORS[scheme](random_payload(9, 4096, RATE), SPEC),
                                  ChannelParams(noise_power=0.1, seed=10))
         demodulate = DEMODULATORS[scheme]
-        assert traced_peak(lambda: demodulate(received, SPEC, 4096, RATE)) < 1e6
+        for composed in (False, True):
+            assert traced_peak(lambda: demodulate(received, SPEC, 4096, RATE,
+                                                  composed=composed)) < 1e6
 
     def test_short_signal_rejected(self):
         short = SampledSignal(SPEC.sample_rate, np.zeros(100))
         with pytest.raises(ShapeError):
             fsk_demodulate(short, SPEC, 8, RATE)
+
+
+class TestComposedReceivers:
+    @pytest.mark.parametrize("scheme", sorted(DEMODULATORS))
+    @pytest.mark.parametrize("snr_db", [20.0, 0.0, -5.0, -10.0])
+    @pytest.mark.parametrize("attenuation_db", [0.0, 6.0])
+    def test_same_bits_as_subtracting_the_carrier(self, scheme, snr_db, attenuation_db):
+        differing = 0
+        for seed in range(5):
+            payload = random_payload(seed, 1024, RATE)
+            modulated = MODULATORS[scheme](payload, SPEC)
+            carrier = generate_carrier(SPEC, len(modulated) / SPEC.sample_rate)
+            channel = ChannelParams(attenuation_db=attenuation_db, snr_db=snr_db, seed=seed)
+            received = apply_channel(compose_emitted(carrier, modulated), channel)
+            # The carrier as it arrives, as a run hands it to the receiver.
+            gain = channel.linear_gain
+            received_carrier = replace(SPEC, amplitude=max(SPEC.amplitude * gain, math.ulp(0.0)))
+            expected = subtracted_demodulate(scheme, received, carrier, gain, received_carrier,
+                                             1024, RATE)
+            decoded = DEMODULATORS[scheme](received, received_carrier, 1024, RATE, composed=True)
+            differing += int(np.count_nonzero(decoded.bits != expected.bits))
+        assert differing == 0
 
 
 class TestBerUnderNoise:

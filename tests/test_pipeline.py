@@ -139,6 +139,19 @@ class TestSchemes:
         _, report = run_default(tmp_path, compose_with_carrier=False)
         assert report.ber == 0.0
 
+    @pytest.mark.parametrize("scheme", sorted(MODULATORS))
+    def test_composed_run_hands_the_receiver_what_arrived(self, tmp_path, monkeypatch, scheme):
+        handed = []
+        receiver = modulation.DEMODULATORS[scheme]
+
+        def record(signal, *args, **kwargs):
+            handed.append(signal.samples.tobytes())
+            return receiver(signal, *args, **kwargs)
+
+        monkeypatch.setitem(modulation.DEMODULATORS, scheme, record)
+        run_default(tmp_path, modulation=scheme, channel=ChannelParams(snr_db=10.0, seed=3))
+        assert handed == [read_signal(tmp_path / "exp" / "received.f64").samples.tobytes()]
+
 
 class TestChannelRuns:
     def test_measured_snr_reported(self, tmp_path):
