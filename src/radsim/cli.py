@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manchester-out", help="half-bit level text file output")
     p.add_argument("--rect-out", help="rectangular waveform signal output")
     p.add_argument("--sample-rate", type=float, default=_CARRIER.sample_rate, help="for --rect-out")
-    p.add_argument("--high", type=float, default=1.0, help="rectangular high level")
-    p.add_argument("--low", type=float, default=0.0, help="rectangular low level")
 
     p = command("modulate", _cmd_modulate, help="modulate a bit stream onto a carrier")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
@@ -96,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=sorted(MODULATORS), required=True)
     _add_carrier_flags(p)
     p.add_argument("--compose", action="store_true", help="add the carrier to the modulated signal")
-    p.add_argument("--fsk-phase-reset", action="store_true",
-                   help="reset FSK phase at bit boundaries (literal per-bit cosines)")
     p.add_argument("--out", required=True, help="signal output path (raw f64 + JSON sidecar)")
 
     p = command("demodulate", _cmd_demodulate, help="recover bits from a modulated signal")
@@ -179,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", dest="channel.snr_db", type=float)
     p.add_argument("--noise-power", dest="channel.noise_power", type=float)
     p.add_argument("--channel-seed", dest="channel.seed", type=int)
-    demod = p.add_mutually_exclusive_group()
-    demod.add_argument("--demodulate", dest="demodulate", action="store_true", default=None)
-    demod.add_argument("--no-demodulate", dest="demodulate", action="store_false")
     p.add_argument("--stft-window", type=int)
     p.add_argument("--stft-hop", type=int)
     p.add_argument("--library", dest="library_path", help="signature library for classification")
@@ -236,7 +229,7 @@ def _cmd_encode(args) -> int:
         raise ConfigurationError("nothing to do: give --manchester-out and/or --rect-out")
     stream = codec.read_bits(args.infile, args.bit_rate)
     if args.rect_out is not None:
-        wave = codec.rectangular_waveform(stream, args.sample_rate, args.high, args.low)
+        wave = codec.rectangular_waveform(stream, args.sample_rate)
     summary = []  # printed once every file is written
     if args.manchester_out is not None:
         encoded = codec.manchester_encode(stream)
@@ -252,9 +245,7 @@ def _cmd_encode(args) -> int:
 def _cmd_modulate(args) -> int:
     stream = codec.read_bits(args.infile, args.bit_rate)
     spec = _carrier_from(args)
-    # ASK and PSK ignore --fsk-phase-reset.
-    options = {"phase_continuous": not args.fsk_phase_reset} if args.scheme == "fsk" else {}
-    signal = MODULATORS[args.scheme](stream, spec, **options)
+    signal = MODULATORS[args.scheme](stream, spec)
     if args.compose:
         carrier = generate_carrier(spec, len(signal) / spec.sample_rate)
         signal = compose_emitted(carrier, signal)
@@ -405,8 +396,8 @@ def _cmd_run(args) -> int:
     print(f"peaks: {', '.join(f'{f:.6g} Hz' for f in report.peak_frequencies_hz) or 'none'}")
     if report.measured_snr_db is not None:
         print(f"measured SNR: {report.measured_snr_db:.3f} dB")
-    if report.ber is not None:
-        print(f"BER: {report.ber:.6g} ({report.bit_errors}/{report.config.payload_bits} bits)")
+    bits = report.config.payload_bits
+    print(f"BER: {report.bit_errors / bits:.6g} ({report.bit_errors}/{bits} bits)")
     if report.classification is not None:
         print(f"classified as: {report.classification.label} "
               f"(score {report.classification.score:.4f})")

@@ -109,9 +109,8 @@ def _samples_per_bit(sample_rate: float, bit_rate: float) -> int:
     return int(spb)
 
 
-def rectangular_waveform(stream: BitStream, sample_rate: float,
-                         high_level: float = 1.0, low_level: float = 0.0) -> SampledSignal:
-    """Render bits as a piecewise-constant waveform (the time-domain view of a binary signal)."""
+def rectangular_waveform(stream: BitStream, sample_rate: float) -> SampledSignal:
+    """Render bits as a piecewise-constant waveform: level 1.0 over a 1, 0.0 over a 0."""
     _check_nonempty(stream, "render")
     check_real("sample_rate", sample_rate, 0, bounds="()")
     if sample_rate < 2 * stream.bit_rate:
@@ -119,8 +118,7 @@ def rectangular_waveform(stream: BitStream, sample_rate: float,
             f"sample_rate {sample_rate} is below 2 x bit_rate ({2 * stream.bit_rate})")
     spb = _samples_per_bit(sample_rate, stream.bit_rate)
     _check_length(len(stream) * spb)
-    levels = np.where(stream.bits == 1, float(high_level), float(low_level))
-    return SampledSignal(sample_rate, np.repeat(levels, spb))
+    return SampledSignal(sample_rate, np.repeat(stream.bits.astype(np.float64), spb))
 
 
 def write_bits(stream: BitStream, path) -> None:

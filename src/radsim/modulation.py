@@ -7,8 +7,8 @@ Conventions:
   about 25 MB after a 16384-bit run), and asking for it again returns the
   same signal;
 * FSK signals bit 0 at ``fc - bit_rate/2`` and bit 1 at ``fc + bit_rate/2``,
-  phase-continuous across bit boundaries by default (``phase_continuous=False``
-  restores the literal per-bit cosine definition);
+  phase-continuous across bit boundaries: each bit's tone starts at the
+  phase where the previous bit's ended;
 * ASK gates the carrier on for 1 and off for 0; PSK flips the carrier phase
   by pi for 0;
 * ``sample_rate / bit_rate`` must be an integer so bit boundaries land
@@ -129,8 +129,13 @@ def _fsk_tones(spec: CarrierSpec, bit_rate: float) -> tuple[float, float]:
     return f0, f1
 
 
-def fsk_modulate(stream: BitStream, spec: CarrierSpec, phase_continuous: bool = True) -> SampledSignal:
-    """Binary FSK: tone fc - R/2 for 0, fc + R/2 for 1 (R = bit rate)."""
+def fsk_modulate(stream: BitStream, spec: CarrierSpec) -> SampledSignal:
+    """Binary FSK: tone fc - R/2 for 0, fc + R/2 for 1 (R = bit rate), phase-continuous.
+
+    Bit b's phase is start_b + 2*pi*f_b*k/fs over its samples k, where start_0
+    is the carrier's initial phase and start_b adds 2*pi*f*spb/fs for each
+    earlier bit's tone f: no phase jumps at bit boundaries, so no splatter.
+    """
     _check_nonempty(stream, "FSK-modulate")
     f0, f1 = _fsk_tones(spec, stream.bit_rate)
     spb = samples_per_bit(spec, stream.bit_rate)
@@ -138,21 +143,12 @@ def fsk_modulate(stream: BitStream, spec: CarrierSpec, phase_continuous: bool = 
     freqs = np.where(stream.bits == 1, f1, f0)
     # The (bits, spb) phase matrix is built and turned into samples in place,
     # each step in the order (and so with the rounding) of the phase formula.
-    if phase_continuous:
-        # Phase accumulates across bit boundaries: no discontinuity, no splatter.
-        # Bit b's phase is start_b + 2*pi*f_b*k/fs over its samples k.
-        increments = 2 * np.pi * freqs * spb / spec.sample_rate
-        starts = spec.initial_phase + np.concatenate(([0.0], np.cumsum(increments[:-1])))
-        phases = np.empty((len(stream), spb))
-        np.multiply(2 * np.pi * freqs[:, None], np.arange(spb), out=phases)
-        phases /= spec.sample_rate
-        phases += starts[:, None]
-    else:
-        # Literal per-bit cosine of the global time axis: 2*pi*f_b*t + theta0.
-        phases = np.arange(len(stream) * spb, dtype=np.float64).reshape(len(stream), spb)
-        phases /= spec.sample_rate
-        phases *= 2 * np.pi * freqs[:, None]
-        phases += spec.initial_phase
+    increments = 2 * np.pi * freqs * spb / spec.sample_rate
+    starts = spec.initial_phase + np.concatenate(([0.0], np.cumsum(increments[:-1])))
+    phases = np.empty((len(stream), spb))
+    np.multiply(2 * np.pi * freqs[:, None], np.arange(spb), out=phases)
+    phases /= spec.sample_rate
+    phases += starts[:, None]
     np.cos(phases, out=phases)
     phases *= spec.amplitude
     return SampledSignal(spec.sample_rate, phases.ravel())

@@ -51,7 +51,6 @@ class ExperimentConfig:
     modulation: str = "fsk"
     compose_with_carrier: bool = True
     channel: ChannelParams | None = None
-    demodulate: bool = True
     stft_window: int = 256
     stft_hop: int = 128
     library_path: str | None = None
@@ -61,9 +60,9 @@ class ExperimentConfig:
         check_int("seed", self.seed, 0)
         check_int("payload_bits", self.payload_bits, 1, _MAX_SAMPLES)
         check_real("bit_rate", self.bit_rate, 0, bounds="()")
-        for name in ("compose_with_carrier", "demodulate"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigurationError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.compose_with_carrier, bool):
+            raise ConfigurationError("compose_with_carrier must be true or false, "
+                                     f"got {self.compose_with_carrier!r}")
         if not (isinstance(self.modulation, str) and self.modulation in modulation.MODULATORS):
             raise ConfigurationError(f"unknown modulation {self.modulation!r} "
                                      f"(expected one of {sorted(modulation.MODULATORS)})")
@@ -90,8 +89,7 @@ class ExperimentReport:
     files: dict = field(default_factory=dict)
     peak_frequencies_hz: list = field(default_factory=list)
     measured_snr_db: float | None = None  # also None when infinite: no noise was added
-    bit_errors: int | None = None
-    ber: float | None = None
+    bit_errors: int = 0
     classification: ClassificationResult | None = None
 
 
@@ -173,19 +171,17 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     files["peaks"] = "peaks.csv"
     report.peak_frequencies_hz = [p.frequency for p in peaks]
 
-    if config.demodulate:
-        gain = config.channel.linear_gain if config.channel is not None else 1.0
-        # The receiver takes the carrier as it arrives (ASK decides against its
-        # amplitude); one attenuated below the least float arrives as the least.
-        amplitude = max(config.carrier.amplitude * gain, math.ulp(0.0))
-        received_carrier = replace(config.carrier, amplitude=amplitude)
-        demodulate = modulation.DEMODULATORS[config.modulation]
-        decoded = demodulate(received, received_carrier, config.payload_bits, config.bit_rate,
-                             composed=config.compose_with_carrier)
-        codec.write_bits(decoded, out / "demodulated.txt")
-        files["demodulated"] = "demodulated.txt"
-        report.bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))
-        report.ber = report.bit_errors / config.payload_bits
+    gain = config.channel.linear_gain if config.channel is not None else 1.0
+    # The receiver takes the carrier as it arrives (ASK decides against its
+    # amplitude); one attenuated below the least float arrives as the least.
+    amplitude = max(config.carrier.amplitude * gain, math.ulp(0.0))
+    received_carrier = replace(config.carrier, amplitude=amplitude)
+    demodulate = modulation.DEMODULATORS[config.modulation]
+    decoded = demodulate(received, received_carrier, config.payload_bits, config.bit_rate,
+                         composed=config.compose_with_carrier)
+    codec.write_bits(decoded, out / "demodulated.txt")
+    files["demodulated"] = "demodulated.txt"
+    report.bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))
 
     if config.library_path is not None:
         library = library_load(config.library_path)

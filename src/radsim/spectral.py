@@ -90,11 +90,6 @@ class Spectrum:
                              f"fft_size {self.fft_size}, got {self.magnitudes.shape}")
 
     @cached_property
-    def bin_frequencies(self) -> np.ndarray:
-        """Every bin's frequency, equal to ``np.fft.rfftfreq`` of the grid bit for bit."""
-        return _bin_frequencies(np.arange(self.magnitudes.size), self)
-
-    @cached_property
     def _centred(self) -> tuple[np.ndarray, float]:
         """The magnitudes less their mean, and the sum of squares of those."""
         d = self.magnitudes - self.magnitudes.mean()

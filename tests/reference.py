@@ -1,7 +1,8 @@
 """Test-side references for what radsim stores in a compact form or not at all.
 
 Parseval's energy is computed as ``bench/checks.py`` computes it from a run's
-spectrum; frame times are the window centres of :func:`radsim.spectral.stft`.
+spectrum; bin frequencies are ``np.fft.rfftfreq`` of a spectrum's grid; frame
+times are the window centres of :func:`radsim.spectral.stft`.
 Library templates are spelled as format 2.0 stores them (``template_f64``) and
 as 1.x stored them (``template_magnitudes``, a list of JSON numbers).
 The propagation model is simulated agent by agent, as the paper states it,
@@ -25,6 +26,11 @@ def parseval_energy(spectrum):
     edges = m[0] ** 2 + (m[-1] ** 2 if n % 2 == 0 else 0.0)
     interior = m[1:-1] if n % 2 == 0 else m[1:]
     return float(n * (edges + np.sum(interior ** 2) / 2.0))
+
+
+def bin_frequencies(spectrum):
+    """Every bin's frequency on a spectrum's grid."""
+    return np.fft.rfftfreq(spectrum.fft_size, 1 / spectrum.sample_rate)
 
 
 def frame_times(gram):

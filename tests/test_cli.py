@@ -59,6 +59,26 @@ def test_help_exists(name):
     assert name in result.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--defaults", "--demodulate", "--out", "exp"],
+    ["run", "--defaults", "--no-demodulate", "--out", "exp"],
+    ["modulate", "--in", "bits.txt", "--scheme", "fsk", "--fsk-phase-reset", "--out", "fsk.f64"],
+    ["encode", "--in", "bits.txt", "--rect-out", "rect.f64", "--high", "2"],
+    ["encode", "--in", "bits.txt", "--rect-out", "rect.f64", "--low", "-1"],
+], ids=["run-demodulate", "run-no-demodulate", "modulate-fsk-phase-reset", "encode-high",
+        "encode-low"])
+def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, args):
+    # A run always decodes, FSK is always phase-continuous, and a rectangular
+    # waveform's levels are the bits: no flag chooses otherwise.
+    monkeypatch.chdir(tmp_path)
+    Path("bits.txt").write_text("0110\n")
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bits.txt"]
+
+
 def subcommand(name) -> argparse.ArgumentParser:
     """The parser of one subcommand."""
     return next(a for a in build_parser()._actions
@@ -391,8 +411,7 @@ class TestSignalChain:
         assert decoded.read_text() == bits.read_text()
 
     @pytest.mark.parametrize("phase", [0.0, 1.3])
-    @pytest.mark.parametrize("scheme, flags", [("ask", ()), ("psk", ()), ("fsk", ()),
-                                               ("fsk", ("--fsk-phase-reset",))])
+    @pytest.mark.parametrize("scheme, flags", [("ask", ()), ("psk", ()), ("fsk", ())])
     def test_composed_round_trip(self, tmp_path, capsys, scheme, flags, phase):
         bits = tmp_path / "bits.txt"
         signal = tmp_path / "composed.f64"
@@ -539,23 +558,6 @@ class TestSignalChain:
         assert set(doc) == {"rms_power", "zero_crossing_rate", "crest_factor",
                             "spectral_centroid", "spectral_bandwidth", "spectral_entropy",
                             "dominant_peaks"}
-
-    def test_fsk_phase_reset(self, tmp_path):
-        bits = tmp_path / "bits.txt"
-        assert main(["payload", "--seed", "7", "--bits", "64", "--out", str(bits)]) == 0
-        written = {}
-        for scheme in ("fsk", "psk"):
-            for flags in ((), ("--fsk-phase-reset",)):
-                out = tmp_path / f"{scheme}{len(flags)}.f64"
-                assert main(["modulate", "--in", str(bits), "--scheme", scheme, *flags,
-                             "--out", str(out)]) == 0
-                written[scheme, bool(flags)] = out.read_bytes() + sidecar_path(out).read_bytes()
-        expected = tmp_path / "expected.f64"
-        write_signal(fsk_modulate(read_bits(bits, DEFAULTS.bit_rate), DEFAULTS.carrier,
-                                  phase_continuous=False), expected)
-        assert written["fsk", True] == expected.read_bytes() + sidecar_path(expected).read_bytes()
-        assert written["fsk", True] != written["fsk", False]
-        assert written["psk", True] == written["psk", False]
 
 
 def edit_template(edit):
@@ -722,11 +724,10 @@ class TestRun:
 
     def test_fsk_snr10_ber(self, tmp_path):
         out = tmp_path / "exp"
-        result = run_cli("run", "--modulation", "fsk", "--snr-db", "10",
-                         "--demodulate", "--out", str(out))
+        result = run_cli("run", "--modulation", "fsk", "--snr-db", "10", "--out", str(out))
         assert result.returncode == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["ber"] < 1e-2
+        assert report["bit_errors"] / report["config"]["payload_bits"] < 1e-2
 
     @pytest.mark.parametrize("scheme", sorted(MODULATORS))
     def test_every_scheme_decodes_at_5db(self, tmp_path, scheme):
@@ -927,7 +928,7 @@ class TestRun:
             fields |= {f"{key}.{name}" for name in value} if isinstance(value, dict) else {key}
         dests = {a.dest for a in subcommand("run")._actions} - {"help", "config", "defaults",
                                                                  "output_dir"}
-        assert len(fields) == 18
+        assert len(fields) == 17
         assert dests == fields
 
     def test_failed_run_removes_parents_it_made(self, tmp_path, capsys):
@@ -965,8 +966,8 @@ class TestRun:
         first = directory_bytes(out)
         capsys.readouterr()
         # Without the refusal this run would leave the first one's
-        # classification.json and demodulated.txt behind, unlisted.
-        assert main(["run", "--defaults", "--no-demodulate", "--out", str(out)]) == 1
+        # classification.json behind, unlisted.
+        assert main(["run", "--defaults", "--out", str(out)]) == 1
         assert one_line_error(capsys)
         assert directory_bytes(out) == first
         (tmp_path / "file").write_text("x")
@@ -1109,9 +1110,9 @@ def fields_set(flags):
     return paths | NOISE_FIELDS if paths & NOISE_FIELDS else paths
 
 
-# Run config fields for which JSON true is a value: the two switches. In any
+# Run config fields for which JSON true is a value: the one switch. In any
 # other field it is an error.
-TRUE_ALLOWED = {("compose_with_carrier",), ("demodulate",)}
+TRUE_ALLOWED = {("compose_with_carrier",)}
 
 
 def runs_large(path, value):

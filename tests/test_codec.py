@@ -10,6 +10,7 @@ from radsim.codec import (HIGH, LOW, BitStream, hex_to_bits, manchester_decode,
                           write_bits)
 from radsim.errors import ConfigurationError, ParameterError, ParseError, ShapeError
 from radsim.spectral import fft_magnitude
+from reference import bin_frequencies
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=256)
 
@@ -148,13 +149,13 @@ class TestManchester:
 class TestRectangularWaveform:
     def test_sample_layout(self):
         stream = BitStream(np.array([1, 0]), 1000.0)
-        wave = rectangular_waveform(stream, 4000.0, high_level=1.0, low_level=0.0)
-        assert list(wave.samples) == [1, 1, 1, 1, 0, 0, 0, 0]
+        wave = rectangular_waveform(stream, 4000.0)
+        assert wave.samples.tobytes() == np.array([1.0] * 4 + [0.0] * 4).tobytes()
 
     def test_all_zero_is_constant_low(self):
         stream = BitStream(np.zeros(16, dtype=np.uint8), 100.0)
-        wave = rectangular_waveform(stream, 800.0, high_level=2.0, low_level=-0.5)
-        assert np.all(wave.samples == -0.5)
+        wave = rectangular_waveform(stream, 800.0)
+        assert wave.samples.tobytes() == bytes(8 * 16 * 8)
 
     def test_sample_count_exact(self):
         stream = BitStream(np.ones(37, dtype=np.uint8), 100.0)
@@ -183,7 +184,7 @@ class TestRectangularWaveform:
         # fundamental at bit_rate/2 (magnitude 2/pi) tops the DC term (1/2).
         stream = BitStream(np.tile([1, 0], 32).astype(np.uint8), 250.0)
         spectrum = fft_magnitude(rectangular_waveform(stream, 4000.0))
-        peak_freq = spectrum.bin_frequencies[int(np.argmax(spectrum.magnitudes))]
+        peak_freq = bin_frequencies(spectrum)[int(np.argmax(spectrum.magnitudes))]
         assert abs(peak_freq - 125.0) <= spectrum.bin_width
 
 

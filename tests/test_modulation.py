@@ -15,7 +15,7 @@ from radsim.modulation import (DEMODULATORS, MODULATORS, CarrierSpec, ask_modula
                                psk_demodulate, psk_modulate, samples_per_bit)
 from radsim.signals import SampledSignal
 from radsim.spectral import fft_magnitude, find_peaks
-from reference import parseval_energy, subtracted_demodulate
+from reference import bin_frequencies, parseval_energy, subtracted_demodulate
 
 # Default-scale carrier (192 samples per bit at 250 bit/s).
 SPEC = CarrierSpec(center_frequency=2000.0, amplitude=1.0, initial_phase=0.0, sample_rate=48000.0)
@@ -121,7 +121,7 @@ class TestGenerateCarrier:
     def test_tone_spectrum(self):
         spec = CarrierSpec(100.0, 1.0, 0.0, 10000.0)
         spectrum = fft_magnitude(generate_carrier(spec, 1.0))
-        peak = spectrum.bin_frequencies[int(np.argmax(spectrum.magnitudes))]
+        peak = bin_frequencies(spectrum)[int(np.argmax(spectrum.magnitudes))]
         assert abs(peak - 100.0) <= spectrum.bin_width
 
     def test_duration_positive(self):
@@ -227,13 +227,13 @@ class TestFsk:
     def test_all_ones_tone_at_f1(self):
         signal = fsk_modulate(stream([1] * 64), SPEC)
         spectrum = fft_magnitude(signal)
-        peak = spectrum.bin_frequencies[int(np.argmax(spectrum.magnitudes))]
+        peak = bin_frequencies(spectrum)[int(np.argmax(spectrum.magnitudes))]
         assert abs(peak - 2125.0) <= spectrum.bin_width
 
     def test_all_zeros_tone_at_f0(self):
         signal = fsk_modulate(stream([0] * 64), SPEC)
         spectrum = fft_magnitude(signal)
-        peak = spectrum.bin_frequencies[int(np.argmax(spectrum.magnitudes))]
+        peak = bin_frequencies(spectrum)[int(np.argmax(spectrum.magnitudes))]
         assert abs(peak - 1875.0) <= spectrum.bin_width
 
     def test_alternating_bits_show_both_tones(self):
@@ -247,14 +247,6 @@ class TestFsk:
         assert any(abs(f - 1875.0) <= spectrum.bin_width for f in freqs)
         assert any(abs(f - 2125.0) <= spectrum.bin_width for f in freqs)
 
-    def test_phase_reset_mode_differs_but_round_trips(self):
-        payload = random_payload(11, 128, RATE)
-        continuous = fsk_modulate(payload, SPEC, phase_continuous=True)
-        reset = fsk_modulate(payload, SPEC, phase_continuous=False)
-        assert not np.array_equal(continuous.samples, reset.samples)
-        decoded = fsk_demodulate(reset, SPEC, 128, RATE)
-        assert np.array_equal(decoded.bits, payload.bits)
-
     def test_low_tone_must_stay_nonnegative(self):
         spec = CarrierSpec(center_frequency=100.0, sample_rate=8000.0)
         with pytest.raises(ConfigurationError):
@@ -265,26 +257,23 @@ class TestFsk:
         signal = fsk_modulate(random_payload(5, 256, RATE), SPEC)
         spectrum = fft_magnitude(signal)
         masked = spectrum.magnitudes.copy()
-        band = (spectrum.bin_frequencies >= 1875.0 - RATE) & (spectrum.bin_frequencies <= 2125.0 + RATE)
+        freqs = bin_frequencies(spectrum)
+        band = (freqs >= 1875.0 - RATE) & (freqs <= 2125.0 + RATE)
         masked[~band] = 0.0
         from radsim.spectral import Spectrum
         in_band = parseval_energy(Spectrum(masked, spectrum.sample_rate, spectrum.fft_size))
         assert in_band / parseval_energy(spectrum) >= 0.9
 
 
-def reference_fsk_modulate(stream, spec, phase_continuous):
-    """FSK samples from the phase formulas, one whole-matrix expression per step."""
+def reference_fsk_modulate(stream, spec):
+    """FSK samples from the phase formula, one whole-matrix expression per step."""
     f0 = spec.center_frequency - stream.bit_rate / 2.0
     f1 = spec.center_frequency + stream.bit_rate / 2.0
     spb = samples_per_bit(spec, stream.bit_rate)
     freqs = np.where(stream.bits == 1, f1, f0)
-    if phase_continuous:
-        increments = 2 * np.pi * freqs * spb / spec.sample_rate
-        starts = spec.initial_phase + np.concatenate(([0.0], np.cumsum(increments[:-1])))
-        phases = starts[:, None] + 2 * np.pi * freqs[:, None] * np.arange(spb) / spec.sample_rate
-    else:
-        t = (np.arange(len(stream) * spb) / spec.sample_rate).reshape(len(stream), spb)
-        phases = 2 * np.pi * freqs[:, None] * t + spec.initial_phase
+    increments = 2 * np.pi * freqs * spb / spec.sample_rate
+    starts = spec.initial_phase + np.concatenate(([0.0], np.cumsum(increments[:-1])))
+    phases = starts[:, None] + 2 * np.pi * freqs[:, None] * np.arange(spb) / spec.sample_rate
     return spec.amplitude * np.cos(phases).ravel()
 
 
@@ -292,20 +281,18 @@ class TestFskInPlace:
     @settings(max_examples=50, deadline=None)
     @given(bits=bit_lists, rate=st.sampled_from([125.0, 250.0, 1000.0]),
            fc=st.floats(500.0, 20_000.0), amplitude=st.floats(1e-3, 1e3),
-           phase=st.floats(-100.0, 100.0), phase_continuous=st.booleans())
-    def test_bit_identical_to_the_formulas(self, bits, rate, fc, amplitude, phase,
-                                           phase_continuous):
+           phase=st.floats(-100.0, 100.0))
+    def test_bit_identical_to_the_formulas(self, bits, rate, fc, amplitude, phase):
         spec = CarrierSpec(fc, amplitude, phase, 48000.0)
         stream = BitStream(np.array(bits, dtype=np.uint8), rate)
-        expected = reference_fsk_modulate(stream, spec, phase_continuous)
-        got = fsk_modulate(stream, spec, phase_continuous).samples
+        expected = reference_fsk_modulate(stream, spec)
+        got = fsk_modulate(stream, spec).samples
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("phase_continuous", [True, False])
-    def test_memory_is_the_output(self, traced_peak, phase_continuous):
+    def test_memory_is_the_output(self, traced_peak):
         # 4096 bits x 192 samples: the 6.3 MB output; the formulas took 3-4 times it.
         stream = random_payload(3, 4096, RATE)
-        peak = traced_peak(lambda: fsk_modulate(stream, SPEC, phase_continuous))
+        peak = traced_peak(lambda: fsk_modulate(stream, SPEC))
         assert peak <= 1.1 * 4096 * 192 * 8
 
 
@@ -447,19 +434,16 @@ class TestDemodulatorsMatchReferences:
            snr_db=st.one_of(st.none(), st.floats(-10.0, 30.0)),
            amplitude=st.floats(1e-3, 1e3),
            initial_phase=st.floats(-np.pi, np.pi),
-           phase_continuous=st.booleans(),
            n_bits=st.integers(1, 200),
            carrier_bins=st.integers(1, 15),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_same_bits_where_the_reference_is_clear_of_a_tie(
-            self, scheme, snr_db, amplitude, initial_phase, phase_continuous,
-            n_bits, carrier_bins, seed):
+            self, scheme, snr_db, amplitude, initial_phase, n_bits, carrier_bins, seed):
         # 32 samples per bit; the carrier sits on a multiple of half the bit
         # rate, from the lowest FSK allows to just below Nyquist.
         spec = CarrierSpec(carrier_bins * RATE8 / 2, amplitude, initial_phase, 32 * RATE8)
         payload = random_payload(seed, n_bits, RATE8)
-        options = {"phase_continuous": phase_continuous} if scheme == "fsk" else {}
-        signal = MODULATORS[scheme](payload, spec, **options)
+        signal = MODULATORS[scheme](payload, spec)
         if snr_db is not None:  # noise against the carrier's power: ASK may be all zeros
             noise_power = amplitude ** 2 / 2 * 10 ** (-snr_db / 10)
             signal = apply_channel(signal, ChannelParams(noise_power=noise_power, seed=seed))
