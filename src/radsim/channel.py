@@ -33,7 +33,8 @@ class ChannelParams:
     def __post_init__(self):
         check_real("attenuation_db", self.attenuation_db, 0)
         if self.snr_db is not None:
-            # Keeps the linear ratio 10**(snr_db/10) a normal float64.
+            # Keeps the linear ratio 10**(snr_db/10) a normal float64. The noise
+            # variance it sizes can still overflow, which apply_channel refuses.
             check_real("snr_db", self.snr_db, -_MAX_SNR_DB, _MAX_SNR_DB)
         if self.noise_power is not None:
             check_real("noise_power", self.noise_power, 0)
@@ -52,15 +53,21 @@ def apply_channel(signal: SampledSignal, params: ChannelParams) -> SampledSignal
         raise ShapeError("cannot apply a channel to an empty signal")
     scaled = params.linear_gain * signal.samples
     if params.noise_power is not None:
-        variance = params.noise_power
+        variance, noisy = params.noise_power, np.empty_like(scaled)
     else:
-        power = float(np.mean(scaled ** 2))
+        noisy = np.square(scaled)
+        power = float(np.mean(noisy))
         if power == 0.0:
             raise ParameterError("cannot size noise by SNR for a zero-power signal")
         variance = power / 10.0 ** (params.snr_db / 10.0)
+        if not math.isfinite(variance):
+            raise ParameterError(f"snr_db={params.snr_db!r} at signal power {power!r} "
+                                 "needs a noise variance beyond float64")
     if variance > 0.0:
-        rng = np.random.default_rng(params.seed)
-        scaled = scaled + math.sqrt(variance) * rng.standard_normal(len(signal))
+        # The draw of standard_normal(len(signal)), made in place.
+        np.random.default_rng(params.seed).standard_normal(out=noisy)
+        noisy *= math.sqrt(variance)
+        scaled = np.add(noisy, scaled, out=noisy)
     return SampledSignal(signal.sample_rate, scaled)
 
 
@@ -74,10 +81,12 @@ def measure_snr(clean: SampledSignal, noisy: SampledSignal) -> float:
     if clean_energy == 0.0:
         raise ParameterError("clean signal has zero power; SNR is undefined")
     gain = float(np.dot(clean.samples, noisy.samples)) / clean_energy
-    fitted = gain * clean.samples
-    residual = noisy.samples - fitted
-    noise_power = float(np.mean(residual ** 2))
+    # One working array: the fit, the residual, its squares; the fit again, its squares.
+    work = np.multiply(gain, clean.samples)
+    np.subtract(noisy.samples, work, out=work)
+    noise_power = float(np.mean(np.square(work, out=work)))
     if noise_power == 0.0:
         return math.inf
-    signal_power = float(np.mean(fitted ** 2))
+    np.multiply(gain, clean.samples, out=work)
+    signal_power = float(np.mean(np.square(work, out=work)))
     return 10.0 * math.log10(signal_power / noise_power)

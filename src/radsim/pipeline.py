@@ -5,7 +5,10 @@ emitted and received signals, FFT spectrum CSV, binary STFT spectrogram,
 peak list, decoded bits, optional classification) into the directory it is
 given, which is not part of the config, with a ``report.json`` summary. The
 directory appears whole or not at all. Runs are fully deterministic per seed:
-identical configs produce byte-identical directories.
+identical configs produce byte-identical directories. A run holds at most four
+signal-sized arrays: the kept carrier, the emitted signal until its SNR, the
+received one and one working array; the full-length rFFT adds numpy's plan and
+scratch, which :mod:`tracemalloc` does not see.
 
 :func:`recognition_benchmark` scores a signature library of one template per
 modulation scheme on seeded noisy probes and on white noise.
@@ -156,6 +159,7 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
         received = apply_channel(emitted, config.channel)
         snr = measure_snr(emitted, received)
         report.measured_snr_db = snr if math.isfinite(snr) else None  # JSON has no Infinity
+    del emitted
     write_signal(received, out / "received.f64")
     files["received"] = "received.f64"
 
@@ -170,6 +174,7 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     spectral.write_peaks_csv(peaks, out / "peaks.csv")
     files["peaks"] = "peaks.csv"
     report.peak_frequencies_hz = [p.frequency for p in peaks]
+    del spectrum, spectrogram
 
     gain = config.channel.linear_gain if config.channel is not None else 1.0
     # The receiver takes the carrier as it arrives (ASK decides against its

@@ -16,7 +16,6 @@ window_length / 2) / sample_rate``.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -359,9 +358,6 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     written a chunk at a time, so memory beyond the data stays bounded by
     ``_CSV_CHUNK_ROWS`` rows whatever the spectrum's size.
     """
-    # What follows each value of a chunk, row by row; a last, shorter chunk
-    # uses the start of it.
-    separators = [",", "\n"] * _CSV_CHUNK_ROWS
     with open(path, "w") as fh:
         fh.write(f"# fft_size={spectrum.fft_size}\n"
                  f"# sample_rate={float(spectrum.sample_rate)!r}\n"
@@ -369,11 +365,11 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
         for start in range(0, spectrum.magnitudes.size, _CSV_CHUNK_ROWS):
             magnitudes = spectrum.magnitudes[start:start + _CSV_CHUNK_ROWS]
             frequencies = _bin_frequencies(np.arange(start, start + magnitudes.size), spectrum)
-            values = np.column_stack((frequencies, magnitudes)).ravel().tolist()
             # One join sizes the chunk's text once. Formatting into a growing
             # buffer instead (``%`` on a long template) fragments the heap, and
             # a process that writes run after run grows with it.
-            fh.write("".join(map(operator.add, map(repr, values), separators)))
+            fh.write("".join([f"{f!r},{m!r}\n"
+                              for f, m in zip(frequencies.tolist(), magnitudes.tolist())]))
 
 
 def write_peaks_csv(peaks: list[SpectralPeak], path) -> None:

@@ -10,8 +10,11 @@ and by numpy's geometric sampler on the count chain's waits; its infected
 count's exact distribution is pushed through the chain one pair at a time.
 A composed signal is decoded as runs decoded it before the receivers took
 ``composed``: the gain-scaled carrier subtracted, then the bare receiver.
+The channel and the SNR fit are computed as radsim computed them with a new
+array for each step, which the in-place forms must match bit for bit.
 """
 
+import math
 from base64 import b64decode, b64encode
 
 import numpy as np
@@ -65,6 +68,30 @@ def subtracted_demodulate(scheme, received, carrier, gain, received_carrier, n_b
     residual += received.samples
     to_demodulate = SampledSignal(received.sample_rate, residual)
     return DEMODULATORS[scheme](to_demodulate, received_carrier, n_bits, bit_rate)
+
+
+def channel_samples(samples, params):
+    """``gain*x + sqrt(variance)*default_rng(seed).standard_normal(n)``; ``gain*x`` if noiseless."""
+    scaled = params.linear_gain * samples
+    if params.noise_power is not None:
+        variance = params.noise_power
+    else:
+        variance = float(np.mean(scaled ** 2)) / 10.0 ** (params.snr_db / 10.0)
+    if variance > 0.0:
+        rng = np.random.default_rng(params.seed)
+        scaled = scaled + math.sqrt(variance) * rng.standard_normal(len(samples))
+    return scaled
+
+
+def fitted_snr_db(clean, noisy):
+    """The SNR in dB after a least-squares gain fit, with the fit, residual and squares apart."""
+    gain = float(np.dot(clean, noisy)) / float(np.dot(clean, clean))
+    fitted = gain * clean
+    residual = noisy - fitted
+    noise_power = float(np.mean(residual ** 2))
+    if noise_power == 0.0:
+        return math.inf
+    return 10.0 * math.log10(float(np.mean(fitted ** 2)) / noise_power)
 
 
 def reference_monte_carlo(params, seed, n_max, trials):

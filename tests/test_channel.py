@@ -6,6 +6,7 @@ import pytest
 from radsim.channel import ChannelParams, apply_channel, measure_snr
 from radsim.errors import ConfigurationError, ParameterError, ShapeError
 from radsim.signals import SampledSignal
+from reference import channel_samples, fitted_snr_db
 
 
 def tone(n=100_000, rate=48000.0, freq=1000.0):
@@ -99,8 +100,34 @@ class TestApplyChannel:
         assert y.sample_rate == 8000.0
         assert len(y) == 32
 
+    def test_overflowing_noise_variance_rejected(self):
+        # Power 5e9 over a ratio of 1e-300 is a variance beyond float64.
+        with pytest.raises(ParameterError, match=r"snr_db=-3000\.0 .*signal power"):
+            apply_channel(SampledSignal(48000.0, np.full(64, 1e5)), ChannelParams(snr_db=-3000.0))
+
+    # Odd lengths, so numpy's pairwise sums end on a partial block.
+    @pytest.mark.parametrize("params", [ChannelParams(attenuation_db=6.0, snr_db=-5.0, seed=11),
+                                        ChannelParams(attenuation_db=3.0, noise_power=0.3, seed=2),
+                                        ChannelParams(attenuation_db=6.0, noise_power=0.0)],
+                             ids=["snr", "noise_power", "noiseless"])
+    @pytest.mark.parametrize("n", [1, 4097, 100_003])
+    def test_matches_the_formula_bit_for_bit(self, params, n):
+        x = tone(n=n, freq=1234.5)
+        y = apply_channel(x, params)
+        assert y.samples.tobytes() == channel_samples(x.samples, params).tobytes()
+
 
 class TestMeasureSnr:
+    @pytest.mark.parametrize("params", [ChannelParams(attenuation_db=6.0, snr_db=10.0, seed=3),
+                                        ChannelParams(snr_db=-5.0, seed=4),
+                                        ChannelParams(noise_power=0.3, seed=5),
+                                        ChannelParams(noise_power=0.0)])
+    @pytest.mark.parametrize("n", [4097, 100_003])
+    def test_matches_the_formula_bit_for_bit(self, params, n):
+        x = tone(n=n, freq=1234.5)
+        y = apply_channel(x, params)
+        assert measure_snr(x, y) == fitted_snr_db(x.samples, y.samples)
+
     def test_identical_signals_infinite(self):
         x = tone(n=1000)
         assert measure_snr(x, x) == math.inf

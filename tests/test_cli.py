@@ -948,6 +948,16 @@ class TestRun:
         assert one_line_error(capsys)
         assert not out.exists()
 
+    def test_overflowing_noise_variance_leaves_no_run_dir(self, tmp_path, capsys):
+        # Signal power 1e10 over an SNR of 1e-300 asks for a variance beyond float64.
+        out = tmp_path / "x"
+        assert main(["run", "--defaults", "--amplitude", "1e5", "--snr-db", "-3000",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr_db=-3000.0 at signal power ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("modulation", sorted(MODULATORS))
     def test_unallocatable_carrier_leaves_no_run_dir(self, tmp_path, capsys, modulation):
         # At 1e300 Hz the carrier has 2.6e299 samples, beyond any array size.

@@ -160,6 +160,15 @@ class TestChannelRuns:
         config, report = run_default(tmp_path, channel=ChannelParams(snr_db=10.0, seed=3))
         assert report.bit_errors / config.payload_bits < 1e-2
 
+    def test_memory_is_four_signals(self, tmp_path, traced_peak):
+        # The carrier, emitted until its SNR, received and one working array.
+        config = replace(DEFAULT_CONFIG, payload_bits=4096, library_path=fsk_library(tmp_path),
+                         channel=ChannelParams(snr_db=10.0, seed=3))
+        n = 4096 * modulation.samples_per_bit(config.carrier, config.bit_rate)
+        modulation._carrier.cache_clear()  # so the run builds the carrier, and it counts
+        peak = traced_peak(lambda: run_experiment(config, tmp_path / "exp"))
+        assert peak <= 4 * 8 * n + 2 ** 21
+
 
 class TestClassification:
     def test_label_in_report(self, tmp_path):

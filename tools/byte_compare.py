@@ -21,7 +21,10 @@ relative paths only. The standard set:
   copy of mode 0604 through a symlink;
 * ``run --defaults --payload-bits 1024 --snr-db 10 --channel-seed 3
   --library L`` for fsk, psk and ask, each with ``--compose`` and with
-  ``--no-compose``: every file of the run dir;
+  ``--no-compose``; and the default fsk run at ``--attenuation-db 6
+  --snr-db 0`` and at ``--noise-power 0.5`` (channel seed 3, library L),
+  so that attenuation and noise sized by power are compared too: every
+  file of each run dir;
 * ``propagate`` closed-form, recurrence and Monte Carlo (100 trials,
   seed 7) CSVs at the six points of ``bench/workload.py``'s
   ``PropagationSweep.POINTS``.
@@ -152,6 +155,10 @@ def run_standard_set(tree: Tree) -> None:
                                 "--payload-bits", "1024", "--snr-db", "10", "--channel-seed", "3",
                                 "--library", "L.json", compose,
                                 "--out", f"runs/{scheme}{compose}"])
+    for name, channel in (("attenuated", ["--attenuation-db", "6", "--snr-db", "0"]),
+                          ("noise-power", ["--noise-power", "0.5"])):
+        tree.radsim("lib", ["run", "--defaults", "--payload-bits", "1024", *channel,
+                            "--channel-seed", "3", "--library", "L.json", "--out", f"runs/{name}"])
 
     for n, m, x0, steps in PROPAGATION_POINTS:
         for method, extra in (("closed", []), ("recurrence", []),
