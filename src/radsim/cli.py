@@ -27,9 +27,8 @@ from .modulation import (DEMODULATORS, MODULATORS, CarrierSpec, compose_emitted,
 from .signals import _read_json, _read_text, _write_json, read_signal, sidecar_path, write_signal
 
 
-_DEFAULTS = pipeline.DEFAULT_CONFIG
-_BIT_RATE = _DEFAULTS.bit_rate
-_CARRIER = _DEFAULTS.carrier
+_BIT_RATE = pipeline.DEFAULT_CONFIG.bit_rate
+_CARRIER = pipeline.DEFAULT_CONFIG.carrier
 
 
 def _add_carrier_flags(parser):
@@ -118,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--fft-size", type=int, help="power-of-two FFT size (default: full length)")
     p.add_argument("--stft", action="store_true", help="write an STFT spectrogram instead")
-    p.add_argument("--window-length", type=int, default=_DEFAULTS.stft_window)
-    p.add_argument("--hop", type=int, default=_DEFAULTS.stft_hop)
+    p.add_argument("--window-length", type=int, default=spectral.DEFAULT_WINDOW_LENGTH)
+    p.add_argument("--hop", type=int, default=spectral.DEFAULT_HOP)
     p.add_argument("--window", choices=list(spectral._WINDOWS), default=spectral.DEFAULT_WINDOW)
     p.add_argument("--out", required=True, help="output path (f64 + JSON sidecar)")
 
@@ -175,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", dest="channel.snr_db", type=float)
     p.add_argument("--noise-power", dest="channel.noise_power", type=float)
     p.add_argument("--channel-seed", dest="channel.seed", type=int)
-    p.add_argument("--stft-window", type=int)
-    p.add_argument("--stft-hop", type=int)
     p.add_argument("--library", dest="library_path", help="signature library for classification")
     p.add_argument("--threshold", dest="classification_threshold", type=float,
                    help="classification threshold")

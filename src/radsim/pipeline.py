@@ -54,8 +54,6 @@ class ExperimentConfig:
     modulation: str = "fsk"
     compose_with_carrier: bool = True
     channel: ChannelParams | None = None
-    stft_window: int = 256
-    stft_hop: int = 128
     library_path: str | None = None
     classification_threshold: float = DEFAULT_THRESHOLD
 
@@ -78,9 +76,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"library_path must be a path string or null, "
                                      f"got {self.library_path!r}")
         check_real("classification_threshold", self.classification_threshold, 0, 1, "()")
-        # The analysis settings are checked here, before a run writes anything.
+        # A run's fixed STFT grid must fit the signal; checked here, before a run writes anything.
         n_samples = self.payload_bits * modulation.samples_per_bit(self.carrier, self.bit_rate)
-        spectral._check_stft(self.stft_window, self.stft_hop, spectral.DEFAULT_WINDOW, n_samples)
+        spectral._check_stft(spectral.DEFAULT_WINDOW_LENGTH, spectral.DEFAULT_HOP,
+                             spectral.DEFAULT_WINDOW, n_samples)
 
 
 DEFAULT_CONFIG = ExperimentConfig()
@@ -89,7 +88,6 @@ DEFAULT_CONFIG = ExperimentConfig()
 @dataclass(eq=False)
 class ExperimentReport:
     config: ExperimentConfig
-    files: dict = field(default_factory=dict)
     peak_frequencies_hz: list = field(default_factory=list)
     measured_snr_db: float | None = None  # also None when infinite: no noise was added
     bit_errors: int = 0
@@ -140,11 +138,9 @@ def run_experiment(config: ExperimentConfig, output_dir) -> ExperimentReport:
 def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     """Run the chain, writing every artifact and ``report.json`` into ``out``."""
     report = ExperimentReport(config)
-    files = report.files
     payload = codec.random_payload(config.seed, config.payload_bits, config.bit_rate)
 
     codec.write_bits(payload, out / "payload.txt")
-    files["payload"] = "payload.txt"
 
     emitted = modulation.MODULATORS[config.modulation](payload, config.carrier)
     if config.compose_with_carrier:
@@ -152,7 +148,6 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
                                               len(emitted) / config.carrier.sample_rate)
         emitted = modulation.compose_emitted(carrier, emitted)
     write_signal(emitted, out / "emitted.f64")
-    files["emitted"] = "emitted.f64"
 
     received = emitted
     if config.channel is not None:
@@ -161,18 +156,15 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
         report.measured_snr_db = snr if math.isfinite(snr) else None  # JSON has no Infinity
     del emitted
     write_signal(received, out / "received.f64")
-    files["received"] = "received.f64"
 
     spectrum = spectral.fft_magnitude(received)
     spectral.write_spectrum_csv(spectrum, out / "spectrum.csv")
-    files["spectrum"] = "spectrum.csv"
-    # The STFT taper and the peak floor are the defaults; kept peaks are half a bit rate apart.
-    spectrogram = spectral.stft(received, config.stft_window, config.stft_hop)
+    # The STFT grid and taper and the peak floor are the defaults; kept peaks
+    # are half a bit rate apart.
+    spectrogram = spectral.stft(received, spectral.DEFAULT_WINDOW_LENGTH, spectral.DEFAULT_HOP)
     spectral.write_spectrum(spectrogram, out / "stft.f64")
-    files["stft"] = "stft.f64"
     peaks = spectral.find_peaks(spectrum, min_separation=config.bit_rate / 2.0)
     spectral.write_peaks_csv(peaks, out / "peaks.csv")
-    files["peaks"] = "peaks.csv"
     report.peak_frequencies_hz = [p.frequency for p in peaks]
     del spectrum, spectrogram
 
@@ -185,14 +177,12 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     decoded = demodulate(received, received_carrier, config.payload_bits, config.bit_rate,
                          composed=config.compose_with_carrier)
     codec.write_bits(decoded, out / "demodulated.txt")
-    files["demodulated"] = "demodulated.txt"
     report.bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))
 
     if config.library_path is not None:
         library = library_load(config.library_path)
         report.classification = classify(received, library, config.classification_threshold)
         _write_json(out / "classification.json", asdict(report.classification))
-        files["classification"] = "classification.json"
 
     _write_json(out / "report.json", asdict(report))
     return report

@@ -39,12 +39,18 @@ __all__ = [
     "write_spectrum_csv",
     "write_peaks_csv",
     "DEFAULT_WINDOW",
+    "DEFAULT_WINDOW_LENGTH",
+    "DEFAULT_HOP",
     "DEFAULT_RELATIVE_THRESHOLD",
 ]
 
 # The STFT taper and the peak floor (a fraction of the strongest bin) that
-# :func:`stft` and :func:`find_peaks` default to; a pipeline run analyses with them.
+# :func:`stft` and :func:`find_peaks` default to, and the STFT grid (window
+# length and hop, in samples) that ``radsim spectrum --stft`` defaults to; a
+# pipeline run analyses with them.
 DEFAULT_WINDOW = "hann"
+DEFAULT_WINDOW_LENGTH = 256
+DEFAULT_HOP = 128
 DEFAULT_RELATIVE_THRESHOLD = 0.1
 
 

@@ -65,11 +65,13 @@ def test_help_exists(name):
     ["modulate", "--in", "bits.txt", "--scheme", "fsk", "--fsk-phase-reset", "--out", "fsk.f64"],
     ["encode", "--in", "bits.txt", "--rect-out", "rect.f64", "--high", "2"],
     ["encode", "--in", "bits.txt", "--rect-out", "rect.f64", "--low", "-1"],
+    ["run", "--defaults", "--stft-window", "512", "--out", "exp"],
+    ["run", "--defaults", "--stft-hop", "64", "--out", "exp"],
 ], ids=["run-demodulate", "run-no-demodulate", "modulate-fsk-phase-reset", "encode-high",
-        "encode-low"])
+        "encode-low", "run-stft-window", "run-stft-hop"])
 def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, args):
-    # A run always decodes, FSK is always phase-continuous, and a rectangular
-    # waveform's levels are the bits: no flag chooses otherwise.
+    # A run always decodes on a fixed STFT grid, FSK is always phase-continuous,
+    # and a rectangular waveform's levels are the bits: no flag chooses otherwise.
     monkeypatch.chdir(tmp_path)
     Path("bits.txt").write_text("0110\n")
     with pytest.raises(SystemExit) as exited:
@@ -846,26 +848,36 @@ class TestRun:
         assert len(result.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--stft-window", "100000"], ["--stft-window", "1"],
-                                       ["--stft-hop", "0"]],
-                             ids=["window-too-long", "window-too-short", "hop-zero"])
-    def test_bad_stft_leaves_no_run_dir(self, tmp_path, flags):
-        out = tmp_path / "half"
-        result = run_cli("run", "--defaults", *flags, "--out", str(out))
-        assert result.returncode == 1
-        assert result.stderr.startswith("error:")
-        assert len(result.stderr.strip().splitlines()) == 1
-        assert not out.exists()
+    @pytest.mark.parametrize("changes, construction_error", [
+        # A run's STFT grid is fixed, so its keys are unknown.
+        ({"stft_window": 100000}, TypeError),
+        ({"stft_window": 1}, TypeError),
+        ({"stft_hop": 0}, TypeError),
+        # 1 bit of 192 samples is shorter than the fixed 256-sample window.
+        ({"payload_bits": 1}, RadsimError),
+    ], ids=["window-too-long", "window-too-short", "hop-zero", "signal-shorter-than-window"])
+    def test_bad_stft_leaves_no_run_dir(self, tmp_path, changes, construction_error):
+        with pytest.raises(construction_error):
+            ExperimentConfig(**changes)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)))
+        code, lines, caught = cli_result(["run", "--config", str(config),
+                                          "--out", str(tmp_path / "half")])
+        assert (code, caught) == (1, [])
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        # Nothing was written, not even the hidden .partial sibling.
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("flags, changes, name", [
         (["--fc", "nan"], {}, "center_frequency"),
         (["--amplitude", "inf"], {}, "amplitude"),
         ([], {"payload_bits": 8.5}, "payload_bits"),
         ([], {"bit_rate": "x"}, "bit_rate"),
-        # A run's STFT window, peak floor and peak spacing are fixed, so their keys are unknown.
+        # A run's STFT grid and window, peak floor and peak spacing are fixed,
+        # so their keys are unknown.
         ([], {"peak_relative_threshold": 2},
          "unexpected keyword argument 'peak_relative_threshold'"),
-        ([], {"stft_hop": True}, "hop"),
+        ([], {"stft_hop": True}, "unexpected keyword argument 'stft_hop'"),
         ([], {"peak_relative_threshold": True},
          "unexpected keyword argument 'peak_relative_threshold'"),
         ([], {"peak_min_separation": True},
@@ -875,7 +887,7 @@ class TestRun:
         ([], {"channel": {"snr_db": True}}, "snr_db"),
         ([], {"channel": {"snr_db": 10.0, "seed": True}}, "seed"),
         ([], {"payload_bits": 10 ** 400}, "payload_bits"),
-        ([], {"stft_hop": 10 ** 400}, "hop"),
+        ([], {"stft_hop": 10 ** 400}, "unexpected keyword argument 'stft_hop'"),
         ([], {"stft_window_type": "hann"}, "unexpected keyword argument 'stft_window_type'"),
     ], ids=["fc-nan", "amplitude-inf", "payload-bits-float", "bit-rate-string",
             "peak-threshold-above-one", "stft-hop-bool", "peak-threshold-bool",
@@ -891,22 +903,20 @@ class TestRun:
         assert name in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("changes, construction_error", [
-        ({"stft_window": 1}, RadsimError),
-        ({"stft_hop": 0}, RadsimError),
-        # Keys of the fixed analysis settings are unknown keyword arguments.
-        ({"stft_window_type": "kaiser"}, TypeError),
-        ({"peak_relative_threshold": 2.0}, TypeError),
-        ({"peak_min_separation": -1.0}, TypeError),
-        ({"stft_window": 64 * 192 + 1}, RadsimError),  # 64 bits of 192 samples
-        # 12 033 frames x 129 bins: 126 magnitudes per sample
-        ({"stft_hop": 1}, RadsimError),
+    # Keys of the fixed analysis settings are unknown keyword arguments.
+    @pytest.mark.parametrize("changes", [
+        {"stft_window": 1},
+        {"stft_hop": 0},
+        {"stft_window_type": "kaiser"},
+        {"peak_relative_threshold": 2.0},
+        {"peak_min_separation": -1.0},
+        {"stft_window": 64 * 192 + 1},
+        {"stft_hop": 1},
     ], ids=["window-one", "hop-zero", "window-kaiser", "threshold-two", "separation-negative",
             "window-beyond-signal", "grid-beyond-64-per-sample"])
-    def test_bad_analysis_setting_fails_at_construction(self, tmp_path, changes,
-                                                        construction_error):
+    def test_bad_analysis_setting_fails_at_construction(self, tmp_path, changes):
         doc = dict(json.loads(DEFAULT_CONFIG.read_text()), **changes)
-        with pytest.raises(construction_error):
+        with pytest.raises(TypeError):
             ExperimentConfig(**changes)
         with pytest.raises(RadsimError):
             config_from_json(doc)
@@ -928,13 +938,14 @@ class TestRun:
             fields |= {f"{key}.{name}" for name in value} if isinstance(value, dict) else {key}
         dests = {a.dest for a in subcommand("run")._actions} - {"help", "config", "defaults",
                                                                  "output_dir"}
-        assert len(fields) == 17
+        assert len(fields) == 15
         assert dests == fields
 
     def test_failed_run_removes_parents_it_made(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         out = tmp_path / "a" / "b" / "c" / "d"
-        assert main(["run", "--defaults", "--stft-hop", "0", "--out", str(out)]) == 1
+        # One bit of 192 samples is shorter than the fixed 256-sample STFT window.
+        assert main(["run", "--defaults", "--payload-bits", "1", "--out", str(out)]) == 1
         assert one_line_error(capsys)
         assert [p.name for p in tmp_path.rglob("*")] == ["a"]
         # A run that succeeds keeps the parents it made.
@@ -991,12 +1002,12 @@ class TestRun:
         assert main(["run", "--defaults", "--out", str(tmp_path / "fresh")]) == 0
         assert directory_bytes(tmp_path / "empty") == directory_bytes(tmp_path / "fresh")
 
-    def test_stft_csv_export_matches_run_spectrogram(self, tmp_path):
+    def test_stft_export_at_its_defaults_matches_run_spectrogram(self, tmp_path):
         run = tmp_path / "exp"
         assert main(["run", "--defaults", "--payload-bits", "1024", "--out", str(run)]) == 0
         exported = tmp_path / "stft.f64"
         assert main(["spectrum", "--in", str(run / "received.f64"), "--stft",
-                     "--window-length", "256", "--hop", "128", "--out", str(exported)]) == 0
+                     "--out", str(exported)]) == 0
         assert exported.read_bytes() == (run / "stft.f64").read_bytes()
         assert sidecar_path(exported).read_bytes() == sidecar_path(run / "stft.f64").read_bytes()
 

@@ -13,7 +13,7 @@ from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
 from radsim.pipeline import (DEFAULT_CONFIG, ExperimentConfig, config_from_json,
                              recognition_benchmark, run_experiment)
 from radsim.recognition import SignatureLibrary, library_add, library_save
-from radsim.signals import read_signal, sidecar_path
+from radsim.signals import read_signal
 from radsim.spectral import fft_magnitude, find_peaks, read_spectrogram, stft, write_spectrum_csv
 
 
@@ -47,24 +47,24 @@ class TestDefaultRun:
     def test_every_artifact_parses_back(self, tmp_path):
         config, report = run_default(tmp_path)
         out = tmp_path / "exp"
-        payload = read_bits(out / report.files["payload"], config.bit_rate)
+        payload = read_bits(out / "payload.txt", config.bit_rate)
         assert len(payload) == 64
-        for key in ("emitted", "received"):
-            signal = read_signal(out / report.files[key])
+        for name in ("emitted.f64", "received.f64"):
+            signal = read_signal(out / name)
             assert signal.sample_rate == 48000.0
             assert len(signal) == 64 * 192
-        received = read_signal(out / report.files["received"])
+        received = read_signal(out / "received.f64")
         spectrum = fft_magnitude(received)
         write_spectrum_csv(spectrum, tmp_path / "spectrum.csv")
-        assert ((out / report.files["spectrum"]).read_bytes()
-                == (tmp_path / "spectrum.csv").read_bytes())
-        gram = read_spectrogram(out / report.files["stft"])
-        # A run analyses with a hann window, a peak floor of 0.1 and peaks half a bit rate apart.
-        expected = stft(received, config.stft_window, config.stft_hop, "hann")
+        assert (out / "spectrum.csv").read_bytes() == (tmp_path / "spectrum.csv").read_bytes()
+        gram = read_spectrogram(out / "stft.f64")
+        # A run analyses on a 256-sample hann window at hop 128, with a peak
+        # floor of 0.1 and peaks half a bit rate apart.
+        expected = stft(received, 256, 128, "hann")
         for name in ("sample_rate", "window_length", "hop", "window"):
             assert getattr(gram, name) == getattr(expected, name)
         assert np.array_equal(gram.magnitudes, expected.magnitudes)
-        rows = np.loadtxt(out / report.files["peaks"], delimiter=",", skiprows=1, ndmin=2)
+        rows = np.loadtxt(out / "peaks.csv", delimiter=",", skiprows=1, ndmin=2)
         peaks = find_peaks(spectrum, 0.1, config.bit_rate / 2)
         assert [(f, v, int(k)) for f, v, k in rows.tolist()] == [
             (p.frequency, p.magnitude, p.bin_index) for p in peaks]
@@ -73,20 +73,22 @@ class TestDefaultRun:
         assert report_doc["peak_frequencies_hz"] == report.peak_frequencies_hz
 
     def test_report_lists_every_file(self, tmp_path):
-        config, report = run_default(tmp_path, library_path=fsk_library(tmp_path),
-                                     channel=ChannelParams(snr_db=10.0, seed=1))
-        out = tmp_path / "exp"
-        listed = set(report.files.values()) | {"report.json"}
-        listed |= {sidecar_path(name).name for name in listed if name.endswith(".f64")}
-        assert json.loads((out / "report.json").read_text())["files"] == report.files
-        assert {p.name for p in out.iterdir()} == listed
+        listed = ["demodulated.txt", "emitted.f64", "emitted.f64.json", "payload.txt",
+                  "peaks.csv", "received.f64", "received.f64.json", "report.json",
+                  "spectrum.csv", "stft.f64", "stft.f64.json"]
+        run_default(tmp_path, name="bare", channel=ChannelParams(snr_db=10.0, seed=1))
+        assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == listed
+        run_default(tmp_path, library_path=fsk_library(tmp_path),
+                    channel=ChannelParams(snr_db=10.0, seed=1))
+        assert (sorted(p.name for p in (tmp_path / "exp").iterdir())
+                == sorted(listed + ["classification.json"]))
 
     def test_report_json_states_each_fact_once(self, tmp_path):
         config, _ = run_default(tmp_path, library_path=fsk_library(tmp_path),
                                 channel=ChannelParams(snr_db=10.0, seed=1))
         out = tmp_path / "exp"
         report = json.loads((out / "report.json").read_text())
-        assert sorted(report) == ["bit_errors", "classification", "config", "files",
+        assert sorted(report) == ["bit_errors", "classification", "config",
                                   "measured_snr_db", "peak_frequencies_hz"]
         assert report["config"] == asdict(config)
         assert report["classification"] == json.loads((out / "classification.json").read_text())
