@@ -38,13 +38,11 @@ def _add_carrier_flags(parser):
                         help="carrier amplitude")
     parser.add_argument("--phase", type=float, default=_CARRIER.initial_phase,
                         help="carrier initial phase, radians")
-    parser.add_argument("--sample-rate", type=float, default=_CARRIER.sample_rate,
-                        help="sample rate, Hz")
 
 
-def _carrier_from(args) -> CarrierSpec:
+def _carrier_from(args, sample_rate: float) -> CarrierSpec:
     return CarrierSpec(center_frequency=args.fc, amplitude=args.amplitude,
-                       initial_phase=args.phase, sample_rate=args.sample_rate)
+                       initial_phase=args.phase, sample_rate=sample_rate)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--hex", help="hex string to expand into bits")
     src.add_argument("--hex-file", help="file containing a hex string")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--out", required=True, help="bit text file output path")
 
     p = command("encode", _cmd_encode,
@@ -92,13 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--scheme", choices=sorted(MODULATORS), required=True)
     _add_carrier_flags(p)
+    p.add_argument("--sample-rate", type=float, default=_CARRIER.sample_rate, help="sample rate, Hz")
     p.add_argument("--compose", action="store_true", help="add the carrier to the modulated signal")
     p.add_argument("--out", required=True, help="signal output path (raw f64 + JSON sidecar)")
 
     p = command("demodulate", _cmd_demodulate, help="recover bits from a modulated signal")
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
     p.add_argument("--scheme", choices=sorted(DEMODULATORS), required=True)
-    p.add_argument("--n-bits", type=int, required=True)
     p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     _add_carrier_flags(p)
     p.add_argument("--expected", help="bit text file to compare against (prints BER)")
@@ -139,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", required=True, help="library JSON path (created if missing)")
     p.add_argument("--label", required=True)
     p.add_argument("--in", dest="infile", required=True, help="template signal input path")
-    p.add_argument("--fft-size", type=int, default=recognition.DEFAULT_FFT_SIZE,
-                   help="analysis FFT size for a newly created library")
     p.add_argument("--meta", action="append", default=[], metavar="KEY=VALUE",
                    help="metadata entry (repeatable)")
 
@@ -210,14 +205,14 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_payload(args) -> int:
     if args.hex is not None:
-        stream = codec.hex_to_bits(args.hex, args.bit_rate)
+        stream = codec.hex_to_bits(args.hex, _BIT_RATE)
     elif args.hex_file is not None:
-        stream = codec.hex_to_bits(_read_text(args.hex_file).strip(), args.bit_rate)
+        stream = codec.hex_to_bits(_read_text(args.hex_file).strip(), _BIT_RATE)
     else:
         n_bits = args.bits if args.bits is not None else 64
-        stream = codec.random_payload(args.seed, n_bits, args.bit_rate)
+        stream = codec.random_payload(args.seed, n_bits, _BIT_RATE)
     codec.write_bits(stream, args.out)
-    print(f"wrote {args.out}: {len(stream)} bits at {args.bit_rate} bit/s")
+    print(f"wrote {args.out}: {len(stream)} bits")
     return 0
 
 
@@ -241,7 +236,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_modulate(args) -> int:
     stream = codec.read_bits(args.infile, args.bit_rate)
-    spec = _carrier_from(args)
+    spec = _carrier_from(args, args.sample_rate)
     signal = MODULATORS[args.scheme](stream, spec)
     if args.compose:
         carrier = generate_carrier(spec, len(signal) / spec.sample_rate)
@@ -254,8 +249,8 @@ def _cmd_modulate(args) -> int:
 
 def _cmd_demodulate(args) -> int:
     signal = read_signal(args.infile)
-    spec = _carrier_from(args)
-    stream = DEMODULATORS[args.scheme](signal, spec, args.n_bits, args.bit_rate)
+    spec = _carrier_from(args, signal.sample_rate)
+    stream = DEMODULATORS[args.scheme](signal, spec, args.bit_rate)
     expected = codec.read_bits(args.expected, args.bit_rate) if args.expected else None
     if expected is not None and len(expected) != len(stream):
         raise ConfigurationError(
@@ -330,8 +325,7 @@ def _cmd_library_add(args) -> int:
     if path.exists():
         library = recognition.library_load(path)
     else:
-        library = recognition.SignatureLibrary(fft_size=args.fft_size,
-                                               sample_rate=signal.sample_rate)
+        library = recognition.SignatureLibrary(sample_rate=signal.sample_rate)
     library = recognition.library_add(library, args.label, signal, _parse_metadata(args.meta))
     recognition.library_save(library, path)
     print(f"wrote {path}: {len(library)} entries ({', '.join(library.labels())})")

@@ -15,8 +15,10 @@ Conventions:
   exactly on samples.
 
 The receivers know the bit timing and exist so round trips can be verified
-and bit error rates measured. ASK and PSK share one coherent correlator that
-decides at the keyed levels' midpoint; FSK is noncoherent (tone magnitudes).
+and bit error rates measured. They read the bit count from the signal, which
+must hold a whole number of bits at the carrier spec's sample rate. ASK and
+PSK share one coherent correlator that decides at the keyed levels'
+midpoint; FSK is noncoherent (tone magnitudes).
 Given ``composed=True`` they decode the carrier plus the modulated signal:
 the keyed levels rise by 1, and FSK takes the carrier's known share off its
 tone correlations.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import BitStream, _check_nonempty, _samples_per_bit
-from .errors import ConfigurationError, ParameterError, ShapeError, check_int, check_real
+from .errors import ConfigurationError, ParameterError, ShapeError, check_real
 from .signals import SampledSignal, _check_aligned, _check_length
 
 __all__ = [
@@ -184,12 +186,15 @@ def compose_emitted(carrier: SampledSignal, modulated: SampledSignal) -> Sampled
     return SampledSignal(carrier.sample_rate, carrier.samples + modulated.samples)
 
 
-def _bit_windows(signal: SampledSignal, spb: int, n_bits: int) -> np.ndarray:
-    check_int("n_bits", n_bits, 1)
-    needed = n_bits * spb
-    if len(signal) < needed:
-        raise ShapeError(f"signal has {len(signal)} samples, need {needed} for {n_bits} bits")
-    return signal.samples[:needed].reshape(n_bits, spb)
+def _bit_windows(signal: SampledSignal, spec: CarrierSpec, spb: int) -> np.ndarray:
+    if signal.sample_rate != spec.sample_rate:
+        raise ConfigurationError(f"signal sample rate {signal.sample_rate} does not match "
+                                 f"the carrier spec's ({spec.sample_rate})")
+    n_bits, extra = divmod(len(signal), spb)
+    if n_bits == 0 or extra:
+        raise ShapeError(f"signal has {len(signal)} samples, not a whole number of "
+                         f"{spb}-sample bits")
+    return signal.samples.reshape(n_bits, spb)
 
 
 def _one_bit_angles(frequencies, spb: int, sample_rate: float) -> np.ndarray:
@@ -215,8 +220,8 @@ def _bit_phases(spec: CarrierSpec, spb: int, n_bits: int) -> np.ndarray:
             + spec.initial_phase)
 
 
-def fsk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                   bit_rate: float, *, composed: bool = False) -> BitStream:
+def fsk_demodulate(signal: SampledSignal, spec: CarrierSpec, bit_rate: float, *,
+                   composed: bool = False) -> BitStream:
     """Per-bit tone correlation at f0/f1; larger magnitude wins, ties decode as 0.
 
     A tone's phase at the start of a bit is a unit-modulus factor of its
@@ -228,11 +233,12 @@ def fsk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     """
     f0, f1 = _fsk_tones(spec, bit_rate)
     spb = samples_per_bit(spec, bit_rate)
-    zc, zs = _tone_correlations(_bit_windows(signal, spb, n_bits), (f0, f1), spec.sample_rate)
+    windows = _bit_windows(signal, spec, spb)
+    zc, zs = _tone_correlations(windows, (f0, f1), spec.sample_rate)
     if composed:
         a = _one_bit_angles((spec.center_frequency,), spb, spec.sample_rate)[:, 0]
         kc, ks = _tone_correlations(np.array([np.cos(a), np.sin(a)]), (f0, f1), spec.sample_rate)
-        theta = _bit_phases(spec, spb, n_bits)
+        theta = _bit_phases(spec, spb, len(windows))
         rotation = spec.amplitude * np.column_stack([np.cos(theta), -np.sin(theta)])
         zc -= rotation @ kc
         zs -= rotation @ ks
@@ -241,8 +247,8 @@ def fsk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     return BitStream(bits, bit_rate)
 
 
-def _keyed_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                      bit_rate: float, scheme: str, composed: bool) -> BitStream:
+def _keyed_demodulate(signal: SampledSignal, spec: CarrierSpec, bit_rate: float,
+                      scheme: str, composed: bool) -> BitStream:
     """Coherent correlation with the carrier; above the levels' midpoint decodes as 1.
 
     With theta_b from :func:`_bit_phases` and a_j = 2*pi*fc*j/fs, the window's
@@ -255,9 +261,9 @@ def _keyed_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     """
     midpoint = sum(_KEYED_LEVELS[scheme]) / 2 + composed
     spb = samples_per_bit(spec, bit_rate)
-    zc, zs = _tone_correlations(_bit_windows(signal, spb, n_bits), (spec.center_frequency,),
-                                spec.sample_rate)
-    theta = _bit_phases(spec, spb, n_bits)
+    windows = _bit_windows(signal, spec, spb)
+    zc, zs = _tone_correlations(windows, (spec.center_frequency,), spec.sample_rate)
+    theta = _bit_phases(spec, spb, len(windows))
     correlation = np.cos(theta) * zc[:, 0] - np.sin(theta) * zs[:, 0]
     angles = _one_bit_angles((2 * spec.center_frequency,), spb, spec.sample_rate)
     c2, s2 = np.cos(angles).sum(), np.sin(angles).sum()
@@ -266,16 +272,16 @@ def _keyed_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
     return BitStream(bits, bit_rate)
 
 
-def psk_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                   bit_rate: float, *, composed: bool = False) -> BitStream:
+def psk_demodulate(signal: SampledSignal, spec: CarrierSpec, bit_rate: float, *,
+                   composed: bool = False) -> BitStream:
     """Coherent correlation with the carrier; above its levels' midpoint decodes as 1."""
-    return _keyed_demodulate(signal, spec, n_bits, bit_rate, "psk", composed)
+    return _keyed_demodulate(signal, spec, bit_rate, "psk", composed)
 
 
-def ask_demodulate(signal: SampledSignal, spec: CarrierSpec, n_bits: int,
-                   bit_rate: float, *, composed: bool = False) -> BitStream:
+def ask_demodulate(signal: SampledSignal, spec: CarrierSpec, bit_rate: float, *,
+                   composed: bool = False) -> BitStream:
     """Coherent correlation with the carrier; above its levels' midpoint decodes as 1."""
-    return _keyed_demodulate(signal, spec, n_bits, bit_rate, "ask", composed)
+    return _keyed_demodulate(signal, spec, bit_rate, "ask", composed)
 
 
 # The scheme registry: every scheme name the package accepts, and the one place

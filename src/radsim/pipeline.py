@@ -174,7 +174,7 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     amplitude = max(config.carrier.amplitude * gain, math.ulp(0.0))
     received_carrier = replace(config.carrier, amplitude=amplitude)
     demodulate = modulation.DEMODULATORS[config.modulation]
-    decoded = demodulate(received, received_carrier, config.payload_bits, config.bit_rate,
+    decoded = demodulate(received, received_carrier, config.bit_rate,
                          composed=config.compose_with_carrier)
     codec.write_bits(decoded, out / "demodulated.txt")
     report.bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))

@@ -61,13 +61,13 @@ def as_version_1(doc, minor=1):
     return doc
 
 
-def subtracted_demodulate(scheme, received, carrier, gain, received_carrier, n_bits, bit_rate):
+def subtracted_demodulate(scheme, received, carrier, gain, received_carrier, bit_rate):
     """The bare ``scheme`` receiver's bits for ``received`` less ``gain`` times ``carrier``."""
     # received - gain * carrier, bit for bit, with one signal-sized array.
     residual = carrier.samples * -gain
     residual += received.samples
     to_demodulate = SampledSignal(received.sample_rate, residual)
-    return DEMODULATORS[scheme](to_demodulate, received_carrier, n_bits, bit_rate)
+    return DEMODULATORS[scheme](to_demodulate, received_carrier, bit_rate)
 
 
 def channel_samples(samples, params):

@@ -67,11 +67,20 @@ def test_help_exists(name):
     ["encode", "--in", "bits.txt", "--rect-out", "rect.f64", "--low", "-1"],
     ["run", "--defaults", "--stft-window", "512", "--out", "exp"],
     ["run", "--defaults", "--stft-hop", "64", "--out", "exp"],
+    ["demodulate", "--in", "sig.f64", "--scheme", "fsk", "--n-bits", "4", "--out", "d.txt"],
+    ["demodulate", "--in", "sig.f64", "--scheme", "fsk", "--sample-rate", "48000",
+     "--out", "d.txt"],
+    ["payload", "--bits", "8", "--bit-rate", "250", "--out", "b.txt"],
+    ["library-add", "--library", "lib.json", "--label", "x", "--in", "sig.f64",
+     "--fft-size", "1024"],
 ], ids=["run-demodulate", "run-no-demodulate", "modulate-fsk-phase-reset", "encode-high",
-        "encode-low", "run-stft-window", "run-stft-hop"])
+        "encode-low", "run-stft-window", "run-stft-hop", "demodulate-n-bits",
+        "demodulate-sample-rate", "payload-bit-rate", "library-add-fft-size"])
 def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, args):
     # A run always decodes on a fixed STFT grid, FSK is always phase-continuous,
     # and a rectangular waveform's levels are the bits: no flag chooses otherwise.
+    # A receiver reads the rate and the bit count from its signal, a bit file
+    # records no bit rate, and a new library takes the default FFT size.
     monkeypatch.chdir(tmp_path)
     Path("bits.txt").write_text("0110\n")
     with pytest.raises(SystemExit) as exited:
@@ -132,13 +141,15 @@ def test_unallocatable_steps_is_one_line_error(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["encode", "--in", "{bits}", "--manchester-out", "{out}", "--rect-out", "{out}.f64",
      "--sample-rate", "100"],
-    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--n-bits", "8",
-     "--expected", "{missing}", "--out", "{out}"],
-    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--n-bits", "8",
-     "--expected", "{short}", "--out", "{out}"],
+    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--expected", "{missing}",
+     "--out", "{out}"],
+    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--expected", "{short}",
+     "--out", "{out}"],
+    # 8 bits of 192 samples are not a whole number of 160-sample bits.
+    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--bit-rate", "300", "--out", "{out}"],
     ["channel", "--in", "{signal}", "--noise-power", "1", "--out", "{out}"],
 ], ids=["encode-rect-rate", "demodulate-expected-missing", "demodulate-expected-short",
-        "channel-zero-signal"])
+        "demodulate-partial-bit", "channel-zero-signal"])
 def test_failed_command_writes_nothing(tmp_path, capsys, args):
     bits, short, signal = tmp_path / "bits.txt", tmp_path / "short.txt", tmp_path / "sig.f64"
     bits.write_text("01101001\n")
@@ -161,8 +172,7 @@ _FAILING_WRITES = {
     "encode-both": ["encode", "--in", "bits.txt", "--manchester-out", "ok.txt",
                     "--rect-out", "nodir/rect.f64"],
     "modulate": ["modulate", "--in", "bits.txt", "--scheme", "psk", "--out", "nodir/s.f64"],
-    "demodulate": ["demodulate", "--in", "sig.f64", "--scheme", "fsk", "--n-bits", "64",
-                   "--out", "nodir/d.txt"],
+    "demodulate": ["demodulate", "--in", "sig.f64", "--scheme", "fsk", "--out", "nodir/d.txt"],
     "channel": ["channel", "--in", "sig.f64", "--snr-db", "10", "--out", "nodir/n.f64"],
     "spectrum": ["spectrum", "--in", "sig.f64", "--out", "nodir/s.f64"],
     "spectrum-stft": ["spectrum", "--in", "sig.f64", "--stft", "--out", "nodir/s.f64"],
@@ -229,13 +239,11 @@ def test_manchester_symbol_rate_overflow_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["payload", "--bits", "8", "--bit-rate", "{rate}", "--out", "{out}"],
     ["encode", "--in", "{bits}", "--bit-rate", "{rate}", "--rect-out", "{out}"],
     ["encode", "--in", "{bits}", "--sample-rate", "{rate}", "--rect-out", "{out}"],
     ["modulate", "--in", "{bits}", "--scheme", "fsk", "--bit-rate", "{rate}", "--out", "{out}"],
-    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--n-bits", "8",
-     "--bit-rate", "{rate}", "--out", "{out}"],
-], ids=["payload", "encode", "encode-sample-rate", "modulate", "demodulate"])
+    ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--bit-rate", "{rate}", "--out", "{out}"],
+], ids=["encode", "encode-sample-rate", "modulate", "demodulate"])
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_non_finite_rate_rejected(tmp_path, capsys, args, rate):
     bits, signal, out = tmp_path / "bits.txt", tmp_path / "sig.f64", tmp_path / "out"
@@ -278,11 +286,8 @@ def test_unallocatable_signal_is_one_line_error(tmp_path, capsys, args):
      "--out", "{out}"],
     ["propagate", "--n", "100", "--m", str(10 ** 400), "--out", "{out}"],
     ["spectrum", "--in", "{signal}", "--fft-size", str(2 ** 62), "--out", "{out}"],
-    ["library-add", "--library", "{out}", "--label", "x", "--in", "{signal}",
-     "--fft-size", str(2 ** 100)],
 ], ids=["payload-bits", "propagate-steps", "propagate-montecarlo-m", "propagate-montecarlo-n",
-        "propagate-montecarlo-trials", "propagate-closed-m", "spectrum-fft-size",
-        "library-fft-size"])
+        "propagate-montecarlo-trials", "propagate-closed-m", "spectrum-fft-size"])
 def test_oversized_integer_is_one_line_error(tmp_path, capsys, args):
     # Integers that size arrays are bounded by the largest array length.
     signal, out = tmp_path / "sig.f64", tmp_path / "out"
@@ -407,10 +412,20 @@ class TestSignalChain:
         assert run_cli("modulate", "--in", str(bits), "--scheme", "fsk",
                        "--out", str(signal)).returncode == 0
         result = run_cli("demodulate", "--in", str(signal), "--scheme", "fsk",
-                         "--n-bits", "64", "--expected", str(bits), "--out", str(decoded))
+                         "--expected", str(bits), "--out", str(decoded))
         assert result.returncode == 0
         assert "BER 0" in result.stdout
         assert decoded.read_text() == bits.read_text()
+
+    def test_demodulate_reads_the_sample_rate_from_the_signal(self, tmp_path, capsys):
+        bits, signal, decoded = tmp_path / "bits.txt", tmp_path / "fsk.f64", tmp_path / "d.txt"
+        assert main(["payload", "--seed", "7", "--bits", "64", "--out", str(bits)]) == 0
+        assert main(["modulate", "--in", str(bits), "--scheme", "fsk", "--sample-rate", "96000",
+                     "--out", str(signal)]) == 0
+        capsys.readouterr()
+        assert main(["demodulate", "--in", str(signal), "--scheme", "fsk",
+                     "--expected", str(bits), "--out", str(decoded)]) == 0
+        assert "bit errors: 0/64" in capsys.readouterr().out
 
     @pytest.mark.parametrize("phase", [0.0, 1.3])
     @pytest.mark.parametrize("scheme, flags", [("ask", ()), ("psk", ()), ("fsk", ())])
@@ -421,8 +436,7 @@ class TestSignalChain:
         assert main(["modulate", "--in", str(bits), "--scheme", scheme, "--phase", str(phase),
                      "--compose", *flags, "--out", str(signal)]) == 0
         spec = replace(DEFAULTS.carrier, initial_phase=phase)
-        decoded = DEMODULATORS[scheme](read_signal(signal), spec, 256, DEFAULTS.bit_rate,
-                                       composed=True)
+        decoded = DEMODULATORS[scheme](read_signal(signal), spec, DEFAULTS.bit_rate, composed=True)
         assert np.array_equal(decoded.bits, read_bits(bits, DEFAULTS.bit_rate).bits)
 
     @pytest.mark.parametrize("seed", [0, 5])
@@ -434,11 +448,11 @@ class TestSignalChain:
         assert main(["payload", "--seed", str(seed), "--bits", "64", "--out", str(bits)]) == 0
         assert main(["modulate", "--in", str(bits), "--scheme", "ask", "--compose",
                      "--out", str(signal)]) == 0
-        assert main(["demodulate", "--in", str(signal), "--scheme", "ask", "--n-bits", "64",
+        assert main(["demodulate", "--in", str(signal), "--scheme", "ask",
                      "--expected", str(bits), "--out", str(decoded)]) == 0
         assert "bit errors: 33/64" in capsys.readouterr().out
-        composed = DEMODULATORS["ask"](read_signal(signal), DEFAULTS.carrier, 64,
-                                       DEFAULTS.bit_rate, composed=True)
+        composed = DEMODULATORS["ask"](read_signal(signal), DEFAULTS.carrier, DEFAULTS.bit_rate,
+                                       composed=True)
         assert np.array_equal(composed.bits, read_bits(bits, DEFAULTS.bit_rate).bits)
 
     def test_hex_payload(self, tmp_path):
@@ -449,7 +463,7 @@ class TestSignalChain:
 
     def test_encode_outputs(self, tmp_path):
         bits = tmp_path / "bits.txt"
-        run_cli("payload", "--hex", "0F", "--bit-rate", "100", "--out", str(bits))
+        run_cli("payload", "--hex", "0F", "--out", str(bits))
         levels = tmp_path / "levels.txt"
         rect = tmp_path / "rect.f64"
         result = run_cli("encode", "--in", str(bits), "--bit-rate", "100",

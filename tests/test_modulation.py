@@ -32,7 +32,7 @@ bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=64)
 TIE_TOLERANCE = 1e-9
 
 
-def reference_fsk_demodulate(signal, spec, n_bits, bit_rate):
+def reference_fsk_demodulate(signal, spec, bit_rate):
     """Full-length complex tones at f0 and f1: returns the bits and where they are no tie.
 
     The scale is sum(|w|), which bounds both tone magnitudes of a window w.
@@ -40,32 +40,34 @@ def reference_fsk_demodulate(signal, spec, n_bits, bit_rate):
     f0 = spec.center_frequency - bit_rate / 2.0
     f1 = spec.center_frequency + bit_rate / 2.0
     spb = samples_per_bit(spec, bit_rate)
-    windows = signal.samples[:n_bits * spb].reshape(n_bits, spb)
-    t = (np.arange(n_bits * spb) / spec.sample_rate).reshape(n_bits, spb)
+    windows = signal.samples.reshape(-1, spb)
+    t = (np.arange(len(signal)) / spec.sample_rate).reshape(windows.shape)
     mag0 = np.abs((windows * np.exp(-2j * np.pi * f0 * t)).sum(axis=1))
     mag1 = np.abs((windows * np.exp(-2j * np.pi * f1 * t)).sum(axis=1))
     scale = np.abs(windows).sum(axis=1)
     return mag1 > mag0, np.abs(mag1 - mag0) > TIE_TOLERANCE * scale
 
 
-def reference_psk_demodulate(signal, spec, n_bits, bit_rate):
+def reference_psk_demodulate(signal, spec, bit_rate):
     """Correlation with a full-length carrier; the scale A * sum(|w|) bounds it."""
     spb = samples_per_bit(spec, bit_rate)
-    windows = signal.samples[:n_bits * spb].reshape(n_bits, spb)
-    reference = generate_carrier(spec, n_bits * spb / spec.sample_rate).samples.reshape(n_bits, spb)
+    windows = signal.samples.reshape(-1, spb)
+    carrier = generate_carrier(spec, len(signal) / spec.sample_rate)
+    reference = carrier.samples.reshape(windows.shape)
     correlation = (windows * reference).sum(axis=1)
     scale = spec.amplitude * np.abs(windows).sum(axis=1)
     return correlation > 0, np.abs(correlation) > TIE_TOLERANCE * scale
 
 
-def reference_ask_demodulate(signal, spec, n_bits, bit_rate):
+def reference_ask_demodulate(signal, spec, bit_rate):
     """Correlation with a full-length carrier against half the carrier's energy.
 
     The scale A * sum(|w|) + A**2 * spb bounds both sides' terms.
     """
     spb = samples_per_bit(spec, bit_rate)
-    windows = signal.samples[:n_bits * spb].reshape(n_bits, spb)
-    reference = generate_carrier(spec, n_bits * spb / spec.sample_rate).samples.reshape(n_bits, spb)
+    windows = signal.samples.reshape(-1, spb)
+    carrier = generate_carrier(spec, len(signal) / spec.sample_rate)
+    reference = carrier.samples.reshape(windows.shape)
     correlation = (windows * reference).sum(axis=1)
     thresholds = (reference ** 2).sum(axis=1) / 2
     scale = spec.amplitude * np.abs(windows).sum(axis=1) + spec.amplitude ** 2 * spb
@@ -417,14 +419,14 @@ class TestRoundTrips:
         payload = stream(bits, RATE8)
         for scheme in sorted(MODULATORS):
             signal = MODULATORS[scheme](payload, SPEC8)
-            decoded = DEMODULATORS[scheme](signal, SPEC8, len(bits), RATE8)
+            decoded = DEMODULATORS[scheme](signal, SPEC8, RATE8)
             assert np.array_equal(decoded.bits, payload.bits)
 
     def test_long_noiseless_round_trips(self):
         payload = random_payload(42, 10_000, RATE8)
         for scheme in sorted(MODULATORS):
             signal = MODULATORS[scheme](payload, SPEC8)
-            decoded = DEMODULATORS[scheme](signal, SPEC8, 10_000, RATE8)
+            decoded = DEMODULATORS[scheme](signal, SPEC8, RATE8)
             assert np.array_equal(decoded.bits, payload.bits)
 
 
@@ -447,8 +449,8 @@ class TestDemodulatorsMatchReferences:
         if snr_db is not None:  # noise against the carrier's power: ASK may be all zeros
             noise_power = amplitude ** 2 / 2 * 10 ** (-snr_db / 10)
             signal = apply_channel(signal, ChannelParams(noise_power=noise_power, seed=seed))
-        expected, clear = REFERENCE_DEMODULATORS[scheme](signal, spec, n_bits, RATE8)
-        decoded = DEMODULATORS[scheme](signal, spec, n_bits, RATE8)
+        expected, clear = REFERENCE_DEMODULATORS[scheme](signal, spec, RATE8)
+        decoded = DEMODULATORS[scheme](signal, spec, RATE8)
         assert np.array_equal(decoded.bits[clear], expected[clear])
 
     @pytest.mark.parametrize("scheme", sorted(DEMODULATORS))
@@ -456,8 +458,8 @@ class TestDemodulatorsMatchReferences:
         payload = random_payload(7, 4096, RATE)
         received = apply_channel(MODULATORS[scheme](payload, SPEC),
                                  ChannelParams(snr_db=0.0, seed=8))
-        expected, clear = REFERENCE_DEMODULATORS[scheme](received, SPEC, 4096, RATE)
-        decoded = DEMODULATORS[scheme](received, SPEC, 4096, RATE)
+        expected, clear = REFERENCE_DEMODULATORS[scheme](received, SPEC, RATE)
+        decoded = DEMODULATORS[scheme](received, SPEC, RATE)
         assert clear.all()
         assert np.array_equal(decoded.bits, expected)
 
@@ -466,7 +468,7 @@ class TestDemodulatorEdges:
     def test_silence_decodes_as_zeros(self):
         silence = SampledSignal(SPEC.sample_rate, np.zeros(192 * 8))
         for demodulate in DEMODULATORS.values():
-            decoded = demodulate(silence, SPEC, 8, RATE)
+            decoded = demodulate(silence, SPEC, RATE)
             assert np.all(decoded.bits == 0)
 
     @pytest.mark.parametrize("scheme", sorted(DEMODULATORS))
@@ -476,13 +478,26 @@ class TestDemodulatorEdges:
                                  ChannelParams(noise_power=0.1, seed=10))
         demodulate = DEMODULATORS[scheme]
         for composed in (False, True):
-            assert traced_peak(lambda: demodulate(received, SPEC, 4096, RATE,
-                                                  composed=composed)) < 1e6
+            assert traced_peak(lambda: demodulate(received, SPEC, RATE, composed=composed)) < 1e6
 
     def test_short_signal_rejected(self):
-        short = SampledSignal(SPEC.sample_rate, np.zeros(100))
-        with pytest.raises(ShapeError):
-            fsk_demodulate(short, SPEC, 8, RATE)
+        # Fewer samples than one 192-sample bit, and eight bits and one sample.
+        for n in (100, 8 * 192 + 1):
+            signal = SampledSignal(SPEC.sample_rate, np.zeros(n))
+            for demodulate in DEMODULATORS.values():
+                with pytest.raises(ShapeError, match=f"^signal has {n} samples, not a whole "
+                                                     "number of 192-sample bits$"):
+                    demodulate(signal, SPEC, RATE)
+
+    @pytest.mark.parametrize("composed", [False, True])
+    @pytest.mark.parametrize("scheme", sorted(DEMODULATORS))
+    def test_sample_rate_mismatch_rejected(self, scheme, composed):
+        # 96 kHz at 250 bit/s is a whole 384 samples per bit, so only the rates disagree.
+        signal = MODULATORS[scheme](random_payload(3, 8, RATE), SPEC)
+        spec = replace(SPEC, sample_rate=96000.0)
+        with pytest.raises(ConfigurationError, match="^signal sample rate 48000.0 does not "
+                                                     r"match the carrier spec's \(96000.0\)$"):
+            DEMODULATORS[scheme](signal, spec, RATE, composed=composed)
 
 
 class TestComposedReceivers:
@@ -501,8 +516,8 @@ class TestComposedReceivers:
             gain = channel.linear_gain
             received_carrier = replace(SPEC, amplitude=max(SPEC.amplitude * gain, math.ulp(0.0)))
             expected = subtracted_demodulate(scheme, received, carrier, gain, received_carrier,
-                                             1024, RATE)
-            decoded = DEMODULATORS[scheme](received, received_carrier, 1024, RATE, composed=True)
+                                             RATE)
+            decoded = DEMODULATORS[scheme](received, received_carrier, RATE, composed=True)
             differing += int(np.count_nonzero(decoded.bits != expected.bits))
         assert differing == 0
 
@@ -511,7 +526,7 @@ class TestBerUnderNoise:
     def test_fsk_ber_at_10db_is_small(self):
         payload = random_payload(101, 10_000, RATE8)
         received = apply_channel(fsk_modulate(payload, SPEC8), ChannelParams(snr_db=10.0, seed=55))
-        decoded = fsk_demodulate(received, SPEC8, 10_000, RATE8)
+        decoded = fsk_demodulate(received, SPEC8, RATE8)
         ber = np.mean(decoded.bits != payload.bits)
         assert ber < 1e-2
 
@@ -521,7 +536,7 @@ class TestBerUnderNoise:
         bers = []
         for snr in (0.0, -10.0):
             received = apply_channel(signal, ChannelParams(snr_db=snr, seed=66))
-            decoded = psk_demodulate(received, SPEC8, 10_000, RATE8)
+            decoded = psk_demodulate(received, SPEC8, RATE8)
             bers.append(float(np.mean(decoded.bits != payload.bits)))
         assert bers[0] < bers[1]
 
@@ -551,7 +566,7 @@ class TestBerAgainstTheory:
         channel = ChannelParams(snr_db=ebn0_db - 10 * math.log10(spb / 2),
                                 seed=1000 + 100 * sorted(THEORY_BER).index(scheme) + point)
         received = apply_channel(MODULATORS[scheme](payload, SPEC8), channel)
-        decoded = DEMODULATORS[scheme](received, SPEC8, THEORY_BITS, RATE8)
+        decoded = DEMODULATORS[scheme](received, SPEC8, RATE8)
         errors = int(np.count_nonzero(decoded.bits != payload.bits))
         p = THEORY_BER[scheme](10 ** (ebn0_db / 10))
         sigma = math.sqrt(THEORY_BITS * p * (1 - p))
