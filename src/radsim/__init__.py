@@ -7,8 +7,7 @@ classification), pipeline (end-to-end experiments), cli.
 """
 
 from .channel import ChannelParams, apply_channel, measure_snr
-from .codec import (BitStream, hex_to_bits, manchester_decode, manchester_encode,
-                    random_payload, rectangular_waveform)
+from .codec import BitStream, hex_to_bits, manchester_decode, manchester_encode, random_payload
 from .errors import (ConflictError, ConfigurationError, ParameterError, ParseError,
                      RadsimError, ShapeError)
 from .modulation import (CarrierSpec, ask_demodulate, ask_modulate, compose_emitted,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand writes machine-readable output to the file paths named in
-its flags and prints a short human summary to stdout. All randomness flows
-from explicit ``--seed`` flags (default 0, never wall-clock). Exit codes:
+Every subcommand writes its machine-readable output to at most one path
+named in its flags, and prints a short human summary to stdout. All
+randomness flows from explicit ``--seed`` flags (default 0, never
+wall-clock). Exit codes:
 0 success, 2 usage error (argparse), 1 runtime/domain error with a one-line
 diagnostic on stderr and no new file left: every check precedes the first
 write, and :func:`main` removes the outputs a failed command made.
@@ -76,13 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="bit text file output path")
 
-    p = command("encode", _cmd_encode,
-                help="Manchester-encode bits and/or render a rectangular waveform")
+    p = command("encode", _cmd_encode, help="Manchester-encode bits")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
     p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
-    p.add_argument("--manchester-out", help="half-bit level text file output")
-    p.add_argument("--rect-out", help="rectangular waveform signal output")
-    p.add_argument("--sample-rate", type=float, default=_CARRIER.sample_rate, help="for --rect-out")
+    p.add_argument("--out", required=True, help="half-bit level text file output")
 
     p = command("modulate", _cmd_modulate, help="modulate a bit stream onto a carrier")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
@@ -110,20 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="signal output path")
 
-    p = command("spectrum", _cmd_spectrum, help="FFT magnitude spectrum or STFT spectrogram")
+    p = command("spectrum", _cmd_spectrum,
+                help="full-length FFT magnitude spectrum, or a run's STFT spectrogram")
     p.add_argument("--in", dest="infile", required=True, help="signal input path")
-    p.add_argument("--fft-size", type=int, help="power-of-two FFT size (default: full length)")
-    p.add_argument("--stft", action="store_true", help="write an STFT spectrogram instead")
-    p.add_argument("--window-length", type=int, default=spectral.DEFAULT_WINDOW_LENGTH)
-    p.add_argument("--hop", type=int, default=spectral.DEFAULT_HOP)
-    p.add_argument("--window", choices=list(spectral._WINDOWS), default=spectral.DEFAULT_WINDOW)
+    p.add_argument("--stft", action="store_true", help="write the STFT spectrogram instead")
     p.add_argument("--out", required=True, help="output path (f64 + JSON sidecar)")
 
     p = command("peaks", _cmd_peaks, help="detect spectral peaks")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="infile", help="signal input path (FFT computed here)")
-    src.add_argument("--spectrum", help="spectrum input path (f64 + JSON sidecar)")
-    p.add_argument("--relative-threshold", type=float, default=spectral.DEFAULT_RELATIVE_THRESHOLD)
+    p.add_argument("--spectrum", required=True, help="spectrum input path (f64 + JSON sidecar)")
     p.add_argument("--min-separation", type=float, default=0.0, help="Hz")
     p.add_argument("--out", required=True, help="peaks CSV output path")
 
@@ -217,20 +209,9 @@ def _cmd_payload(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    if args.manchester_out is None and args.rect_out is None:
-        raise ConfigurationError("nothing to do: give --manchester-out and/or --rect-out")
-    stream = codec.read_bits(args.infile, args.bit_rate)
-    if args.rect_out is not None:
-        wave = codec.rectangular_waveform(stream, args.sample_rate)
-    summary = []  # printed once every file is written
-    if args.manchester_out is not None:
-        encoded = codec.manchester_encode(stream)
-        codec.write_bits(encoded, args.manchester_out)
-        summary.append(f"wrote {args.manchester_out}: {len(encoded)} half-bit levels")
-    if args.rect_out is not None:
-        write_signal(wave, args.rect_out)
-        summary.append(f"wrote {args.rect_out}: {len(wave)} samples at {wave.sample_rate} Hz")
-    print("\n".join(summary))
+    encoded = codec.manchester_encode(codec.read_bits(args.infile, args.bit_rate))
+    codec.write_bits(encoded, args.out)
+    print(f"wrote {args.out}: {len(encoded)} half-bit levels")
     return 0
 
 
@@ -277,10 +258,10 @@ def _cmd_channel(args) -> int:
 def _cmd_spectrum(args) -> int:
     signal = read_signal(args.infile)
     if args.stft:
-        spec = spectral.stft(signal, args.window_length, args.hop, args.window)
+        spec = spectral.stft(signal)
         size = f"{spec.magnitudes.shape[0]} frames x {spec.magnitudes.shape[1]} bins"
     else:
-        spec = spectral.fft_magnitude(signal, args.fft_size)
+        spec = spectral.fft_magnitude(signal)
         size = f"{spec.magnitudes.size} bins, bin width {spec.bin_width:.6g} Hz"
     spectral.write_spectrum(spec, args.out)
     print(f"wrote {args.out}: {size}")
@@ -288,11 +269,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_peaks(args) -> int:
-    if args.infile is not None:
-        spec = spectral.fft_magnitude(read_signal(args.infile))
-    else:
-        spec = spectral.read_spectrum(args.spectrum)
-    peaks = spectral.find_peaks(spec, args.relative_threshold, args.min_separation)
+    spec = spectral.read_spectrum(args.spectrum)
+    peaks = spectral.find_peaks(spec, min_separation=args.min_separation)
     spectral.write_peaks_csv(peaks, args.out)
     print(f"wrote {args.out}: {len(peaks)} peaks")
     for pk in peaks:
@@ -412,11 +390,11 @@ def _cmd_evaluate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # The output files, sidecars included, that do not exist yet: a command
+    # The output file and its sidecar, if they do not exist yet: a command
     # that fails removes those it made.
-    outputs = [getattr(args, flag, None) for flag in ("out", "manchester_out", "rect_out")]
-    new = [path for out in outputs if out is not None
-           for path in (Path(out), sidecar_path(out)) if not os.path.lexists(path)]
+    out = getattr(args, "out", None)
+    new = [] if out is None else [path for path in (Path(out), sidecar_path(out))
+                                  if not os.path.lexists(path)]
     code = 1
     try:
         code = _handle(args)

@@ -1,10 +1,9 @@
 """Payload generation and line coding.
 
-Covers hex/binary payload conversion, seeded random payloads, Manchester
-encoding (0: high->low mid-bit, 1: low->high mid-bit, IEEE-802.3 style)
-and rendering bit streams as rectangular baseband waveforms. Manchester
-levels are a :class:`BitStream` at twice the bit rate (1 = high, 0 = low).
-An empty stream is valid but makes no line code and no waveform.
+Covers hex/binary payload conversion, seeded random payloads and Manchester
+encoding (0: high->low mid-bit, 1: low->high mid-bit, IEEE-802.3 style).
+Manchester levels are a :class:`BitStream` at twice the bit rate (1 = high,
+0 = low). An empty stream is valid but makes no line code and no signal.
 
 Random payloads are drawn from numpy's default PCG64 generator so a 64-bit
 seed reproduces the exact same stream everywhere.
@@ -18,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigurationError, ParameterError, ParseError, ShapeError, check_int,
-                     check_real)
-from .signals import _MAX_SAMPLES, SampledSignal, _check_length, _read_text
+from .errors import ParameterError, ParseError, ShapeError, check_int, check_real
+from .signals import _MAX_SAMPLES, _read_text
 
 HIGH = 1
 LOW = 0
@@ -65,7 +63,7 @@ def random_payload(seed: int, n_bits: int, bit_rate: float) -> BitStream:
 
 
 def _check_nonempty(stream: BitStream, action: str) -> None:
-    """Refuse a stream with no bits: it makes no line code and no waveform."""
+    """Refuse a stream with no bits: it makes no line code and no signal."""
     if len(stream) == 0:
         raise ShapeError(f"cannot {action} an empty stream")
 
@@ -95,30 +93,6 @@ def manchester_decode(levels: BitStream) -> BitStream:
         pair = "high,high" if first[i] == HIGH else "low,low"
         raise ParseError(f"invalid Manchester pair ({pair}) at bit {i}")
     return BitStream(second.copy(), levels.bit_rate / 2)
-
-
-def _samples_per_bit(sample_rate: float, bit_rate: float) -> int:
-    """Integer samples per bit; rejects non-integer ratios so bit edges stay exact."""
-    check_real("bit_rate", bit_rate, 0, bounds="()")
-    ratio = sample_rate / bit_rate
-    spb = round(ratio) if math.isfinite(ratio) else 0
-    if spb < 1 or abs(ratio - spb) > 1e-9:
-        raise ConfigurationError(
-            f"sample_rate/bit_rate = {ratio} is not a positive integer; "
-            "choose rates with an exact integer samples-per-bit")
-    return int(spb)
-
-
-def rectangular_waveform(stream: BitStream, sample_rate: float) -> SampledSignal:
-    """Render bits as a piecewise-constant waveform: level 1.0 over a 1, 0.0 over a 0."""
-    _check_nonempty(stream, "render")
-    check_real("sample_rate", sample_rate, 0, bounds="()")
-    if sample_rate < 2 * stream.bit_rate:
-        raise ConfigurationError(
-            f"sample_rate {sample_rate} is below 2 x bit_rate ({2 * stream.bit_rate})")
-    spb = _samples_per_bit(sample_rate, stream.bit_rate)
-    _check_length(len(stream) * spb)
-    return SampledSignal(sample_rate, np.repeat(stream.bits.astype(np.float64), spb))
 
 
 def write_bits(stream: BitStream, path) -> None:

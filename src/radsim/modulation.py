@@ -12,7 +12,7 @@ Conventions:
 * ASK gates the carrier on for 1 and off for 0; PSK flips the carrier phase
   by pi for 0;
 * ``sample_rate / bit_rate`` must be an integer so bit boundaries land
-  exactly on samples.
+  exactly on samples: :func:`samples_per_bit` is the one place that checks it.
 
 The receivers know the bit timing and exist so round trips can be verified
 and bit error rates measured. They read the bit count from the signal, which
@@ -27,11 +27,12 @@ tone correlations.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import BitStream, _check_nonempty, _samples_per_bit
+from .codec import BitStream, _check_nonempty
 from .errors import ConfigurationError, ParameterError, ShapeError, check_real
 from .signals import SampledSignal, _check_aligned, _check_length
 
@@ -82,7 +83,14 @@ def _check_nyquist(spec: CarrierSpec, max_frequency: float) -> None:
 
 def samples_per_bit(spec: CarrierSpec, bit_rate: float) -> int:
     """Integer samples per bit; rejects non-integer ratios so bit edges stay exact."""
-    return _samples_per_bit(spec.sample_rate, bit_rate)
+    check_real("bit_rate", bit_rate, 0, bounds="()")
+    ratio = spec.sample_rate / bit_rate
+    spb = round(ratio) if math.isfinite(ratio) else 0
+    if spb < 1 or abs(ratio - spb) > 1e-9:
+        raise ConfigurationError(
+            f"sample_rate/bit_rate = {ratio} is not a positive integer; "
+            "choose rates with an exact integer samples-per-bit")
+    return int(spb)
 
 
 def generate_carrier(spec: CarrierSpec, duration: float) -> SampledSignal:

@@ -78,8 +78,7 @@ class ExperimentConfig:
         check_real("classification_threshold", self.classification_threshold, 0, 1, "()")
         # A run's fixed STFT grid must fit the signal; checked here, before a run writes anything.
         n_samples = self.payload_bits * modulation.samples_per_bit(self.carrier, self.bit_rate)
-        spectral._check_stft(spectral.DEFAULT_WINDOW_LENGTH, spectral.DEFAULT_HOP,
-                             spectral.DEFAULT_WINDOW, n_samples)
+        spectral._check_stft(n_samples)
 
 
 DEFAULT_CONFIG = ExperimentConfig()
@@ -159,9 +158,8 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
 
     spectrum = spectral.fft_magnitude(received)
     spectral.write_spectrum_csv(spectrum, out / "spectrum.csv")
-    # The STFT grid and taper and the peak floor are the defaults; kept peaks
-    # are half a bit rate apart.
-    spectrogram = spectral.stft(received, spectral.DEFAULT_WINDOW_LENGTH, spectral.DEFAULT_HOP)
+    # The peak floor is the default; kept peaks are half a bit rate apart.
+    spectrogram = spectral.stft(received)
     spectral.write_spectrum(spectrogram, out / "stft.f64")
     peaks = spectral.find_peaks(spectrum, min_separation=config.bit_rate / 2.0)
     spectral.write_peaks_csv(peaks, out / "peaks.csv")

@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import (ConfigurationError, ConflictError, ParameterError, ParseError, RadsimError,
                      ShapeError, check_int, check_real)
-from .signals import SampledSignal, _commit, _read_json, _write_json
-from .spectral import (Spectrum, _bin_frequencies, _check_fft_size, _frame_magnitudes,
-                       _one_sided_magnitudes, fft_magnitude, find_peaks)
+from .signals import _MAX_SAMPLES, SampledSignal, _commit, _read_json, _write_json
+from .spectral import (Spectrum, _bin_frequencies, _frame_magnitudes, _one_sided_magnitudes,
+                       fft_magnitude, find_peaks)
 
 __all__ = [
     "FeatureVector",
@@ -65,6 +65,13 @@ LIBRARY_MINOR_VERSION = 0
 _PEAK_THRESHOLD = 0.05
 _PEAK_SEPARATION_BINS = 4
 _MAX_DOMINANT_PEAKS = 5
+
+
+def _check_fft_size(fft_size: int) -> None:
+    """Reject a matching FFT size that is not a power of two >= 2, or that no array holds."""
+    check_int("fft_size", fft_size, 2, _MAX_SAMPLES)
+    if fft_size & (fft_size - 1):
+        raise ParameterError(f"fft_size must be a power of two, got {fft_size!r}")
 
 
 @dataclass(frozen=True)
@@ -203,14 +210,14 @@ def extract_features(signal: SampledSignal) -> FeatureVector:
 
 
 def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -> Spectrum:
-    """Mean of the rectangular STFT frames at hop ``fft_size``, normalised to unit energy.
+    """Mean of the rectangular frames at hop ``fft_size``, normalised to unit energy.
 
-    The frames are the signal's disjoint ``fft_size`` blocks, as
-    ``stft(signal, fft_size, fft_size, "rectangular")`` takes them: a trailing
-    partial block is dropped, and a signal shorter than ``fft_size`` is
-    zero-padded into one frame. The frames' |rfft| are summed and scaled once;
-    as ``fft_size`` is a power of two, that equals the mean of the STFT's rows
-    bit for bit unless a scaled magnitude is subnormal or the sum overflows.
+    The frames are the signal's disjoint ``fft_size`` blocks, untapered: a
+    trailing partial block is dropped, and a signal shorter than ``fft_size``
+    is zero-padded into one frame. The frames' |rfft| are summed and scaled
+    once; as ``fft_size`` is a power of two, that equals the mean of the
+    frames' one-sided spectra bit for bit unless a scaled magnitude is
+    subnormal or the sum overflows.
     A spectrum whose energy is 0 or overflows float64 raises :class:`ParameterError`.
     """
     _check_fft_size(fft_size)

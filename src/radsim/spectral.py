@@ -44,10 +44,10 @@ __all__ = [
     "DEFAULT_RELATIVE_THRESHOLD",
 ]
 
-# The STFT taper and the peak floor (a fraction of the strongest bin) that
-# :func:`stft` and :func:`find_peaks` default to, and the STFT grid (window
-# length and hop, in samples) that ``radsim spectrum --stft`` defaults to; a
-# pipeline run analyses with them.
+# The grid (window length and hop, in samples) and taper of every STFT, and
+# the peak floor (a fraction of the strongest bin) that :func:`find_peaks`
+# defaults to: a run and ``radsim spectrum --stft`` and ``radsim peaks``
+# analyse with them.
 DEFAULT_WINDOW = "hann"
 DEFAULT_WINDOW_LENGTH = 256
 DEFAULT_HOP = 128
@@ -144,28 +144,13 @@ def _one_sided_magnitudes(mags: np.ndarray, fft_size: int) -> None:
         mags[..., 1:] *= 2.0
 
 
-def _check_fft_size(fft_size: int) -> None:
-    """Reject an analysis FFT size that is not a power of two >= 2, or that no array holds."""
-    check_int("fft_size", fft_size, 2, _MAX_SAMPLES)
-    if fft_size & (fft_size - 1):
-        raise ParameterError(f"fft_size must be a power of two, got {fft_size!r}")
-
-
-def fft_magnitude(signal: SampledSignal, fft_size: int | None = None) -> Spectrum:
-    """One-sided magnitude spectrum (full signal length, or a power-of-two size).
-
-    With an explicit ``fft_size`` the signal is truncated or zero-padded to
-    that length, matching the usual FFT semantics.
-    """
+def fft_magnitude(signal: SampledSignal) -> Spectrum:
+    """One-sided magnitude spectrum over the signal's full length."""
     if len(signal) < 2:
         raise ShapeError(f"signal must have at least 2 samples, got {len(signal)}")
-    if fft_size is None:
-        fft_size = len(signal)
-    else:
-        _check_fft_size(fft_size)
-    mags = np.abs(np.fft.rfft(signal.samples, n=fft_size))
-    _one_sided_magnitudes(mags, fft_size)
-    return Spectrum(mags, signal.sample_rate, fft_size)
+    mags = np.abs(np.fft.rfft(signal.samples))
+    _one_sided_magnitudes(mags, len(signal))
+    return Spectrum(mags, signal.sample_rate, len(signal))
 
 
 # Each window's taper of a given length; a rectangular window has none to apply.
@@ -185,19 +170,13 @@ def _check_window(window_length: int, hop: int, window: str) -> None:
 
 # Frames tapered and transformed per block in :func:`_frame_magnitudes`.
 _STFT_BLOCK_FRAMES = 512
-# Magnitudes (frames x bins) a spectrogram may hold per signal sample; the default grid holds ~1.
-_STFT_MAX_PER_SAMPLE = 64
 
 
-def _check_stft(window_length: int, hop: int, window: str, n_samples: int) -> None:
-    """Reject an STFT grid that no ``n_samples`` signal can use, or that is too fine for it."""
-    _check_window(window_length, hop, window)
-    if window_length > n_samples:
-        raise ShapeError(f"window_length {window_length} exceeds signal length {n_samples}")
-    frames, bins = (n_samples - window_length) // hop + 1, window_length // 2 + 1
-    if frames * bins > _STFT_MAX_PER_SAMPLE * n_samples:
-        raise ShapeError(f"{frames} frames x {bins} bins exceed {_STFT_MAX_PER_SAMPLE} "
-                         f"magnitudes per sample of the {n_samples}-sample signal")
+def _check_stft(n_samples: int) -> None:
+    """Reject a signal of ``n_samples`` shorter than one STFT window."""
+    if DEFAULT_WINDOW_LENGTH > n_samples:
+        raise ShapeError(f"window_length {DEFAULT_WINDOW_LENGTH} exceeds signal length "
+                         f"{n_samples}")
 
 
 def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
@@ -228,13 +207,15 @@ def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
     return mags
 
 
-def stft(signal: SampledSignal, window_length: int, hop: int,
-         window: str = DEFAULT_WINDOW) -> Spectrogram:
-    """Short-time Fourier transform; frame times mark window centers."""
-    _check_stft(window_length, hop, window, len(signal))
-    mags = _frame_magnitudes(signal.samples, window_length, hop, window)
-    _one_sided_magnitudes(mags, window_length)
-    return Spectrogram(mags, signal.sample_rate, window_length, hop, window)
+def stft(signal: SampledSignal) -> Spectrogram:
+    """Short-time Fourier transform on the default grid and taper.
+
+    Frame times mark window centers.
+    """
+    _check_stft(len(signal))
+    mags = _frame_magnitudes(signal.samples, DEFAULT_WINDOW_LENGTH, DEFAULT_HOP, DEFAULT_WINDOW)
+    _one_sided_magnitudes(mags, DEFAULT_WINDOW_LENGTH)
+    return Spectrogram(mags, signal.sample_rate, DEFAULT_WINDOW_LENGTH, DEFAULT_HOP)
 
 
 # Candidates per peak of a ``limit`` that :func:`find_peaks` first orders.

@@ -39,9 +39,13 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
     str(Path(radsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_experiment.json"
 
-SUBCOMMANDS = ["propagate", "payload", "encode", "modulate", "demodulate", "channel",
-               "spectrum", "peaks", "features", "library-add", "library-list",
-               "classify", "run", "evaluate"]
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+SUBCOMMANDS = list(subcommands())
 
 
 def run_cli(*args, cwd=None):
@@ -63,8 +67,8 @@ def test_help_exists(name):
     ["run", "--defaults", "--demodulate", "--out", "exp"],
     ["run", "--defaults", "--no-demodulate", "--out", "exp"],
     ["modulate", "--in", "bits.txt", "--scheme", "fsk", "--fsk-phase-reset", "--out", "fsk.f64"],
-    ["encode", "--in", "bits.txt", "--rect-out", "rect.f64", "--high", "2"],
-    ["encode", "--in", "bits.txt", "--rect-out", "rect.f64", "--low", "-1"],
+    ["encode", "--in", "bits.txt", "--out", "m.txt", "--high", "2"],
+    ["encode", "--in", "bits.txt", "--out", "m.txt", "--low", "-1"],
     ["run", "--defaults", "--stft-window", "512", "--out", "exp"],
     ["run", "--defaults", "--stft-hop", "64", "--out", "exp"],
     ["demodulate", "--in", "sig.f64", "--scheme", "fsk", "--n-bits", "4", "--out", "d.txt"],
@@ -73,14 +77,27 @@ def test_help_exists(name):
     ["payload", "--bits", "8", "--bit-rate", "250", "--out", "b.txt"],
     ["library-add", "--library", "lib.json", "--label", "x", "--in", "sig.f64",
      "--fft-size", "1024"],
+    ["spectrum", "--in", "sig.f64", "--fft-size", "64", "--out", "s.f64"],
+    ["spectrum", "--in", "sig.f64", "--stft", "--window-length", "128", "--out", "s.f64"],
+    ["spectrum", "--in", "sig.f64", "--stft", "--hop", "64", "--out", "s.f64"],
+    ["spectrum", "--in", "sig.f64", "--stft", "--window", "rectangular", "--out", "s.f64"],
+    ["peaks", "--spectrum", "s.f64", "--in", "sig.f64", "--out", "p.csv"],
+    ["peaks", "--spectrum", "s.f64", "--relative-threshold", "0.1", "--out", "p.csv"],
+    ["encode", "--in", "bits.txt", "--out", "m.txt", "--rect-out", "rect.f64"],
+    ["encode", "--in", "bits.txt", "--out", "m.txt", "--sample-rate", "48000"],
+    ["encode", "--in", "bits.txt", "--manchester-out", "m.txt", "--out", "m.txt"],
 ], ids=["run-demodulate", "run-no-demodulate", "modulate-fsk-phase-reset", "encode-high",
         "encode-low", "run-stft-window", "run-stft-hop", "demodulate-n-bits",
-        "demodulate-sample-rate", "payload-bit-rate", "library-add-fft-size"])
+        "demodulate-sample-rate", "payload-bit-rate", "library-add-fft-size",
+        "spectrum-fft-size", "spectrum-window-length", "spectrum-hop", "spectrum-window",
+        "peaks-in", "peaks-relative-threshold", "encode-rect-out", "encode-sample-rate",
+        "encode-manchester-out"])
 def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, args):
-    # A run always decodes on a fixed STFT grid, FSK is always phase-continuous,
-    # and a rectangular waveform's levels are the bits: no flag chooses otherwise.
-    # A receiver reads the rate and the bit count from its signal, a bit file
-    # records no bit rate, and a new library takes the default FFT size.
+    # A run always decodes, and every analysis uses a run's settings: the
+    # full-length FFT, the STFT grid and the peak floor are fixed. FSK is
+    # always phase-continuous. A receiver reads the rate and the bit count
+    # from its signal, a bit file records no bit rate, and a new library takes
+    # the default FFT size. encode writes one file, its Manchester levels.
     monkeypatch.chdir(tmp_path)
     Path("bits.txt").write_text("0110\n")
     with pytest.raises(SystemExit) as exited:
@@ -90,16 +107,10 @@ def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, args):
     assert [p.name for p in tmp_path.iterdir()] == ["bits.txt"]
 
 
-def subcommand(name) -> argparse.ArgumentParser:
-    """The parser of one subcommand."""
-    return next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)).choices[name]
-
-
 def test_scheme_choices_follow_registry():
     for command, flag in (("modulate", "--scheme"), ("demodulate", "--scheme"),
                           ("run", "--modulation")):
-        action = next(a for a in subcommand(command)._actions if flag in a.option_strings)
+        action = next(a for a in subcommands()[command]._actions if flag in a.option_strings)
         assert action.choices == sorted(MODULATORS)
 
 
@@ -139,8 +150,6 @@ def test_unallocatable_steps_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["encode", "--in", "{bits}", "--manchester-out", "{out}", "--rect-out", "{out}.f64",
-     "--sample-rate", "100"],
     ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--expected", "{missing}",
      "--out", "{out}"],
     ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--expected", "{short}",
@@ -148,7 +157,7 @@ def test_unallocatable_steps_is_one_line_error(tmp_path, capsys):
     # 8 bits of 192 samples are not a whole number of 160-sample bits.
     ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--bit-rate", "300", "--out", "{out}"],
     ["channel", "--in", "{signal}", "--noise-power", "1", "--out", "{out}"],
-], ids=["encode-rect-rate", "demodulate-expected-missing", "demodulate-expected-short",
+], ids=["demodulate-expected-missing", "demodulate-expected-short",
         "demodulate-partial-bit", "channel-zero-signal"])
 def test_failed_command_writes_nothing(tmp_path, capsys, args):
     bits, short, signal = tmp_path / "bits.txt", tmp_path / "short.txt", tmp_path / "sig.f64"
@@ -167,25 +176,19 @@ def test_failed_command_writes_nothing(tmp_path, capsys, args):
 _FAILING_WRITES = {
     "propagate": ["propagate", "--n", "10", "--m", "2", "--steps", "5", "--out", "nodir/c.csv"],
     "payload": ["payload", "--bits", "8", "--out", "nodir/b.txt"],
-    "encode-manchester": ["encode", "--in", "bits.txt", "--manchester-out", "nodir/m.txt"],
-    "encode-rect": ["encode", "--in", "bits.txt", "--rect-out", "nodir/r.f64"],
-    "encode-both": ["encode", "--in", "bits.txt", "--manchester-out", "ok.txt",
-                    "--rect-out", "nodir/rect.f64"],
+    "encode-manchester": ["encode", "--in", "bits.txt", "--out", "nodir/m.txt"],
     "modulate": ["modulate", "--in", "bits.txt", "--scheme", "psk", "--out", "nodir/s.f64"],
     "demodulate": ["demodulate", "--in", "sig.f64", "--scheme", "fsk", "--out", "nodir/d.txt"],
     "channel": ["channel", "--in", "sig.f64", "--snr-db", "10", "--out", "nodir/n.f64"],
     "spectrum": ["spectrum", "--in", "sig.f64", "--out", "nodir/s.f64"],
     "spectrum-stft": ["spectrum", "--in", "sig.f64", "--stft", "--out", "nodir/s.f64"],
-    "peaks": ["peaks", "--in", "sig.f64", "--out", "nodir/p.csv"],
+    "peaks": ["peaks", "--spectrum", "spec.f64", "--out", "nodir/p.csv"],
     "features": ["features", "--in", "sig.f64", "--out", "nodir/f.json"],
     "library-add": ["library-add", "--library", "nodir/lib.json", "--label", "x", "--in", "sig.f64"],
     "classify": ["classify", "--in", "sig.f64", "--library", "lib.json", "--out", "nodir/c.json"],
     "evaluate": ["evaluate", "--probes", "1", "--out", "nodir/e.json"],
     # run makes the missing parents of --out, so its parent is a file here.
     "run": ["run", "--defaults", "--out", "bits.txt/exp"],
-    "sidecar-dir-encode": ["encode", "--in", "bits.txt", "--rect-out", "side.f64"],
-    "sidecar-dir-encode-both": ["encode", "--in", "bits.txt", "--manchester-out", "ok.txt",
-                                "--rect-out", "side.f64"],
     "sidecar-dir-modulate": ["modulate", "--in", "bits.txt", "--scheme", "psk", "--out", "side.f64"],
     "sidecar-dir-channel": ["channel", "--in", "sig.f64", "--snr-db", "10", "--out", "side.f64"],
     "sidecar-dir-spectrum": ["spectrum", "--in", "sig.f64", "--out", "side.f64"],
@@ -195,13 +198,14 @@ _FAILING_WRITES = {
 
 @pytest.mark.parametrize("argv", _FAILING_WRITES.values(), ids=_FAILING_WRITES)
 def test_failed_write_leaves_the_directory_as_it_was(tmp_path, monkeypatch, capsys, argv):
-    # Before main removed what a failed command made, encode-both and every
-    # sidecar-dir case left the file written before the failing one.
+    # Before main removed what a failed command made, every sidecar-dir case
+    # left the data file written before its sidecar failed.
     monkeypatch.chdir(tmp_path)
     stream = random_payload(7, 64, 250.0)
     Path("bits.txt").write_text("".join(map(str, stream.bits)) + "\n")
     signal = fsk_modulate(stream, CarrierSpec(2000.0))
     write_signal(signal, "sig.f64")
+    write_spectrum(fft_magnitude(signal), "spec.f64")
     library_save(library_add(SignatureLibrary(), "fsk", signal), "lib.json")
     Path("side.f64.json").mkdir()
     listing = sorted(tmp_path.rglob("*"))
@@ -215,9 +219,8 @@ def test_failed_write_leaves_the_directory_as_it_was(tmp_path, monkeypatch, caps
     ["modulate", "--in", "{bits}", "--scheme", "fsk", "--out", "{out}"],
     ["modulate", "--in", "{bits}", "--scheme", "psk", "--out", "{out}"],
     ["modulate", "--in", "{bits}", "--scheme", "ask", "--out", "{out}"],
-    ["encode", "--in", "{bits}", "--rect-out", "{out}"],
-    ["encode", "--in", "{bits}", "--manchester-out", "{out}"],
-], ids=["fsk", "psk", "ask", "rect", "manchester"])
+    ["encode", "--in", "{bits}", "--out", "{out}"],
+], ids=["fsk", "psk", "ask", "manchester"])
 def test_empty_stream_makes_no_output(tmp_path, capsys, args):
     bits, out = tmp_path / "bits.txt", tmp_path / "out"
     assert main(["payload", "--hex", "", "--out", str(bits)]) == 0
@@ -232,18 +235,16 @@ def test_empty_stream_makes_no_output(tmp_path, capsys, args):
 def test_manchester_symbol_rate_overflow_is_one_line_error(tmp_path, capsys):
     bits, out = tmp_path / "bits.txt", tmp_path / "m.txt"
     bits.write_text("10\n")
-    assert main(["encode", "--in", str(bits), "--bit-rate", "1e308",
-                 "--manchester-out", str(out)]) == 1
+    assert main(["encode", "--in", str(bits), "--bit-rate", "1e308", "--out", str(out)]) == 1
     assert one_line_error(capsys)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
-    ["encode", "--in", "{bits}", "--bit-rate", "{rate}", "--rect-out", "{out}"],
-    ["encode", "--in", "{bits}", "--sample-rate", "{rate}", "--rect-out", "{out}"],
+    ["encode", "--in", "{bits}", "--bit-rate", "{rate}", "--out", "{out}"],
     ["modulate", "--in", "{bits}", "--scheme", "fsk", "--bit-rate", "{rate}", "--out", "{out}"],
     ["demodulate", "--in", "{signal}", "--scheme", "fsk", "--bit-rate", "{rate}", "--out", "{out}"],
-], ids=["encode", "encode-sample-rate", "modulate", "demodulate"])
+], ids=["encode", "modulate", "demodulate"])
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_non_finite_rate_rejected(tmp_path, capsys, args, rate):
     bits, signal, out = tmp_path / "bits.txt", tmp_path / "sig.f64", tmp_path / "out"
@@ -260,14 +261,11 @@ def test_non_finite_rate_rejected(tmp_path, capsys, args, rate):
     ["modulate", "--in", "{bits}", "--scheme", "psk", "--sample-rate", "1e300", "--out", "{out}"],
     ["modulate", "--in", "{bits}", "--scheme", "psk", "--sample-rate", "1e308",
      "--bit-rate", "1e-10", "--out", "{out}"],
-    ["encode", "--in", "{bits}", "--sample-rate", "1e300", "--rect-out", "{out}"],
-    ["encode", "--in", "{bits}", "--sample-rate", "1e308", "--bit-rate", "1e-10",
-     "--rect-out", "{out}"],
     # 8e308 samples: an integer count beyond the float range.
     ["modulate", "--in", "{bits}", "--scheme", "fsk", "--sample-rate", "1e308",
      "--bit-rate", "1", "--out", "{out}"],
 ], ids=["modulate-ask", "modulate-fsk", "modulate-psk", "modulate-rate-ratio-inf",
-        "encode", "encode-rate-ratio-inf", "modulate-count-beyond-float"])
+        "modulate-count-beyond-float"])
 def test_unallocatable_signal_is_one_line_error(tmp_path, capsys, args):
     # Finite rates whose signals have more samples than any array can hold.
     bits, out = tmp_path / "bits.txt", tmp_path / "out"
@@ -285,14 +283,12 @@ def test_unallocatable_signal_is_one_line_error(tmp_path, capsys, args):
     ["propagate", "--n", "1", "--m", "1", "--method", "montecarlo", "--trials", str(10 ** 400),
      "--out", "{out}"],
     ["propagate", "--n", "100", "--m", str(10 ** 400), "--out", "{out}"],
-    ["spectrum", "--in", "{signal}", "--fft-size", str(2 ** 62), "--out", "{out}"],
 ], ids=["payload-bits", "propagate-steps", "propagate-montecarlo-m", "propagate-montecarlo-n",
-        "propagate-montecarlo-trials", "propagate-closed-m", "spectrum-fft-size"])
+        "propagate-montecarlo-trials", "propagate-closed-m"])
 def test_oversized_integer_is_one_line_error(tmp_path, capsys, args):
     # Integers that size arrays are bounded by the largest array length.
-    signal, out = tmp_path / "sig.f64", tmp_path / "out"
-    write_signal(SampledSignal(48000.0, np.zeros(8 * 192)), signal)
-    assert main([a.format(signal=signal, out=out) for a in args]) == 1
+    out = tmp_path / "out"
+    assert main([a.format(out=out) for a in args]) == 1
     assert one_line_error(capsys)
     assert not out.exists()
 
@@ -465,33 +461,18 @@ class TestSignalChain:
         bits = tmp_path / "bits.txt"
         run_cli("payload", "--hex", "0F", "--out", str(bits))
         levels = tmp_path / "levels.txt"
-        rect = tmp_path / "rect.f64"
-        result = run_cli("encode", "--in", str(bits), "--bit-rate", "100",
-                         "--manchester-out", str(levels),
-                         "--rect-out", str(rect), "--sample-rate", "800")
+        result = run_cli("encode", "--in", str(bits), "--bit-rate", "100", "--out", str(levels))
         assert result.returncode == 0
-        assert levels.read_text().strip() == "1010101001010101"
-        assert (tmp_path / "rect.f64.json").exists()
-
-    def test_encode_rejects_a_non_integer_samples_per_bit(self, tmp_path, capsys):
-        bits = tmp_path / "bits.txt"
-        bits.write_text("01101001\n")
-        rect, signal = tmp_path / "rect.f64", tmp_path / "psk.f64"
-        rates = ["--bit-rate", "300", "--sample-rate", "1000"]
-        assert main(["encode", "--in", str(bits), *rates, "--rect-out", str(rect)]) == 1
-        encode_error = capsys.readouterr().err
-        assert main(["modulate", "--in", str(bits), "--scheme", "psk", "--fc", "100", *rates,
-                     "--out", str(signal)]) == 1
-        assert encode_error == capsys.readouterr().err
-        assert encode_error.startswith("error:") and len(encode_error.splitlines()) == 1
-        assert not rect.exists()
+        assert result.stdout == f"wrote {levels}: 16 half-bit levels\n"
+        assert levels.read_text() == "1010101001010101\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bits.txt", "levels.txt"]
 
     def test_encode_without_outputs_fails(self, tmp_path):
         bits = tmp_path / "bits.txt"
         run_cli("payload", "--hex", "0F", "--out", str(bits))
         result = run_cli("encode", "--in", str(bits))
-        assert result.returncode == 1
-        assert "error:" in result.stderr
+        assert result.returncode == 2
+        assert "the following arguments are required: --out" in result.stderr
 
     def test_channel_and_spectrum_and_peaks(self, tmp_path):
         bits = tmp_path / "bits.txt"
@@ -950,8 +931,8 @@ class TestRun:
         fields = set()
         for key, value in doc.items():
             fields |= {f"{key}.{name}" for name in value} if isinstance(value, dict) else {key}
-        dests = {a.dest for a in subcommand("run")._actions} - {"help", "config", "defaults",
-                                                                 "output_dir"}
+        dests = {a.dest for a in subcommands()["run"]._actions} - {
+            "help", "config", "defaults", "output_dir"}
         assert len(fields) == 15
         assert dests == fields
 
@@ -1030,9 +1011,9 @@ class TestRun:
         assert main(["run", "--defaults", "--payload-bits", "1024", "--out", str(run)]) == 0
         spectrum, peaks = tmp_path / "spectrum.f64", tmp_path / "peaks.csv"
         assert main(["spectrum", "--in", str(run / "received.f64"), "--out", str(spectrum)]) == 0
-        # The run's threshold and separation: 0.1 and half the bit rate.
-        assert main(["peaks", "--spectrum", str(spectrum), "--relative-threshold", "0.1",
-                     "--min-separation", "125", "--out", str(peaks)]) == 0
+        # The run's separation: half the bit rate.
+        assert main(["peaks", "--spectrum", str(spectrum), "--min-separation", "125",
+                     "--out", str(peaks)]) == 0
         assert peaks.read_bytes() == (run / "peaks.csv").read_bytes()
 
     def test_missing_library_leaves_no_run_dir(self, tmp_path):

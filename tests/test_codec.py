@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radsim.codec import (HIGH, LOW, BitStream, hex_to_bits, manchester_decode,
-                          manchester_encode, random_payload, read_bits, rectangular_waveform,
-                          write_bits)
-from radsim.errors import ConfigurationError, ParameterError, ParseError, ShapeError
-from radsim.spectral import fft_magnitude
-from reference import bin_frequencies
+                          manchester_encode, random_payload, read_bits, write_bits)
+from radsim.errors import ParameterError, ParseError, ShapeError
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=256)
 
@@ -144,48 +141,6 @@ class TestManchester:
     def test_mid_bit_transition_always_present(self, bits):
         enc = manchester_encode(BitStream(np.array(bits), 1.0))
         assert np.all(enc.bits[0::2] != enc.bits[1::2])
-
-
-class TestRectangularWaveform:
-    def test_sample_layout(self):
-        stream = BitStream(np.array([1, 0]), 1000.0)
-        wave = rectangular_waveform(stream, 4000.0)
-        assert wave.samples.tobytes() == np.array([1.0] * 4 + [0.0] * 4).tobytes()
-
-    def test_all_zero_is_constant_low(self):
-        stream = BitStream(np.zeros(16, dtype=np.uint8), 100.0)
-        wave = rectangular_waveform(stream, 800.0)
-        assert wave.samples.tobytes() == bytes(8 * 16 * 8)
-
-    def test_sample_count_exact(self):
-        stream = BitStream(np.ones(37, dtype=np.uint8), 100.0)
-        wave = rectangular_waveform(stream, 1500.0)
-        assert len(wave) == 37 * round(1500.0 / 100.0)
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ShapeError, match="empty stream"):
-            rectangular_waveform(BitStream(np.zeros(0, np.uint8), 100.0), 800.0)
-
-    @settings(max_examples=50)
-    @given(bit_lists)
-    def test_manchester_render_changes_level_at_every_mid_bit(self, bits):
-        # Levels at 2 x 100 bit/s rendered at 800 Hz: 4 samples per half-bit.
-        wave = rectangular_waveform(manchester_encode(BitStream(np.array(bits), 100.0)), 800.0)
-        per_bit = wave.samples.reshape(len(bits), 8)
-        assert np.all(per_bit[:, 3] != per_bit[:, 4])
-        assert np.array_equal(per_bit[:, 4], np.array(bits, dtype=np.float64))
-
-    def test_rate_too_low(self):
-        with pytest.raises(ConfigurationError):
-            rectangular_waveform(BitStream(np.array([1]), 1000.0), 1500.0)
-
-    def test_alternating_bits_peak_at_half_bit_rate(self):
-        # A 1010... pattern is a square wave of period two bits; its
-        # fundamental at bit_rate/2 (magnitude 2/pi) tops the DC term (1/2).
-        stream = BitStream(np.tile([1, 0], 32).astype(np.uint8), 250.0)
-        spectrum = fft_magnitude(rectangular_waveform(stream, 4000.0))
-        peak_freq = bin_frequencies(spectrum)[int(np.argmax(spectrum.magnitudes))]
-        assert abs(peak_freq - 125.0) <= spectrum.bin_width
 
 
 class TestTextFiles:

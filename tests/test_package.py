@@ -54,7 +54,6 @@ PUBLIC_NAMES = [
     "read_signal",
     "read_spectrogram",
     "read_spectrum",
-    "rectangular_waveform",
     "run_experiment",
     "samples_per_bit",
     "simulate_curve",

@@ -60,9 +60,9 @@ class TestDefaultRun:
         gram = read_spectrogram(out / "stft.f64")
         # A run analyses on a 256-sample hann window at hop 128, with a peak
         # floor of 0.1 and peaks half a bit rate apart.
-        expected = stft(received, 256, 128, "hann")
-        for name in ("sample_rate", "window_length", "hop", "window"):
-            assert getattr(gram, name) == getattr(expected, name)
+        expected = stft(received)
+        assert (gram.sample_rate, gram.window_length, gram.hop, gram.window) == (
+            received.sample_rate, 256, 128, "hann")
         assert np.array_equal(gram.magnitudes, expected.magnitudes)
         rows = np.loadtxt(out / "peaks.csv", delimiter=",", skiprows=1, ndmin=2)
         peaks = find_peaks(spectrum, 0.1, config.bit_rate / 2)

@@ -119,15 +119,6 @@ class TestFftMagnitude:
         with pytest.raises(ShapeError):
             fft_magnitude(SampledSignal(100.0, np.ones(1)))
 
-    def test_fft_size_must_be_power_of_two(self):
-        with pytest.raises(ParameterError):
-            fft_magnitude(SampledSignal(100.0, np.ones(64)), fft_size=48)
-
-    def test_explicit_fft_size_zero_pads(self):
-        spectrum = fft_magnitude(SampledSignal(100.0, np.ones(40)), fft_size=64)
-        assert spectrum.fft_size == 64
-        assert spectrum.magnitudes.size == 33
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 2000), st.integers(0, 2 ** 31))
     def test_parseval(self, n, seed):
@@ -212,9 +203,16 @@ class TestSpectrum:
                                   np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape))
 
 
+def framed(samples, window_length, hop, window):
+    """One-sided magnitudes of every frame: the STFT's arithmetic on any grid."""
+    mags = spectral._frame_magnitudes(samples, window_length, hop, window)
+    spectral._one_sided_magnitudes(mags, window_length)
+    return mags
+
+
 class TestStft:
     def test_stationary_tone_constant_argmax(self):
-        gram = stft(cosine(1000.0, 8000.0, 4096), window_length=256, hop=128)
+        gram = stft(cosine(1000.0, 8000.0, 4096))
         argmaxes = gram.magnitudes.argmax(axis=1)
         assert np.all(argmaxes == argmaxes[0])
 
@@ -223,7 +221,7 @@ class TestStft:
         from radsim.modulation import CarrierSpec, fsk_modulate
         spec = CarrierSpec(2000.0, 1.0, 0.0, 48000.0)
         bits = BitStream(np.array([0] * 32 + [1] * 32, dtype=np.uint8), 250.0)
-        gram = stft(fsk_modulate(bits, spec), window_length=256, hop=128)
+        gram = stft(fsk_modulate(bits, spec))
         argmaxes = gram.magnitudes.argmax(axis=1)
         boundary = 32 / 250.0
         window_seconds = 256 / 48000.0
@@ -235,43 +233,48 @@ class TestStft:
         assert np.all(pre == f0_bin)
         assert np.all(post == f1_bin)
 
+    # The framer's two grids: every STFT's, and a library's rectangular blocks
+    # at a power-of-two fft_size (256 here).
     @pytest.mark.parametrize("window_length, hop, window", [
-        (256, 256, "rectangular"), (256, 100, "rectangular"), (256, 128, "hann")])
+        (256, 128, "hann"), (256, 256, "rectangular")])
     def test_strided_samples_match_a_copy(self, window_length, hop, window):
         samples = np.random.default_rng(9).standard_normal(2 * 5000)[::2]
-        grams = [stft(SampledSignal(1000.0, s), window_length, hop, window)
+        grams = [spectral._frame_magnitudes(s, window_length, hop, window)
                  for s in (samples, samples.copy())]
-        assert grams[0].magnitudes.tobytes() == grams[1].magnitudes.tobytes()
+        assert grams[0].tobytes() == grams[1].tobytes()
 
     def test_rectangular_disjoint_blocks_match_fft(self):
         rng = np.random.default_rng(8)
         sig = SampledSignal(1000.0, rng.standard_normal(1024))
-        gram = stft(sig, window_length=256, hop=256, window="rectangular")
-        assert gram.magnitudes.shape[0] == 4
+        gram = framed(sig.samples, 256, 256, "rectangular")
+        assert gram.shape[0] == 4
         for i in range(4):
             block = SampledSignal(1000.0, sig.samples[i * 256:(i + 1) * 256])
-            assert np.array_equal(gram.magnitudes[i], fft_magnitude(block).magnitudes)
+            assert np.array_equal(gram[i], fft_magnitude(block).magnitudes)
 
     def test_frame_count(self):
         sig = SampledSignal(100.0, np.zeros(1000))
-        gram = stft(sig, window_length=100, hop=30)
-        assert gram.magnitudes.shape[0] == (1000 - 100) // 30 + 1
+        gram = stft(sig)
+        assert gram.magnitudes.shape[0] == (1000 - 256) // 128 + 1
 
-    @pytest.mark.parametrize("window_length, hop", [(256, 128), (100, 7)])
-    def test_blocks_match_one_transform(self, window_length, hop):
-        signal = SampledSignal(8000.0, np.random.default_rng(hop).standard_normal(200_000))
-        taper = np.hanning(window_length)
-        frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_length)[::hop]
+    @pytest.mark.parametrize("window_length, hop, window", [
+        (256, 128, "hann"), (256, 256, "rectangular")], ids=["256-128", "256-256-rectangular"])
+    def test_blocks_match_one_transform(self, window_length, hop, window):
+        samples = np.random.default_rng(hop).standard_normal(300_000)
+        taper = np.hanning(window_length) if window == "hann" else 1.0
+        frames = np.lib.stride_tricks.sliding_window_view(samples, window_length)[::hop]
         transform = np.abs(np.fft.rfft(frames * taper, axis=1)) / window_length
         transform[:, 1:(window_length + 1) // 2] *= 2.0
         assert len(frames) > 2 * spectral._STFT_BLOCK_FRAMES
-        assert np.array_equal(stft(signal, window_length, hop).magnitudes, transform)
+        assert np.array_equal(framed(samples, window_length, hop, window), transform)
+        if window == "hann":
+            assert np.array_equal(stft(SampledSignal(8000.0, samples)).magnitudes, transform)
 
-    @pytest.mark.parametrize("window", ["hann", "rectangular"])
-    def test_memory_is_one_block_beyond_the_output(self, traced_peak, window):
-        window_length, hop = 256, 128
-        signal = SampledSignal(48000.0, np.random.default_rng(4).standard_normal(1024 * 192))
-        frames = (len(signal) - window_length) // hop + 1
+    @pytest.mark.parametrize("window_length, hop, window", [
+        (256, 128, "hann"), (256, 256, "rectangular")], ids=["hann", "rectangular"])
+    def test_memory_is_one_block_beyond_the_output(self, traced_peak, window_length, hop, window):
+        samples = np.random.default_rng(4).standard_normal(2048 * 192)
+        frames = (len(samples) - window_length) // hop + 1
         assert frames > 2 * spectral._STFT_BLOCK_FRAMES
         bins = window_length // 2 + 1
         output = frames * bins * 8
@@ -279,21 +282,15 @@ class TestStft:
         # rfft (complex128).
         tapered = window_length * 8 if window == "hann" else 0
         workspace = spectral._STFT_BLOCK_FRAMES * (tapered + bins * 16)
-        peak = traced_peak(lambda: stft(signal, window_length, hop, window))
-        assert peak <= output + workspace + 64 * 1024  # 64 KiB: taper and frame times
+        peak = traced_peak(lambda: spectral._frame_magnitudes(samples, window_length, hop, window))
+        assert peak <= output + workspace + 64 * 1024  # 64 KiB: the taper
+        if window == "hann":
+            peak = traced_peak(lambda: stft(SampledSignal(48000.0, samples)))
+            assert peak <= output + workspace + 64 * 1024
 
     def test_window_longer_than_signal(self):
-        with pytest.raises(ShapeError):
-            stft(SampledSignal(100.0, np.zeros(64)), window_length=128, hop=16)
-
-    def test_unknown_window(self):
-        with pytest.raises(ParameterError):
-            stft(SampledSignal(100.0, np.zeros(64)), window_length=32, hop=16, window="kaiser")
-
-    def test_grid_far_larger_than_the_signal(self):
-        # 1001 frames x 501 bins: 250 magnitudes per sample, above the bound of 64.
-        with pytest.raises(ShapeError, match="exceed 64 magnitudes per sample of the 2000-sample"):
-            stft(SampledSignal(100.0, np.zeros(2000)), window_length=1000, hop=1)
+        with pytest.raises(ShapeError, match="^window_length 256 exceeds signal length 255$"):
+            stft(SampledSignal(100.0, np.zeros(255)))
 
 
 class TestFindPeaks:
@@ -498,13 +495,15 @@ class TestSpectrogramFile:
             assert getattr(again, name) == getattr(gram, name)
         assert np.array_equal(again.magnitudes, gram.magnitudes)
 
+    # A file states its own grid: any valid one reads back, not only the STFT's.
     @pytest.mark.parametrize("window_length, hop, window", [
         (127, 50, "hann"),
         (128, 64, "rectangular"),
     ], ids=["odd-window", "rectangular"])
     def test_round_trip_equals_stft(self, tmp_path, window_length, hop, window):
-        rng = np.random.default_rng(window_length)
-        gram = stft(SampledSignal(1000.0, rng.standard_normal(2000)), window_length, hop, window)
+        samples = np.random.default_rng(window_length).standard_normal(2000)
+        gram = Spectrogram(framed(samples, window_length, hop, window), 1000.0, window_length,
+                           hop, window)
         path = tmp_path / "gram.f64"
         write_spectrum(gram, path)
         self.assert_same(read_spectrogram(path), gram)
@@ -512,7 +511,7 @@ class TestSpectrogramFile:
     def test_reads_a_sidecar_with_a_start_time(self, tmp_path):
         # Older sidecars also hold "start_time": 0.0 in the grid; the reader ignores it.
         rng = np.random.default_rng(256)
-        gram = stft(SampledSignal(44100.0 / 3.0, rng.standard_normal(2000)), 256, 100)
+        gram = stft(SampledSignal(44100.0 / 3.0, rng.standard_normal(2000)))
         path = tmp_path / "gram.f64"
         write_spectrum(gram, path)
         meta = json.loads(sidecar_path(path).read_text())
@@ -526,6 +525,7 @@ class TestSpectrogramFile:
         (lambda path, meta: meta.__setitem__("shape", [meta["shape"][0] + 1, meta["shape"][1]]),
          ParseError),
         (lambda path, meta: meta.pop("hop"), ParseError),
+        (lambda path, meta: meta.__setitem__("window", "kaiser"), ParameterError),
         (lambda path, meta: meta.pop("shape"), ParseError),
         (lambda path, meta: meta.__setitem__("format", "f32be"), ParseError),
         (lambda path, meta: path.write_bytes(path.read_bytes()[:-8]
@@ -534,11 +534,12 @@ class TestSpectrogramFile:
         (lambda path, meta: path.write_bytes(path.read_bytes()[:-8]
                                              + np.array([-1.0], "<f8").tobytes()),
          ParameterError),
-    ], ids=["truncated", "shape-too-big", "missing-hop", "missing-shape", "unknown-format",
+    ], ids=["truncated", "shape-too-big", "missing-hop", "unknown-window", "missing-shape",
+            "unknown-format",
             "nan-magnitude", "negative-magnitude"])
     def test_bad_file_is_parse_error(self, tmp_path, corrupt, error):
         path = tmp_path / "gram.f64"
-        write_spectrum(stft(cosine(100.0, 1000.0, 2000), window_length=128, hop=64), path)
+        write_spectrum(stft(cosine(100.0, 1000.0, 2000)), path)
         meta = json.loads(sidecar_path(path).read_text())
         corrupt(path, meta)
         sidecar_path(path).write_text(json.dumps(meta))

@@ -13,7 +13,9 @@ length, so nothing a tree writes differs by where it lies. Each tree runs
 its own ``src/`` (``python -m radsim``), in its own work directory, with
 relative paths only. The standard set:
 
-* the 15 ``--help`` texts: ``radsim --help`` and each subcommand's;
+* the ``--help`` texts: ``radsim --help``, and that of each subcommand the
+  tree's own parser declares, so a subcommand added or removed shows as an
+  item in one tree only;
 * the tree's README ``sh`` examples: every line that starts with
   ``radsim``, run in order, and the files they write;
 * ``library-add`` of fsk, psk and ask templates (payload seed 99) into a
@@ -48,9 +50,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-SUBCOMMANDS = ["propagate", "payload", "encode", "modulate", "demodulate", "channel",
-               "spectrum", "peaks", "features", "library-add", "library-list", "classify",
-               "run", "evaluate"]
 SCHEMES = ["fsk", "psk", "ask"]
 # (N, M, X0, steps), as bench/workload.py's PropagationSweep.POINTS.
 PROPAGATION_POINTS = ((100, 15, 1, 100), (50, 10, 1, 60), (200, 40, 1, 80),
@@ -99,6 +98,14 @@ class Tree:
             b"exit %d\n--- stdout\n%s--- stderr\n%s" % (result.returncode, result.stdout,
                                                          result.stderr))
 
+    def subcommands(self) -> list[str]:
+        """The subcommand names that this tree's ``cli.build_parser()`` declares."""
+        code = ("import argparse\nfrom radsim.cli import build_parser\n"
+                "print(*next(a for a in build_parser()._actions\n"
+                "            if isinstance(a, argparse._SubParsersAction)).choices)")
+        return subprocess.run([sys.executable, "-c", code], env=self.env, check=True,
+                              capture_output=True, text=True).stdout.split()
+
     def record_files(self, skip: set[Path]) -> None:
         for path in sorted(self.work.rglob("*")):
             if path in skip or any(parent in skip for parent in path.parents):
@@ -124,7 +131,7 @@ def readme_commands(root: Path) -> list[list[str]]:
 
 def run_standard_set(tree: Tree) -> None:
     tree.radsim("help", ["--help"])
-    for name in SUBCOMMANDS:
+    for name in tree.subcommands():
         tree.radsim("help", [name, "--help"])
 
     readme = tree.work / "readme"
