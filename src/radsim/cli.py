@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("encode", _cmd_encode, help="Manchester-encode bits")
     p.add_argument("--in", dest="infile", required=True, help="bit text file")
-    p.add_argument("--bit-rate", type=float, default=_BIT_RATE)
     p.add_argument("--out", required=True, help="half-bit level text file output")
 
     p = command("modulate", _cmd_modulate, help="modulate a bit stream onto a carrier")
@@ -209,7 +208,7 @@ def _cmd_payload(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    encoded = codec.manchester_encode(codec.read_bits(args.infile, args.bit_rate))
+    encoded = codec.manchester_encode(codec.read_bits(args.infile, _BIT_RATE))
     codec.write_bits(encoded, args.out)
     print(f"wrote {args.out}: {len(encoded)} half-bit levels")
     return 0

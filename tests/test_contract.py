@@ -100,7 +100,7 @@ def test_every_subcommand_has_a_base():
 
 
 def test_numeric_option_count():
-    assert len(CASES) == 39 * len(VALUES)
+    assert len(CASES) == 38 * len(VALUES)
 
 
 def is_number(value: str, kind) -> bool:
