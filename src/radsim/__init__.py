@@ -21,6 +21,6 @@ from .recognition import (ClassificationResult, FeatureVector, SignatureEntry,
                           library_load, library_save, spectral_correlation)
 from .signals import SampledSignal, read_signal, write_signal
 from .spectral import (SpectralPeak, Spectrogram, Spectrum, fft_magnitude, find_peaks,
-                       read_spectrogram, read_spectrum, stft, write_spectrum)
+                       read_spectrum, stft, write_spectrum)
 
 __version__ = "0.1.0"

@@ -135,7 +135,11 @@ def run_experiment(config: ExperimentConfig, output_dir) -> ExperimentReport:
 
 
 def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
-    """Run the chain, writing every artifact and ``report.json`` into ``out``."""
+    """Run the chain, writing every artifact and ``report.json`` into ``out``.
+
+    The library is loaded first, so a bad one stops the run before any work.
+    """
+    library = None if config.library_path is None else library_load(config.library_path)
     report = ExperimentReport(config)
     payload = codec.random_payload(config.seed, config.payload_bits, config.bit_rate)
 
@@ -177,8 +181,7 @@ def _write_run(config: ExperimentConfig, out: Path) -> ExperimentReport:
     codec.write_bits(decoded, out / "demodulated.txt")
     report.bit_errors = int(np.count_nonzero(decoded.bits != payload.bits))
 
-    if config.library_path is not None:
-        library = library_load(config.library_path)
+    if library is not None:
         report.classification = classify(received, library, config.classification_threshold)
         _write_json(out / "classification.json", asdict(report.classification))
 

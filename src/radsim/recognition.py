@@ -227,7 +227,7 @@ def matching_spectrum(signal: SampledSignal, fft_size: int = DEFAULT_FFT_SIZE) -
     if len(samples) < fft_size:
         samples = np.zeros(fft_size)
         samples[:len(signal)] = signal.samples
-    frames = _frame_magnitudes(samples, fft_size, fft_size, "rectangular")
+    frames = _frame_magnitudes(samples, fft_size, fft_size, None)
     total = frames.sum(axis=0)
     _one_sided_magnitudes(total, fft_size)
     mean = total / len(frames)

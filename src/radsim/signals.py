@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, ShapeError, check_real
+from .errors import ParameterError, ParseError, RadsimError, ShapeError, check_real
 
 SIGNAL_FORMAT_TAG = "f64le"
 
@@ -149,11 +149,13 @@ def _write_f64(values: np.ndarray, path, meta: dict) -> None:
     _write_json(sidecar_path(path), dict(meta, format=SIGNAL_FORMAT_TAG))
 
 
-def _read_f64(path, size_key: str, keys: tuple[str, ...]) -> tuple[np.ndarray, dict]:
-    """Read a file written by :func:`_write_f64`: its values and its sidecar.
+def _read_f64(path, size_key: str, keys: tuple[str, ...], build):
+    """Read a file written by :func:`_write_f64` as ``build(values, **grid)``.
 
     ``meta[size_key]`` gives the values' length (an integer) or shape (a list
-    of integers); ``keys`` names the other keys the sidecar must hold.
+    of integers); ``keys`` names the other keys the sidecar must hold, which
+    make up ``grid``. An error that ``build`` raises is prefixed with ``path``,
+    as every other error here names its file.
     """
     path = Path(path)
     side = sidecar_path(path)
@@ -171,7 +173,11 @@ def _read_f64(path, size_key: str, keys: tuple[str, ...]) -> tuple[np.ndarray, d
     expected = 8 * math.prod(dims)
     if len(raw) != expected:
         raise ParseError(f"{path}: expected {expected} bytes for {size_key} {size}, found {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(dims).copy(), meta
+    values = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+    try:
+        return build(values, **{key: meta[key] for key in keys})
+    except RadsimError as e:
+        raise type(e)(f"{path}: {e}") from e
 
 
 def write_signal(signal: SampledSignal, path) -> None:
@@ -180,6 +186,6 @@ def write_signal(signal: SampledSignal, path) -> None:
 
 
 def read_signal(path) -> SampledSignal:
-    """Read a raw-binary signal written by :func:`write_signal`."""
-    samples, meta = _read_f64(path, "length", ("sample_rate",))
-    return SampledSignal(meta["sample_rate"], samples)
+    """Read a raw-binary signal written by :func:`write_signal`; every error names the file."""
+    return _read_f64(path, "length", ("sample_rate",),
+                     lambda samples, sample_rate: SampledSignal(sample_rate, samples))

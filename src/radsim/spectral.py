@@ -10,21 +10,22 @@ identity in this scaling reads
 
 Spectra hold their magnitudes and the grid that fixes their axes: bin ``k``
 lies at ``k * sample_rate / N_fft`` (as ``np.fft.rfftfreq`` computes it), derived
-where it is read, and STFT frame ``i`` is centred at ``(i * hop +
-window_length / 2) / sample_rate``.
+where it is read. Every STFT has one grid, the constants of :class:`Spectrogram`:
+frame ``i`` is centred at ``(i * hop + window_length / 2) / sample_rate``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError, check_int, check_real
-from .signals import _MAX_SAMPLES, SampledSignal, _read_f64, _write_f64
+from .signals import SampledSignal, _read_f64, _write_f64
 
 __all__ = [
     "Spectrum",
@@ -35,22 +36,13 @@ __all__ = [
     "find_peaks",
     "write_spectrum",
     "read_spectrum",
-    "read_spectrogram",
     "write_spectrum_csv",
     "write_peaks_csv",
-    "DEFAULT_WINDOW",
-    "DEFAULT_WINDOW_LENGTH",
-    "DEFAULT_HOP",
     "DEFAULT_RELATIVE_THRESHOLD",
 ]
 
-# The grid (window length and hop, in samples) and taper of every STFT, and
-# the peak floor (a fraction of the strongest bin) that :func:`find_peaks`
-# defaults to: a run and ``radsim spectrum --stft`` and ``radsim peaks``
-# analyse with them.
-DEFAULT_WINDOW = "hann"
-DEFAULT_WINDOW_LENGTH = 256
-DEFAULT_HOP = 128
+# The peak floor (a fraction of the strongest bin) that :func:`find_peaks`
+# defaults to: a run and ``radsim peaks`` keep peaks at or above it.
 DEFAULT_RELATIVE_THRESHOLD = 0.1
 
 
@@ -109,19 +101,20 @@ class Spectrum:
 class Spectrogram:
     """Short-time magnitude spectra: one row per frame, one column per bin.
 
-    A spectrogram rebuilt from its grid and magnitudes equals the one
-    :func:`stft` returned, bit for bit. Its magnitudes are read-only.
+    Every spectrogram has the one grid of a run and ``radsim spectrum
+    --stft``: a ``window`` taper of ``window_length`` samples every ``hop``
+    samples. Its magnitudes are read-only.
     """
+
+    window_length: ClassVar[int] = 256
+    hop: ClassVar[int] = 128
+    window: ClassVar[str] = "hann"
 
     magnitudes: np.ndarray
     sample_rate: float
-    window_length: int
-    hop: int
-    window: str = DEFAULT_WINDOW
 
     def __post_init__(self):
         self.magnitudes = _magnitudes_view(self.magnitudes)
-        _check_window(self.window_length, self.hop, self.window)
         check_real("sample_rate", self.sample_rate, 0, bounds="()")
         if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.window_length // 2 + 1:
             raise ShapeError(f"magnitudes must be a frames x {self.window_length // 2 + 1} "
@@ -153,38 +146,24 @@ def fft_magnitude(signal: SampledSignal) -> Spectrum:
     return Spectrum(mags, signal.sample_rate, len(signal))
 
 
-# Each window's taper of a given length; a rectangular window has none to apply.
-_WINDOWS = {
-    "rectangular": None,
-    "hann": np.hanning,
-}
-
-
-def _check_window(window_length: int, hop: int, window: str) -> None:
-    """Reject an STFT analysis grid that no signal could use."""
-    check_int("window_length", window_length, 2, _MAX_SAMPLES)
-    check_int("hop", hop, 1, _MAX_SAMPLES)
-    if not (isinstance(window, str) and window in _WINDOWS):
-        raise ParameterError(f"unknown window {window!r} (expected one of {sorted(_WINDOWS)})")
-
-
 # Frames tapered and transformed per block in :func:`_frame_magnitudes`.
 _STFT_BLOCK_FRAMES = 512
 
 
 def _check_stft(n_samples: int) -> None:
     """Reject a signal of ``n_samples`` shorter than one STFT window."""
-    if DEFAULT_WINDOW_LENGTH > n_samples:
-        raise ShapeError(f"window_length {DEFAULT_WINDOW_LENGTH} exceeds signal length "
+    if Spectrogram.window_length > n_samples:
+        raise ShapeError(f"window_length {Spectrogram.window_length} exceeds signal length "
                          f"{n_samples}")
 
 
 def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
-                      window: str) -> np.ndarray:
+                      taper: np.ndarray | None) -> np.ndarray:
     """Unscaled |rfft| of every ``hop``-spaced ``window_length`` frame, one row per frame.
 
     A frame starts at each multiple of ``hop`` that leaves ``window_length``
-    samples; there must be at least one. A block of frames is tapered and
+    samples; there must be at least one. Frames are multiplied by ``taper``,
+    or left as they are if it is None. A block of frames is tapered and
     transformed at a time, so the tapered copies and their transforms never
     take more than one block's workspace; each row's rfft is the same. The
     tapered blocks share one buffer, so its pages are faulted in once.
@@ -194,9 +173,7 @@ def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
         frames = samples[:n_frames * hop].reshape(n_frames, hop)
     else:
         frames = np.lib.stride_tricks.sliding_window_view(samples, window_length)[::hop]
-    taper = _WINDOWS[window]
     if taper is not None:
-        taper = taper(window_length)
         tapered = np.empty((min(n_frames, _STFT_BLOCK_FRAMES), window_length))
     mags = np.empty((n_frames, window_length // 2 + 1))
     for start in range(0, n_frames, _STFT_BLOCK_FRAMES):
@@ -208,14 +185,15 @@ def _frame_magnitudes(samples: np.ndarray, window_length: int, hop: int,
 
 
 def stft(signal: SampledSignal) -> Spectrogram:
-    """Short-time Fourier transform on the default grid and taper.
+    """Short-time Fourier transform on :class:`Spectrogram`'s grid, hann-tapered.
 
     Frame times mark window centers.
     """
     _check_stft(len(signal))
-    mags = _frame_magnitudes(signal.samples, DEFAULT_WINDOW_LENGTH, DEFAULT_HOP, DEFAULT_WINDOW)
-    _one_sided_magnitudes(mags, DEFAULT_WINDOW_LENGTH)
-    return Spectrogram(mags, signal.sample_rate, DEFAULT_WINDOW_LENGTH, DEFAULT_HOP)
+    n = Spectrogram.window_length
+    mags = _frame_magnitudes(signal.samples, n, Spectrogram.hop, np.hanning(n))
+    _one_sided_magnitudes(mags, n)
+    return Spectrogram(mags, signal.sample_rate)
 
 
 # Candidates per peak of a ``limit`` that :func:`find_peaks` first orders.
@@ -299,38 +277,27 @@ def find_peaks(spectrum: Spectrum, relative_threshold: float = DEFAULT_RELATIVE_
 
 
 # Sidecar keys of a spectrum file besides format and shape: the grid of its magnitudes.
-_GRID_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name != "magnitudes")
-                for cls in (Spectrum, Spectrogram)}
+_GRID_FIELDS = {Spectrum: ("sample_rate", "fft_size"),
+                Spectrogram: ("sample_rate", "window_length", "hop", "window")}
 
 
 def write_spectrum(spectrum: Spectrum | Spectrogram, path) -> None:
     """Raw little-endian float64 magnitudes plus a JSON sidecar of their shape and grid.
 
     This is the signal file format of :mod:`radsim.signals` with ``shape`` in
-    place of ``length``. The grid is the spectrum's other fields:
-    ``fft_size`` and ``sample_rate`` for a :class:`Spectrum`; ``sample_rate``,
+    place of ``length``. The sidecar states the grid: ``fft_size`` and
+    ``sample_rate`` for a :class:`Spectrum`, which
+    :func:`read_spectrum` rebuilds bit for bit; ``sample_rate`` and the fixed
     ``window_length``, ``hop`` and ``window`` for a :class:`Spectrogram`,
-    whose magnitudes are frames x bins. :func:`read_spectrum` and
-    :func:`read_spectrogram` rebuild it bit for bit.
+    whose magnitudes are frames x bins.
     """
     meta = {name: getattr(spectrum, name) for name in _GRID_FIELDS[type(spectrum)]}
     _write_f64(spectrum.magnitudes, path, dict(meta, shape=list(spectrum.magnitudes.shape)))
 
 
-def _read_grid(cls, path):
-    """The ``cls`` instance in a file written by :func:`write_spectrum`."""
-    magnitudes, meta = _read_f64(path, "shape", _GRID_FIELDS[cls])
-    return cls(magnitudes, **{name: meta[name] for name in _GRID_FIELDS[cls]})
-
-
 def read_spectrum(path) -> Spectrum:
-    """Read a spectrum written by :func:`write_spectrum`."""
-    return _read_grid(Spectrum, path)
-
-
-def read_spectrogram(path) -> Spectrogram:
-    """Read a spectrogram written by :func:`write_spectrum`."""
-    return _read_grid(Spectrogram, path)
+    """Read a spectrum written by :func:`write_spectrum`; every error names the file."""
+    return _read_f64(path, "shape", _GRID_FIELDS[Spectrum], Spectrum)
 
 
 # Rows formatted per write by :func:`write_spectrum_csv`.

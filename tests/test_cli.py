@@ -30,7 +30,7 @@ from radsim.pipeline import DEFAULT_CONFIG as DEFAULTS
 from radsim.pipeline import ExperimentConfig, config_from_json
 from radsim.recognition import SignatureLibrary, library_add, library_save
 from radsim.signals import SampledSignal, read_signal, sidecar_path, write_signal
-from radsim.spectral import fft_magnitude, read_spectrogram, write_spectrum
+from radsim.spectral import fft_magnitude, stft, write_spectrum
 from reference import as_version_1, f64_text, template_values
 
 BASE = [sys.executable, "-m", "radsim"]
@@ -537,7 +537,8 @@ class TestSignalChain:
         assert result.returncode == 0
         assert "23 frames x 129 bins" in result.stdout
         # 16 bits of 192 samples in 256-sample windows 128 apart.
-        assert read_spectrogram(gram).magnitudes.shape == (23, 129)
+        assert json.loads(sidecar_path(gram).read_text())["shape"] == [23, 129]
+        assert gram.read_bytes() == stft(read_signal(signal)).magnitudes.tobytes()
 
     def test_features_json(self, tmp_path):
         bits = tmp_path / "bits.txt"

@@ -1,4 +1,4 @@
-"""The CLI contract, checked for every numeric option that the parser declares.
+"""The CLI contract, checked for every numeric option and every f64 file input.
 
 Every ``int`` or ``float`` option of every subcommand takes each of
 ``VALUES`` on top of its subcommand's base command line. Each case runs in
@@ -11,18 +11,25 @@ contract:
 * a value that the option's type does not parse is a usage error (exit 2);
 * every ``int`` option is a count or a seed, so ``-1`` is refused (exit 1);
 * a ``float`` option refuses nan and ±inf (exit 1).
+
+Every option that reads a signal or spectrum file is also given each of
+``CORRUPTIONS`` of a valid one, and must exit 1 with one ``error:`` line that
+names the file, writing nothing.
 """
 
 import argparse
+import json
 import math
+import shutil
 
+import numpy as np
 import pytest
 
 from radsim.cli import build_parser, main
 from radsim.codec import random_payload, write_bits
 from radsim.modulation import CarrierSpec, fsk_modulate
 from radsim.recognition import SignatureLibrary, library_add, library_save
-from radsim.signals import write_signal
+from radsim.signals import sidecar_path, write_signal
 from radsim.spectral import fft_magnitude, write_spectrum
 
 VALUES = ["-1", "0", "1", "3", "0.5", "nan", "inf", "-inf", "1e308", "-1e308", str(2 ** 70),
@@ -136,3 +143,73 @@ def test_numeric_option_keeps_the_contract(inputs, tmp_path, monkeypatch, capsys
         assert code == 1
     elif kind is float and not math.isfinite(float(value)):
         assert code == 1
+
+
+# Each option that reads an f64 file, by the input its base names.
+FILE_INPUTS = [(name, base[base.index(token) - 1], token[1:-1])
+               for name, base in BASES.items() for token in ("{signal}", "{spectrum}")
+               if token in base]
+
+
+def _edit_sidecar(edit):
+    def corrupt(path):
+        meta = json.loads(sidecar_path(path).read_text())
+        edit(meta)
+        sidecar_path(path).write_text(json.dumps(meta))
+    return corrupt
+
+
+def _grow_size(meta):
+    """One more value in the sidecar's length or shape than the data holds."""
+    if "length" in meta:
+        meta["length"] += 1
+    else:
+        meta["shape"] = [meta["shape"][0] + 1]
+
+
+def _to_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+# Ways to break a file written by write_signal or write_spectrum, in place.
+CORRUPTIONS = {
+    "directory": _to_directory,
+    "ragged-data": lambda path: path.write_bytes(path.read_bytes() + bytes(3)),
+    "size-disagrees": _edit_sidecar(_grow_size),
+    "sidecar-not-an-object": lambda path: sidecar_path(path).write_text("[]"),
+    "sidecar-not-utf8": lambda path: sidecar_path(path).write_bytes(b'{"format": "\xff"}'),
+    "nan-values": lambda path: path.write_bytes(np.array([np.nan], "<f8").tobytes()
+                                                + path.read_bytes()[8:]),
+    "rate-true": _edit_sidecar(lambda meta: meta.__setitem__("sample_rate", True)),
+}
+
+
+def test_every_f64_input_is_covered():
+    assert FILE_INPUTS == [
+        ("demodulate", "--in", "signal"), ("channel", "--in", "signal"),
+        ("spectrum", "--in", "signal"), ("peaks", "--spectrum", "spectrum"),
+        ("features", "--in", "signal"), ("library-add", "--in", "signal"),
+        ("classify", "--in", "signal")]
+
+
+@pytest.mark.parametrize("name, flag, kind", FILE_INPUTS,
+                         ids=[f"{name} {flag}" for name, flag, _ in FILE_INPUTS])
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_bad_file_input_keeps_the_contract(inputs, tmp_path, monkeypatch, capsys,
+                                           name, flag, kind, corruption):
+    bad = tmp_path / "in" / inputs[kind].name
+    bad.parent.mkdir()
+    for source in (inputs[kind], sidecar_path(inputs[kind])):
+        shutil.copy(source, bad.parent)
+    CORRUPTIONS[corruption](bad)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = main([name, *(token.format(**dict(inputs, **{kind: bad})) for token in BASES[name])])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(bad) in err
+    assert list(work.iterdir()) == []
+

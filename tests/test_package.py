@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "psk_modulate",
     "random_payload",
     "read_signal",
-    "read_spectrogram",
     "read_spectrum",
     "run_experiment",
     "samples_per_bit",

@@ -13,8 +13,8 @@ from radsim.modulation import MODULATORS, CarrierSpec, fsk_modulate
 from radsim.pipeline import (DEFAULT_CONFIG, ExperimentConfig, config_from_json,
                              recognition_benchmark, run_experiment)
 from radsim.recognition import SignatureLibrary, library_add, library_save
-from radsim.signals import read_signal
-from radsim.spectral import fft_magnitude, find_peaks, read_spectrogram, stft, write_spectrum_csv
+from radsim.signals import read_signal, sidecar_path
+from radsim.spectral import fft_magnitude, find_peaks, stft, write_spectrum, write_spectrum_csv
 
 
 def run_default(tmp_path, name="exp", **overrides):
@@ -57,13 +57,14 @@ class TestDefaultRun:
         spectrum = fft_magnitude(received)
         write_spectrum_csv(spectrum, tmp_path / "spectrum.csv")
         assert (out / "spectrum.csv").read_bytes() == (tmp_path / "spectrum.csv").read_bytes()
-        gram = read_spectrogram(out / "stft.f64")
         # A run analyses on a 256-sample hann window at hop 128, with a peak
         # floor of 0.1 and peaks half a bit rate apart.
-        expected = stft(received)
-        assert (gram.sample_rate, gram.window_length, gram.hop, gram.window) == (
+        write_spectrum(stft(received), tmp_path / "stft.f64")
+        for name in ("stft.f64", "stft.f64.json"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        grid = json.loads(sidecar_path(out / "stft.f64").read_text())
+        assert (grid["sample_rate"], grid["window_length"], grid["hop"], grid["window"]) == (
             received.sample_rate, 256, 128, "hann")
-        assert np.array_equal(gram.magnitudes, expected.magnitudes)
         rows = np.loadtxt(out / "peaks.csv", delimiter=",", skiprows=1, ndmin=2)
         peaks = find_peaks(spectrum, 0.1, config.bit_rate / 2)
         assert [(f, v, int(k)) for f, v, k in rows.tolist()] == [
@@ -184,6 +185,22 @@ class TestClassification:
                                 classification_threshold=0.5)
         assert report.classification.label == "fsk-default"
         assert (Path(tmp_path / "exp") / "classification.json").exists()
+
+    def test_a_missing_library_stops_the_run_before_any_work(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(original):
+            def call(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setitem(modulation.MODULATORS, "fsk", spy(modulation.MODULATORS["fsk"]))
+        monkeypatch.setattr(spectral, "write_spectrum_csv", spy(spectral.write_spectrum_csv))
+        with pytest.raises(FileNotFoundError):
+            run_default(tmp_path, library_path=str(tmp_path / "missing.json"))
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCommit:

@@ -110,6 +110,22 @@ class TestRawFormat:
         with pytest.raises(ParseError, match="unknown format tag"):
             read_signal(path)
 
+    # Errors that the rate and samples raise as the signal is built name the file too.
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda path, meta: meta.__setitem__("sample_rate", True),
+         "sample_rate must be a finite number > 0, got True"),
+        (lambda path, meta: path.write_bytes(np.full(8, np.nan).tobytes()),
+         "samples contain non-finite values"),
+    ], ids=["rate-true", "nan-samples"])
+    def test_signal_error_names_the_file(self, tmp_path, corrupt, message):
+        path = tmp_path / "sig.f64"
+        write_signal(random_signal(n=8), path)
+        meta = json.loads(sidecar_path(path).read_text())
+        corrupt(path, meta)
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_signal(path)
+
 
 
 def fill(partial, kind, text):

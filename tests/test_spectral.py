@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radsim import spectral
-from radsim.errors import ParameterError, ParseError, ShapeError
+from radsim.errors import ParameterError, ParseError, RadsimError, ShapeError
 from radsim.signals import SampledSignal, sidecar_path
-from radsim.spectral import (Spectrogram, Spectrum, fft_magnitude, find_peaks, read_spectrogram,
-                             read_spectrum, stft, write_peaks_csv, write_spectrum,
-                             write_spectrum_csv)
+from radsim.spectral import (Spectrogram, Spectrum, fft_magnitude, find_peaks, read_spectrum,
+                             stft, write_peaks_csv, write_spectrum, write_spectrum_csv)
 from reference import bin_frequencies, frame_times, parseval_energy
 
 
@@ -183,15 +183,14 @@ class TestSpectrum:
         ([0.0, 1.0, -1e-300, 0.0, 0.0], "nonnegative"),
     ], ids=["nan", "inf", "minus-inf", "negative-and-nan", "negative"])
     def test_bad_magnitude_message(self, mags, message):
-        # A spectrogram of 3 frames with these bins is checked as a spectrum is.
-        for cls, grid, shape in ((Spectrum, (100.0, 8), (5,)),
-                                 (Spectrogram, (100.0, 8, 4), (3, 5))):
+        # A spectrogram of 3 frames, these bins first, is checked as a spectrum is.
+        for cls, grid, shape in ((Spectrum, (100.0, 8), (5,)), (Spectrogram, (100.0,), (3, 129))):
+            padded = np.pad(mags, (0, shape[-1] - len(mags)))
             with pytest.raises(ParameterError, match=f"^magnitudes must be {message}$"):
-                cls(np.broadcast_to(mags, shape), *grid)
+                cls(np.broadcast_to(padded, shape), *grid)
 
     def test_magnitudes_are_read_only(self):
-        for cls, grid, shape in ((Spectrum, (100.0, 8), (5,)),
-                                 (Spectrogram, (100.0, 8, 4), (3, 5))):
+        for cls, grid, shape in ((Spectrum, (100.0, 8), (5,)), (Spectrogram, (100.0,), (3, 129))):
             mags = np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape)
             spectrum = cls(mags, *grid)
             with pytest.raises(ValueError, match="read-only"):
@@ -203,9 +202,14 @@ class TestSpectrum:
                                   np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape))
 
 
+def taper(window, window_length):
+    """The framer's taper for a window name: hann's, or none for a rectangular window."""
+    return np.hanning(window_length) if window == "hann" else None
+
+
 def framed(samples, window_length, hop, window):
     """One-sided magnitudes of every frame: the STFT's arithmetic on any grid."""
-    mags = spectral._frame_magnitudes(samples, window_length, hop, window)
+    mags = spectral._frame_magnitudes(samples, window_length, hop, taper(window, window_length))
     spectral._one_sided_magnitudes(mags, window_length)
     return mags
 
@@ -239,7 +243,7 @@ class TestStft:
         (256, 128, "hann"), (256, 256, "rectangular")])
     def test_strided_samples_match_a_copy(self, window_length, hop, window):
         samples = np.random.default_rng(9).standard_normal(2 * 5000)[::2]
-        grams = [spectral._frame_magnitudes(s, window_length, hop, window)
+        grams = [spectral._frame_magnitudes(s, window_length, hop, taper(window, window_length))
                  for s in (samples, samples.copy())]
         assert grams[0].tobytes() == grams[1].tobytes()
 
@@ -261,9 +265,10 @@ class TestStft:
         (256, 128, "hann"), (256, 256, "rectangular")], ids=["256-128", "256-256-rectangular"])
     def test_blocks_match_one_transform(self, window_length, hop, window):
         samples = np.random.default_rng(hop).standard_normal(300_000)
-        taper = np.hanning(window_length) if window == "hann" else 1.0
         frames = np.lib.stride_tricks.sliding_window_view(samples, window_length)[::hop]
-        transform = np.abs(np.fft.rfft(frames * taper, axis=1)) / window_length
+        if window == "hann":
+            frames = frames * np.hanning(window_length)
+        transform = np.abs(np.fft.rfft(frames, axis=1)) / window_length
         transform[:, 1:(window_length + 1) // 2] *= 2.0
         assert len(frames) > 2 * spectral._STFT_BLOCK_FRAMES
         assert np.array_equal(framed(samples, window_length, hop, window), transform)
@@ -282,7 +287,9 @@ class TestStft:
         # rfft (complex128).
         tapered = window_length * 8 if window == "hann" else 0
         workspace = spectral._STFT_BLOCK_FRAMES * (tapered + bins * 16)
-        peak = traced_peak(lambda: spectral._frame_magnitudes(samples, window_length, hop, window))
+        window_taper = taper(window, window_length)
+        peak = traced_peak(lambda: spectral._frame_magnitudes(samples, window_length, hop,
+                                                              window_taper))
         assert peak <= output + workspace + 64 * 1024  # 64 KiB: the taper
         if window == "hann":
             peak = traced_peak(lambda: stft(SampledSignal(48000.0, samples)))
@@ -488,44 +495,19 @@ class TestCsvFormats:
             (p.frequency, p.magnitude, p.bin_index) for p in peaks]
 
 
-class TestSpectrogramFile:
-    @staticmethod
-    def assert_same(again, gram):
-        for name in ("sample_rate", "window_length", "hop", "window"):
-            assert getattr(again, name) == getattr(gram, name)
-        assert np.array_equal(again.magnitudes, gram.magnitudes)
-
-    # A file states its own grid: any valid one reads back, not only the STFT's.
-    @pytest.mark.parametrize("window_length, hop, window", [
-        (127, 50, "hann"),
-        (128, 64, "rectangular"),
-    ], ids=["odd-window", "rectangular"])
-    def test_round_trip_equals_stft(self, tmp_path, window_length, hop, window):
-        samples = np.random.default_rng(window_length).standard_normal(2000)
-        gram = Spectrogram(framed(samples, window_length, hop, window), 1000.0, window_length,
-                           hop, window)
+class TestSpectrumFile:
+    def test_stft_file_states_the_grid(self, tmp_path):
+        gram = stft(SampledSignal(44100.0 / 3.0, np.random.default_rng(256).standard_normal(2000)))
         path = tmp_path / "gram.f64"
         write_spectrum(gram, path)
-        self.assert_same(read_spectrogram(path), gram)
-
-    def test_reads_a_sidecar_with_a_start_time(self, tmp_path):
-        # Older sidecars also hold "start_time": 0.0 in the grid; the reader ignores it.
-        rng = np.random.default_rng(256)
-        gram = stft(SampledSignal(44100.0 / 3.0, rng.standard_normal(2000)))
-        path = tmp_path / "gram.f64"
-        write_spectrum(gram, path)
-        meta = json.loads(sidecar_path(path).read_text())
-        assert "start_time" not in meta
-        sidecar_path(path).write_text(
-            json.dumps(dict(meta, start_time=0.0), sort_keys=True, indent=2) + "\n")
-        self.assert_same(read_spectrogram(path), gram)
+        assert path.read_bytes() == gram.magnitudes.astype("<f8").tobytes()
+        assert json.loads(sidecar_path(path).read_text()) == {
+            "format": "f64le", "shape": [14, 129], "sample_rate": 44100.0 / 3.0,
+            "window_length": 256, "hop": 128, "window": "hann"}
 
     @pytest.mark.parametrize("corrupt, error", [
         (lambda path, meta: path.write_bytes(path.read_bytes()[:-8]), ParseError),
-        (lambda path, meta: meta.__setitem__("shape", [meta["shape"][0] + 1, meta["shape"][1]]),
-         ParseError),
-        (lambda path, meta: meta.pop("hop"), ParseError),
-        (lambda path, meta: meta.__setitem__("window", "kaiser"), ParameterError),
+        (lambda path, meta: meta.__setitem__("shape", [meta["shape"][0] + 1]), ParseError),
         (lambda path, meta: meta.pop("shape"), ParseError),
         (lambda path, meta: meta.__setitem__("format", "f32be"), ParseError),
         (lambda path, meta: path.write_bytes(path.read_bytes()[:-8]
@@ -534,15 +516,29 @@ class TestSpectrogramFile:
         (lambda path, meta: path.write_bytes(path.read_bytes()[:-8]
                                              + np.array([-1.0], "<f8").tobytes()),
          ParameterError),
-    ], ids=["truncated", "shape-too-big", "missing-hop", "unknown-window", "missing-shape",
-            "unknown-format",
+    ], ids=["truncated", "shape-too-big", "missing-shape", "unknown-format",
             "nan-magnitude", "negative-magnitude"])
     def test_bad_file_is_parse_error(self, tmp_path, corrupt, error):
-        path = tmp_path / "gram.f64"
-        write_spectrum(stft(cosine(100.0, 1000.0, 2000)), path)
+        path = tmp_path / "spectrum.f64"
+        write_spectrum(fft_magnitude(cosine(100.0, 1000.0, 2000)), path)
         meta = json.loads(sidecar_path(path).read_text())
         corrupt(path, meta)
         sidecar_path(path).write_text(json.dumps(meta))
         with pytest.raises(error) as caught:
-            read_spectrogram(path)
+            read_spectrum(path)
         assert "\n" not in str(caught.value)
+        assert str(path) in str(caught.value)
+
+    # Errors that the grid and magnitudes raise as a Spectrum is built name the file too.
+    @pytest.mark.parametrize("edit, message", [
+        ({"sample_rate": True}, "sample_rate must be a finite number > 0, got True"),
+        ({"fft_size": 4.0}, "fft_size must be an integer >= 2, got 4.0"),
+        ({"fft_size": 2}, r"magnitudes must have shape \(2,\) for fft_size 2"),
+    ], ids=["rate-true", "float-fft-size", "shape-off-the-grid"])
+    def test_grid_error_names_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "spectrum.f64"
+        write_spectrum(Spectrum(np.ones(3), 100.0, 4), path)
+        meta = json.loads(sidecar_path(path).read_text())
+        sidecar_path(path).write_text(json.dumps(meta | edit))
+        with pytest.raises(RadsimError, match=f"^{re.escape(str(path))}: {message}"):
+            read_spectrum(path)
